@@ -11,13 +11,17 @@
 //!   timeout; every negotiation runs on the step-bounded virtual clock
 //!   of the resilience machinery. No blocking operation is unbounded,
 //!   so no session can hang.
-//! * **Backpressure.** The accept-queue ([`admission`]) is the only
-//!   buffer and it is bounded; when it fills, new connections get a
-//!   fast typed `shed` reply instead of silently queueing.
+//! * **Backpressure.** The acceptor blocks in `accept()` and hands each
+//!   connection to the accept-queue ([`admission`]) the moment it
+//!   arrives. The queue is the only buffer and it is bounded; when it
+//!   fills, new connections get a fast typed `shed` reply instead of
+//!   silently queueing.
 //! * **Graceful drain.** Shutdown ([`shutdown`]) stops admitting,
 //!   serves what is queued and in flight while the drain deadline
 //!   allows, then aborts the rest with typed replies — and reports
-//!   exactly what happened as a [`DrainReport`].
+//!   exactly what happened as a [`DrainReport`]. Once stopped, one
+//!   loopback connection wakes the blocked acceptor, which exits
+//!   without counting or queueing it.
 //! * **Transport chaos.** The deterministic per-connection fault plans
 //!   of [`transport`] (drops, stalls, truncation, slow-loris) exercise
 //!   the envelope from the wire side with a fixed seed.
@@ -31,7 +35,7 @@ mod shutdown;
 pub mod transport;
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -51,8 +55,14 @@ use crate::server::transport::{FrameWriter, TransportChaos, DEFAULT_MAX_FRAME_BY
 
 pub use shutdown::DrainReport;
 
-/// How often blocked acceptor/worker loops re-check shutdown state.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Back-off after a failed `accept()` (e.g. `EMFILE`), so the
+/// acceptor cannot spin on a persistent error.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
+/// Bound on the loopback connect that wakes the blocked acceptor at
+/// shutdown.
+const ACCEPTOR_WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+/// How long an idle worker waits on the queue before re-checking
+/// drain state (`offer` and `close` wake it sooner).
 const TAKE_TICK: Duration = Duration::from_millis(25);
 
 /// Store-level chaos knobs for the daemon: every negotiation runs
@@ -96,7 +106,9 @@ pub struct ServerConfig {
     /// Capacities for the broker's bounded tables.
     pub broker: BrokerConfig,
     /// Whether binding solves go through persistent incremental
-    /// solvers (recommended under registry churn).
+    /// solvers. Off by default: a binding problem's only constraint is
+    /// replaced every session, so nothing is reused, and each shape's
+    /// component cache grows by one entry per session up to its bound.
     pub incremental: bool,
     /// Contended-allocation objective. `None` keeps the historical
     /// per-session FCFS path; `Some` routes every negotiate request
@@ -125,7 +137,7 @@ impl Default for ServerConfig {
             store_chaos: None,
             transport_chaos: None,
             broker: BrokerConfig::default(),
-            incremental: true,
+            incremental: false,
             fairness: None,
             batch_window: Duration::from_millis(25),
             max_batch: 8,
@@ -155,7 +167,6 @@ impl NegotiationServer {
     ) -> std::io::Result<ServerHandle<S>> {
         let listener = bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let broker = Broker::new(semiring, registry)
             .with_broker_config(config.broker)
@@ -248,10 +259,14 @@ fn accept_loop(
 ) {
     let mut conn_id = 0u64;
     loop {
+        let accepted = listener.accept();
+        // Checked before anything is counted or queued: once stopped,
+        // what woke the acceptor is the shutdown's own wake connection
+        // (or a client racing it), and is dropped.
         if control.is_stopped() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 conn_id += 1;
                 telemetry.incr("server.sessions.accepted");
@@ -272,10 +287,9 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            // Transient accept errors (per-connection resets): back off
-            // one tick rather than spinning or dying.
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            // Accept errors (per-connection resets, fd exhaustion):
+            // back off briefly rather than spinning or dying.
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -389,7 +403,9 @@ impl<S: WireSemiring> ServerHandle<S> {
     /// past the deadline, in-flight sessions abort at their next
     /// checkpoint with a typed `timed-out` reply and anything still
     /// queued is shed. Blocks until every thread has joined — which is
-    /// bounded, because every blocking operation in the server is.
+    /// bounded, because every blocking operation in the server is, and
+    /// the acceptor's `accept()` is woken by a loopback connect (if
+    /// that connect fails, the acceptor is detached instead of joined).
     pub fn shutdown(self, drain: Duration) -> DrainReport {
         let begun = Instant::now();
         self.control.begin_drain(begun + drain);
@@ -413,17 +429,20 @@ impl<S: WireSemiring> ServerHandle<S> {
         for pending in leftovers {
             shed(pending.stream, ShedReason::Draining, &self.telemetry);
         }
-        let _ = self.acceptor.join();
+        if !stop_acceptor(self.acceptor, self.addr) {
+            self.telemetry.incr("server.acceptor.detached");
+        }
         shed_total += self.shed_draining.load(Ordering::Relaxed);
 
         let elapsed = begun.elapsed();
         // Aborts are observed at the next loop checkpoint: one read
-        // tick to notice, one bounded write to reply, plus scheduling
-        // slack. Anything beyond that is a genuine drain overrun.
+        // tick to notice and one bounded write to reply. Then the
+        // acceptor's wake connect, plus scheduling slack. Anything
+        // beyond that is a genuine drain overrun. (Idle workers wait
+        // on no tick: closing the queue wakes them.)
         let grace = self.config.read_timeout
             + self.config.write_timeout
-            + TAKE_TICK
-            + ACCEPT_POLL
+            + ACCEPTOR_WAKE_TIMEOUT
             + Duration::from_millis(200);
         DrainReport {
             drained,
@@ -432,5 +451,76 @@ impl<S: WireSemiring> ServerHandle<S> {
             elapsed,
             within_deadline: elapsed <= drain + grace,
         }
+    }
+}
+
+/// Wakes the acceptor blocked in `accept()` with one loopback
+/// connection to the bound port, then joins it. Must run after
+/// [`Control::stop`], so the acceptor drops that connection and exits.
+///
+/// Returns whether the acceptor was joined. If the wake connect fails
+/// within [`ACCEPTOR_WAKE_TIMEOUT`], the acceptor is left detached
+/// rather than joined: shutdown stays bounded, and the thread exits on
+/// the next connection it accepts.
+fn stop_acceptor(acceptor: JoinHandle<()>, addr: SocketAddr) -> bool {
+    match TcpStream::connect_timeout(&wake_target(addr), ACCEPTOR_WAKE_TIMEOUT) {
+        Ok(_wake) => {
+            let _ = acceptor.join();
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// The address a local client reaches the listener on: an unspecified
+/// bind address (`0.0.0.0`, `::`) maps to the same family's loopback.
+fn wake_target(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_target_maps_unspecified_addresses_to_loopback() {
+        let v4: SocketAddr = "0.0.0.0:4100".parse().unwrap();
+        let v6: SocketAddr = "[::]:4100".parse().unwrap();
+        let bound: SocketAddr = "192.0.2.7:4100".parse().unwrap();
+        assert_eq!(wake_target(v4), "127.0.0.1:4100".parse().unwrap());
+        assert_eq!(wake_target(v6), "[::1]:4100".parse().unwrap());
+        assert_eq!(wake_target(bound), bound);
+    }
+
+    #[test]
+    fn failed_wake_detaches_the_acceptor_instead_of_blocking() {
+        // An acceptor blocked on one listener, woken at a port nobody
+        // listens on: the connect is refused (or times out) and the
+        // join is skipped, so shutdown cannot hang on it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let live = listener.local_addr().unwrap();
+        let acceptor = thread::spawn(move || {
+            let _ = listener.accept();
+        });
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+
+        let begun = Instant::now();
+        assert!(!stop_acceptor(acceptor, dead), "no acceptor was woken");
+        assert!(
+            begun.elapsed() < ACCEPTOR_WAKE_TIMEOUT + Duration::from_millis(200),
+            "a failed wake returns within its connect bound: {:?}",
+            begun.elapsed()
+        );
+        // Release the detached thread.
+        let _ = TcpStream::connect(live);
     }
 }

@@ -14,7 +14,9 @@
 //! Every blocking operation in the server is bounded (socket timeouts,
 //! condvar waits, step-bounded negotiations), so the transition from
 //! *Draining* to *Stopped* is observed promptly — a drain never hangs
-//! on a stuck peer.
+//! on a stuck peer. The one exception is the acceptor's blocking
+//! `accept()`: on *Stopped*, shutdown wakes it with a loopback connect
+//! bounded by a timeout.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -97,8 +99,9 @@ pub struct DrainReport {
     pub aborted: usize,
     /// Wall-clock duration of the drain (begin to last thread joined).
     pub elapsed: Duration,
-    /// Whether every thread was joined within the drain deadline plus
-    /// the bounded-abort grace (one read-timeout slice).
+    /// Whether shutdown returned within the drain deadline plus the
+    /// bounded-abort grace: one read tick, one bounded write, the
+    /// acceptor's wake connect, and scheduling slack.
     pub within_deadline: bool,
 }
 

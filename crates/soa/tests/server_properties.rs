@@ -10,7 +10,8 @@
 //! - stalled and truncating clients get typed timeouts/errors at the
 //!   deadline, never a hang;
 //! - shutdown drains gracefully within its deadline and reports what
-//!   it served, aborted and shed;
+//!   it served, aborted and shed, and the loopback connection that
+//!   wakes the blocking acceptor is neither counted nor shed;
 //! - and the headline acceptance check: a fixed-seed chaos load
 //!   (hundreds of concurrent sessions, >10% hostile transports, store
 //!   faults injected into every negotiation) terminates every single
@@ -278,6 +279,68 @@ fn drain_aborts_overrunning_sessions_with_typed_replies() {
         Some(Reply::TimedOut { .. }) => {}
         other => panic!("expected a typed abort reply, got {other:?}"),
     }
+}
+
+#[test]
+fn shutdown_wake_connection_is_neither_accepted_nor_shed() {
+    let (telemetry, sink) = Telemetry::recording();
+    let handle: ServerHandle<Fuzzy> = NegotiationServer::start(
+        Fuzzy,
+        loadgen::seed_providers(6),
+        ServerConfig::default(),
+        telemetry,
+    )
+    .expect("server starts");
+
+    const SESSIONS: u64 = 3;
+    for session in 0..SESSIONS {
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match roundtrip(&stream, &negotiate()) {
+            Reply::Bound { .. } => {}
+            other => panic!("session {session}: expected bound, got {other:?}"),
+        }
+    }
+    let report = handle.shutdown(Duration::from_secs(2));
+    assert!(report.within_deadline, "clean drain: {report:?}");
+    assert_eq!(report.shed, 0, "nothing was shed: {report:?}");
+
+    let counters = sink.snapshot().counters;
+    assert_eq!(
+        counters.get("server.sessions.accepted").copied(),
+        Some(SESSIONS),
+        "only the client sessions were accepted: {counters:?}"
+    );
+    assert!(
+        !counters
+            .keys()
+            .any(|k| k.starts_with("server.sessions.shed")),
+        "the wake connection was not shed: {counters:?}"
+    );
+    assert_eq!(
+        counters.get("server.acceptor.detached"),
+        None,
+        "the acceptor was woken and joined: {counters:?}"
+    );
+}
+
+#[test]
+fn idle_server_on_an_unspecified_address_shuts_down_promptly() {
+    // The wake connection goes to loopback when the listener is bound
+    // to 0.0.0.0.
+    let handle = start(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServerConfig::default()
+    });
+    assert!(handle.local_addr().ip().is_unspecified());
+    let report = handle.shutdown(Duration::from_millis(500));
+    assert!(report.within_deadline, "clean drain: {report:?}");
+    assert!(
+        report.elapsed < Duration::from_millis(500),
+        "an idle drain does not wait out its deadline: {report:?}"
+    );
 }
 
 /// The PR's acceptance test: a fixed-seed chaos load — hundreds of
