@@ -75,10 +75,12 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Lazy vs compiled evaluation: same solver, same problem, the only
+    // Lazy vs compiled evaluation: the enumeration oracle against the
+    // compiled enumeration engine on the same problem, the only
     // difference being the flattened-operand dense-table engine. The
     // acceptance gate of the engine work is compiled ≥ 2× faster than
-    // lazy enumeration at n = 10.
+    // lazy enumeration at n = 10. `bnb_compiled` times branch-and-bound
+    // on the same problem.
     let mut group = c.benchmark_group("lazy_vs_compiled");
     for n in [6usize, 8, 10] {
         let cfg = RandomScsp {
@@ -89,25 +91,13 @@ fn bench(c: &mut Criterion) {
             seed: 42,
         };
         let p = random_weighted(&cfg);
-        let lazy = SolverConfig::reference();
         let compiled = SolverConfig::default().with_parallelism(Parallelism::Sequential);
         group.bench_with_input(BenchmarkId::new("enumeration_lazy", n), &p, |b, p| {
-            b.iter(|| {
-                EnumerationSolver::with_config(lazy)
-                    .solve(black_box(p))
-                    .unwrap()
-            })
+            b.iter(|| EnumerationSolver::new().solve(black_box(p)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("enumeration_compiled", n), &p, |b, p| {
             b.iter(|| {
                 EnumerationSolver::with_config(compiled)
-                    .solve(black_box(p))
-                    .unwrap()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("bnb_lazy", n), &p, |b, p| {
-            b.iter(|| {
-                BranchAndBound::with_config(VarOrder::MostConstrained, lazy)
                     .solve(black_box(p))
                     .unwrap()
             })

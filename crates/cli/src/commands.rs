@@ -240,9 +240,6 @@ pub fn parse_propagation(name: &str) -> Result<PropagationMode, String> {
 pub struct SolveOptions {
     /// Worker threads (`--jobs`); `None` picks the host parallelism.
     pub jobs: Option<usize>,
-    /// Use the lazy reference evaluator instead of the compiled one
-    /// (`--lazy`).
-    pub lazy: bool,
     /// Append the engine statistics to the report (`--stats`).
     pub stats: bool,
     /// Append a telemetry snapshot to the report (`--metrics`).
@@ -270,7 +267,6 @@ impl SolveOptions {
         self.engine.apply(
             SolverConfig::default()
                 .with_parallelism(parallelism)
-                .with_compiled(!self.lazy)
                 .with_ibound(self.ibound),
         )
     }
@@ -382,8 +378,8 @@ pub fn solve(text: &str, solver: SolverChoice) -> Result<String, CommandError> {
     solve_with(text, solver, SolveOptions::default())
 }
 
-/// [`solve`] with explicit engine options (thread count, lazy
-/// evaluation, statistics).
+/// [`solve`] with explicit engine options (thread count, search
+/// steering, statistics).
 ///
 /// # Errors
 ///
@@ -1849,13 +1845,11 @@ mod tests {
             for options in [
                 SolveOptions {
                     jobs: Some(2),
-                    lazy: false,
                     stats: true,
                     ..SolveOptions::default()
                 },
                 SolveOptions {
                     jobs: Some(1),
-                    lazy: true,
                     stats: true,
                     ..SolveOptions::default()
                 },

@@ -13,7 +13,7 @@ const USAGE: &str = "softsoa — soft constraints for dependable SOAs
 
 USAGE:
     softsoa solve <problem.json> [--solver enum|bnb|bucket]
-                  [--jobs <n>] [--lazy] [--stats] [--metrics[=json|pretty]]
+                  [--jobs <n>] [--stats] [--metrics[=json|pretty]]
                   [--order input|smallest|most-constrained|dynamic|estimate]
                   [--ibound <n>] [--warm-start]
                   [--propagate[=off|root|full]] [--decompose|--no-decompose]
@@ -250,7 +250,6 @@ fn run() -> Result<String, String> {
                             .map_err(|e| format!("--jobs: not an integer: {e}"))?;
                         options.jobs = Some(jobs);
                     }
-                    "--lazy" => options.lazy = true,
                     "--stats" => options.stats = true,
                     "--order" => {
                         let name = it.next().ok_or("--order: missing value")?;

@@ -53,7 +53,8 @@ struct CompiledOperand<S: Semiring> {
     /// compiled variable order.
     emb: Vec<usize>,
     /// Mixed-radix strides over the operand scope (last fastest);
-    /// empty for constants and unused for lazy operands.
+    /// empty for constants and for scopes whose cell count overflows
+    /// `usize`, unused for lazy operands.
     strides: Vec<usize>,
     cells: usize,
     materialize_time: Duration,
@@ -80,9 +81,11 @@ pub struct CompiledProblem<S: Semiring> {
     con: Vec<Var>,
     /// Position of each `con` variable inside `vars`.
     con_pos: Vec<usize>,
-    /// Mixed-radix strides over `con` (last fastest).
+    /// Mixed-radix strides over `con` (last fastest); empty when
+    /// `con_cells` is `None`.
     con_strides: Vec<usize>,
-    con_cells: usize,
+    /// Number of `con` tuples, `None` when it overflows `usize`.
+    con_cells: Option<usize>,
     compile_time: Duration,
 }
 
@@ -228,15 +231,9 @@ impl<S: Semiring> CompiledProblem<S> {
                     None => format!("c{ci}.{oi}"),
                 };
                 let emb: Vec<usize> = op.scope().iter().map(&position).collect();
-                let cells = emb
-                    .iter()
-                    .map(|&p| sizes[p])
-                    .try_fold(1usize, |acc, n| acc.checked_mul(n))
-                    .unwrap_or(usize::MAX);
-                let mut strides = vec![1usize; emb.len()];
-                for k in (0..emb.len().saturating_sub(1)).rev() {
-                    strides[k] = strides[k + 1] * sizes[emb[k + 1]];
-                }
+                // An overflowing scope is far above the dense limit.
+                let (strides, cells) =
+                    mixed_radix(&emb, &sizes).unwrap_or((Vec::new(), usize::MAX));
                 let mat_start = Instant::now();
                 let (kind, cells) = if emb.is_empty() {
                     (OperandKind::Const(op.eval_tuple(&[])), 0)
@@ -286,11 +283,10 @@ impl<S: Semiring> CompiledProblem<S> {
         }
 
         let con_pos: Vec<usize> = con.iter().map(&position).collect();
-        let mut con_strides = vec![1usize; con.len()];
-        for k in (0..con.len().saturating_sub(1)).rev() {
-            con_strides[k] = con_strides[k + 1] * sizes[con_pos[k + 1]];
-        }
-        let con_cells = con_pos.iter().map(|&p| sizes[p]).product::<usize>();
+        let (con_strides, con_cells) = mixed_radix(&con_pos, &sizes)
+            .map_or((Vec::new(), None), |(strides, cells)| {
+                (strides, Some(cells))
+            });
 
         Ok(CompiledProblem {
             semiring,
@@ -327,8 +323,10 @@ impl<S: Semiring> CompiledProblem<S> {
         self.operands.len()
     }
 
-    /// Number of distinct `con` tuples (the aggregate table size).
-    pub fn con_cells(&self) -> usize {
+    /// Number of distinct `con` tuples (the aggregate table size), or
+    /// `None` when that count overflows `usize`: such a `con` table
+    /// cannot be materialised, though the problem can still be searched.
+    pub fn con_cells(&self) -> Option<usize> {
         self.con_cells
     }
 
@@ -447,9 +445,14 @@ impl<S: Semiring> CompiledProblem<S> {
     ///
     /// For variable-free problems pass `0..1` (the single empty
     /// assignment).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`con_cells`](Self::con_cells) is `None`.
     pub fn aggregate_range(&self, range: std::ops::Range<usize>) -> Aggregate<S> {
+        let cells = self.con_cells.expect("con table size fits in usize");
         let mut agg = Aggregate {
-            table: vec![self.semiring.zero(); self.con_cells],
+            table: vec![self.semiring.zero(); cells],
             nodes: 0,
             prunings: 0,
             evals: vec![0; self.operands.len()],
@@ -572,6 +575,23 @@ impl<S: Semiring> CompiledProblem<S> {
     }
 }
 
+/// Mixed-radix strides (last position fastest) over the variables at
+/// `positions`, whose domain sizes are `sizes[p]`, with the total cell
+/// count; `None` when the count overflows `usize`. A zero size empties
+/// the space: its count is `0` and its strides are never read.
+fn mixed_radix(positions: &[usize], sizes: &[usize]) -> Option<(Vec<usize>, usize)> {
+    if positions.iter().any(|&p| sizes[p] == 0) {
+        return Some((vec![0; positions.len()], 0));
+    }
+    let mut strides = vec![0; positions.len()];
+    let mut cells = 1usize;
+    for (k, &p) in positions.iter().enumerate().rev() {
+        strides[k] = cells;
+        cells = cells.checked_mul(sizes[p])?;
+    }
+    Some((strides, cells))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,5 +674,17 @@ mod tests {
         assert_eq!(cp.outer_size(), 1);
         let agg = cp.aggregate_range(0..1);
         assert_eq!(agg.table, vec![4]);
+    }
+
+    #[test]
+    fn overflowing_con_has_no_cell_count() {
+        let p = crate::testutil::wide_chain();
+        let cp = CompiledProblem::with_order(&p, p.problem_vars()).unwrap();
+        assert_eq!(cp.con_cells(), None);
+        assert_eq!(cp.num_operands(), 19);
+        // Narrowing con to two variables makes the table countable.
+        let narrow = p.of_interest(["x00", "x19"]);
+        let cp = CompiledProblem::from_problem(&narrow).unwrap();
+        assert_eq!(cp.con_cells(), Some(100));
     }
 }

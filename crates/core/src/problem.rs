@@ -142,8 +142,8 @@ impl<S: Semiring> Scsp<S> {
         EnumerationSolver::new().solve(self)
     }
 
-    /// Solves by exhaustive enumeration under an explicit engine
-    /// configuration (compiled evaluation, worker threads).
+    /// Solves by compiled exhaustive enumeration under an explicit
+    /// engine configuration (worker threads).
     ///
     /// ```
     /// # use softsoa_core::{Scsp, Constraint, Domain};
@@ -163,7 +163,9 @@ impl<S: Semiring> Scsp<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError`] if a variable lacks a domain.
+    /// Returns [`SolveError`] if a variable lacks a domain, or
+    /// [`SolveError::TableTooLarge`] if the `con` table has more cells
+    /// than `usize` counts.
     pub fn solve_with(
         &self,
         config: &crate::solve::SolverConfig,

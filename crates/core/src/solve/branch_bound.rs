@@ -6,8 +6,8 @@ use std::time::Instant;
 use softsoa_semiring::Semiring;
 
 use crate::compile::CompiledProblem;
-use crate::solve::bucket::MiniBucketBound;
 use crate::solve::decompose::Decomposition;
+use crate::solve::minibucket::MiniBucketBound;
 use crate::solve::parallel::fan_out;
 use crate::solve::propagate::{PropagationStats, Propagator};
 use crate::solve::treedec::{self, TreeAttempt};
@@ -45,8 +45,7 @@ pub enum VarOrder {
     /// `blevel`; the witness is guaranteed *valid* but — unlike the
     /// other orders — not bit-identical to [`VarOrder::Input`]'s,
     /// since value reordering changes which equally optimal
-    /// assignment is found first. Requires the compiled engine; the
-    /// lazy path falls back to the input order.
+    /// assignment is found first.
     Estimate,
 }
 
@@ -92,8 +91,8 @@ pub struct BranchAndBound {
 
 impl BranchAndBound {
     /// Creates the solver with the given variable ordering and the
-    /// default engine (compiled, automatic thread count, root
-    /// propagation, component decomposition).
+    /// default engine (automatic thread count, root propagation,
+    /// component decomposition).
     pub fn new(order: VarOrder) -> BranchAndBound {
         BranchAndBound {
             order,
@@ -109,9 +108,8 @@ impl BranchAndBound {
     fn order_vars<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Vec<Var>, SolveError> {
         let mut vars = problem.problem_vars();
         match self.order {
-            // `Estimate` is resolved inside the compiled engine (it
-            // needs a root propagation pass); elsewhere it degrades
-            // to the input order.
+            // `Estimate` is resolved inside the search (it needs a
+            // root propagation pass).
             VarOrder::Input | VarOrder::Estimate => {}
             VarOrder::SmallestDomain => {
                 let mut keyed: Vec<(usize, Var)> = vars
@@ -244,9 +242,9 @@ enum Pruner<'a, S: Semiring> {
 }
 
 impl BranchAndBound {
-    /// The compiled engine: DFS over domain-index tuples with dense
-    /// operand tables, the outermost variable's values split across
-    /// worker threads. Workers share a best-bound; a branch is cut
+    /// The search: DFS over domain-index tuples with dense operand
+    /// tables, the outermost variable's values split across worker
+    /// threads. Workers share a best-bound; a branch is cut
     /// when it is *strictly* below the shared bound (safe for any
     /// foreign bound) or when the sequential prune condition holds
     /// against the worker's own incumbent — so the merged result,
@@ -255,7 +253,7 @@ impl BranchAndBound {
     /// prunes: a domain value is removed only when its best bound is
     /// `0` or strictly below an achievable floor, which keeps the
     /// first optimal assignment intact.
-    fn solve_compiled<S: Semiring>(
+    fn search<S: Semiring>(
         &self,
         problem: &Scsp<S>,
         seed: Option<S::Value>,
@@ -445,80 +443,6 @@ impl BranchAndBound {
         Ok(Solution::new(best_value, best, None).with_stats(stats))
     }
 
-    fn solve_lazy<S: Semiring>(
-        &self,
-        problem: &Scsp<S>,
-        seed: Option<S::Value>,
-    ) -> Result<Solution<S>, SolveError> {
-        let start = Instant::now();
-        let semiring = problem.semiring().clone();
-        let vars = self.order_vars(problem)?;
-        // Validate domains up front so the search cannot fail mid-way.
-        let domains: Vec<&crate::Domain> = vars
-            .iter()
-            .map(|v| problem.domains().get(v).map_err(SolveError::from))
-            .collect::<Result<_, _>>()?;
-
-        // For each constraint: the depth at which its scope is fully
-        // assigned, and the positions of its scope vars in `vars`.
-        let mut completing: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); vars.len() + 1];
-        for (ci, c) in problem.constraints().iter().enumerate() {
-            let positions: Vec<usize> = c
-                .scope()
-                .iter()
-                .map(|v| vars.iter().position(|u| u == v).expect("scope var ordered"))
-                .collect();
-            let depth = positions.iter().copied().max().map_or(0, |d| d + 1);
-            completing[depth].push((ci, positions));
-        }
-
-        let mut search = Search {
-            semiring: semiring.clone(),
-            problem,
-            vars: &vars,
-            domains: &domains,
-            completing: &completing,
-            slots: vec![None; vars.len()],
-            floor: seed.unwrap_or_else(|| semiring.zero()),
-            best_value: semiring.zero(),
-            best_assignment: None,
-            nodes: 0,
-            budget: self.config.node_budget,
-            exhausted: false,
-            prunings: 0,
-        };
-
-        // Constraints with empty scope complete at depth 0.
-        let root = search.apply_completed(0, semiring.one());
-        search.dfs(0, root);
-        if search.exhausted {
-            return Err(SolveError::NodeBudgetExceeded {
-                budget: self.config.node_budget.unwrap_or(0),
-            });
-        }
-
-        let stats = SolverStats {
-            nodes: search.nodes,
-            prunings: search.prunings,
-            threads: 1,
-            solve_time: start.elapsed(),
-            ..SolverStats::default()
-        };
-        let best_value = search.best_value;
-        let best = match search.best_assignment {
-            Some(full) if !semiring.is_zero(&best_value) => {
-                let con_eta: Assignment = problem
-                    .con()
-                    .iter()
-                    .map(|v| (v.clone(), full.get(v).expect("assigned").clone()))
-                    .collect();
-                vec![(con_eta, best_value.clone())]
-            }
-            _ => Vec::new(),
-        };
-        Ok(Solution::new(best_value, best, None).with_stats(stats))
-    }
-
     /// Solves each connected component independently (in parallel
     /// under the configured [`Parallelism`]) and combines the results
     /// with the semiring product. Returns `Ok(None)` when the problem
@@ -613,11 +537,7 @@ impl BranchAndBound {
             }
             TreeAttempt::Declined => {}
         }
-        let mut solution = if self.config.compiled {
-            self.solve_compiled(problem, seed)?
-        } else {
-            self.solve_lazy(problem, seed)?
-        };
+        let mut solution = self.search(problem, seed)?;
         if let Some(tree) = tree_stats {
             match &mut solution.stats {
                 Some(stats) => stats.tree = Some(tree),
@@ -868,83 +788,6 @@ impl<'a, S: Semiring> BnbWorker<'a, S> {
     }
 }
 
-struct Search<'a, S: Semiring> {
-    semiring: S,
-    problem: &'a Scsp<S>,
-    vars: &'a [Var],
-    domains: &'a [&'a crate::Domain],
-    completing: &'a [Vec<(usize, Vec<usize>)>],
-    slots: Vec<Option<Val>>,
-    /// Pre-published achievable level (warm seed); `0` when cold.
-    floor: S::Value,
-    best_value: S::Value,
-    best_assignment: Option<Assignment>,
-    nodes: u64,
-    /// Diagnostic node budget; see [`SolverConfig::node_budget`].
-    budget: Option<u64>,
-    exhausted: bool,
-    prunings: u64,
-}
-
-impl<'a, S: Semiring> Search<'a, S> {
-    /// Multiplies in every constraint whose scope completes at `depth`.
-    fn apply_completed(&self, depth: usize, value: S::Value) -> S::Value {
-        let mut acc = value;
-        for (ci, positions) in &self.completing[depth] {
-            if self.semiring.is_zero(&acc) {
-                break;
-            }
-            let tuple: Vec<Val> = positions
-                .iter()
-                .map(|&p| self.slots[p].clone().expect("assigned slot"))
-                .collect();
-            let level = self.problem.constraints()[*ci].eval_tuple(&tuple);
-            acc = self.semiring.times(&acc, &level);
-        }
-        acc
-    }
-
-    fn dfs(&mut self, depth: usize, value: S::Value) {
-        self.nodes += 1;
-        if self.budget.is_some_and(|b| self.nodes > b) {
-            self.exhausted = true;
-            return;
-        }
-        // Prune: extensions cannot beat the incumbent (×-monotonicity).
-        if self.semiring.leq(&value, &self.best_value)
-            && (self.best_assignment.is_some() || self.semiring.is_zero(&value))
-        {
-            self.prunings += 1;
-            return;
-        }
-        // Warm-seed prune: strictly below a level known achievable.
-        if self.semiring.lt(&value, &self.floor) {
-            self.prunings += 1;
-            return;
-        }
-        if depth == self.vars.len() {
-            self.best_value = value;
-            self.best_assignment = Some(
-                self.vars
-                    .iter()
-                    .zip(&self.slots)
-                    .map(|(v, s)| (v.clone(), s.clone().expect("complete assignment")))
-                    .collect(),
-            );
-            return;
-        }
-        for val in self.domains[depth].values().to_vec() {
-            if self.exhausted {
-                break;
-            }
-            self.slots[depth] = Some(val);
-            let next = self.apply_completed(depth + 1, value.clone());
-            self.dfs(depth + 1, next);
-        }
-        self.slots[depth] = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,26 +829,19 @@ mod tests {
     #[test]
     fn node_budget_aborts_with_a_typed_error() {
         let p = fig1_problem();
-        for compiled in [true, false] {
-            let config = SolverConfig::default()
-                .with_compiled(compiled)
-                .with_parallelism(Parallelism::Sequential)
-                .with_node_budget(Some(1));
-            let result = BranchAndBound::with_config(VarOrder::Input, config).solve(&p);
-            assert!(
-                matches!(result, Err(SolveError::NodeBudgetExceeded { budget: 1 })),
-                "compiled={compiled}: {result:?}"
-            );
-            // A generous budget solves normally with the usual answer.
-            let config = SolverConfig::default()
-                .with_compiled(compiled)
-                .with_parallelism(Parallelism::Sequential)
-                .with_node_budget(Some(1 << 20));
-            let sol = BranchAndBound::with_config(VarOrder::Input, config)
+        let config = SolverConfig::default().with_parallelism(Parallelism::Sequential);
+        let result = BranchAndBound::with_config(VarOrder::Input, config.with_node_budget(Some(1)))
+            .solve(&p);
+        assert!(
+            matches!(result, Err(SolveError::NodeBudgetExceeded { budget: 1 })),
+            "{result:?}"
+        );
+        // A generous budget solves normally with the usual answer.
+        let sol =
+            BranchAndBound::with_config(VarOrder::Input, config.with_node_budget(Some(1 << 20)))
                 .solve(&p)
                 .unwrap();
-            assert_eq!(*sol.blevel(), 7);
-        }
+        assert_eq!(*sol.blevel(), 7);
     }
 
     #[test]
@@ -1026,8 +862,10 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_parallel_reproduce_the_lazy_witness() {
-        use crate::solve::{Parallelism, SolverConfig};
+    fn parallel_search_finds_the_oracle_first_witness() {
+        // With `con` = every variable the oracle lists all optimal
+        // complete assignments; input-order search must report the
+        // lexicographically first of them at any thread count.
         for seed in 0..6 {
             let p = crate::generate::random_weighted(&crate::generate::RandomScsp {
                 vars: 5,
@@ -1036,22 +874,34 @@ mod tests {
                 arity: 2,
                 seed,
             });
-            let lazy = BranchAndBound::with_config(VarOrder::Input, SolverConfig::reference())
-                .solve(&p)
-                .unwrap();
+            let p = p.clone().of_interest(p.problem_vars());
+            let oracle = EnumerationSolver::new().solve(&p).unwrap();
+            let first = oracle.best().iter().map(|(eta, _)| eta).min();
             for threads in [1, 2, 3] {
                 let cfg = SolverConfig::default().with_parallelism(Parallelism::Threads(threads));
-                let fast = BranchAndBound::with_config(VarOrder::Input, cfg)
+                let bnb = BranchAndBound::with_config(VarOrder::Input, cfg)
                     .solve(&p)
                     .unwrap();
-                assert_eq!(fast.blevel(), lazy.blevel(), "seed {seed} x{threads}");
+                assert_eq!(bnb.blevel(), oracle.blevel(), "seed {seed} x{threads}");
                 assert_eq!(
-                    fast.best_assignment(),
-                    lazy.best_assignment(),
-                    "witness must match the sequential run (seed {seed}, {threads} threads)"
+                    bnb.best_assignment(),
+                    first,
+                    "witness must be the first optimum (seed {seed}, {threads} threads)"
                 );
             }
         }
+    }
+
+    #[test]
+    fn solves_problems_whose_con_table_overflows() {
+        // 10²⁰ con tuples: the search never builds that table, so it
+        // must neither overflow nor refuse.
+        let p = crate::testutil::wide_chain();
+        let sol = BranchAndBound::default().solve(&p).unwrap();
+        assert_eq!(*sol.blevel(), 0);
+        let witness = sol.best_assignment().unwrap();
+        assert_eq!(witness.len(), 20);
+        assert!(p.constraints().iter().all(|c| c.eval(witness) == 0));
     }
 
     #[test]
@@ -1146,12 +996,6 @@ mod tests {
                     "warm start must keep the cold witness (seed {seed}, {threads} threads)"
                 );
             }
-            // Lazy path takes the same seed.
-            let warm_lazy = BranchAndBound::with_config(VarOrder::Input, SolverConfig::reference())
-                .solve_seeded(&p, *cold.blevel())
-                .unwrap();
-            assert_eq!(warm_lazy.blevel(), cold.blevel());
-            assert_eq!(warm_lazy.best_assignment(), cold.best_assignment());
         }
     }
 

@@ -1,14 +1,14 @@
-//! Bucket (variable) elimination and mini-bucket bounds.
+//! Bucket (variable) elimination.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use softsoa_semiring::Semiring;
 
-use crate::compile::{Aggregate, CompiledProblem, DENSE_TABLE_LIMIT};
+use crate::compile::{Aggregate, CompiledProblem};
 use crate::solve::parallel::fan_out;
 use crate::solve::{best_from_entries, Solution, SolveError, Solver, SolverConfig, SolverStats};
-use crate::{combine_all, Constraint, Scsp, Val, Var};
+use crate::{Constraint, Scsp, Val, Var};
 
 /// Materialised table entries over a kept scope, paired with the
 /// number of worker threads that produced them.
@@ -69,7 +69,7 @@ pub struct BucketElimination {
 
 impl BucketElimination {
     /// Creates the solver with the given elimination-order heuristic
-    /// and the default engine (compiled, automatic thread count).
+    /// and the default engine (automatic thread count).
     pub fn new(order: EliminationOrder) -> BucketElimination {
         BucketElimination {
             order,
@@ -93,7 +93,7 @@ impl BucketElimination {
             EliminationOrder::MinDegree => {
                 // Greedy min-degree on the (static) interaction graph.
                 let neighbours = |v: &Var| -> usize {
-                    let mut set = std::collections::BTreeSet::new();
+                    let mut set = BTreeSet::new();
                     for c in problem.constraints() {
                         if c.scope().contains(v) {
                             set.extend(c.scope().iter().cloned());
@@ -113,13 +113,18 @@ impl BucketElimination {
     }
 }
 
-impl BucketElimination {
-    /// The compiled engine: each bucket is collapsed into a compiled
-    /// aggregation over its combined scope (flattened operands, dense
-    /// tables) and its projection table is materialised by splitting
-    /// the outermost kept variable across worker threads. The final
-    /// pool aggregation over `con` works the same way.
-    fn solve_compiled<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
+impl<S: Semiring> Solver<S> for BucketElimination {
+    /// Each bucket is collapsed into a compiled aggregation over its
+    /// combined scope (flattened operands, dense tables) and its
+    /// projection table is materialised by splitting the outermost
+    /// kept variable across worker threads. The final pool aggregation
+    /// over `con` works the same way.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::TableTooLarge`] when a bucket's or the final
+    /// `con` table has more cells than `usize` counts.
+    fn solve(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
         let start = Instant::now();
         let semiring = problem.semiring().clone();
         let con: Vec<Var> = problem.con().to_vec();
@@ -131,7 +136,7 @@ impl BucketElimination {
         let order = self.elimination_order(problem, to_eliminate);
 
         let mut stats = SolverStats::default();
-        let mut compile_time = std::time::Duration::ZERO;
+        let mut compile_time = Duration::ZERO;
         let mut aggregate = |constraints: &[Constraint<S>],
                              keep: &[Var]|
          -> Result<AggregatedEntries<S>, SolveError> {
@@ -141,6 +146,9 @@ impl BucketElimination {
                 keep,
                 problem.domains(),
             )?;
+            if cp.con_cells().is_none() {
+                return Err(SolveError::TableTooLarge);
+            }
             compile_time += cp.compile_time();
             let threads = self.config.parallelism.thread_count(cp.outer_size());
             let parts = fan_out(threads, cp.outer_size(), |range| cp.aggregate_range(range));
@@ -164,7 +172,7 @@ impl BucketElimination {
                 .iter()
                 .flat_map(|c| c.scope().iter().cloned())
                 .filter(|v| v != var)
-                .collect::<std::collections::BTreeSet<_>>()
+                .collect::<BTreeSet<_>>()
                 .into_iter()
                 .collect();
             let (entries, threads) = aggregate(&bucket, &keep)?;
@@ -188,242 +196,6 @@ impl BucketElimination {
         stats.compile_time = compile_time;
         stats.solve_time = start.elapsed();
         Ok(Solution::new(blevel, best, Some(solution)).with_stats(stats))
-    }
-
-    fn solve_lazy<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
-        let start = Instant::now();
-        let semiring = problem.semiring().clone();
-        let con: Vec<Var> = problem.con().to_vec();
-        let to_eliminate: Vec<Var> = problem
-            .problem_vars()
-            .into_iter()
-            .filter(|v| !con.contains(v))
-            .collect();
-        let order = self.elimination_order(problem, to_eliminate);
-
-        let mut pool: Vec<Constraint<S>> = problem.constraints().to_vec();
-        for var in &order {
-            let (bucket, rest): (Vec<_>, Vec<_>) =
-                pool.into_iter().partition(|c| c.scope().contains(var));
-            pool = rest;
-            if bucket.is_empty() {
-                continue;
-            }
-            let combined = combine_all(semiring.clone(), bucket.iter());
-            let eliminated = combined.hide(var, problem.domains())?;
-            pool.push(eliminated);
-        }
-
-        // Remaining constraints range over con only; build Sol(P).
-        let solution = combine_all(semiring.clone(), pool.iter())
-            .project(&con, problem.domains())?
-            .with_label("Sol(P)");
-
-        // The solution's support may be a strict subset of con (e.g.
-        // when no constraint mentions a con variable): evaluate it on
-        // the matching sub-tuple.
-        let embedding: Vec<usize> = solution
-            .scope()
-            .iter()
-            .map(|v| {
-                con.binary_search(v)
-                    .expect("solution scope is contained in con")
-            })
-            .collect();
-        let mut entries: Vec<(Vec<Val>, S::Value)> = Vec::new();
-        let mut nodes = 0u64;
-        for tuple in problem.domains().tuples(&con)? {
-            nodes += 1;
-            let sub: Vec<Val> = embedding.iter().map(|&i| tuple[i].clone()).collect();
-            let value = solution.eval_tuple(&sub);
-            entries.push((tuple, value));
-        }
-        let blevel = semiring.sum(entries.iter().map(|(_, v)| v));
-        let best = best_from_entries(&semiring, &con, &entries);
-        let stats = SolverStats {
-            nodes,
-            threads: 1,
-            solve_time: start.elapsed(),
-            ..SolverStats::default()
-        };
-        Ok(Solution::new(blevel, best, Some(solution)).with_stats(stats))
-    }
-}
-
-impl<S: Semiring> Solver<S> for BucketElimination {
-    fn solve(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
-        if self.config.compiled {
-            self.solve_compiled(problem)
-        } else {
-            self.solve_lazy(problem)
-        }
-    }
-}
-
-/// Per-depth admissible completion bounds from a width-bounded
-/// mini-bucket pass over a compiled problem (Dechter & Rish's
-/// mini-bucket elimination, specialised to a static bound vector).
-///
-/// For a compiled variable order `x₀ … xₙ₋₁`, `bound(d)` over-estimates
-/// — in the semiring order, where `1̄` is the top — the combined level
-/// of every `⊗`-operand whose scope completes at a depth greater than
-/// `d`. During branch-and-bound, `partial ⊗ bound(d)` is therefore an
-/// admissible optimistic estimate of the best full completion of a
-/// depth-`d` prefix: if it cannot beat the incumbent, no completion
-/// can (`×`-monotonicity plus `+` being the least upper bound).
-///
-/// The `ibound` parameter caps the *joint* scope of a mini-bucket:
-/// operands completing at the same depth are greedily packed into
-/// groups of at most `ibound` distinct variables, and each group is
-/// bounded by the `+`-fold of its `⊗`-product over all assignments of
-/// the joint scope. Larger `ibound` values yield tighter (never looser
-/// per group) bounds at higher precompute cost; operands whose own
-/// table would exceed [`DENSE_TABLE_LIMIT`] cells contribute the
-/// trivial bound `1̄`.
-///
-/// # Examples
-///
-/// ```
-/// use softsoa_core::compile::CompiledProblem;
-/// use softsoa_core::solve::MiniBucketBound;
-/// use softsoa_core::{Constraint, Domain, Scsp};
-/// use softsoa_semiring::WeightedInt;
-///
-/// let p = Scsp::new(WeightedInt)
-///     .with_domain("x", Domain::ints(0..=3))
-///     .with_constraint(Constraint::unary(WeightedInt, "x", |v| {
-///         v.as_int().unwrap() as u64 + 2
-///     }))
-///     .of_interest(["x"]);
-/// let compiled = CompiledProblem::from_problem(&p)?;
-/// let bound = MiniBucketBound::new(&compiled, 2);
-/// // The bound at full depth is always 1̄ (nothing left to assign);
-/// // at the root it is the best level any x can reach (cost 2).
-/// assert_eq!(*bound.at(1), 0);
-/// assert_eq!(*bound.at(0), 2);
-/// # Ok::<(), softsoa_core::SolveError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct MiniBucketBound<S: Semiring> {
-    ibound: usize,
-    bounds: Vec<S::Value>,
-}
-
-impl<S: Semiring> MiniBucketBound<S> {
-    /// Runs the mini-bucket pass over `compiled` with joint scopes
-    /// capped at `ibound` variables.
-    pub fn new(compiled: &CompiledProblem<S>, ibound: usize) -> MiniBucketBound<S> {
-        let semiring = compiled.semiring();
-        let n = compiled.vars().len();
-        let mut bounds = vec![semiring.one(); n + 1];
-        for d in (0..n).rev() {
-            let bucket = Self::bucket_bound(compiled, d + 1, ibound);
-            bounds[d] = semiring.times(&bucket, &bounds[d + 1]);
-        }
-        MiniBucketBound { ibound, bounds }
-    }
-
-    /// The joint-scope cap this bound was computed with.
-    pub fn ibound(&self) -> usize {
-        self.ibound
-    }
-
-    /// The admissible bound on the combined level of every operand
-    /// completing at a depth greater than `depth`.
-    pub fn at(&self, depth: usize) -> &S::Value {
-        &self.bounds[depth]
-    }
-
-    /// The full bound vector, indexed by depth (`bounds()[n]` is `1̄`).
-    pub fn bounds(&self) -> &[S::Value] {
-        &self.bounds
-    }
-
-    /// Bounds the `⊗`-product of all operands completing exactly at
-    /// `depth` by greedy mini-bucket packing.
-    fn bucket_bound(compiled: &CompiledProblem<S>, depth: usize, ibound: usize) -> S::Value {
-        let semiring = compiled.semiring();
-        let sizes = compiled.sizes();
-        let table_cells = |scope: &BTreeSet<usize>| -> usize {
-            scope
-                .iter()
-                .map(|&p| sizes[p])
-                .try_fold(1usize, |acc, s| acc.checked_mul(s))
-                .unwrap_or(usize::MAX)
-        };
-
-        // Greedily pack operands into mini-buckets whose joint scope
-        // stays within ibound variables (and a bounded table size); an
-        // operand that fits nowhere opens its own bucket.
-        let mut packs: Vec<(Vec<usize>, BTreeSet<usize>)> = Vec::new();
-        for &oi in compiled.completing_at(depth) {
-            let scope: BTreeSet<usize> = compiled.operand_scope(oi).iter().copied().collect();
-            let mut placed = false;
-            for (ops, joint) in packs.iter_mut() {
-                let merged: BTreeSet<usize> = joint.union(&scope).copied().collect();
-                if merged.len() <= ibound.max(1) && table_cells(&merged) <= DENSE_TABLE_LIMIT {
-                    ops.push(oi);
-                    *joint = merged;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                packs.push((vec![oi], scope));
-            }
-        }
-
-        let mut acc = semiring.one();
-        for (ops, joint) in &packs {
-            let pack_bound = if table_cells(joint) <= DENSE_TABLE_LIMIT {
-                Self::scope_lub(compiled, ops, joint)
-            } else {
-                // A single oversized operand: its exact maximum is as
-                // expensive as materialising it, so stay trivial.
-                semiring.one()
-            };
-            acc = semiring.times(&acc, &pack_bound);
-        }
-        acc
-    }
-
-    /// The `+`-fold (least upper bound) of the `⊗`-product of `ops`
-    /// over every assignment of the joint `scope`.
-    fn scope_lub(
-        compiled: &CompiledProblem<S>,
-        ops: &[usize],
-        scope: &BTreeSet<usize>,
-    ) -> S::Value {
-        let semiring = compiled.semiring();
-        let sizes = compiled.sizes();
-        let positions: Vec<usize> = scope.iter().copied().collect();
-        let mut idx = vec![0usize; compiled.vars().len()];
-        let mut scratch: Vec<Val> = Vec::new();
-        let mut acc = semiring.zero();
-        'assignments: loop {
-            let mut prod = semiring.one();
-            for &oi in ops {
-                if semiring.is_zero(&prod) {
-                    break;
-                }
-                prod = semiring.times(&prod, &compiled.value_at(oi, &idx, &mut scratch));
-            }
-            acc = semiring.plus(&acc, &prod);
-            // Mixed-radix increment over the joint scope positions.
-            let mut k = positions.len();
-            loop {
-                if k == 0 {
-                    break 'assignments;
-                }
-                k -= 1;
-                idx[positions[k]] += 1;
-                if idx[positions[k]] < sizes[positions[k]] {
-                    break;
-                }
-                idx[positions[k]] = 0;
-            }
-        }
-        acc
     }
 }
 
@@ -497,5 +269,15 @@ mod tests {
         assert_eq!(table.scope(), &[Var::new("x")]);
         assert_eq!(table.eval(&Assignment::new().bind("x", "a")), 7);
         assert_eq!(table.eval(&Assignment::new().bind("x", "b")), 16);
+    }
+
+    #[test]
+    fn overflowing_con_table_is_a_typed_error() {
+        let p = crate::testutil::wide_chain();
+        let result = BucketElimination::default().solve(&p);
+        assert!(
+            matches!(result, Err(SolveError::TableTooLarge)),
+            "{result:?}"
+        );
     }
 }

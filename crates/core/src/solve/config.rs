@@ -1,8 +1,8 @@
-//! Solver execution knobs: parallelism, compiled evaluation,
-//! propagation and decomposition.
+//! Solver execution knobs: parallelism, propagation, decomposition
+//! and the per-component engine.
 
-/// How much soft arc-consistency propagation the compiled
-/// [`BranchAndBound`](crate::solve::BranchAndBound) engine runs.
+/// How much soft arc-consistency propagation
+/// [`BranchAndBound`](crate::solve::BranchAndBound) runs.
 ///
 /// Propagation maintains, per (operand, variable) revision pair, the
 /// best level any extension of each domain value can reach through
@@ -28,7 +28,7 @@ pub enum PropagationMode {
     Full,
 }
 
-/// Which exact engine the compiled [`BranchAndBound`](crate::solve::BranchAndBound)
+/// Which exact engine the [`BranchAndBound`](crate::solve::BranchAndBound)
 /// entry point runs after the connected-component split.
 ///
 /// Every choice computes the identical `blevel` with a valid witness
@@ -88,10 +88,13 @@ impl Parallelism {
 
 /// Configuration shared by every solver in this module.
 ///
-/// The default is the fast path: compiled evaluation with automatic
-/// thread count. [`EnumerationSolver::new`](crate::solve::EnumerationSolver::new)
-/// deliberately stays on the lazy sequential path so it remains the
-/// literal reference semantics the other engines are tested against.
+/// Every solver runs one compiled engine (flattened `⊗`-DAGs,
+/// precomputed scope embeddings, dense operand tables); the default
+/// configuration adds an automatic thread count, root propagation and
+/// component decomposition. The configuration does not reach
+/// [`EnumerationSolver::new`](crate::solve::EnumerationSolver::new):
+/// that constructor is the lazy sequential oracle, the literal
+/// reference semantics every engine is tested against.
 ///
 /// # Examples
 ///
@@ -99,7 +102,6 @@ impl Parallelism {
 /// use softsoa_core::solve::{Parallelism, SolverConfig};
 ///
 /// let cfg = SolverConfig::default().with_parallelism(Parallelism::Threads(4));
-/// assert!(cfg.compiled);
 /// assert_eq!(cfg.parallelism.thread_count(100), 4);
 /// assert_eq!(cfg.parallelism.thread_count(2), 2); // clamped to the work
 /// ```
@@ -107,22 +109,18 @@ impl Parallelism {
 pub struct SolverConfig {
     /// Worker-thread policy.
     pub parallelism: Parallelism,
-    /// Whether to compile the problem (flatten `⊗`-DAGs, precompute
-    /// scope embeddings, materialise small operand tables) before
-    /// searching. When `false`, solvers evaluate constraints lazily.
-    pub compiled: bool,
     /// Joint-scope cap for the mini-bucket bound pass
     /// ([`MiniBucketBound`](crate::solve::MiniBucketBound)). `None`
     /// searches blind (incumbent pruning only); `Some(i)` precomputes
     /// per-depth admissible completion bounds with mini-buckets of at
     /// most `i` variables and additionally prunes branches whose
-    /// `partial ⊗ bound(depth)` cannot beat the incumbent. Only the
-    /// compiled [`BranchAndBound`](crate::solve::BranchAndBound)
-    /// engine consumes this knob.
+    /// `partial ⊗ bound(depth)` cannot beat the incumbent. Only
+    /// [`BranchAndBound`](crate::solve::BranchAndBound) consumes this
+    /// knob.
     pub ibound: Option<usize>,
-    /// Soft arc-consistency level for the compiled
-    /// [`BranchAndBound`](crate::solve::BranchAndBound) engine; the
-    /// lazy path ignores it (like [`ibound`](SolverConfig::ibound)).
+    /// Soft arc-consistency level for
+    /// [`BranchAndBound`](crate::solve::BranchAndBound); the other
+    /// solvers ignore it (like [`ibound`](SolverConfig::ibound)).
     pub propagate: PropagationMode,
     /// Whether [`BranchAndBound`](crate::solve::BranchAndBound)
     /// splits the constraint graph into its connected components and
@@ -161,7 +159,6 @@ impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
             parallelism: Parallelism::Auto,
-            compiled: true,
             ibound: None,
             propagate: PropagationMode::Root,
             decompose: true,
@@ -173,29 +170,9 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// The lazy sequential reference configuration.
-    pub fn reference() -> SolverConfig {
-        SolverConfig {
-            parallelism: Parallelism::Sequential,
-            compiled: false,
-            ibound: None,
-            propagate: PropagationMode::Off,
-            decompose: false,
-            engine: Engine::BranchBound,
-            width_cap: DEFAULT_WIDTH_CAP,
-            node_budget: None,
-        }
-    }
-
     /// Sets the parallelism policy (builder style).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> SolverConfig {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Enables or disables compiled evaluation (builder style).
-    pub fn with_compiled(mut self, compiled: bool) -> SolverConfig {
-        self.compiled = compiled;
         self
     }
 
@@ -270,15 +247,6 @@ mod tests {
     #[test]
     fn auto_is_at_least_one() {
         assert!(Parallelism::Auto.thread_count(1024) >= 1);
-    }
-
-    #[test]
-    fn reference_config_is_lazy_sequential() {
-        let cfg = SolverConfig::reference();
-        assert!(!cfg.compiled);
-        assert_eq!(cfg.parallelism, Parallelism::Sequential);
-        assert_eq!(cfg.propagate, PropagationMode::Off);
-        assert!(!cfg.decompose);
     }
 
     #[test]

@@ -43,7 +43,9 @@ use crate::{Constraint, Scsp, Val, Var};
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct EnumerationSolver {
-    config: SolverConfig,
+    /// `None` selects the lazy reference ([`EnumerationSolver::new`]);
+    /// `Some` the compiled engine under that configuration.
+    config: Option<SolverConfig>,
 }
 
 impl Default for EnumerationSolver {
@@ -53,24 +55,33 @@ impl Default for EnumerationSolver {
 }
 
 impl EnumerationSolver {
-    /// Creates the lazy sequential reference solver.
+    /// Creates the lazy sequential reference solver: the oracle every
+    /// other engine is tested against.
     pub fn new() -> EnumerationSolver {
+        EnumerationSolver { config: None }
+    }
+
+    /// Creates the compiled solver under an explicit engine
+    /// configuration (only its [`parallelism`](SolverConfig::parallelism)
+    /// applies).
+    pub fn with_config(config: SolverConfig) -> EnumerationSolver {
         EnumerationSolver {
-            config: SolverConfig::reference(),
+            config: Some(config),
         }
     }
 
-    /// Creates the solver with an explicit engine configuration.
-    pub fn with_config(config: SolverConfig) -> EnumerationSolver {
-        EnumerationSolver { config }
-    }
-
-    fn solve_compiled<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
+    fn solve_compiled<S: Semiring>(
+        config: &SolverConfig,
+        problem: &Scsp<S>,
+    ) -> Result<Solution<S>, SolveError> {
         let start = Instant::now();
         let semiring = problem.semiring().clone();
         let con: Vec<Var> = problem.con().to_vec();
         let compiled = CompiledProblem::from_problem(problem)?;
-        let threads = self.config.parallelism.thread_count(compiled.outer_size());
+        if compiled.con_cells().is_none() {
+            return Err(SolveError::TableTooLarge);
+        }
+        let threads = config.parallelism.thread_count(compiled.outer_size());
         let parts = fan_out(threads, compiled.outer_size(), |range| {
             compiled.aggregate_range(range)
         });
@@ -94,7 +105,7 @@ impl EnumerationSolver {
         Ok(Solution::new(blevel, best, Some(table)).with_stats(stats))
     }
 
-    fn solve_lazy<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
+    fn solve_lazy<S: Semiring>(problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
         let start = Instant::now();
         let semiring = problem.semiring().clone();
         let all_vars = problem.problem_vars();
@@ -159,10 +170,9 @@ impl EnumerationSolver {
 
 impl<S: Semiring> Solver<S> for EnumerationSolver {
     fn solve(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
-        if self.config.compiled {
-            self.solve_compiled(problem)
-        } else {
-            self.solve_lazy(problem)
+        match &self.config {
+            Some(config) => EnumerationSolver::solve_compiled(config, problem),
+            None => EnumerationSolver::solve_lazy(problem),
         }
     }
 }
@@ -273,5 +283,15 @@ mod tests {
                 Err(SolveError::MissingDomain(_))
             ));
         }
+    }
+
+    #[test]
+    fn overflowing_con_table_is_a_typed_error() {
+        let p = crate::testutil::wide_chain();
+        let result = EnumerationSolver::with_config(SolverConfig::default()).solve(&p);
+        assert!(
+            matches!(result, Err(SolveError::TableTooLarge)),
+            "{result:?}"
+        );
     }
 }

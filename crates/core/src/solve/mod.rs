@@ -1,10 +1,15 @@
 //! SCSP solvers.
 //!
-//! Three algorithms, all computing the same semantics (they are
-//! property-tested against each other):
+//! Every solver computes the semantics of Sec. 2 and is property-tested
+//! against one oracle, [`EnumerationSolver::new`]: the lazy, sequential
+//! evaluation of `Sol(P) = (⊗C) ⇓ con`. Each solver runs one compiled
+//! engine (flattened `⊗`-operands, dense tables, index-tuple search)
+//! steered by a [`SolverConfig`]:
 //!
-//! - [`EnumerationSolver`] — the reference implementation: combine all
-//!   constraints and project on `con` by exhaustive enumeration.
+//! - [`EnumerationSolver`] — exhaustive enumeration: combine all
+//!   constraints and project on `con`. [`EnumerationSolver::new`] is
+//!   the lazy oracle, [`EnumerationSolver::with_config`] the compiled
+//!   engine.
 //! - [`BranchAndBound`] — depth-first search with `×`-monotonicity
 //!   pruning; finds a best assignment and `blevel` for *totally
 //!   ordered* semirings without building the solution table.
@@ -38,6 +43,7 @@ mod config;
 mod decompose;
 mod enumeration;
 mod incremental;
+mod minibucket;
 pub(crate) mod parallel;
 mod pareto;
 mod preprocess;
@@ -46,11 +52,12 @@ mod stats;
 pub mod treedec;
 
 pub use branch_bound::{BranchAndBound, VarOrder};
-pub use bucket::{BucketElimination, EliminationOrder, MiniBucketBound};
+pub use bucket::{BucketElimination, EliminationOrder};
 pub use config::{Engine, Parallelism, PropagationMode, SolverConfig, DEFAULT_WIDTH_CAP};
 pub use decompose::constraint_components;
 pub use enumeration::EnumerationSolver;
 pub use incremental::{ConstraintId, IncrementalSolver, IncrementalStats};
+pub use minibucket::MiniBucketBound;
 pub use pareto::ParetoBranchAndBound;
 pub use preprocess::{add_unary_projections, prune_zero_supports, PruneReport};
 pub use propagate::{PerConstraintStats, PropagationStats};
@@ -77,6 +84,11 @@ pub enum SolveError {
         /// The budget that was exhausted.
         budget: u64,
     },
+    /// A solver that materialises the `con` table was asked for one
+    /// with more cells than `usize` can count. Branch-and-bound and
+    /// Pareto search never build that table and still solve such
+    /// problems.
+    TableTooLarge,
 }
 
 impl fmt::Display for SolveError {
@@ -89,6 +101,12 @@ impl fmt::Display for SolveError {
             SolveError::NodeBudgetExceeded { budget } => {
                 write!(f, "branch-and-bound exceeded its node budget of {budget}")
             }
+            SolveError::TableTooLarge => {
+                write!(
+                    f,
+                    "the solution table over `con` has too many cells to build"
+                )
+            }
         }
     }
 }
@@ -97,7 +115,9 @@ impl std::error::Error for SolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SolveError::MissingDomain(e) => Some(e),
-            SolveError::RequiresTotalOrder | SolveError::NodeBudgetExceeded { .. } => None,
+            SolveError::RequiresTotalOrder
+            | SolveError::NodeBudgetExceeded { .. }
+            | SolveError::TableTooLarge => None,
         }
     }
 }

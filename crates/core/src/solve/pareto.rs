@@ -7,7 +7,7 @@ use softsoa_semiring::Semiring;
 use crate::compile::CompiledProblem;
 use crate::solve::parallel::fan_out;
 use crate::solve::{Solution, SolveError, Solver, SolverConfig, SolverStats};
-use crate::{Assignment, Scsp, Val, Var};
+use crate::{Assignment, Scsp, Val};
 
 /// A depth-first solver maintaining a *Pareto frontier* of incumbents,
 /// for semirings whose order is partial (Cartesian products, the
@@ -63,23 +63,26 @@ pub struct ParetoBranchAndBound {
 }
 
 impl ParetoBranchAndBound {
-    /// Creates the solver with the default engine (compiled, automatic
-    /// thread count).
+    /// Creates the solver with the default engine (automatic thread
+    /// count).
     pub fn new() -> ParetoBranchAndBound {
         ParetoBranchAndBound::default()
     }
 
-    /// Creates the solver with an explicit engine configuration.
+    /// Creates the solver with an explicit engine configuration (only
+    /// its [`parallelism`](SolverConfig::parallelism) applies).
     pub fn with_config(config: SolverConfig) -> ParetoBranchAndBound {
         ParetoBranchAndBound { config }
     }
+}
 
-    /// The compiled engine: each worker explores a slice of the
-    /// outermost variable's domain with its own local frontier;
-    /// frontiers are merged by replaying their entries in chunk order
-    /// through the sequential insertion rule, which reproduces the
-    /// sequential frontier (and its representatives) exactly.
-    fn solve_compiled<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
+impl<S: Semiring> Solver<S> for ParetoBranchAndBound {
+    /// Each worker explores a slice of the outermost variable's domain
+    /// with its own local frontier; frontiers are merged by replaying
+    /// their entries in chunk order through the sequential insertion
+    /// rule, which reproduces the sequential frontier (and its
+    /// representatives) exactly.
+    fn solve(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
         let start = Instant::now();
         let semiring = problem.semiring().clone();
         let compiled = CompiledProblem::from_problem(problem)?;
@@ -134,76 +137,6 @@ impl ParetoBranchAndBound {
             .map(|(idx, v)| (compiled.con_assignment(&idx), v))
             .collect();
         Ok(Solution::new(blevel, best, None).with_stats(stats))
-    }
-
-    fn solve_lazy<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
-        let start = Instant::now();
-        let semiring = problem.semiring().clone();
-        let vars = problem.problem_vars();
-        let domains: Vec<&crate::Domain> = vars
-            .iter()
-            .map(|v| problem.domains().get(v).map_err(SolveError::from))
-            .collect::<Result<_, _>>()?;
-
-        // Constraints complete at the depth where their last scope
-        // variable is assigned.
-        let mut completing: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); vars.len() + 1];
-        for (ci, c) in problem.constraints().iter().enumerate() {
-            let positions: Vec<usize> = c
-                .scope()
-                .iter()
-                .map(|v| vars.iter().position(|u| u == v).expect("scope var ordered"))
-                .collect();
-            let depth = positions.iter().copied().max().map_or(0, |d| d + 1);
-            completing[depth].push((ci, positions));
-        }
-
-        let mut search = ParetoSearch {
-            semiring: semiring.clone(),
-            problem,
-            vars: &vars,
-            domains: &domains,
-            completing: &completing,
-            slots: vec![None; vars.len()],
-            frontier: Vec::new(),
-            nodes: 0,
-            prunings: 0,
-        };
-        let root = search.apply_completed(0, semiring.one());
-        search.dfs(0, root);
-
-        let stats = SolverStats {
-            nodes: search.nodes,
-            prunings: search.prunings,
-            threads: 1,
-            solve_time: start.elapsed(),
-            ..SolverStats::default()
-        };
-        let con: Vec<Var> = problem.con().to_vec();
-        let blevel = semiring.sum(search.frontier.iter().map(|(_, v)| v));
-        let best: Vec<(Assignment, S::Value)> = search
-            .frontier
-            .into_iter()
-            .filter(|(_, v)| !semiring.is_zero(v))
-            .map(|(full, v)| {
-                let eta: Assignment = con
-                    .iter()
-                    .map(|var| (var.clone(), full.get(var).expect("assigned").clone()))
-                    .collect();
-                (eta, v)
-            })
-            .collect();
-        Ok(Solution::new(blevel, best, None).with_stats(stats))
-    }
-}
-
-impl<S: Semiring> Solver<S> for ParetoBranchAndBound {
-    fn solve(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
-        if self.config.compiled {
-            self.solve_compiled(problem)
-        } else {
-            self.solve_lazy(problem)
-        }
     }
 }
 
@@ -277,77 +210,6 @@ impl<'a, S: Semiring> ParetoWorker<'a, S> {
             );
             self.dfs(depth + 1, next);
         }
-    }
-}
-
-struct ParetoSearch<'a, S: Semiring> {
-    semiring: S,
-    problem: &'a Scsp<S>,
-    vars: &'a [Var],
-    domains: &'a [&'a crate::Domain],
-    completing: &'a [Vec<(usize, Vec<usize>)>],
-    slots: Vec<Option<Val>>,
-    /// Non-dominated `(complete assignment, value)` incumbents.
-    frontier: Vec<(Assignment, S::Value)>,
-    nodes: u64,
-    prunings: u64,
-}
-
-impl<'a, S: Semiring> ParetoSearch<'a, S> {
-    fn apply_completed(&self, depth: usize, value: S::Value) -> S::Value {
-        let mut acc = value;
-        for (ci, positions) in &self.completing[depth] {
-            if self.semiring.is_zero(&acc) {
-                break;
-            }
-            let tuple: Vec<Val> = positions
-                .iter()
-                .map(|&p| self.slots[p].clone().expect("assigned slot"))
-                .collect();
-            acc = self
-                .semiring
-                .times(&acc, &self.problem.constraints()[*ci].eval_tuple(&tuple));
-        }
-        acc
-    }
-
-    /// A branch is hopeless when its value is dominated by an
-    /// incumbent (strictly below, or equal: equal complete values are
-    /// recorded once).
-    fn dominated(&self, value: &S::Value) -> bool {
-        self.semiring.is_zero(value)
-            || self
-                .frontier
-                .iter()
-                .any(|(_, incumbent)| self.semiring.leq(value, incumbent))
-    }
-
-    fn dfs(&mut self, depth: usize, value: S::Value) {
-        self.nodes += 1;
-        if self.dominated(&value) {
-            self.prunings += 1;
-            return;
-        }
-        if depth == self.vars.len() {
-            // Evict incumbents the new value strictly dominates.
-            let semiring = &self.semiring;
-            self.frontier
-                .retain(|(_, incumbent)| !semiring.lt(incumbent, &value));
-            let eta: Assignment = self
-                .vars
-                .iter()
-                .zip(&self.slots)
-                .map(|(v, s)| (v.clone(), s.clone().expect("complete")))
-                .collect();
-            self.frontier.push((eta, value));
-            return;
-        }
-        for val in self.domains[depth].values().to_vec() {
-            self.slots[depth] = Some(val);
-            let next = self.apply_completed(depth + 1, value.clone());
-            self.dfs(depth + 1, next);
-        }
-        self.slots[depth] = None;
     }
 }
 
@@ -465,7 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_parallel_reproduce_the_lazy_frontier() {
+    fn parallel_frontier_holds_the_oracle_first_representatives() {
+        // With `con` = every variable the oracle's best entries are all
+        // non-dominated complete assignments. The frontier keeps, per
+        // non-dominated level, the lexicographically first assignment
+        // reaching it, listed in that order at any thread count.
         use crate::solve::{Parallelism, SolverConfig};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -483,24 +349,31 @@ mod tests {
                     t1[(a.as_int().unwrap() * 4 + b.as_int().unwrap()) as usize]
                 }))
                 .of_interest(["x", "y"]);
-            let lazy = ParetoBranchAndBound::with_config(SolverConfig::reference())
-                .solve(&p)
-                .unwrap();
+            let oracle = EnumerationSolver::new().solve(&p).unwrap();
+            let mut expected: Vec<(Assignment, (bool, u64))> = Vec::new();
+            for (eta, level) in oracle.best() {
+                match expected.iter_mut().find(|(_, l)| l == level) {
+                    Some(rep) if eta < &rep.0 => rep.0 = eta.clone(),
+                    Some(_) => {}
+                    None => expected.push((eta.clone(), *level)),
+                }
+            }
+            expected.sort();
             for threads in [1, 2, 3] {
                 let cfg = SolverConfig::default().with_parallelism(Parallelism::Threads(threads));
-                let fast = ParetoBranchAndBound::with_config(cfg).solve(&p).unwrap();
-                assert_eq!(fast.blevel(), lazy.blevel(), "seed {seed} x{threads}");
-                // The merged frontier must list the *same
-                // representatives in the same order* as the
-                // sequential run.
-                let render = |sol: &crate::Solution<_>| -> Vec<String> {
-                    sol.best()
-                        .iter()
-                        .map(|(eta, v)| format!("{eta} -> {v:?}"))
-                        .collect()
-                };
-                assert_eq!(render(&fast), render(&lazy), "seed {seed} x{threads}");
+                let pareto = ParetoBranchAndBound::with_config(cfg).solve(&p).unwrap();
+                assert_eq!(pareto.blevel(), oracle.blevel(), "seed {seed} x{threads}");
+                assert_eq!(pareto.best(), &expected[..], "seed {seed} x{threads}");
             }
         }
+    }
+
+    #[test]
+    fn solves_problems_whose_con_table_overflows() {
+        let p = crate::testutil::wide_chain();
+        let solution = ParetoBranchAndBound::new().solve(&p).unwrap();
+        assert_eq!(*solution.blevel(), 0);
+        assert_eq!(solution.best().len(), 1);
+        assert_eq!(solution.best()[0].0.len(), 20);
     }
 }

@@ -79,7 +79,7 @@ pub struct SolverStats {
     /// (empty for sequential paths). Exposes partition balance.
     pub thread_nodes: Vec<u64>,
     /// Time spent compiling the problem (flattening, embeddings, dense
-    /// tables); zero on lazy paths.
+    /// tables); zero for the lazy oracle.
     pub compile_time: Duration,
     /// Wall-clock time of the whole solve, compilation included.
     pub solve_time: Duration,

@@ -49,3 +49,23 @@ pub(crate) fn fig1_problem() -> Scsp<WeightedInt> {
         )
         .of_interest([x])
 }
+
+/// A 20-variable distance chain over domains `0..=9` with `con` = every
+/// variable: its `con` table would have 10²⁰ cells, more than `usize`
+/// counts. The all-equal assignments cost `0`, so `blevel = 0`.
+pub(crate) fn wide_chain() -> Scsp<WeightedInt> {
+    let vars: Vec<Var> = (0..20).map(|i| Var::new(format!("x{i:02}"))).collect();
+    let mut p = Scsp::new(WeightedInt).of_interest(vars.clone());
+    for v in &vars {
+        p.add_domain(v.clone(), Domain::ints(0..=9));
+    }
+    for pair in vars.windows(2) {
+        p.add_constraint(Constraint::binary(
+            WeightedInt,
+            pair[0].clone(),
+            pair[1].clone(),
+            |a, b| (a.as_int().unwrap() - b.as_int().unwrap()).unsigned_abs(),
+        ));
+    }
+    p
+}

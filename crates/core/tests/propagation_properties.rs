@@ -21,9 +21,9 @@ use softsoa_core::generate::{
     random_fuzzy, random_probabilistic, random_weighted, union_weighted, RandomScsp, UnionScsp,
 };
 use softsoa_core::solve::{
-    BranchAndBound, Parallelism, PropagationMode, Solver, SolverConfig, VarOrder,
+    BranchAndBound, EnumerationSolver, Parallelism, PropagationMode, Solver, SolverConfig, VarOrder,
 };
-use softsoa_core::{Assignment, Scsp, Var};
+use softsoa_core::Scsp;
 use softsoa_semiring::Semiring;
 
 fn sequential() -> SolverConfig {
@@ -36,40 +36,6 @@ fn blind() -> SolverConfig {
     sequential()
         .with_propagation(PropagationMode::Off)
         .with_decompose(false)
-}
-
-fn project(eta: &Assignment, con: &[Var]) -> Assignment {
-    let mut out = Assignment::new();
-    for v in con {
-        out = out.bind(v.clone(), eta.get(v).expect("complete").clone());
-    }
-    out
-}
-
-/// Exhaustively enumerates the problem and returns, per projection
-/// onto the interest variables, the best achievable level — the
-/// ground truth a solver's witness is checked against.
-fn projected_optima<S: Semiring>(p: &Scsp<S>) -> Vec<(Assignment, S::Value)> {
-    let semiring = p.semiring().clone();
-    let vars = p.problem_vars();
-    let doms = p.domains().clone();
-    let mut out: Vec<(Assignment, S::Value)> = Vec::new();
-    for tuple in doms.tuples(&vars).expect("domains declared") {
-        let mut eta = Assignment::new();
-        for (v, val) in vars.iter().zip(&tuple) {
-            eta = eta.bind(v.clone(), val.clone());
-        }
-        let mut level = semiring.one();
-        for c in p.constraints() {
-            level = semiring.times(&level, &c.eval(&eta));
-        }
-        let proj = project(&eta, p.con());
-        match out.iter_mut().find(|(a, _)| a == &proj) {
-            Some((_, best)) => *best = semiring.plus(best, &level),
-            None => out.push((proj, level)),
-        }
-    }
-    out
 }
 
 fn nodes<S: Semiring>(solution: &softsoa_core::solve::Solution<S>) -> u64 {
@@ -121,26 +87,19 @@ fn engine_configs() -> [(&'static str, VarOrder, SolverConfig); 3] {
 }
 
 /// Estimate ordering, decomposition, and everything combined: the
-/// `blevel` matches the enumerated optimum and the witness is the
-/// projection of an assignment that actually achieves it.
+/// `blevel` matches the enumeration oracle's and the oracle's `Sol(P)`
+/// scores the witness at that level.
 fn assert_engine_preserves_the_blevel<S: Semiring>(p: &Scsp<S>) {
     let semiring = p.semiring().clone();
-    let optima = projected_optima(p);
-    let global = optima.iter().fold(semiring.zero(), |acc, (_, level)| {
-        semiring.plus(&acc, level)
-    });
+    let oracle = EnumerationSolver::new().solve(p).unwrap();
+    let sol = oracle
+        .solution_constraint()
+        .expect("the oracle builds Sol(P)");
     for (name, order, config) in engine_configs() {
         let solved = BranchAndBound::with_config(order, config).solve(p).unwrap();
-        assert_eq!(solved.blevel(), &global, "{name}");
+        assert_eq!(solved.blevel(), oracle.blevel(), "{name}");
         match solved.best_assignment() {
-            Some(eta) => {
-                let achieved = optima
-                    .iter()
-                    .find(|(a, _)| a == eta)
-                    .map(|(_, level)| level)
-                    .expect("witness lies in the assignment space");
-                assert_eq!(achieved, solved.blevel(), "{name} witness");
-            }
+            Some(eta) => assert_eq!(&sol.eval(eta), solved.blevel(), "{name} witness"),
             None => assert!(
                 semiring.is_zero(solved.blevel()),
                 "{name}: no witness above zero"
@@ -151,25 +110,20 @@ fn assert_engine_preserves_the_blevel<S: Semiring>(p: &Scsp<S>) {
 
 /// The probabilistic variant: `×` is floating-point multiplication, so
 /// re-associated products (different variable orders, per-component
-/// factors) may differ from the enumerated optimum in the last ulp.
-/// `blevel` and the witness's achievable level are compared within
-/// `1e-9`.
+/// factors) may differ from the oracle's in the last ulp. `blevel` and
+/// the witness's level are compared within `1e-9`.
 fn assert_engine_preserves_the_blevel_approximately(p: &Scsp<softsoa_semiring::Probabilistic>) {
-    let optima = projected_optima(p);
-    let global = optima
-        .iter()
-        .map(|(_, level)| level.get())
-        .fold(0.0f64, f64::max);
+    let oracle = EnumerationSolver::new().solve(p).unwrap();
+    let sol = oracle
+        .solution_constraint()
+        .expect("the oracle builds Sol(P)");
+    let global = oracle.blevel().get();
     for (name, order, config) in engine_configs() {
         let solved = BranchAndBound::with_config(order, config).solve(p).unwrap();
         let got = solved.blevel().get();
         assert!((got - global).abs() <= 1e-9, "{name}: {got} vs {global}");
         if let Some(eta) = solved.best_assignment() {
-            let achieved = optima
-                .iter()
-                .find(|(a, _)| a == eta)
-                .map(|(_, level)| level.get())
-                .expect("witness lies in the assignment space");
+            let achieved = sol.eval(eta).get();
             assert!(
                 (achieved - got).abs() <= 1e-9,
                 "{name} witness: {achieved} vs {got}"

@@ -250,7 +250,7 @@ impl<S: Residuated> Broker<S> {
     }
 
     /// Like [`Broker::query`] but under an explicit solver engine
-    /// configuration (compiled evaluation, worker threads).
+    /// configuration (worker threads, propagation, decomposition).
     ///
     /// # Errors
     ///
@@ -314,6 +314,7 @@ impl<S: Residuated> Broker<S> {
 mod tests {
     use super::*;
     use crate::{OfferShape, QosDocument, Registry, ServiceDescription};
+    use softsoa_core::solve::{EnumerationSolver, Parallelism};
     use softsoa_dependability::Attribute;
     use softsoa_semiring::{Probabilistic, Unit, Weighted, WeightedInt};
 
@@ -558,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn query_with_reference_config_agrees_with_default() {
+    fn query_agrees_with_the_enumeration_oracle() {
         let mut registry = Registry::new();
         registry.publish(provider(
             "a",
@@ -583,16 +584,29 @@ mod tests {
             cross_constraints: vec![],
             min_level: None,
         };
-        let default = broker.query(&query, QosOffer::to_probabilistic).unwrap();
-        let reference = broker
-            .query_with(
-                &query,
-                QosOffer::to_probabilistic,
-                &SolverConfig::reference(),
-            )
+        let problem = broker
+            .compile_query(&query, QosOffer::to_probabilistic)
             .unwrap();
-        assert_eq!(default.selections, reference.selections);
-        assert_eq!(default.level, reference.level);
+        let oracle = EnumerationSolver::new().solve(&problem).unwrap();
+        let sequential = SolverConfig::default().with_parallelism(Parallelism::Sequential);
+        for plan in [
+            broker.query(&query, QosOffer::to_probabilistic).unwrap(),
+            broker
+                .query_with(&query, QosOffer::to_probabilistic, &sequential)
+                .unwrap(),
+        ] {
+            assert_eq!(&plan.level, oracle.blevel());
+            let chosen = Val::sym(plan.selections[0].0.as_str());
+            assert!(
+                oracle.best().iter().any(|(eta, level)| {
+                    *level == plan.level
+                        && eta.get(&choice_var(0)) == Some(&chosen)
+                        && eta.get(&Var::new("f")) == plan.binding.get(&Var::new("f"))
+                }),
+                "plan {:?} is not an optimal oracle entry",
+                plan.selections
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Differential test harness for the incremental re-solve engine:
 //! random delta scripts (add / retract / update) replayed against an
 //! [`IncrementalSolver`], with a from-scratch [`BranchAndBound`] solve
-//! of the materialised problem after every step as the oracle — across
-//! the weighted, fuzzy and probabilistic semirings.
+//! and the [`EnumerationSolver::new`] oracle on the materialised
+//! problem after every step — across the weighted, fuzzy and
+//! probabilistic semirings.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use softsoa::core::generate::{random_fuzzy, random_probabilistic, random_weighted, RandomScsp};
-use softsoa::core::solve::{BranchAndBound, ConstraintId, IncrementalSolver, Solver};
+use softsoa::core::solve::{
+    BranchAndBound, ConstraintId, EnumerationSolver, IncrementalSolver, Solver,
+};
 use softsoa::core::{Constraint, Domain, Scsp, Var};
 use softsoa::semiring::{Fuzzy, Probabilistic, Semiring, Unit, WeightedInt};
 
@@ -48,8 +51,9 @@ fn cfg_strategy() -> impl Strategy<Value = RandomScsp> {
 
 /// Replays `script` against an incremental solver seeded from
 /// `make(cfg)` and checks, after every delta, that (a) the incremental
-/// blevel matches a from-scratch branch-and-bound solve of the
-/// materialised problem, and (b) the incremental witness actually
+/// blevel matches a from-scratch branch-and-bound solve and the
+/// enumeration oracle on the materialised problem, and (b) the
+/// incremental witness actually
 /// achieves its blevel. `close` is the semiring's equality (exact for
 /// weighted/fuzzy, `1e-9`-tolerant for probabilistic).
 fn differential<S: Semiring>(
@@ -97,6 +101,13 @@ fn differential<S: Semiring>(
             "step {step} ({op:?}): incremental {:?} vs from-scratch {:?}",
             incremental.blevel(),
             scratch.blevel()
+        );
+        let oracle = EnumerationSolver::new().solve(&problem).unwrap();
+        prop_assert!(
+            close(incremental.blevel(), oracle.blevel()),
+            "step {step} ({op:?}): incremental {:?} vs oracle {:?}",
+            incremental.blevel(),
+            oracle.blevel()
         );
         if let Some(eta) = incremental.best_assignment() {
             let levels: Result<Vec<S::Value>, _> = problem
@@ -189,12 +200,19 @@ fn structured_bridge_script_matches_scratch() {
     ];
 
     let check = |solver: &mut IncrementalSolver<WeightedInt>, label: &str| {
-        let scratch = BranchAndBound::default().solve(&solver.problem()).unwrap();
+        let problem = solver.problem();
+        let scratch = BranchAndBound::default().solve(&problem).unwrap();
+        let oracle = EnumerationSolver::new().solve(&problem).unwrap();
         let incremental = solver.solve().unwrap();
         assert_eq!(
             incremental.blevel(),
             scratch.blevel(),
             "{label}: incremental diverged from from-scratch"
+        );
+        assert_eq!(
+            incremental.blevel(),
+            oracle.blevel(),
+            "{label}: incremental diverged from the oracle"
         );
     };
 

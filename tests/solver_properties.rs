@@ -168,10 +168,9 @@ fn frontier_set<S: Semiring>(solution: &Solution<S>) -> BTreeSet<String> {
         .collect()
 }
 
-/// Every engine configuration (compiled evaluation, 1 or 3 worker
-/// threads) of the enumeration, branch-and-bound and bucket solvers
-/// must reproduce the lazy sequential reference on a totally ordered
-/// semiring.
+/// The compiled enumeration, branch-and-bound and bucket engines, at 1
+/// or 3 worker threads, must reproduce the lazy sequential oracle on a
+/// totally ordered semiring.
 fn check_total_order_engines<S: Semiring>(p: &Scsp<S>) -> Result<(), TestCaseError> {
     let reference = EnumerationSolver::new().solve(p).unwrap();
     for threads in [1, 3] {
@@ -232,14 +231,29 @@ fn check_probabilistic_engines(p: &Scsp<Probabilistic>) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// The distinct levels of a solution's frontier.
+fn frontier_levels<S: Semiring>(solution: &Solution<S>) -> BTreeSet<String> {
+    solution
+        .best()
+        .iter()
+        .map(|(_, level)| format!("{level:?}"))
+        .collect()
+}
+
 /// The partial-order engines (Pareto branch-and-bound, bucket
 /// elimination) must reproduce the reference blevel and a
 /// Pareto-equivalent frontier at every thread count.
+///
+/// Pareto search ranks complete assignments, so its anchor is the
+/// oracle's `Sol(P)` with `con` = every variable: the frontier's levels
+/// are exactly that table's non-dominated levels, and each witness is
+/// the `con` restriction of a complete assignment at its level.
 fn check_partial_order_engines<S: Semiring>(p: &Scsp<S>) -> Result<(), TestCaseError> {
     let reference = EnumerationSolver::new().solve(p).unwrap();
-    let pareto_reference = ParetoBranchAndBound::with_config(SolverConfig::reference())
-        .solve(p)
+    let complete = EnumerationSolver::new()
+        .solve(&p.clone().of_interest(p.problem_vars()))
         .unwrap();
+    let mut sequential_frontier = None;
     for threads in [1, 3] {
         let config = SolverConfig::default().with_parallelism(Parallelism::Threads(threads));
         let enumeration = EnumerationSolver::with_config(config).solve(p).unwrap();
@@ -248,9 +262,19 @@ fn check_partial_order_engines<S: Semiring>(p: &Scsp<S>) -> Result<(), TestCaseE
 
         let pareto = ParetoBranchAndBound::with_config(config).solve(p).unwrap();
         prop_assert_eq!(pareto.blevel(), reference.blevel());
-        // Determinism: the compiled parallel frontier is identical (in
-        // content, not just up to domination) to the lazy sequential one.
-        prop_assert_eq!(frontier_set(&pareto), frontier_set(&pareto_reference));
+        prop_assert_eq!(frontier_levels(&pareto), frontier_levels(&complete));
+        for (eta, level) in pareto.best() {
+            prop_assert!(complete.best().iter().any(|(full, l)| {
+                l == level && eta.iter().all(|(v, val)| full.get(v) == Some(val))
+            }));
+        }
+        // Determinism: the 3-thread frontier is identical (in content,
+        // not just up to domination) to the 1-thread one.
+        let frontier = frontier_set(&pareto);
+        match &sequential_frontier {
+            None => sequential_frontier = Some(frontier),
+            Some(sequential) => prop_assert_eq!(&frontier, sequential),
+        }
         // And every witness it reports is consistent with the
         // enumeration aggregates.
         prop_assert!(frontier_covered(p.semiring(), &pareto, &reference));
@@ -266,7 +290,7 @@ fn check_partial_order_engines<S: Semiring>(p: &Scsp<S>) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Compiled + parallel engines agree with the lazy reference on
+    /// Compiled + parallel engines agree with the lazy oracle on
     /// random weighted problems.
     #[test]
     fn parallel_engines_agree_weighted(cfg in cfg_strategy()) {
