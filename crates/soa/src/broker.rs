@@ -304,20 +304,25 @@ impl<S: Semiring> BindingSolvers<S> {
     }
 }
 
-/// Epoch-versioned registry storage: the registry lives behind an
-/// [`Arc`] swapped out wholesale on every write, so readers take a
-/// cheap [`RegistrySnapshot`] (an `Arc` clone under a momentary lock)
-/// and never block on — or observe a partial state from — a writer.
-/// Each write bumps the epoch; [`SolveCache`] entries are stamped with
-/// the epoch they were computed under so eviction can prefer stale
-/// rounds.
+/// Epoch-versioned registry storage: the published registry lives
+/// behind an [`Arc`] that every write replaces, so readers take a cheap
+/// [`RegistrySnapshot`] (an `Arc` clone under a momentary lock) and
+/// never block on — or observe a partial state from — a writer. The
+/// replacement is cheap because [`Registry`] is copy-on-write by shard:
+/// a writer stages a clone that shares every shard with the published
+/// registry, and its publish or deregister copies only the shards it
+/// touches. Each write bumps the epoch; [`SolveCache`] entries are
+/// stamped with the epoch they were computed under so eviction can
+/// prefer stale rounds.
 ///
 /// Writers *serialize*: [`RegistryWriter`] holds the `write` mutex for
 /// its whole lifetime, so a second writer (on this broker or a clone)
 /// blocks until the first has published. Without that, two writers
-/// staging from the same epoch would each publish a full copy and the
-/// later drop would silently discard the earlier one's mutations.
-/// Readers only ever touch the `state` mutex, held momentarily.
+/// staging from the same epoch would each publish their own copy and
+/// the later drop would silently discard the earlier one's mutations.
+/// Readers only ever touch the `state` mutex, held momentarily: a
+/// writer swaps the new registry in under it and frees the replaced
+/// one after releasing it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EpochRegistry {
     shared: Arc<RegistryShared>,
@@ -380,9 +385,11 @@ impl Deref for RegistrySnapshot {
     }
 }
 
-/// A write guard over the registry: mutations stage on a private copy
-/// and are published atomically — with an epoch bump — when the guard
-/// drops. Readers holding a [`RegistrySnapshot`] are unaffected.
+/// A write guard over the registry: mutations stage on a private clone
+/// — which shares every shard it has not yet written with the published
+/// registry — and are published atomically, with an epoch bump, when
+/// the guard drops. Readers holding a [`RegistrySnapshot`] are
+/// unaffected.
 ///
 /// The guard holds the registry's writer lock, so concurrent writers
 /// (e.g. on cloned brokers) queue behind it and always stage from the
@@ -395,7 +402,16 @@ pub struct RegistryWriter<'a> {
     /// Serializes writers for the guard's lifetime.
     _serialize: MutexGuard<'a, ()>,
     staged: Option<Registry>,
+    epoch: u64,
     telemetry: Telemetry,
+}
+
+impl RegistryWriter<'_> {
+    /// The epoch this guard publishes when it drops: one past the
+    /// epoch it staged from, since writers serialize.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
 }
 
 impl Deref for RegistryWriter<'_> {
@@ -419,17 +435,22 @@ impl Drop for RegistryWriter<'_> {
             // staged copy would commit a half-applied write.
             return;
         }
-        let staged = self.staged.take().expect("staged registry present");
-        let mut guard = self
-            .owner
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        guard.0 += 1;
-        guard.1 = Arc::new(staged);
+        let staged = Arc::new(self.staged.take().expect("staged registry present"));
+        let replaced = {
+            let mut guard = self
+                .owner
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            guard.0 = self.epoch;
+            std::mem::replace(&mut guard.1, staged)
+        };
+        // Free the replaced registry (if this was its last reference)
+        // outside the lock every snapshot takes.
+        drop(replaced);
         self.telemetry
-            .gauge("broker.registry.epoch", guard.0 as i64);
+            .gauge("broker.registry.epoch", self.epoch as i64);
     }
 }
 
@@ -657,10 +678,12 @@ impl<S: Residuated> Broker<S> {
     }
 
     /// Write access to the registry (to publish or deregister).
-    /// Mutations stage privately and publish atomically — bumping the
-    /// registry epoch — when the returned guard drops. Writers
-    /// serialize: while one guard is alive, `registry_mut` on a clone
-    /// of this broker blocks, so no concurrent write is ever lost.
+    /// Mutations stage on a clone of the registry that shares its
+    /// shards, so a write copies only the shards it touches, and
+    /// publish atomically — bumping the registry epoch to
+    /// [`RegistryWriter::epoch`] — when the returned guard drops.
+    /// Writers serialize: while one guard is alive, `registry_mut` on a
+    /// clone of this broker blocks, so no concurrent write is ever lost.
     pub fn registry_mut(&mut self) -> RegistryWriter<'_> {
         let serialize = self
             .registry
@@ -670,11 +693,12 @@ impl<S: Residuated> Broker<S> {
             .unwrap_or_else(|e| e.into_inner());
         // Stage only after the writer lock is held, so serialized
         // writers always build on each other's published state.
-        let staged = (*self.registry.snapshot().registry).clone();
+        let current = self.registry.snapshot();
         RegistryWriter {
             owner: &self.registry,
             _serialize: serialize,
-            staged: Some(staged),
+            staged: Some((*current.registry).clone()),
+            epoch: current.epoch + 1,
             telemetry: self.telemetry.clone(),
         }
     }

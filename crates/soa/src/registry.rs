@@ -1,7 +1,9 @@
 //! The service registry (the paper's UDDI stand-in).
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 
 use crate::QosDocument;
@@ -108,8 +110,26 @@ impl ServiceDescription {
     }
 }
 
+/// Entry shards and capability-index shards per registry. A write
+/// copies one entry shard and at most two index shards; a clone copies
+/// `2 * SHARDS` pointers.
+const SHARDS: usize = 64;
+
+/// The shard a key (service id or capability) lives in.
+fn shard_of(key: &str) -> usize {
+    (BuildHasherDefault::<DefaultHasher>::default().hash_one(key) % SHARDS as u64) as usize
+}
+
 /// The registry where providers publish services and the broker
 /// discovers them (step 2 of the negotiation protocol).
+///
+/// Storage is a fixed set of copy-on-write shards: descriptions are
+/// sharded by a hash of their id, and a capability index (capability →
+/// the ids advertising it) by a hash of the capability. Cloning copies
+/// only the shard pointers; a publish or deregister on a clone copies
+/// the one entry shard and the one or two index shards it touches, so
+/// every other shard stays shared with the original. Discovery reads
+/// one index shard instead of scanning every service.
 ///
 /// # Examples
 ///
@@ -122,9 +142,34 @@ impl ServiceDescription {
 /// assert_eq!(registry.discover("red-filter").len(), 1);
 /// assert!(registry.discover("blur-filter").is_empty());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct Registry {
-    services: BTreeMap<ServiceId, ServiceDescription>,
+    /// `ServiceId → description`, sharded by a hash of the id.
+    services: [Arc<BTreeMap<ServiceId, Arc<ServiceDescription>>>; SHARDS],
+    /// Capability → the ids advertising it, sharded by a hash of the
+    /// capability.
+    capabilities: [Arc<BTreeMap<String, BTreeSet<ServiceId>>>; SHARDS],
+}
+
+impl Default for Registry {
+    fn default() -> Registry {
+        // Every slot starts on one shared empty shard; the first write
+        // to a slot gives it its own.
+        let services = Arc::default();
+        let capabilities = Arc::default();
+        Registry {
+            services: std::array::from_fn(|_| Arc::clone(&services)),
+            capabilities: std::array::from_fn(|_| Arc::clone(&capabilities)),
+        }
+    }
+}
+
+impl fmt::Debug for Registry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Registry")
+            .field("services", &self.iter().collect::<Vec<_>>())
+            .finish()
+    }
 }
 
 impl Registry {
@@ -136,40 +181,85 @@ impl Registry {
     /// Publishes (or republishes) a service, returning any previous
     /// description under the same id.
     pub fn publish(&mut self, description: ServiceDescription) -> Option<ServiceDescription> {
-        self.services.insert(description.id.clone(), description)
+        let id = description.id.clone();
+        let shard = shard_of(id.as_str());
+        let reindex = self.services[shard]
+            .get(&id)
+            .map_or(true, |old| old.capability != description.capability);
+        if reindex {
+            Arc::make_mut(&mut self.capabilities[shard_of(&description.capability)])
+                .entry(description.capability.clone())
+                .or_default()
+                .insert(id.clone());
+        }
+        let previous =
+            Arc::make_mut(&mut self.services[shard]).insert(id, Arc::new(description))?;
+        if reindex {
+            self.unindex(&previous);
+        }
+        Some(Arc::try_unwrap(previous).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// Removes a service from the registry.
     pub fn deregister(&mut self, id: &ServiceId) -> Option<ServiceDescription> {
-        self.services.remove(id)
+        let shard = &mut self.services[shard_of(id.as_str())];
+        if !shard.contains_key(id) {
+            // Leave the shard shared: there is nothing to copy it for.
+            return None;
+        }
+        let previous = Arc::make_mut(shard).remove(id)?;
+        self.unindex(&previous);
+        Some(Arc::try_unwrap(previous).unwrap_or_else(|shared| (*shared).clone()))
+    }
+
+    /// Drops a description's id from its capability's index entry.
+    fn unindex(&mut self, description: &ServiceDescription) {
+        let capability = description.capability.as_str();
+        let index = Arc::make_mut(&mut self.capabilities[shard_of(capability)]);
+        if let Some(ids) = index.get_mut(capability) {
+            ids.remove(&description.id);
+            if ids.is_empty() {
+                index.remove(capability);
+            }
+        }
     }
 
     /// Looks up a service by id.
     pub fn get(&self, id: &ServiceId) -> Option<&ServiceDescription> {
-        self.services.get(id)
+        self.services[shard_of(id.as_str())]
+            .get(id)
+            .map(Arc::as_ref)
     }
 
     /// All services advertising the given capability, in id order.
     pub fn discover(&self, capability: &str) -> Vec<&ServiceDescription> {
-        self.services
-            .values()
-            .filter(|s| s.capability == capability)
+        self.capabilities[shard_of(capability)]
+            .get(capability)
+            .into_iter()
+            .flatten()
+            .filter_map(|id| self.get(id))
             .collect()
     }
 
     /// Iterates over all published services in id order.
     pub fn iter(&self) -> impl Iterator<Item = &ServiceDescription> {
-        self.services.values()
+        let mut all: Vec<&ServiceDescription> = self
+            .services
+            .iter()
+            .flat_map(|shard| shard.values().map(Arc::as_ref))
+            .collect();
+        all.sort_unstable_by(|a, b| a.id.cmp(&b.id));
+        all.into_iter()
     }
 
     /// The number of published services.
     pub fn len(&self) -> usize {
-        self.services.len()
+        self.services.iter().map(|shard| shard.len()).sum()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
+        self.services.iter().all(|shard| shard.is_empty())
     }
 }
 
@@ -210,6 +300,31 @@ mod tests {
         assert!(r.deregister(&ServiceId::new("a")).is_some());
         assert!(r.is_empty());
         assert!(r.deregister(&ServiceId::new("a")).is_none());
+    }
+
+    /// How many slots two shard arrays share by pointer.
+    fn shared<T>(a: &[Arc<T>], b: &[Arc<T>]) -> usize {
+        a.iter().zip(b).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    #[test]
+    fn a_write_on_a_clone_copies_only_the_shards_it_touches() {
+        let mut original = Registry::new();
+        for i in 0..512 {
+            original.publish(desc(&format!("svc-{i}"), &format!("cap-{}", i % 97)));
+        }
+        let mut clone = original.clone();
+        // A republish that changes capability: one entry shard, and the
+        // index shards of the old and the new capability.
+        clone.publish(desc("svc-7", "cap-new"));
+        assert_eq!(shared(&original.services, &clone.services), SHARDS - 1);
+        assert!(shared(&original.capabilities, &clone.capabilities) >= SHARDS - 2);
+        // The original still answers as before the write.
+        assert_eq!(
+            original.get(&ServiceId::new("svc-7")).unwrap().capability,
+            "cap-7"
+        );
+        assert_eq!(clone.discover("cap-new").len(), 1);
     }
 
     #[test]

@@ -443,7 +443,7 @@ pub enum Reply {
     },
     /// A deregistration was processed.
     Deregistered {
-        /// The epoch after the removal.
+        /// The epoch the removal created.
         epoch: u64,
         /// Whether the service existed.
         existed: bool,

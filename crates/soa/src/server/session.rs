@@ -246,9 +246,10 @@ fn dispatch<S: WireSemiring>(
         Request::Deregister { service } => {
             let mut writer = broker.registry_mut();
             let existed = writer.deregister(&ServiceId::new(&service)).is_some();
-            drop(writer);
+            // The guard's own epoch: once it drops, another session's
+            // write may bump the registry past it.
             Reply::Deregistered {
-                epoch: broker.registry().epoch(),
+                epoch: writer.epoch(),
                 existed,
             }
         }
@@ -268,9 +269,8 @@ fn handle_publish<S: WireSemiring>(broker: &mut Broker<S>, publish: PublishReque
     description.capacity = publish.capacity;
     let mut writer = broker.registry_mut();
     writer.publish(description);
-    drop(writer);
     Reply::Published {
-        epoch: broker.registry().epoch(),
+        epoch: writer.epoch(),
     }
 }
 

@@ -153,6 +153,78 @@ fn publish_and_deregister_bump_the_epoch() {
 }
 
 #[test]
+fn concurrent_writes_reply_with_their_own_epochs() {
+    // Regression: a `Published`/`Deregistered` reply used to read the
+    // registry's epoch after the write guard dropped, so another
+    // worker's write landing in between made two replies report the
+    // same epoch. Each write publishes exactly one epoch; the replies
+    // of all concurrent writes must name each of them once.
+    const CLIENTS: usize = 8;
+    const WRITES: usize = 8;
+    let handle = start(ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    let mut epochs: Vec<u64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).expect("connect");
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(5)))
+                        .unwrap();
+                    barrier.wait();
+                    let service = format!("svc-{client}");
+                    (0..WRITES)
+                        .map(|write| {
+                            let request = if write % 2 == 0 {
+                                Request::Publish(PublishRequest {
+                                    service: service.clone(),
+                                    provider: "acme".into(),
+                                    capability: "compute".into(),
+                                    offer: QosOffer {
+                                        attribute: Attribute::Reliability,
+                                        variable: "x".into(),
+                                        shape: OfferShape::Linear {
+                                            slope: 0.02,
+                                            intercept: 0.5,
+                                        },
+                                    },
+                                    capacity: None,
+                                })
+                            } else {
+                                Request::Deregister {
+                                    service: service.clone(),
+                                }
+                            };
+                            match roundtrip(&stream, &request) {
+                                Reply::Published { epoch } => epoch,
+                                Reply::Deregistered { epoch, existed } => {
+                                    assert!(existed, "{service} was published by this client");
+                                    epoch
+                                }
+                                other => panic!("expected a write reply, got {other:?}"),
+                            }
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().expect("client thread"))
+            .collect()
+    });
+    epochs.sort_unstable();
+    let all: Vec<u64> = (1..=(CLIENTS * WRITES) as u64).collect();
+    assert_eq!(epochs, all, "pairwise-distinct epochs covering 1..=N");
+    handle.shutdown(Duration::from_secs(2));
+}
+
+#[test]
 fn overload_is_shed_with_a_fast_typed_reply() {
     let config = ServerConfig {
         workers: 1,
