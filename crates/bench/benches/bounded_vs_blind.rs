@@ -87,8 +87,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         // Warm re-solve: the previous round's optimum seeds the
-        // incumbent, as the broker's SolveCache does between
-        // negotiation rounds. The seed is computed outside the timed
+        // incumbent. The seed is computed outside the timed
         // region — the bench measures only the re-solve.
         let seed = *BranchAndBound::with_config(VarOrder::MostConstrained, sequential())
             .solve(&p)

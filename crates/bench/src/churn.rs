@@ -12,7 +12,7 @@
 //! the baselines merely snapshot [`IncrementalSolver::problem`] and
 //! solve it from scratch after every event (the warm variant seeds the
 //! search with the previous witness re-evaluated under the new store,
-//! the discipline of the broker's pre-incremental `SolveCache`) — so
+//! an always-admissible incumbent) — so
 //! their per-event `blevel` sequences are directly comparable (and
 //! asserted equal by the `churn_incremental` bench and the
 //! differential test suite).
@@ -253,8 +253,7 @@ pub fn run_cold(w: &ChurnWorkload) -> Vec<u64> {
 
 /// Runs the same workload warm: from-scratch search after every
 /// event, but seeded with the previous witness re-evaluated under the
-/// mutated store — an always-admissible incumbent, and exactly the
-/// discipline of the broker's pre-incremental `SolveCache`.
+/// mutated store — an always-admissible incumbent.
 pub fn run_warm(w: &ChurnWorkload) -> Vec<u64> {
     let events = churn_events(w);
     let (mut solver, mut handles) = build(w);

@@ -159,8 +159,9 @@ fn append_metrics(out: &mut String, recorder: Option<(Arc<MemorySink>, MetricsFo
     }
 }
 
-/// Preprocessing knobs shared by `solve`, `negotiate` and
-/// `coalitions` (`--propagate`, `--decompose`, `--no-decompose`).
+/// Preprocessing knobs shared by `solve` and `coalitions`
+/// (`--propagate`, `--decompose`, `--no-decompose`, `--engine`,
+/// `--width-cap`).
 ///
 /// `None` keeps the [`SolverConfig`] default (root propagation,
 /// decomposition on); the flags exist to force a mode or switch the
@@ -176,11 +177,6 @@ pub struct EngineOptions {
     pub engine: Option<Engine>,
     /// Separator-width cap for the tree engine (`--width-cap`).
     pub width_cap: Option<usize>,
-    /// Route broker binding solves through the persistent incremental
-    /// re-solve engine (`--incremental`); work avoided is reported on
-    /// the `solver.incremental.*` telemetry family. `solve` and
-    /// `coalitions` runs (one-shot problems) ignore it.
-    pub incremental: bool,
 }
 
 impl EngineOptions {
@@ -493,24 +489,6 @@ pub fn negotiate(text: &str) -> Result<String, CommandError> {
 /// Returns [`CommandError`] for malformed documents, agent syntax
 /// errors or engine failures.
 pub fn negotiate_with(text: &str, metrics: Option<MetricsFormat>) -> Result<String, CommandError> {
-    negotiate_with_options(text, metrics, EngineOptions::default())
-}
-
-/// [`negotiate_with`] with explicit propagation and decomposition
-/// overrides for the broker's binding solver (`--propagate`,
-/// `--decompose`, `--no-decompose`). Store-based (`nmsccp`) scenarios
-/// ignore the overrides: their consistency checks are projections, not
-/// branch-and-bound searches.
-///
-/// # Errors
-///
-/// Returns [`CommandError`] for malformed documents, agent syntax
-/// errors or engine failures.
-pub fn negotiate_with_options(
-    text: &str,
-    metrics: Option<MetricsFormat>,
-    engine: EngineOptions,
-) -> Result<String, CommandError> {
     let spec = NegotiationSpec::from_json(text)?;
     match spec.semiring {
         SemiringKind::Weighted => match spec.broker.clone() {
@@ -523,7 +501,6 @@ pub fn negotiate_with_options(
                 QosOffer::to_weighted,
                 ToString::to_string,
                 metrics,
-                engine,
             ),
             None => negotiate_generic(&spec, Weighted, weight_level, ToString::to_string, metrics),
         },
@@ -537,7 +514,6 @@ pub fn negotiate_with_options(
                 QosOffer::to_fuzzy,
                 ToString::to_string,
                 metrics,
-                engine,
             ),
             None => negotiate_generic(&spec, Fuzzy, unit_level, ToString::to_string, metrics),
         },
@@ -551,7 +527,6 @@ pub fn negotiate_with_options(
                 QosOffer::to_probabilistic,
                 ToString::to_string,
                 metrics,
-                engine,
             ),
             None => negotiate_generic(
                 &spec,
@@ -571,7 +546,6 @@ pub fn negotiate_with_options(
                 QosOffer::to_crisp,
                 ToString::to_string,
                 metrics,
-                engine,
             ),
             None => negotiate_generic(&spec, Boolean, bool_level, ToString::to_string, metrics),
         },
@@ -596,9 +570,6 @@ pub struct ChaosOptions {
     pub backoff: usize,
     /// Append a telemetry snapshot to the report (`--metrics`).
     pub metrics: Option<MetricsFormat>,
-    /// Propagation and decomposition overrides for broker binding
-    /// solves (`--propagate`, `--decompose`, `--no-decompose`).
-    pub engine: EngineOptions,
 }
 
 impl Default for ChaosOptions {
@@ -611,7 +582,6 @@ impl Default for ChaosOptions {
             deadline: 4,
             backoff: 2,
             metrics: None,
-            engine: EngineOptions::default(),
         }
     }
 }
@@ -750,7 +720,6 @@ pub fn negotiate_chaos(text: &str, options: ChaosOptions) -> Result<String, Comm
                 QosOffer::to_weighted,
                 ToString::to_string,
                 options.metrics,
-                options.engine,
             ),
             None => {
                 negotiate_chaos_generic(&spec, options, Weighted, weight_level, ToString::to_string)
@@ -766,7 +735,6 @@ pub fn negotiate_chaos(text: &str, options: ChaosOptions) -> Result<String, Comm
                 QosOffer::to_fuzzy,
                 ToString::to_string,
                 options.metrics,
-                options.engine,
             ),
             None => negotiate_chaos_generic(&spec, options, Fuzzy, unit_level, ToString::to_string),
         },
@@ -780,7 +748,6 @@ pub fn negotiate_chaos(text: &str, options: ChaosOptions) -> Result<String, Comm
                 QosOffer::to_probabilistic,
                 ToString::to_string,
                 options.metrics,
-                options.engine,
             ),
             None => negotiate_chaos_generic(
                 &spec,
@@ -800,7 +767,6 @@ pub fn negotiate_chaos(text: &str, options: ChaosOptions) -> Result<String, Comm
                 QosOffer::to_crisp,
                 ToString::to_string,
                 options.metrics,
-                options.engine,
             ),
             None => {
                 negotiate_chaos_generic(&spec, options, Boolean, bool_level, ToString::to_string)
@@ -887,7 +853,6 @@ fn broker_generic<S, L, F>(
     translate: F,
     fmt_level: impl Fn(&S::Value) -> String,
     metrics: Option<MetricsFormat>,
-    engine: EngineOptions,
 ) -> Result<String, CommandError>
 where
     S: softsoa_semiring::Residuated,
@@ -898,12 +863,7 @@ where
     let request = broker_request(spec, broker_spec, &semiring, &level)?;
 
     let (telemetry, recorder) = metrics_recorder(metrics);
-    let broker = Broker::new(semiring.clone(), registry)
-        .with_telemetry(telemetry)
-        .with_incremental(engine.incremental)
-        .with_solver_config(
-            engine.apply(SolverConfig::default().with_parallelism(Parallelism::Sequential)),
-        );
+    let broker = Broker::new(semiring.clone(), registry).with_telemetry(telemetry);
     let mut out = String::new();
     match chaos {
         None => {
@@ -1001,8 +961,6 @@ pub struct ContendOptions {
     pub fairness: Fairness,
     /// Append a telemetry snapshot to the report (`--metrics`).
     pub metrics: Option<MetricsFormat>,
-    /// Propagation and decomposition overrides for binding solves.
-    pub engine: EngineOptions,
 }
 
 impl Default for ContendOptions {
@@ -1011,7 +969,6 @@ impl Default for ContendOptions {
             contenders: 4,
             fairness: Fairness::default(),
             metrics: None,
-            engine: EngineOptions::default(),
         }
     }
 }
@@ -1084,14 +1041,7 @@ where
     let registry = broker_registry(broker_spec);
     let request = broker_request(spec, broker_spec, &semiring, &level)?;
     let (telemetry, recorder) = metrics_recorder(options.metrics);
-    let broker = Broker::new(semiring, registry)
-        .with_telemetry(telemetry)
-        .with_incremental(options.engine.incremental)
-        .with_solver_config(
-            options
-                .engine
-                .apply(SolverConfig::default().with_parallelism(Parallelism::Sequential)),
-        );
+    let broker = Broker::new(semiring, registry).with_telemetry(telemetry);
     let contended: Vec<ContendedRequest<S>> = (0..options.contenders.max(1))
         .map(|i| ContendedRequest {
             client: format!("client-{i:02}"),
@@ -1938,7 +1888,6 @@ mod tests {
                 engine: EngineOptions {
                     propagate: Some(PropagationMode::Off),
                     decompose: Some(false),
-                    incremental: false,
                     ..EngineOptions::default()
                 },
                 ..SolveOptions::default()
@@ -1959,7 +1908,6 @@ mod tests {
                         engine: EngineOptions {
                             propagate,
                             decompose,
-                            incremental: false,
                             ..EngineOptions::default()
                         },
                         ..SolveOptions::default()
@@ -1999,7 +1947,6 @@ mod tests {
                 engine: EngineOptions {
                     propagate: Some(PropagationMode::Off),
                     decompose: None,
-                    incremental: false,
                     ..EngineOptions::default()
                 },
                 ..SolveOptions::default()
@@ -2290,37 +2237,6 @@ mod tests {
         assert_eq!(c, d);
     }
 
-    #[test]
-    fn broker_engine_flags_leave_the_agreement_unchanged() {
-        // Binding solves are single-variable problems: any
-        // propagation/decomposition configuration negotiates the same
-        // SLA, byte for byte.
-        let reference = negotiate(&broker_doc()).unwrap();
-        for engine in [
-            EngineOptions {
-                propagate: Some(PropagationMode::Off),
-                decompose: Some(false),
-                incremental: false,
-                ..EngineOptions::default()
-            },
-            EngineOptions {
-                propagate: Some(PropagationMode::Full),
-                decompose: Some(true),
-                incremental: false,
-                ..EngineOptions::default()
-            },
-            EngineOptions {
-                propagate: None,
-                decompose: None,
-                incremental: true,
-                ..EngineOptions::default()
-            },
-        ] {
-            let report = negotiate_with_options(&broker_doc(), None, engine).unwrap();
-            assert_eq!(report, reference, "{engine:?}");
-        }
-    }
-
     fn contended_doc() -> String {
         r#"{
             "semiring": "fuzzy",
@@ -2505,7 +2421,6 @@ mod tests {
             EngineOptions {
                 propagate: Some(PropagationMode::Off),
                 decompose: Some(false),
-                incremental: false,
                 ..EngineOptions::default()
             },
         ] {

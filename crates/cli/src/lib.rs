@@ -30,10 +30,10 @@ pub mod format;
 
 pub use commands::{
     coalitions, coalitions_with, coalitions_with_options, explore, integrity, load, negotiate,
-    negotiate_chaos, negotiate_contend, negotiate_with, negotiate_with_options, parse_engine,
-    parse_fairness, parse_propagation, parse_semiring, parse_var_order, serve, solve, solve_with,
-    ChaosOptions, CommandError, ContendOptions, DaemonOptions, EngineOptions, LoadOptions,
-    MetricsFormat, SolveOptions, SolverChoice,
+    negotiate_chaos, negotiate_contend, negotiate_with, parse_engine, parse_fairness,
+    parse_propagation, parse_semiring, parse_var_order, serve, solve, solve_with, ChaosOptions,
+    CommandError, ContendOptions, DaemonOptions, EngineOptions, LoadOptions, MetricsFormat,
+    SolveOptions, SolverChoice,
 };
 pub use format::{
     BrokerSpec, CoalitionSpec, ConstraintSpec, DomainSpec, FormatError, NegotiationSpec,

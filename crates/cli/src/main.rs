@@ -4,7 +4,7 @@ use std::process::ExitCode;
 
 use softsoa_cli::{
     coalitions_with_options, explore, integrity, load, negotiate_chaos, negotiate_contend,
-    negotiate_with_options, parse_engine, parse_fairness, parse_propagation, parse_semiring,
+    negotiate_with, parse_engine, parse_fairness, parse_propagation, parse_semiring,
     parse_var_order, serve, solve_with, ChaosOptions, ContendOptions, DaemonOptions, EngineOptions,
     LoadOptions, MetricsFormat, SolveOptions, SolverChoice,
 };
@@ -19,9 +19,6 @@ USAGE:
                   [--propagate[=off|root|full]] [--decompose|--no-decompose]
                   [--engine auto|bnb|treedec] [--width-cap <n>]
     softsoa negotiate <scenario.json> [--metrics[=json|pretty]]
-                  [--propagate[=off|root|full]] [--decompose|--no-decompose]
-                  [--engine auto|bnb|treedec] [--width-cap <n>]
-                  [--incremental]
                   [--chaos-seed <n>] [--chaos-rate <p>] [--chaos-horizon <n>]
                   [--chaos-retries <n>] [--chaos-deadline <n>] [--chaos-backoff <n>]
                   [--contend <n>] [--fairness fcfs|utilitarian|leximin|nash]
@@ -56,8 +53,9 @@ bounds-propagation pass before search; full re-propagates at every
 node; off disables it) and --decompose/--no-decompose toggles solving
 independent constraint-graph components separately (default on). Both
 preserve the reported blevel and yield an equally best witness; they
-steer bnb solves, broker bindings, and the coalitions `scsp`
-algorithm.
+steer bnb solves and the coalitions `scsp` algorithm. `negotiate`
+takes none of the engine flags: the broker binds the negotiation
+variable by scanning its domain.
 
 --engine picks the exact per-component engine: bnb (the default)
 searches with branch-and-bound, treedec solves by bucket-tree
@@ -90,13 +88,6 @@ Jain-index tallies. `negotiate --contend <n>` replicates a broker
 scenario's request into n contending clients and prints each client's
 typed outcome (granted, preempted, waitlisted, unserved) plus the
 batch fairness metrics; providers may declare a `capacity` slot count.
-
---incremental routes broker binding solves through the persistent
-incremental re-solve engine: binding problems are kept alive across
-negotiation rounds as constraint deltas, clean components are reused
-and the previous optimum seeds the new search. Agreements are
-unchanged; `--metrics` exposes the solver.incremental.* counters
-(deltas applied, components re-searched, reuse ratio).
 
 Document formats are described in the softsoa-cli crate docs.";
 
@@ -145,7 +136,6 @@ fn parse_engine_flag<'a>(
         match flag {
             "--decompose" => engine.decompose = Some(true),
             "--no-decompose" => engine.decompose = Some(false),
-            "--incremental" => engine.incremental = true,
             "--width-cap" => {
                 return Some(parse_num(flag, it.next()).map(|n| engine.width_cap = Some(n)))
             }
@@ -287,7 +277,7 @@ fn run() -> Result<String, String> {
                 let flag = flag.as_str();
                 // Only --chaos-* flags select chaos mode and only
                 // --contend/--fairness select contended mode; --metrics
-                // and the engine flags compose with any mode.
+                // composes with any mode.
                 match flag {
                     "--contend" => {
                         contend.contenders = parse_num(flag, it.next())?;
@@ -311,13 +301,7 @@ fn run() -> Result<String, String> {
                             chaos.metrics = Some(format?);
                             continue;
                         }
-                        None => match parse_engine_flag(other, &mut it, &mut chaos.engine) {
-                            Some(parsed) => {
-                                parsed?;
-                                continue;
-                            }
-                            None => return Err(format!("negotiate: unknown flag `{other}`")),
-                        },
+                        None => return Err(format!("negotiate: unknown flag `{other}`")),
                     },
                 }
                 chaos_mode = true;
@@ -329,13 +313,11 @@ fn run() -> Result<String, String> {
             }
             if contend_mode {
                 contend.metrics = chaos.metrics;
-                contend.engine = chaos.engine;
                 negotiate_contend(&text, &contend).map_err(|e| e.to_string())
             } else if chaos_mode {
                 negotiate_chaos(&text, chaos).map_err(|e| e.to_string())
             } else {
-                negotiate_with_options(&text, chaos.metrics, chaos.engine)
-                    .map_err(|e| e.to_string())
+                negotiate_with(&text, chaos.metrics).map_err(|e| e.to_string())
             }
         }
         "explore" => {

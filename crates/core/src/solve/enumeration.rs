@@ -153,7 +153,10 @@ impl EnumerationSolver {
             }
         }
 
-        let entries: Vec<(Vec<Val>, S::Value)> = per_con.into_iter().collect();
+        // Sorted by `con` tuple, so `best()` lists ties in domain order
+        // rather than in the map's arbitrary iteration order.
+        let mut entries: Vec<(Vec<Val>, S::Value)> = per_con.into_iter().collect();
+        entries.sort_by(|(a, _), (b, _)| a.cmp(b));
         let blevel = semiring.sum(entries.iter().map(|(_, v)| v));
         let best = best_from_entries(&semiring, &con, &entries);
         let table = Constraint::table(semiring.clone(), &con, entries, semiring.zero())
@@ -267,6 +270,27 @@ mod tests {
             sol.best_assignment().unwrap().get(&Var::new("x")),
             Some(&Val::Int(5))
         );
+    }
+
+    #[test]
+    fn ties_are_listed_in_domain_order() {
+        // Every value ties: both engines list all 32, in domain order.
+        let p = Scsp::new(WeightedInt)
+            .with_domain("x", Domain::ints(0..32))
+            .with_constraint(Constraint::unary(WeightedInt, "x", |_| 1))
+            .of_interest(["x"]);
+        for solver in [
+            EnumerationSolver::new(),
+            EnumerationSolver::with_config(SolverConfig::default()),
+        ] {
+            let solution = solver.solve(&p).unwrap();
+            let listed: Vec<i64> = solution
+                .best()
+                .iter()
+                .map(|(eta, _)| eta.get(&Var::new("x")).unwrap().as_int().unwrap())
+                .collect();
+            assert_eq!(listed, (0..32).collect::<Vec<_>>(), "{solver:?}");
+        }
     }
 
     #[test]

@@ -390,12 +390,6 @@ impl<S: Semiring> IncrementalSolver<S> {
         self
     }
 
-    /// Builder-style bound on the shared component cache.
-    pub fn with_cache_capacity(self, capacity: usize) -> IncrementalSolver<S> {
-        self.cache.lock().unwrap().capacity = capacity.max(1);
-        self
-    }
-
     /// Allocates a fresh globally unique stamp (id, version, or
     /// domain generation) from the counter shared across clones.
     fn next_stamp(&self) -> u64 {
@@ -914,8 +908,8 @@ mod tests {
 
     #[test]
     fn cache_stays_bounded_under_churn() {
-        let (solver, _ab, cd) = churn_solver();
-        let mut solver = solver.with_cache_capacity(4);
+        let (mut solver, _ab, cd) = churn_solver();
+        solver.cache.lock().unwrap().capacity = 4;
         for round in 0..64u64 {
             solver.update_constraint(cd, pair_cost("c", "d", round));
             solver.solve().unwrap();

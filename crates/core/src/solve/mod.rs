@@ -206,8 +206,9 @@ pub trait Solver<S: Semiring> {
 /// Extracts the non-dominated `(tuple, value)` entries.
 ///
 /// For totally ordered semirings this is "all entries achieving the
-/// maximum"; for partial orders, the Pareto frontier.
-pub(crate) fn non_dominated<S: Semiring>(
+/// maximum"; for partial orders, the Pareto frontier. Entries keep
+/// their input order.
+pub fn non_dominated<S: Semiring>(
     semiring: &S,
     entries: &[(Vec<Val>, S::Value)],
 ) -> Vec<(Vec<Val>, S::Value)> {

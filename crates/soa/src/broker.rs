@@ -13,16 +13,13 @@
 //!    lies within the client's checked-transition interval;
 //! 5. on success a *binding* (an [`Sla`]) is returned to both parties.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
-use softsoa_core::solve::{
-    BranchAndBound, ConstraintId, IncrementalSolver, Parallelism, Solution, Solver, SolverConfig,
-    VarOrder,
-};
-use softsoa_core::{Assignment, Constraint, Domain, Domains, Scsp, SolveError, Val, Var};
+use softsoa_core::solve::{non_dominated, SolverStats};
+use softsoa_core::{Assignment, Constraint, Domain, Domains, Val, Var};
 use softsoa_nmsccp::{Agent, Interpreter, Interval, Outcome, Program, SemanticsError, Store};
 use softsoa_semiring::{Residuated, Semiring};
 use softsoa_telemetry::Telemetry;
@@ -75,8 +72,6 @@ pub enum NegotiationError {
     InvalidAcceptance(String),
     /// The underlying `nmsccp` machinery failed.
     Semantics(SemanticsError),
-    /// Solving for the best binding failed.
-    Solve(SolveError),
 }
 
 impl fmt::Display for NegotiationError {
@@ -93,7 +88,6 @@ impl fmt::Display for NegotiationError {
                 "the acceptance interval for `{cap}` is contradictory (lower bound better than upper)"
             ),
             NegotiationError::Semantics(e) => write!(f, "{e}"),
-            NegotiationError::Solve(e) => write!(f, "{e}"),
         }
     }
 }
@@ -102,7 +96,6 @@ impl std::error::Error for NegotiationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NegotiationError::Semantics(e) => Some(e),
-            NegotiationError::Solve(e) => Some(e),
             _ => None,
         }
     }
@@ -111,12 +104,6 @@ impl std::error::Error for NegotiationError {
 impl From<SemanticsError> for NegotiationError {
     fn from(e: SemanticsError) -> NegotiationError {
         NegotiationError::Semantics(e)
-    }
-}
-
-impl From<SolveError> for NegotiationError {
-    fn from(e: SolveError) -> NegotiationError {
-        NegotiationError::Solve(e)
     }
 }
 
@@ -173,136 +160,17 @@ pub struct Broker<S: Semiring> {
     semiring: S,
     registry: EpochRegistry,
     pub(crate) telemetry: Telemetry,
-    pub(crate) cache: SolveCache,
-    solver: SolverConfig,
-    incremental: bool,
-    /// One persistent incremental solver per binding problem shape
-    /// (negotiation variable + domain), shared across clones.
-    binding_solvers: BindingSolvers<S>,
     /// Cross-batch contention history (per-client grants, starvation
     /// ages), shared across clones so every worker's joint allocations
     /// see the same fairness ledger.
     pub(crate) contention: crate::contention::ContentionState,
 }
 
-/// Persistent per-binding-shape incremental solvers, keyed by the
-/// negotiation variable and its domain, shared across broker clones.
-///
-/// Like [`SolveCache`], the table is bounded (LRU eviction at
-/// [`DEFAULT_BINDING_SOLVER_CAPACITY`]): a churn stream whose domains
-/// vary would otherwise retain one solver — witness, cache traffic and
-/// all — per shape ever seen. Solvers are *taken out* of the table for
-/// the duration of a solve and re-inserted afterwards, so the mutex is
-/// only held for the map operations and concurrent negotiations on
-/// cloned brokers never serialize on each other's searches.
-#[derive(Debug, Clone)]
-struct BindingSolvers<S: Semiring> {
-    inner: Arc<Mutex<BindingSolversInner<S>>>,
-}
-
-#[derive(Debug)]
-struct BindingSolversInner<S: Semiring> {
-    entries: HashMap<(Var, Vec<Val>), BindingEntry<S>>,
-    stamp: u64,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct BindingEntry<S: Semiring> {
-    solver: IncrementalSolver<S>,
-    id: ConstraintId,
-    stamp: u64,
-}
-
-/// Default bound on persistent per-shape binding solvers. Smaller than
-/// the witness cache's: each entry holds a full solver (domains,
-/// constraint, last witness), not just a winning value.
-pub(crate) const DEFAULT_BINDING_SOLVER_CAPACITY: usize = 64;
-
-/// Capacity limits for the broker's two bounded tables, surfaced so a
-/// long-running deployment (notably the [`crate::server`] daemon) can
-/// size memory explicitly instead of inheriting magic numbers.
-///
-/// Both bounds are entry counts, clamped to at least 1. Any capacity —
-/// including 1 — yields identical negotiation results; smaller tables
-/// only trade away warm-start and witness-reuse hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrokerConfig {
-    /// Bound on cached binding witnesses ([`SolveCache`] entries).
-    pub binding_cache_capacity: usize,
-    /// Bound on persistent per-shape incremental binding solvers.
-    pub binding_solver_capacity: usize,
-}
-
-impl Default for BrokerConfig {
-    fn default() -> BrokerConfig {
-        BrokerConfig {
-            binding_cache_capacity: DEFAULT_BINDING_CACHE_CAPACITY,
-            binding_solver_capacity: DEFAULT_BINDING_SOLVER_CAPACITY,
-        }
-    }
-}
-
-impl<S: Semiring> Default for BindingSolvers<S> {
-    fn default() -> BindingSolvers<S> {
-        BindingSolvers::with_capacity(DEFAULT_BINDING_SOLVER_CAPACITY)
-    }
-}
-
-impl<S: Semiring> BindingSolvers<S> {
-    fn with_capacity(capacity: usize) -> BindingSolvers<S> {
-        BindingSolvers {
-            inner: Arc::new(Mutex::new(BindingSolversInner {
-                entries: HashMap::new(),
-                stamp: 0,
-                capacity: capacity.max(1),
-            })),
-        }
-    }
-
-    /// Removes and returns the solver for `key`, leaving the slot
-    /// empty while the caller solves outside the lock.
-    fn take(&self, key: &(Var, Vec<Val>)) -> Option<BindingEntry<S>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.entries.remove(key)
-    }
-
-    /// Puts a solver back (or registers a fresh one), batch-evicting
-    /// the least-recently-used entries at capacity. If a racing
-    /// negotiation re-created the same shape meanwhile,
-    /// last-writer-wins — each solve is self-contained, so dropping
-    /// the loser only costs its warm state.
-    fn put(&self, key: (Var, Vec<Val>), solver: IncrementalSolver<S>, id: ConstraintId) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        if inner.entries.len() >= inner.capacity && !inner.entries.contains_key(&key) {
-            // Drop the oldest `capacity / EVICTION_DIVISOR` entries in
-            // one O(n) pass instead of scanning for a single victim on
-            // every insert at capacity — the same amortized scheme as
-            // the core component cache.
-            let k = (inner.capacity / EVICTION_DIVISOR)
-                .max(1)
-                .min(inner.entries.len());
-            let mut stamps: Vec<u64> = inner.entries.values().map(|e| e.stamp).collect();
-            let (_, cutoff, _) = stamps.select_nth_unstable(k - 1);
-            let cutoff = *cutoff;
-            inner.entries.retain(|_, e| e.stamp > cutoff);
-        }
-        inner
-            .entries
-            .insert(key, BindingEntry { solver, id, stamp });
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len()
-    }
-}
+/// Inert: binding scans the domain and keeps no tables to size. Kept
+/// only because the benchmark crate still names it; it goes with the
+/// follow-up of ROADMAP.md item 2.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BrokerConfig;
 
 /// Epoch-versioned registry storage: the published registry lives
 /// behind an [`Arc`] that every write replaces, so readers take a cheap
@@ -311,9 +179,7 @@ impl<S: Semiring> BindingSolvers<S> {
 /// replacement is cheap because [`Registry`] is copy-on-write by shard:
 /// a writer stages a clone that shares every shard with the published
 /// registry, and its publish or deregister copies only the shards it
-/// touches. Each write bumps the epoch; [`SolveCache`] entries are
-/// stamped with the epoch they were computed under so eviction can
-/// prefer stale rounds.
+/// touches. Each write bumps the epoch.
 ///
 /// Writers *serialize*: [`RegistryWriter`] holds the `write` mutex for
 /// its whole lifetime, so a second writer (on this broker or a clone)
@@ -350,14 +216,6 @@ impl EpochRegistry {
             epoch: guard.0,
             registry: Arc::clone(&guard.1),
         }
-    }
-
-    fn epoch(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .0
     }
 }
 
@@ -454,152 +312,6 @@ impl Drop for RegistryWriter<'_> {
     }
 }
 
-/// A cross-round cache of binding-solve witnesses.
-///
-/// Negotiation re-solves near-identical single-variable problems on
-/// every provider, relaxation rung and chaos retry. The cache keys each
-/// binding problem by a structural hash (variable, domain, a few probe
-/// levels of the agreed store's policy) and remembers the winning
-/// domain value; the next structurally matching solve re-evaluates that
-/// witness on its *own* store — so the seeded level is achievable by
-/// construction, even across hash collisions — and hands it to
-/// [`BranchAndBound::solve_seeded`] as a warm incumbent. Hits are
-/// counted on the `solver.warm_hits` telemetry counter.
-///
-/// Clones share the underlying table, so a cloned [`Broker`] keeps
-/// benefiting from (and feeding) the same cache.
-/// The table is bounded: each entry carries the registry epoch it was
-/// computed under and a last-use stamp, and at capacity (default
-/// [`DEFAULT_BINDING_CACHE_CAPACITY`], tunable via
-/// [`Broker::with_cache_capacity`]) the entry from the stalest epoch —
-/// least recently used within it — is evicted. A sustained churn
-/// stream therefore keeps memory flat instead of growing one entry per
-/// store shape ever seen.
-#[derive(Debug, Clone)]
-pub(crate) struct SolveCache {
-    inner: Arc<Mutex<SolveCacheInner>>,
-}
-
-#[derive(Debug)]
-struct SolveCacheInner {
-    entries: HashMap<u64, CacheEntry>,
-    stamp: u64,
-    capacity: usize,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    witness: Val,
-    epoch: u64,
-    stamp: u64,
-}
-
-/// Default bound on cached binding witnesses.
-pub(crate) const DEFAULT_BINDING_CACHE_CAPACITY: usize = 1024;
-
-/// At capacity, both broker caches drop the oldest
-/// `capacity / EVICTION_DIVISOR` entries (at least one) in one pass,
-/// making eviction amortized-constant per insert under sustained churn
-/// (mirrors the core component cache's scheme).
-const EVICTION_DIVISOR: usize = 10;
-
-impl Default for SolveCache {
-    fn default() -> SolveCache {
-        SolveCache::with_capacity(DEFAULT_BINDING_CACHE_CAPACITY)
-    }
-}
-
-impl SolveCache {
-    fn with_capacity(capacity: usize) -> SolveCache {
-        SolveCache {
-            inner: Arc::new(Mutex::new(SolveCacheInner {
-                entries: HashMap::new(),
-                stamp: 0,
-                capacity: capacity.max(1),
-            })),
-        }
-    }
-
-    fn lookup(&self, key: u64) -> Option<Val> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        let entry = inner.entries.get_mut(&key)?;
-        entry.stamp = stamp;
-        Some(entry.witness.clone())
-    }
-
-    fn store(&self, key: u64, witness: Val, epoch: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        if inner.entries.len() >= inner.capacity && !inner.entries.contains_key(&key) {
-            // Batch-evict from the stalest epochs first, LRU within
-            // them: drop the oldest `capacity / EVICTION_DIVISOR`
-            // entries (at least one) in a single O(n) pass, so
-            // sustained churn pays amortized-constant eviction cost
-            // instead of a full scan per insert.
-            let k = (inner.capacity / EVICTION_DIVISOR)
-                .max(1)
-                .min(inner.entries.len());
-            let mut order: Vec<(u64, u64)> =
-                inner.entries.values().map(|e| (e.epoch, e.stamp)).collect();
-            let (_, cutoff, _) = order.select_nth_unstable(k - 1);
-            let cutoff = *cutoff;
-            inner.entries.retain(|_, e| (e.epoch, e.stamp) > cutoff);
-        }
-        inner.entries.insert(
-            key,
-            CacheEntry {
-                witness,
-                epoch,
-                stamp,
-            },
-        );
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len()
-    }
-}
-
-/// Domain points probed when hashing a binding problem: enough to
-/// separate stores that differ anywhere a small problem can differ,
-/// cheap enough that a key never costs more than a handful of evals.
-const KEY_PROBES: usize = 4;
-
-/// The structural hash (FNV-1a) of a single-variable binding problem.
-///
-/// Collisions are a heuristic miss, never an unsoundness: the cached
-/// witness is re-evaluated on the actual store before seeding.
-fn binding_key<S: Semiring>(variable: &Var, domain: &Domain, sigma: &Constraint<S>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let eat = |hash: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *hash ^= u64::from(b);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&mut hash, variable.name().as_bytes());
-    let values = domain.values();
-    eat(&mut hash, format!("{values:?}").as_bytes());
-    let probes = values.len().min(KEY_PROBES);
-    for k in 0..probes {
-        let i = if probes > 1 {
-            k * (values.len() - 1) / (probes - 1)
-        } else {
-            0
-        };
-        let level = sigma.eval(&Assignment::new().bind(variable.clone(), values[i].clone()));
-        eat(&mut hash, format!("{level:?}").as_bytes());
-    }
-    hash
-}
-
 impl<S: Residuated> Broker<S> {
     /// Creates a broker over a registry.
     pub fn new(semiring: S, registry: Registry) -> Broker<S> {
@@ -607,53 +319,21 @@ impl<S: Residuated> Broker<S> {
             semiring,
             registry: EpochRegistry::new(registry),
             telemetry: Telemetry::disabled(),
-            cache: SolveCache::default(),
-            // Binding problems are tiny: sequential search wins, and
-            // the default root propagation / decomposition are no-ops
-            // on a single variable.
-            solver: SolverConfig::default().with_parallelism(Parallelism::Sequential),
-            incremental: false,
-            binding_solvers: BindingSolvers::default(),
             contention: crate::contention::ContentionState::default(),
         }
     }
 
-    /// Routes binding solves through persistent per-problem
-    /// [`IncrementalSolver`]s: each negotiation round applies the
-    /// agreed store as an `update` delta instead of building a fresh
-    /// problem, re-searching only when the policy actually changed and
-    /// warm-starting from the previous round's optimum. Identical
-    /// agreed levels and bindings; work avoided is reported on the
-    /// `solver.incremental.*` telemetry family.
-    pub fn with_incremental(mut self, incremental: bool) -> Broker<S> {
-        self.incremental = incremental;
+    /// Inert: returns the broker unchanged. Kept only because the
+    /// benchmark crate still names it; it goes with the follow-up of
+    /// ROADMAP.md item 2.
+    pub fn with_incremental(self, _incremental: bool) -> Broker<S> {
         self
     }
 
-    /// Bounds the binding-witness cache (entries, not bytes). Existing
-    /// entries are kept; the bound applies from the next insertion.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Broker<S> {
-        self.cache = SolveCache::with_capacity(capacity);
-        self
-    }
-
-    /// Applies a [`BrokerConfig`], replacing both bounded tables with
-    /// fresh ones at the configured capacities. Call before the broker
-    /// is cloned or used — the replaced tables are no longer shared
-    /// with pre-existing clones.
-    pub fn with_broker_config(mut self, config: BrokerConfig) -> Broker<S> {
-        self.cache = SolveCache::with_capacity(config.binding_cache_capacity);
-        self.binding_solvers = BindingSolvers::with_capacity(config.binding_solver_capacity);
-        self
-    }
-
-    /// Overrides the engine configuration used for binding solves
-    /// (propagation mode, decomposition, parallelism, bounds). Any
-    /// configuration yields the same agreed levels; this is a
-    /// performance knob surfaced to the CLI's `--propagate` and
-    /// `--decompose` flags.
-    pub fn with_solver_config(mut self, solver: SolverConfig) -> Broker<S> {
-        self.solver = solver;
+    /// Inert: returns the broker unchanged. Kept only because the
+    /// benchmark crate still names it; it goes with the follow-up of
+    /// ROADMAP.md item 2.
+    pub fn with_broker_config(self, _config: BrokerConfig) -> Broker<S> {
         self
     }
 
@@ -916,11 +596,7 @@ impl<S: Residuated> Broker<S> {
             .count_labeled("broker.provider.agreements", service.id.as_str(), 1);
         let agreed_level = final_store.consistency().map_err(SemanticsError::from)?;
 
-        // The concrete binding: the best value of the negotiation
-        // variable under the agreed store.
-        let solution =
-            self.solve_binding(&request.variable, &request.domain, final_store.sigma())?;
-        let binding = solution.best().first().cloned();
+        let binding = self.bind(&request.variable, &request.domain, final_store.sigma());
 
         Ok(Some(Sla {
             service: service.id.clone(),
@@ -930,127 +606,52 @@ impl<S: Residuated> Broker<S> {
         }))
     }
 
-    /// Solves the single-variable binding problem, warm-starting the
-    /// incumbent from a structurally matching previous round's witness
-    /// (see [`SolveCache`]). Identical `blevel` and first-best binding
-    /// as the cold reference solve; warm hits increment the
-    /// `solver.warm_hits` telemetry counter and the run's stats flow
-    /// out on the usual `solve.*` / `solver.bound_prunes` families.
-    pub(crate) fn solve_binding(
+    /// Binds the negotiation variable to its best value under the
+    /// agreed store `sigma` (protocol step 5): the projection
+    /// `σ ⇓ {variable}`, read off by evaluating `sigma` once per domain
+    /// value.
+    ///
+    /// Returns the first non-dominated, non-zero `(value, level)` in
+    /// domain order — exactly `Scsp::solve().best().first()` of the
+    /// single-variable problem, on total and partial orders alike — or
+    /// `None` when `sigma` is `0` on the whole domain. The scan is
+    /// reported as a `binding` solve of one node per domain value.
+    ///
+    /// # Panics
+    ///
+    /// If `sigma` constrains a variable other than `variable`; a store
+    /// over the negotiation's domains never does.
+    pub fn bind(
         &self,
         variable: &Var,
         domain: &Domain,
         sigma: &Constraint<S>,
-    ) -> Result<Solution<S>, SolveError> {
-        if self.incremental && self.semiring.is_total() {
-            return self.solve_binding_incremental(variable, domain, sigma);
-        }
-        let problem = Scsp::new(self.semiring.clone())
-            .with_domain(variable.clone(), domain.clone())
-            .with_constraint(sigma.clone())
-            .of_interest([variable.clone()]);
-        if !self.semiring.is_total() {
-            // Partially ordered QoS: stay on the reference solver.
-            let solution = problem.solve()?;
-            if let Some(stats) = solution.stats() {
-                stats.emit(&self.telemetry, "binding");
-            }
-            return Ok(solution);
-        }
-
-        let key = binding_key(variable, domain, sigma);
-        let seed = self.cache.lookup(key).and_then(|witness| {
-            domain
-                .values()
-                .contains(&witness)
-                .then(|| sigma.eval(&Assignment::new().bind(variable.clone(), witness)))
-        });
-        // Branch-and-bound in input order reproduces the reference
-        // solver's lexicographically first best binding,
-        // witness-exactly, warm or cold, under every engine
-        // configuration (single-variable problems have one component
-        // and propagation preserves the first witness).
-        let solver = BranchAndBound::with_config(VarOrder::Input, self.solver);
-        let solution = match seed {
-            Some(level) if !self.semiring.is_zero(&level) => {
-                self.telemetry.incr("solver.warm_hits");
-                solver.solve_seeded(&problem, level)?
-            }
-            _ => solver.solve(&problem)?,
-        };
-        if let Some(stats) = solution.stats() {
+    ) -> Option<(Assignment, S::Value)> {
+        let start = self.telemetry.enabled().then(Instant::now);
+        let entries: Vec<(Vec<Val>, S::Value)> = domain
+            .values()
+            .iter()
+            .map(|value| {
+                let eta = Assignment::new().bind(variable.clone(), value.clone());
+                (vec![value.clone()], sigma.eval(&eta))
+            })
+            .collect();
+        if let Some(start) = start {
+            let stats = SolverStats {
+                nodes: entries.len() as u64,
+                threads: 1,
+                solve_time: start.elapsed(),
+                ..SolverStats::default()
+            };
             stats.emit(&self.telemetry, "binding");
         }
-        if let Some((eta, _)) = solution.best().first() {
-            if let Some(val) = eta.get(variable) {
-                self.cache.store(key, val.clone(), self.registry.epoch());
-                self.telemetry
-                    .gauge("broker.cache.entries", self.cache.len() as i64);
-            }
-        }
-        Ok(solution)
-    }
-
-    /// The `--incremental` binding path: a persistent
-    /// [`IncrementalSolver`] per `(variable, domain)` shape receives
-    /// the agreed store as an `update_constraint` delta and re-solves
-    /// only what the delta dirtied, warm-starting from the previous
-    /// round's witness. Same `blevel` and first-best binding as the
-    /// from-scratch path (the differential harness in
-    /// `tests/incremental_properties.rs` pins this).
-    fn solve_binding_incremental(
-        &self,
-        variable: &Var,
-        domain: &Domain,
-        sigma: &Constraint<S>,
-    ) -> Result<Solution<S>, SolveError> {
-        let key = (variable.clone(), domain.values().to_vec());
-        // Take the persistent solver out of the shared table (or build
-        // a fresh one) so the solve itself runs without the lock:
-        // concurrent incremental negotiations on cloned brokers must
-        // not serialize on each other's searches.
-        let (mut solver, id) = match self.binding_solvers.take(&key) {
-            Some(entry) => {
-                let mut solver = entry.solver;
-                solver.update_constraint(entry.id, sigma.clone());
-                (solver, entry.id)
-            }
-            None => {
-                let mut solver = IncrementalSolver::new(self.semiring.clone())
-                    .with_domain(variable.clone(), domain.clone())
-                    .of_interest([variable.clone()])
-                    .with_config(VarOrder::Input, self.solver);
-                let id = solver.add_constraint(sigma.clone());
-                (solver, id)
-            }
-        };
-        let before = solver.stats().clone();
-        let solution = solver.solve();
-        let after = solver.stats().clone();
-        // Re-insert even on error: the solver's state stays valid and
-        // the next round may still reuse it.
-        self.binding_solvers.put(key, solver, id);
-        let solution = solution?;
-        self.telemetry.incr("solver.incremental.solves");
-        self.telemetry
-            .count("solver.incremental.deltas", after.deltas - before.deltas);
-        self.telemetry.count(
-            "solver.incremental.components_resolved",
-            after.components_resolved - before.components_resolved,
-        );
-        self.telemetry.count(
-            "solver.incremental.components_reused",
-            after.components_reused - before.components_reused,
-        );
-        self.telemetry.count(
-            "solver.incremental.warm_seeds",
-            after.warm_seeds - before.warm_seeds,
-        );
-        self.telemetry.gauge(
-            "solver.incremental.reuse_ratio_permille",
-            (after.reuse_ratio() * 1000.0) as i64,
-        );
-        Ok(solution)
+        non_dominated(&self.semiring, &entries)
+            .into_iter()
+            .find(|(_, level)| !self.semiring.is_zero(level))
+            .map(|(tuple, level)| {
+                let eta = Assignment::from_tuple(std::slice::from_ref(variable), &tuple);
+                (eta, level)
+            })
     }
 }
 
@@ -1269,27 +870,45 @@ mod tests {
     }
 
     #[test]
-    fn repeated_negotiations_warm_start_and_agree() {
+    fn binding_reports_one_node_per_domain_value() {
         let mut registry = Registry::new();
         registry.publish(fuzzy_provider("svc-1", vec![(1, 1.0), (9, 0.0)]));
         let (telemetry, sink) = Telemetry::recording();
         let broker = Broker::new(Fuzzy, registry).with_telemetry(telemetry);
-        let cold = broker
+        let first = broker
             .negotiate(&fig5_request(), QosOffer::to_fuzzy)
             .unwrap();
-        assert_eq!(sink.snapshot().counters.get("solver.warm_hits"), None);
-        // The second round re-solves the structurally identical binding
-        // problem: a warm hit, with the identical agreement.
-        let warm = broker
+        let second = broker
             .negotiate(&fig5_request(), QosOffer::to_fuzzy)
             .unwrap();
-        assert_eq!(
-            sink.snapshot().counters.get("solver.warm_hits"),
-            Some(&1u64)
-        );
-        assert_eq!(warm.agreed_level, cold.agreed_level);
-        assert_eq!(warm.binding, cold.binding);
-        assert_eq!(warm.service, cold.service);
+        assert_eq!(first.binding, second.binding);
+        let counters = sink.snapshot().counters;
+        // Two agreements, each bound by a scan of the 9-value domain.
+        assert_eq!(counters.get("solve.runs{binding}"), Some(&2u64));
+        assert_eq!(counters.get("solve.nodes"), Some(&18u64));
+    }
+
+    #[test]
+    fn bind_takes_the_first_best_value_in_domain_order() {
+        let broker = Broker::new(Fuzzy, Registry::new());
+        let x = Var::new("x");
+        let domain = Domain::ints(0..=5);
+        // Levels 0.2, 0.7, 0.4, 0.7, 0.7, 0: three ties at the top.
+        let levels = [0.2, 0.7, 0.4, 0.7, 0.7, 0.0];
+        let sigma = Constraint::unary(Fuzzy, "x", move |v| {
+            Unit::clamped(levels[v.as_int().unwrap() as usize])
+        });
+        let (eta, level) = broker.bind(&x, &domain, &sigma).unwrap();
+        assert_eq!(eta.get(&x), Some(&Val::Int(1)));
+        assert_eq!(level, Unit::new(0.7).unwrap());
+        // A store that is 0 everywhere binds nothing.
+        let zero = Constraint::unary(Fuzzy, "x", |_| Unit::MIN);
+        assert_eq!(broker.bind(&x, &domain, &zero), None);
+        // A constant store binds the first domain value.
+        let (eta, _) = broker
+            .bind(&x, &domain, &Constraint::always(Fuzzy))
+            .unwrap();
+        assert_eq!(eta.get(&x), Some(&Val::Int(0)));
     }
 
     #[test]
@@ -1331,97 +950,6 @@ mod tests {
             assert_eq!(a.service, b.service);
             assert_eq!(a.agreed_level, b.agreed_level);
             assert_eq!(a.binding, b.binding);
-        }
-    }
-
-    #[test]
-    fn solve_cache_stays_bounded_under_churn() {
-        // Regression: the binding cache used to be an unbounded
-        // HashMap; a churning registry (every provider reshaping its
-        // policy each round) grew it one entry per store shape ever
-        // seen. It must stay at its capacity.
-        let mut registry = Registry::new();
-        registry.publish(fuzzy_provider("svc-1", vec![(1, 1.0), (9, 0.0)]));
-        let broker = Broker::new(Fuzzy, registry).with_cache_capacity(8);
-        let request = fig5_request();
-        for round in 0..64u64 {
-            // A distinct policy each round → a distinct structural key.
-            let wobble = (round % 32) as f64 / 64.0;
-            let sigma = Constraint::unary(Fuzzy, "x", move |v| {
-                Unit::clamped((v.as_int().unwrap() as f64 - 1.0) / 8.0 - wobble)
-            });
-            broker
-                .solve_binding(&request.variable, &request.domain, &sigma)
-                .unwrap();
-        }
-        assert!(broker.cache.len() <= 8, "cache grew past its capacity");
-    }
-
-    #[test]
-    fn solve_cache_evicts_stalest_epoch_first() {
-        // Pins the eviction order of the amortized batch scheme: at
-        // capacity 4 each pass drops max(4/10, 1) = 1 entry, and the
-        // victim is from the stalest (epoch, stamp) pair.
-        let cache = SolveCache::with_capacity(4);
-        cache.store(1, Val::Int(1), 5);
-        cache.store(2, Val::Int(2), 1); // stalest epoch → first victim
-        cache.store(3, Val::Int(3), 5);
-        cache.store(4, Val::Int(4), 3); // next-stalest → second victim
-        cache.store(5, Val::Int(5), 5);
-        assert!(cache.lookup(2).is_none(), "stalest epoch must go first");
-        cache.store(6, Val::Int(6), 5);
-        assert!(cache.lookup(4).is_none(), "then the next-stalest epoch");
-        for key in [1, 3, 5, 6] {
-            assert!(cache.lookup(key).is_some(), "fresh entry {key} evicted");
-        }
-    }
-
-    #[test]
-    fn solve_cache_evicts_lru_within_an_epoch_in_batches() {
-        // Same epoch everywhere → order falls back to the use stamp,
-        // and capacity 20 drops 20/10 = 2 entries per eviction pass.
-        let cache = SolveCache::with_capacity(20);
-        for key in 0..20u64 {
-            cache.store(key, Val::Int(key as i64), 7);
-        }
-        // Refresh key 0 so keys 1 and 2 hold the two oldest stamps.
-        assert!(cache.lookup(0).is_some());
-        cache.store(100, Val::Int(100), 7);
-        assert_eq!(cache.len(), 19, "one batch pass drops two entries");
-        assert!(cache.lookup(1).is_none(), "oldest stamp evicted");
-        assert!(cache.lookup(2).is_none(), "second-oldest stamp evicted");
-        assert!(cache.lookup(0).is_some(), "refreshed entry survives");
-        assert!(cache.lookup(3).is_some(), "third-oldest survives the batch");
-        // The next insert fits in the freed slot without evicting.
-        cache.store(101, Val::Int(101), 7);
-        assert_eq!(cache.len(), 20);
-        assert!(cache.lookup(3).is_some());
-    }
-
-    #[test]
-    fn binding_solvers_evict_least_recently_used_shapes() {
-        let solvers: BindingSolvers<Fuzzy> = BindingSolvers::with_capacity(3);
-        let shape = |name: &str| (Var::new(name), vec![Val::Int(1), Val::Int(2)]);
-        let entry = || {
-            let mut solver = IncrementalSolver::new(Fuzzy)
-                .with_domain(Var::new("x"), Domain::ints(1..=2))
-                .of_interest([Var::new("x")]);
-            let id = solver.add_constraint(Constraint::unary(Fuzzy, "x", |_| Unit::MAX));
-            (solver, id)
-        };
-        for name in ["a", "b", "c"] {
-            let (solver, id) = entry();
-            solvers.put(shape(name), solver, id);
-        }
-        // Refresh "a" (take + put bumps its stamp) so "b" is the LRU.
-        let refreshed = solvers.take(&shape("a")).expect("entry a present");
-        solvers.put(shape("a"), refreshed.solver, refreshed.id);
-        let (solver, id) = entry();
-        solvers.put(shape("d"), solver, id);
-        assert_eq!(solvers.len(), 3);
-        assert!(solvers.take(&shape("b")).is_none(), "LRU shape evicted");
-        for name in ["a", "c", "d"] {
-            assert!(solvers.take(&shape(name)).is_some(), "{name} survived");
         }
     }
 
@@ -1490,104 +1018,6 @@ mod tests {
             .publish(fuzzy_provider("svc-next", vec![(1, 1.0), (9, 0.0)]));
         assert_eq!(broker.registry().len(), 1);
         assert_eq!(broker.registry().epoch(), 1);
-    }
-
-    #[test]
-    fn binding_solvers_stay_bounded_under_domain_churn() {
-        // Regression: the per-shape solver table was unbounded — a
-        // churn stream whose domains vary grew one persistent solver
-        // per shape ever seen.
-        let broker = Broker::new(Fuzzy, Registry::new()).with_incremental(true);
-        let variable = Var::new("x");
-        for round in 0..(3 * DEFAULT_BINDING_SOLVER_CAPACITY as i64) {
-            // A distinct domain each round → a distinct solver shape.
-            let domain = Domain::ints(0..=(1 + round % 150));
-            let sigma = Constraint::unary(Fuzzy, "x", |v| {
-                Unit::clamped(v.as_int().unwrap() as f64 / 200.0)
-            });
-            broker.solve_binding(&variable, &domain, &sigma).unwrap();
-        }
-        assert!(
-            broker.binding_solvers.len() <= DEFAULT_BINDING_SOLVER_CAPACITY,
-            "solver table grew past its capacity"
-        );
-    }
-
-    #[test]
-    fn capacity_one_broker_config_still_solves() {
-        // The tightest possible BrokerConfig (both tables bounded at a
-        // single entry) must change nothing about negotiation results:
-        // caches and persistent solvers are performance state only.
-        let mut registry = Registry::new();
-        registry.publish(fuzzy_provider("svc-1", vec![(1, 1.0), (9, 0.0)]));
-        registry.publish(fuzzy_provider("svc-flat", vec![(1, 0.8), (9, 0.8)]));
-        let reference = Broker::new(Fuzzy, registry.clone());
-        let tight = Broker::new(Fuzzy, registry)
-            .with_broker_config(BrokerConfig {
-                binding_cache_capacity: 1,
-                binding_solver_capacity: 1,
-            })
-            .with_incremental(true);
-        for round in 0..4 {
-            let a = reference
-                .negotiate(&fig5_request(), QosOffer::to_fuzzy)
-                .unwrap();
-            let b = tight
-                .negotiate(&fig5_request(), QosOffer::to_fuzzy)
-                .unwrap();
-            assert_eq!(a.agreed_level, b.agreed_level, "round {round}");
-            assert_eq!(a.binding, b.binding, "round {round}");
-            // Distinct shapes each round keep evicting the single slot.
-            let domain = Domain::ints(0..=(2 + round));
-            let sigma = Constraint::unary(Fuzzy, "x", |v| {
-                Unit::clamped(v.as_int().unwrap() as f64 / 10.0)
-            });
-            let solution = tight
-                .solve_binding(&Var::new("x"), &domain, &sigma)
-                .unwrap();
-            let witness = solution
-                .best_assignment()
-                .and_then(|a| a.get(&Var::new("x")))
-                .cloned();
-            assert_eq!(witness, Some(Val::Int(2 + round)));
-        }
-        assert!(tight.binding_solvers.len() <= 1);
-        assert!(tight.cache.len() <= 1);
-    }
-
-    #[test]
-    fn incremental_bindings_match_from_scratch() {
-        let mut registry = Registry::new();
-        registry.publish(fuzzy_provider("svc-1", vec![(1, 1.0), (9, 0.0)]));
-        registry.publish(fuzzy_provider("svc-flat", vec![(1, 0.8), (9, 0.8)]));
-        let (telemetry, sink) = Telemetry::recording();
-        let cold = Broker::new(Fuzzy, registry);
-        let warm = cold
-            .clone()
-            .with_incremental(true)
-            .with_telemetry(telemetry);
-        // Several rounds (the second exercises the delta path on the
-        // persistent solvers): identical agreements throughout.
-        for _ in 0..3 {
-            let a = cold.negotiate(&fig5_request(), QosOffer::to_fuzzy).unwrap();
-            let b = warm.negotiate(&fig5_request(), QosOffer::to_fuzzy).unwrap();
-            assert_eq!(a.agreed_level, b.agreed_level);
-            assert_eq!(a.binding, b.binding);
-            assert_eq!(a.service, b.service);
-        }
-        let snapshot = sink.snapshot();
-        assert!(
-            snapshot.counters.get("solver.incremental.solves").copied() >= Some(6),
-            "every binding went through the incremental engine"
-        );
-        assert!(
-            snapshot
-                .counters
-                .get("solver.incremental.warm_seeds")
-                .copied()
-                >= Some(1),
-            "later rounds warm-start from the previous optimum"
-        );
     }
 
     #[test]

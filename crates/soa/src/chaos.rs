@@ -335,16 +335,11 @@ impl<S: Residuated> Broker<S> {
             if report.is_success() {
                 let final_store = report.report.outcome.store();
                 let agreed_level = final_store.consistency().map_err(SemanticsError::from)?;
-                // Warm-started across retries and relaxation rungs: the
-                // broker's SolveCache seeds the incumbent from the last
-                // structurally matching round's witness.
-                let solution =
-                    self.solve_binding(&request.variable, &request.domain, final_store.sigma())?;
                 let sla = Sla {
                     service: service.id.clone(),
                     provider: service.provider.clone(),
                     agreed_level,
-                    binding: solution.best().first().cloned(),
+                    binding: self.bind(&request.variable, &request.domain, final_store.sigma()),
                 };
                 best = match best {
                     None => Some(sla),

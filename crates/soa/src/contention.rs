@@ -240,7 +240,7 @@ impl ClientHistory {
 impl ContentionState {
     /// Snapshots the ledger entries for a batch's clients.
     fn snapshot(&self, clients: impl Iterator<Item = impl AsRef<str>>) -> Vec<ClientHistory> {
-        let ledger = self.inner.lock().expect("contention ledger poisoned");
+        let ledger = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         clients
             .map(|c| ledger.clients.get(c.as_ref()).copied().unwrap_or_default())
             .collect()
@@ -249,7 +249,7 @@ impl ContentionState {
     /// Folds one round's results into the ledger: every participant
     /// ages or resets, grants accumulate softness.
     fn record<'a>(&self, results: impl Iterator<Item = (&'a str, Option<f64>)>) {
-        let mut ledger = self.inner.lock().expect("contention ledger poisoned");
+        let mut ledger = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         ledger.round += 1;
         for (client, grant) in results {
             let entry = ledger.clients.entry(client.to_owned()).or_default();
@@ -763,6 +763,28 @@ mod tests {
     use softsoa_dependability::Attribute;
     use softsoa_nmsccp::Interval;
     use softsoa_semiring::Fuzzy;
+
+    #[test]
+    fn a_poisoned_ledger_keeps_recording() {
+        let state = ContentionState::default();
+        state.record([("a", Some(0.5))].into_iter());
+        let poisoned = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = state.inner.lock().unwrap();
+                    panic!("panic while holding the ledger lock");
+                })
+                .join()
+        });
+        assert!(poisoned.is_err() && state.inner.is_poisoned());
+        // record and snapshot both still work.
+        state.record([("a", None), ("b", Some(0.25))].into_iter());
+        let history = state.snapshot(["a", "b", "c"].iter());
+        assert_eq!((history[0].rounds, history[0].age), (2, 1));
+        assert_eq!(history[0].cum, 0.5);
+        assert_eq!((history[1].rounds, history[1].cum), (1, 0.25));
+        assert_eq!(history[2].rounds, 0);
+    }
 
     /// A provider whose every domain point offers a flat `level`, with
     /// `slots` concurrent-binding capacity.

@@ -85,7 +85,7 @@ impl Batcher {
     /// Parks a request in the current window, returning the claim
     /// ticket for [`Batcher::await_turn`].
     pub fn submit(&self, client: String, request: NegotiateRequest) -> u64 {
-        let mut state = self.state.lock().expect("batcher poisoned");
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.next_ticket += 1;
         let ticket = state.next_ticket;
         if state.entries.is_empty() {
@@ -108,7 +108,7 @@ impl Batcher {
     /// Blocks until the ticket's reply arrives, the caller should lead
     /// the closed window it is part of, or `deadline` passes.
     pub fn await_turn(&self, ticket: u64, deadline: Instant) -> Turn {
-        let mut state = self.state.lock().expect("batcher poisoned");
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(reply) = state.results.remove(&ticket) {
                 return Turn::Reply(reply);
@@ -143,7 +143,7 @@ impl Batcher {
             let (guard, _) = self
                 .ready
                 .wait_timeout(state, timeout.max(Duration::from_micros(100)))
-                .expect("batcher poisoned");
+                .unwrap_or_else(|e| e.into_inner());
             state = guard;
         }
     }
@@ -151,7 +151,7 @@ impl Batcher {
     /// Publishes a solved batch's replies and releases the leader
     /// role. Replies for abandoned tickets are dropped.
     pub fn publish(&self, results: impl IntoIterator<Item = (u64, Reply)>) {
-        let mut state = self.state.lock().expect("batcher poisoned");
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         for (ticket, reply) in results {
             if !state.abandoned.remove(&ticket) {
                 state.results.insert(ticket, reply);
@@ -184,6 +184,30 @@ mod tests {
 
     fn far() -> Instant {
         Instant::now() + Duration::from_secs(5)
+    }
+
+    #[test]
+    fn a_poisoned_batcher_keeps_serving() {
+        let batcher = Batcher::new(Duration::from_millis(2), 8);
+        let poisoned = thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = batcher.state.lock().unwrap();
+                    panic!("panic while holding the batcher lock");
+                })
+                .join()
+        });
+        assert!(poisoned.is_err() && batcher.state.is_poisoned());
+        // submit, await_turn and publish all still work.
+        let ticket = batcher.submit("a".into(), request("compute"));
+        let Turn::Lead(batch) = batcher.await_turn(ticket, far()) else {
+            panic!("expected leadership");
+        };
+        batcher.publish(batch.iter().map(|e| (e.ticket, Reply::Pong { epoch: 3 })));
+        assert!(matches!(
+            batcher.await_turn(ticket, far()),
+            Turn::Reply(Reply::Pong { epoch: 3 })
+        ));
     }
 
     #[test]

@@ -81,10 +81,6 @@ pub struct LoadReport {
     pub p99_ms: f64,
     /// Worst session latency, milliseconds.
     pub max_ms: f64,
-    /// Binding-cache entries after the run (flat-memory witness).
-    pub cache_entries: usize,
-    /// The configured binding-cache bound.
-    pub cache_capacity: usize,
     /// Registry epoch after the run (how much churn was published).
     pub final_epoch: u64,
 }
@@ -118,14 +114,6 @@ impl LoadReport {
             ("p50_ms".into(), Value::Float(self.p50_ms)),
             ("p99_ms".into(), Value::Float(self.p99_ms)),
             ("max_ms".into(), Value::Float(self.max_ms)),
-            (
-                "cache_entries".into(),
-                Value::UInt(self.cache_entries as u64),
-            ),
-            (
-                "cache_capacity".into(),
-                Value::UInt(self.cache_capacity as u64),
-            ),
             ("final_epoch".into(), Value::UInt(self.final_epoch)),
         ])
     }
@@ -212,8 +200,6 @@ pub fn run_self_hosted<S: WireSemiring>(
 
 /// Fills the server-side fields of a report from a live handle.
 pub fn annotate<S: WireSemiring>(report: &mut LoadReport, handle: &ServerHandle<S>) {
-    report.cache_entries = handle.broker().cache.len();
-    report.cache_capacity = handle.config().broker.binding_cache_capacity;
     report.final_epoch = handle.broker().registry().epoch();
 }
 
@@ -268,8 +254,6 @@ pub fn run(addr: SocketAddr, load: &LoadConfig, session_deadline: Duration) -> L
         p50_ms,
         p99_ms,
         max_ms,
-        cache_entries: 0,
-        cache_capacity: 0,
         final_epoch: 0,
     }
 }

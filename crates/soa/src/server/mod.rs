@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use softsoa_telemetry::Telemetry;
 
-use crate::broker::{Broker, BrokerConfig};
+use crate::broker::Broker;
 use crate::contention::Fairness;
 use crate::registry::Registry;
 use crate::server::admission::{AdmissionQueue, Pending};
@@ -103,12 +103,8 @@ pub struct ServerConfig {
     /// Transport-level chaos applied server-side to admitted
     /// connections (deterministic per connection id).
     pub transport_chaos: Option<TransportChaos>,
-    /// Capacities for the broker's bounded tables.
-    pub broker: BrokerConfig,
-    /// Whether binding solves go through persistent incremental
-    /// solvers. Off by default: a binding problem's only constraint is
-    /// replaced every session, so nothing is reused, and each shape's
-    /// component cache grows by one entry per session up to its bound.
+    /// Inert: nothing reads it. Kept only because the benchmark crate
+    /// still names it; it goes with the follow-up of ROADMAP.md item 2.
     pub incremental: bool,
     /// Contended-allocation objective. `None` keeps the historical
     /// per-session FCFS path; `Some` routes every negotiate request
@@ -136,7 +132,6 @@ impl Default for ServerConfig {
             negotiation_deadline_steps: 64,
             store_chaos: None,
             transport_chaos: None,
-            broker: BrokerConfig::default(),
             incremental: false,
             fairness: None,
             batch_window: Duration::from_millis(25),
@@ -168,10 +163,7 @@ impl NegotiationServer {
         let listener = bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
-        let broker = Broker::new(semiring, registry)
-            .with_broker_config(config.broker)
-            .with_incremental(config.incremental)
-            .with_telemetry(telemetry.scoped("server"));
+        let broker = Broker::new(semiring, registry).with_telemetry(telemetry.scoped("server"));
         let control = Arc::new(Control::new());
         let queue = Arc::new(AdmissionQueue::new(config.queue_limit));
         let shed_draining = Arc::new(AtomicUsize::new(0));

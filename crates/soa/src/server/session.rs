@@ -346,14 +346,6 @@ fn handle_negotiate<S: WireSemiring>(
     if let Some(fairness) = ctx.config.fairness {
         return negotiate_batched(broker, ctx, fairness, negotiate, deadline, conn_id);
     }
-    // Negotiations adopting the persistent incremental binding path
-    // (binding solvers are shared across sessions and workers, so
-    // reuse compounds across connections; the per-solve detail lands
-    // on the scoped server/solver.incremental.* family).
-    if ctx.config.incremental {
-        t.incr("server.incremental.negotiations");
-    }
-
     let epoch = broker.registry().epoch();
     let start = Instant::now();
     let answer = match ctx.config.store_chaos {

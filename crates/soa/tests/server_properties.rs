@@ -493,13 +493,6 @@ fn chaos_load_terminates_every_session_with_a_typed_outcome() {
         "graceful drain met its deadline: {:?}",
         report.drain
     );
-    // Flat memory under churn: the bounded tables stayed bounded.
-    assert!(
-        report.load.cache_entries <= report.load.cache_capacity,
-        "cache bounded: {} <= {}",
-        report.load.cache_entries,
-        report.load.cache_capacity
-    );
     assert!(
         report.load.final_epoch > 0,
         "churn clients actually churned the registry"
@@ -507,20 +500,15 @@ fn chaos_load_terminates_every_session_with_a_typed_outcome() {
 }
 
 #[test]
-fn incremental_binding_state_is_reused_across_sessions() {
-    // Two *separate* TCP sessions negotiate the same shape. The
-    // persistent binding solvers live on the broker (shared across
-    // worker clones), so the second session's solve must reuse the
-    // state the first one built: its search warm-starts from the
-    // previous optimum instead of starting cold.
+fn separate_sessions_bind_identically() {
+    // Two *separate* TCP sessions negotiate the same request: the
+    // broker keeps no binding state between them, so both scan the
+    // domain afresh and agree on the same level.
     let (telemetry, sink) = Telemetry::recording();
     let handle: ServerHandle<Fuzzy> = NegotiationServer::start(
         Fuzzy,
         loadgen::seed_providers(6),
-        ServerConfig {
-            incremental: true,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
         telemetry,
     )
     .expect("server starts");
@@ -543,20 +531,8 @@ fn incremental_binding_state_is_reused_across_sessions() {
     assert!(report.within_deadline, "clean drain: {report:?}");
 
     let counters = sink.snapshot().counters;
-    assert_eq!(
-        counters.get("server.incremental.negotiations").copied(),
-        Some(2),
-        "both sessions adopted the incremental binding path: {counters:?}"
-    );
     assert!(
-        counters.get("server/solver.incremental.solves").copied() >= Some(2),
-        "both bindings went through the persistent engine: {counters:?}"
-    );
-    assert!(
-        counters
-            .get("server/solver.incremental.warm_seeds")
-            .copied()
-            >= Some(1),
-        "the second session warm-started from the first's state: {counters:?}"
+        counters.get("server/solve.runs{binding}").copied() >= Some(2),
+        "both sessions bound by a domain scan: {counters:?}"
     );
 }

@@ -388,7 +388,7 @@ impl fmt::Debug for MemorySink {
 
 impl Sink for MemorySink {
     fn record(&self, event: Event<'_>) {
-        let mut state = self.state.lock().expect("telemetry sink poisoned");
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         match event {
             Event::Count { name, delta } => {
                 let slot = state.counters.entry(name.to_string()).or_insert(0);
@@ -425,7 +425,7 @@ impl Sink for MemorySink {
 impl MemorySink {
     /// A copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
-        let state = self.state.lock().expect("telemetry sink poisoned");
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         Snapshot {
             counters: state.counters.clone(),
             gauges: state.gauges.clone(),
@@ -585,6 +585,23 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_memory_sink_keeps_recording() {
+        let (tel, sink) = Telemetry::recording();
+        tel.count("a", 1);
+        let poisoned = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = sink.state.lock().unwrap();
+                    panic!("panic while holding the sink lock");
+                })
+                .join()
+        });
+        assert!(poisoned.is_err() && sink.state.is_poisoned());
+        tel.count("a", 2);
+        assert_eq!(sink.snapshot().counters.get("a"), Some(&3));
+    }
 
     #[test]
     fn disabled_handle_records_nothing_and_reports_disabled() {

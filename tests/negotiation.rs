@@ -366,9 +366,8 @@ fn relaxation_retract_never_worsens_the_agreement() {
 fn qos_republication_updates_bindings_across_epochs() {
     // R8 `update` driven through the broker: a provider re-publishes
     // its QoS document, the epoch-versioned registry publishes the new
-    // snapshot atomically, and the incremental binding path re-solves
-    // against the new offer — while readers holding the old snapshot
-    // keep seeing the old epoch.
+    // snapshot atomically, and the next binding scans the new offer —
+    // while readers holding the old snapshot keep seeing the old epoch.
     let mut registry = Registry::new();
     registry.publish(provider(
         "svc",
@@ -376,7 +375,7 @@ fn qos_republication_updates_bindings_across_epochs() {
         "x",
         OfferShape::Constant { level: 0.6 },
     ));
-    let mut broker = Broker::new(Fuzzy, registry).with_incremental(true);
+    let mut broker = Broker::new(Fuzzy, registry);
 
     let before = broker
         .negotiate(&fuzzy_request(0.5), QosOffer::to_fuzzy)
