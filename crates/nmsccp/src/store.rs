@@ -3,8 +3,7 @@
 use std::fmt;
 
 use parking_lot::Mutex;
-use softsoa_core::solve::{ConstraintId, IncrementalSolver, IncrementalStats, SolveError};
-use softsoa_core::{combine_all, Constraint, Domain, Domains, MissingDomainError, Var};
+use softsoa_core::{Constraint, Domain, Domains, MissingDomainError, Var};
 use softsoa_semiring::{Residuated, Semiring};
 
 /// An error produced by a store operation.
@@ -55,29 +54,17 @@ impl From<MissingDomainError> for StoreError {
 /// meaning the constraint with *empty support* — is the constraint
 /// `1̄`, the unit of `⊗`.
 ///
-/// Stores are immutable: every operation returns the next store, which
-/// is eagerly materialised into a table over its support so that
+/// Stores are immutable: every operation returns the next store, whose
+/// `σ` is eagerly materialised into a table over its support so that
 /// repeated queries (entailment, consistency checks on every checked
 /// transition) never re-evaluate user closures.
 ///
-/// Alongside the materialised `σ`, the store keeps the *factorisation*
-/// of everything told — each `tell` is a delta against a persistent
-/// [`IncrementalSolver`], so [`consistency`](Store::consistency) (the
-/// level every checked transition of Fig. 3 compares against its
-/// interval) re-searches only the connected components the latest
-/// operation touched. Stores derived from one another share the
-/// solver's component cache. Two operations are deliberately
-/// conservative:
-///
-/// - `retract` (R7) collapses the factorisation to the single divided
-///   `σ`, because residuation does not distribute over `⊗`-factors —
-///   a factor sharing no variable with the retracted constraint can
-///   still absorb part of the division.
-/// - On semirings whose `×` is inexact
-///   ([`Semiring::exact_times`] is `false`, i.e. floating-point
-///   accumulation), `consistency` falls back to the reference fold
-///   over the materialised `σ`: re-associating the product across
-///   factors could drift by an ulp and flip an interval check.
+/// Because `σ` is materialised on every operation,
+/// [`consistency`](Store::consistency) — `σ ⇓ ∅`, the level every
+/// checked transition of Fig. 3 compares against its interval — is one
+/// `+`-fold over `σ`'s support, never dearer than the `materialize`
+/// that operation already paid. It is computed once per store and
+/// memoised.
 ///
 /// # Examples
 ///
@@ -100,9 +87,6 @@ pub struct Store<S: Semiring> {
     semiring: S,
     domains: Domains,
     sigma: Constraint<S>,
-    /// The factorisation of `σ` as incremental-solver deltas, with
-    /// `con = ∅` so a solve *is* `σ ⇓ ∅`.
-    solver: Mutex<IncrementalSolver<S>>,
     /// The consistency level of this (immutable) store, once computed.
     memo: Mutex<Option<S::Value>>,
 }
@@ -113,7 +97,6 @@ impl<S: Semiring> Clone for Store<S> {
             semiring: self.semiring.clone(),
             domains: self.domains.clone(),
             sigma: self.sigma.clone(),
-            solver: Mutex::new(self.solver.lock().clone()),
             memo: Mutex::new(self.memo.lock().clone()),
         }
     }
@@ -125,7 +108,6 @@ impl<S: Semiring> fmt::Debug for Store<S> {
             .field("semiring", &self.semiring)
             .field("domains", &self.domains)
             .field("sigma", &self.sigma)
-            .field("factors", &self.solver.lock().len())
             .finish()
     }
 }
@@ -133,28 +115,21 @@ impl<S: Semiring> fmt::Debug for Store<S> {
 impl<S: Semiring> Store<S> {
     /// Creates the empty store (`σ = 1̄`) over the given domains.
     pub fn empty(semiring: S, domains: Domains) -> Store<S> {
-        let sigma = Constraint::always(semiring.clone());
-        let mut solver = IncrementalSolver::new(semiring.clone());
-        for (v, d) in domains.iter() {
-            solver.declare(v.clone(), d.clone());
-        }
         Store {
+            sigma: Constraint::always(semiring.clone()),
             semiring,
             domains,
-            sigma,
-            solver: Mutex::new(solver),
             memo: Mutex::new(None),
         }
     }
 
-    /// The next store after an operation: new `σ`, new factorisation,
-    /// consistency not yet computed.
-    fn derived(&self, sigma: Constraint<S>, solver: IncrementalSolver<S>) -> Store<S> {
+    /// The next store after an operation: new `σ`, consistency not yet
+    /// computed.
+    fn derived(&self, sigma: Constraint<S>) -> Store<S> {
         Store {
             semiring: self.semiring.clone(),
             domains: self.domains.clone(),
             sigma,
-            solver: Mutex::new(solver),
             memo: Mutex::new(None),
         }
     }
@@ -177,20 +152,8 @@ impl<S: Semiring> Store<S> {
     /// Declares (or replaces) a variable's domain — used by the hiding
     /// rule to introduce fresh variables.
     pub fn declare(&mut self, var: Var, domain: Domain) {
-        self.solver.get_mut().declare(var.clone(), domain.clone());
         self.domains.insert(var, domain);
         *self.memo.get_mut() = None;
-    }
-
-    /// Work-avoidance counters of the incremental consistency engine
-    /// accumulated along this store's derivation chain.
-    pub fn incremental_stats(&self) -> IncrementalStats {
-        self.solver.lock().stats().clone()
-    }
-
-    /// The number of `⊗`-factors the store currently tracks.
-    pub fn factor_count(&self) -> usize {
-        self.solver.lock().len()
     }
 
     /// Adds `c` to the store: `σ' = σ ⊗ c` (rule R1).
@@ -201,9 +164,7 @@ impl<S: Semiring> Store<S> {
     /// the result has no domain.
     pub fn tell(&self, c: &Constraint<S>) -> Result<Store<S>, StoreError> {
         let sigma = self.sigma.combine(c).materialize(&self.domains)?;
-        let mut solver = self.solver.lock().clone();
-        solver.add_constraint(c.materialize(&self.domains)?);
-        Ok(self.derived(sigma, solver))
+        Ok(self.derived(sigma))
     }
 
     /// Whether the store entails `c`: `σ ⊢ c ⇔ σ ⊑ c` (used by `ask`,
@@ -230,19 +191,7 @@ impl<S: Semiring> Store<S> {
         if let Some(v) = self.memo.lock().clone() {
             return Ok(v);
         }
-        let value = if self.semiring.exact_times() {
-            match self.solver.lock().solve() {
-                Ok(solution) => solution.blevel().clone(),
-                Err(SolveError::MissingDomain(e)) => return Err(e.into()),
-                // Defensive: fall back to the reference fold if the
-                // incremental engine cannot handle the semiring.
-                Err(_) => self.sigma.consistency(&self.domains)?,
-            }
-        } else {
-            // Inexact `×`: keep the materialised σ's fold order so the
-            // level matches entailment checks bit-for-bit.
-            self.sigma.consistency(&self.domains)?
-        };
+        let value = self.sigma.consistency(&self.domains)?;
         *self.memo.lock() = Some(value.clone());
         Ok(value)
     }
@@ -299,33 +248,7 @@ impl<S: Semiring> Store<S> {
             .collect();
         let projected = self.sigma.project(&keep, &self.domains)?;
         let sigma = projected.combine(c).materialize(&self.domains)?;
-        // The projection distributes over factors that touch no
-        // variable of `X` (they are constant in everything being
-        // eliminated), so only the touched group is collapsed and
-        // projected jointly — the delta the incremental solver sees is
-        // local to `X`'s constraint-graph neighbourhood.
-        let mut solver = self.solver.lock().clone();
-        let touched: Vec<ConstraintId> = solver
-            .constraints()
-            .filter(|(_, f)| f.scope().iter().any(|v| vars.contains(v)))
-            .map(|(id, _)| id)
-            .collect();
-        if !touched.is_empty() {
-            let group: Vec<Constraint<S>> = touched
-                .iter()
-                .filter_map(|id| solver.retract_constraint(*id))
-                .collect();
-            let combined = combine_all(self.semiring.clone(), group.iter());
-            let keep_local: Vec<Var> = combined
-                .scope()
-                .iter()
-                .filter(|v| !vars.contains(v))
-                .cloned()
-                .collect();
-            solver.add_constraint(combined.project(&keep_local, &self.domains)?);
-        }
-        solver.add_constraint(c.materialize(&self.domains)?);
-        Ok(self.derived(sigma, solver))
+        Ok(self.derived(sigma))
     }
 }
 
@@ -346,25 +269,15 @@ impl<S: Residuated> Store<S> {
             return Err(StoreError::NotEntailed);
         }
         let sigma = self.sigma.divide(c).materialize(&self.domains)?;
-        // Residuation does not distribute over the `⊗`-factorisation
-        // (a factor disjoint from `c`'s scope can still absorb slack
-        // of the division), so the factor list collapses to the
-        // divided σ itself. The next component re-search is global,
-        // but subsequent tells become local deltas again.
-        let mut solver = self.solver.lock().clone();
-        let ids: Vec<ConstraintId> = solver.constraints().map(|(id, _)| id).collect();
-        for id in ids {
-            solver.retract_constraint(id);
-        }
-        solver.add_constraint(sigma.clone());
-        Ok(self.derived(sigma, solver))
+        Ok(self.derived(sigma))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softsoa_core::Assignment;
+    use softsoa_core::solve::{EnumerationSolver, Solver};
+    use softsoa_core::{Assignment, Scsp};
     use softsoa_semiring::WeightedInt;
 
     fn doms() -> Domains {
@@ -485,36 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn tells_accumulate_factors_and_retract_collapses_them() {
-        let store = Store::empty(WeightedInt, doms())
-            .tell(&c_linear(1, 5))
-            .unwrap()
-            .tell(&c_linear(2, 0))
-            .unwrap();
-        assert_eq!(store.factor_count(), 2);
-        let relaxed = store.retract(&c_linear(1, 3)).unwrap();
-        assert_eq!(relaxed.factor_count(), 1);
-        assert_eq!(relaxed.consistency().unwrap(), 2);
-    }
-
-    #[test]
-    fn consistency_only_resolves_touched_components() {
-        let doms = Domains::new()
-            .with("x", Domain::ints(0..=10))
-            .with("y", Domain::ints(0..=10));
-        let cy = Constraint::unary(WeightedInt, "y", |v| 7 * v.as_int().unwrap() as u64 + 2);
-        let store = Store::empty(WeightedInt, doms).tell(&cy).unwrap();
-        assert_eq!(store.consistency().unwrap(), 2);
-        // Telling on x leaves the y component clean: its blevel
-        // replays from the cache the derived store shares.
-        let next = store.tell(&c_linear(1, 5)).unwrap();
-        assert_eq!(next.consistency().unwrap(), 7);
-        let stats = next.incremental_stats();
-        assert!(stats.components_reused >= 1, "y component replayed");
-    }
-
-    #[test]
-    fn factored_consistency_matches_sigma_across_operations() {
+    fn consistency_matches_the_oracle_across_operations() {
         let doms = Domains::new()
             .with("x", Domain::ints(0..=6))
             .with("y", Domain::ints(0..=6));
@@ -531,11 +415,14 @@ mod tests {
                 2 => store.update(&[Var::new("y")], &cxy).unwrap(),
                 _ => store.retract(&c_linear(1, 1)).unwrap(),
             };
-            // The incremental level must equal the reference fold over
-            // the materialised σ (WeightedInt: exact ×).
+            // σ ⇓ ∅ is the blevel of the problem {σ} with con = ∅.
+            let mut oracle = Scsp::new(WeightedInt).with_constraint(store.sigma().clone());
+            for (v, d) in store.domains().iter() {
+                oracle.add_domain(v.clone(), d.clone());
+            }
             assert_eq!(
                 store.consistency().unwrap(),
-                store.sigma().consistency(store.domains()).unwrap(),
+                *EnumerationSolver::new().solve(&oracle).unwrap().blevel(),
                 "divergence after step {step}"
             );
         }

@@ -36,6 +36,7 @@ pub mod transport;
 
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -329,7 +330,15 @@ fn worker_loop<S: WireSemiring>(
         }
         match queue.take(TAKE_TICK) {
             Some(pending) => {
-                let outcome = run_session(broker, ctx, pending);
+                // A panicking session must not retire its worker: the
+                // unwind drops the stream (the peer sees a close), and
+                // the worker takes the next connection.
+                let Ok(outcome) =
+                    panic::catch_unwind(AssertUnwindSafe(|| run_session(broker, ctx, pending)))
+                else {
+                    ctx.telemetry.incr("server.sessions.panicked");
+                    continue;
+                };
                 if control.is_draining() {
                     match outcome.end {
                         SessionEnd::Aborted => stats.aborted += 1,
@@ -479,6 +488,58 @@ fn wake_target(mut addr: SocketAddr) -> SocketAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qos::OfferShape;
+    use crate::server::protocol::{NegotiateRequest, Request};
+    use crate::server::session::PANIC_CAPABILITY;
+    use crate::server::transport::{FrameError, FrameReader};
+    use softsoa_semiring::Fuzzy;
+
+    /// One request on a fresh connection: `Ok(None)` if the server
+    /// closes without a reply, `Err` if nothing arrives in time.
+    fn exchange(addr: SocketAddr, capability: &str) -> std::io::Result<Option<Reply>> {
+        let request = Request::Negotiate(NegotiateRequest {
+            capability: capability.into(),
+            variable: "x".into(),
+            domain: [0, 4],
+            policy: OfferShape::Constant { level: 0.7 },
+            accept: [0.0, 1.0],
+            client: None,
+        });
+        let stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        FrameWriter::new(&stream).write_frame(&request.to_json())?;
+        match FrameReader::new(&stream, DEFAULT_MAX_FRAME_BYTES).read_frame() {
+            Ok(frame) => Ok(Some(Reply::parse(&frame).expect("a well-formed reply"))),
+            Err(FrameError::Closed) => Ok(None),
+            Err(FrameError::Io(e)) => Err(e),
+            Err(e) => panic!("unexpected frame error: {e:?}"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_session_does_not_retire_its_worker() {
+        let (telemetry, sink) = Telemetry::recording();
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle =
+            NegotiationServer::start(Fuzzy, loadgen::seed_providers(1), config, telemetry).unwrap();
+        let addr = handle.local_addr();
+
+        // The session panics; the unwind drops the stream, so the peer
+        // sees a close rather than a hang.
+        assert!(exchange(addr, PANIC_CAPABILITY).unwrap().is_none());
+        // The only worker survived and serves the next session.
+        let reply = exchange(addr, "compute").expect("the worker serves the next session");
+        assert!(matches!(reply, Some(Reply::Bound { .. })), "{reply:?}");
+        assert!(handle.workers.iter().all(|w| !w.is_finished()));
+
+        handle.shutdown(Duration::from_secs(1));
+        let counters = sink.snapshot().counters;
+        assert_eq!(counters.get("server.sessions.panicked"), Some(&1));
+        assert_eq!(counters.get("server.sessions.completed"), Some(&1));
+    }
 
     #[test]
     fn wake_target_maps_unspecified_addresses_to_loopback() {

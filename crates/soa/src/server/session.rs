@@ -230,6 +230,12 @@ impl Reply {
     }
 }
 
+/// A capability whose negotiate request panics the session: a stand-in
+/// for a bug anywhere below [`run_session`], compiled into unit tests
+/// only.
+#[cfg(test)]
+pub(crate) const PANIC_CAPABILITY: &str = "test-panic";
+
 /// Handles one parsed request against the worker's broker.
 fn dispatch<S: WireSemiring>(
     broker: &mut Broker<S>,
@@ -238,6 +244,10 @@ fn dispatch<S: WireSemiring>(
     deadline: Instant,
     conn_id: u64,
 ) -> Reply {
+    #[cfg(test)]
+    if matches!(&request, Request::Negotiate(n) if n.capability == PANIC_CAPABILITY) {
+        panic!("a negotiate request for `{PANIC_CAPABILITY}` panics the session");
+    }
     match request {
         Request::Ping => Reply::Pong {
             epoch: broker.registry().epoch(),
