@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use softsoa_semiring::Semiring;
 
+use crate::domain::Cursor;
 use crate::solve::ConstraintEvalStats;
 use crate::{Assignment, Constraint, Domains, MissingDomainError, Scsp, Val, Var};
 
@@ -242,24 +243,10 @@ impl<S: Semiring> CompiledProblem<S> {
                     // scope with the last variable fastest, matching
                     // the stride layout.
                     let mut table = Vec::with_capacity(cells);
-                    let mut idx = vec![0usize; emb.len()];
-                    let mut tuple: Vec<Val> = emb.iter().map(|&p| domains[p][0].clone()).collect();
-                    'fill: loop {
-                        table.push(op.eval_tuple(&tuple));
-                        let mut pos = emb.len();
-                        loop {
-                            if pos == 0 {
-                                break 'fill;
-                            }
-                            pos -= 1;
-                            idx[pos] += 1;
-                            if idx[pos] < sizes[emb[pos]] {
-                                tuple[pos] = domains[emb[pos]][idx[pos]].clone();
-                                break;
-                            }
-                            idx[pos] = 0;
-                            tuple[pos] = domains[emb[pos]][0].clone();
-                        }
+                    let mut cursor = Cursor::over(emb.iter().map(|&p| &domains[p][..]).collect());
+                    while let Some(tuple) = cursor.tuple() {
+                        table.push(op.eval_tuple(tuple));
+                        cursor.advance();
                     }
                     (OperandKind::Dense(table), cells)
                 } else {
@@ -579,7 +566,7 @@ impl<S: Semiring> CompiledProblem<S> {
 /// `positions`, whose domain sizes are `sizes[p]`, with the total cell
 /// count; `None` when the count overflows `usize`. A zero size empties
 /// the space: its count is `0` and its strides are never read.
-fn mixed_radix(positions: &[usize], sizes: &[usize]) -> Option<(Vec<usize>, usize)> {
+pub(crate) fn mixed_radix(positions: &[usize], sizes: &[usize]) -> Option<(Vec<usize>, usize)> {
     if positions.iter().any(|&p| sizes[p] == 0) {
         return Some((vec![0; positions.len()], 0));
     }

@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use softsoa_semiring::Semiring;
 
-use crate::{Assignment, Domains, MissingDomainError, Val, Var};
+use crate::compile::mixed_radix;
+use crate::domain::Cursor;
+use crate::{Assignment, Domain, Domains, MissingDomainError, Val, Var};
 
 /// An error returned when evaluating a constraint under an assignment
 /// that does not bind its whole support.
@@ -44,7 +46,10 @@ impl std::error::Error for UnboundVarError {}
 ///
 /// - **constant** — the paper's `ā` functions, in particular `0̄` and
 ///   `1̄` ([`Constraint::never`], [`Constraint::always`]);
-/// - **extensional** tables mapping value tuples to levels (Fig. 1);
+/// - **extensional** tables mapping value tuples to levels (Fig. 1),
+///   either sparse ([`Constraint::table`]) or dense — one level per
+///   tuple of the scope's domains, which is what
+///   [`Constraint::materialize`] and [`Constraint::project`] build;
 /// - **intensional** closures such as the paper's polynomial policies
 ///   (`c(x) = 2x`, "reliability is `5x + 80`").
 ///
@@ -79,8 +84,11 @@ pub struct Constraint<S: Semiring> {
 enum Def<S: Semiring> {
     /// The constant function `ā`.
     Const(S::Value),
-    /// An extensional definition: tuple (in scope order) → level.
+    /// A sparse extensional definition: tuple (in scope order) → level.
     Table(Arc<Table<S>>),
+    /// A dense extensional definition, built by `materialize` and
+    /// `project`.
+    Dense(Arc<Dense<S>>),
     /// An intensional definition: closure over values in `params` order.
     Func(Arc<FuncDef<S>>),
     /// A structural `⊗`-combination of operands, kept flat so the
@@ -95,12 +103,39 @@ struct Table<S: Semiring> {
     default: S::Value,
 }
 
+/// One level per tuple of the scope's domains, row-major with the
+/// last variable fastest — the order of [`Domains::tuples`] and the
+/// layout of the compiled solvers' operand tables. A tuple with a
+/// value outside its domain reads `0`, as a sparse table's default
+/// does for a missing entry.
+struct Dense<S: Semiring> {
+    /// The domain of each scope variable, in scope order.
+    domains: Vec<Domain>,
+    /// Mixed-radix strides over `domains` (last fastest).
+    strides: Vec<usize>,
+    values: Vec<S::Value>,
+}
+
+impl<S: Semiring> Dense<S> {
+    /// The cell of `tuple` (in scope order), `None` off the domains.
+    fn index(&self, tuple: &[Val]) -> Option<usize> {
+        let mut flat = 0;
+        for ((domain, stride), v) in self.domains.iter().zip(&self.strides).zip(tuple) {
+            flat += domain.values().binary_search(v).ok()? * stride;
+        }
+        Some(flat)
+    }
+}
+
 type EvalFn<S> = Box<dyn Fn(&[Val]) -> <S as Semiring>::Value + Send + Sync>;
 
 struct FuncDef<S: Semiring> {
     /// Parameter order the closure expects (may differ from the sorted
     /// scope).
     params: Vec<Var>,
+    /// The scope position of each parameter; `None` when `params` is
+    /// the sorted scope itself, so a scope tuple is passed as is.
+    perm: Option<Vec<usize>>,
     f: EvalFn<S>,
 }
 
@@ -220,11 +255,17 @@ impl<S: Semiring> Constraint<S> {
             vars.len(),
             "constraint scope contains duplicate variables"
         );
+        let perm = (vars != scope.as_slice()).then(|| {
+            vars.iter()
+                .map(|v| scope.binary_search(v).expect("param is in sorted scope"))
+                .collect()
+        });
         Constraint {
             semiring,
             scope,
             def: Def::Func(Arc::new(FuncDef {
                 params: vars.to_vec(),
+                perm,
                 f: Box::new(f),
             })),
             label: None,
@@ -349,7 +390,7 @@ impl<S: Semiring> Constraint<S> {
                     .collect::<Result<_, _>>()?;
                 Ok((func.f)(&args))
             }
-            Def::Combined(_) | Def::Divided(_) => {
+            Def::Dense(_) | Def::Combined(_) | Def::Divided(_) => {
                 let key = self.scope_tuple(eta)?;
                 Ok(self.eval_tuple(&key))
             }
@@ -384,20 +425,16 @@ impl<S: Semiring> Constraint<S> {
                 .get(tuple)
                 .cloned()
                 .unwrap_or_else(|| table.default.clone()),
-            Def::Func(func) => {
-                let args: Vec<Val> = func
-                    .params
-                    .iter()
-                    .map(|v| {
-                        let i = self
-                            .scope
-                            .binary_search(v)
-                            .expect("param is in sorted scope");
-                        tuple[i].clone()
-                    })
-                    .collect();
-                (func.f)(&args)
-            }
+            Def::Dense(dense) => dense
+                .index(tuple)
+                .map_or_else(|| self.semiring.zero(), |i| dense.values[i].clone()),
+            Def::Func(func) => match &func.perm {
+                None => (func.f)(tuple),
+                Some(perm) => {
+                    let args: Vec<Val> = perm.iter().map(|&i| tuple[i].clone()).collect();
+                    (func.f)(&args)
+                }
+            },
             Def::Combined(def) => {
                 let mut acc = self.semiring.one();
                 let mut sub: Vec<Val> = Vec::new();
@@ -405,20 +442,17 @@ impl<S: Semiring> Constraint<S> {
                     if self.semiring.is_zero(&acc) {
                         break; // 0 absorbs ×
                     }
-                    sub.clear();
-                    sub.extend(emb.iter().map(|&i| tuple[i].clone()));
-                    acc = self.semiring.times(&acc, &c.eval_tuple(&sub));
+                    let level = c.eval_tuple(restrict(tuple, emb, &mut sub));
+                    acc = self.semiring.times(&acc, &level);
                 }
                 acc
             }
             Def::Divided(def) => {
-                let lt: Vec<Val> = def.left.1.iter().map(|&i| tuple[i].clone()).collect();
-                let rt: Vec<Val> = def.right.1.iter().map(|&i| tuple[i].clone()).collect();
-                (def.div)(
-                    &self.semiring,
-                    &def.left.0.eval_tuple(&lt),
-                    &def.right.0.eval_tuple(&rt),
-                )
+                let ((l, l_emb), (r, r_emb)) = (&def.left, &def.right);
+                let mut sub = Vec::new();
+                let left = l.eval_tuple(restrict(tuple, l_emb, &mut sub));
+                let right = r.eval_tuple(restrict(tuple, r_emb, &mut sub));
+                (def.div)(&self.semiring, &left, &right)
             }
         }
     }
@@ -536,7 +570,10 @@ impl<S: Semiring> Constraint<S> {
     /// scope, enumerating the given domains.
     ///
     /// Evaluating the result never calls user closures again; the cost
-    /// is the product of the scope's domain sizes.
+    /// is the product of the scope's domain sizes. The table is dense
+    /// (one level per tuple of `domains`, `0` for a value outside
+    /// them). A constraint whose tuple count overflows `usize` is
+    /// returned as is.
     ///
     /// # Errors
     ///
@@ -545,21 +582,134 @@ impl<S: Semiring> Constraint<S> {
         if let Def::Const(_) = self.def {
             return Ok(self.clone());
         }
-        let mut map = HashMap::new();
-        for tuple in domains.tuples(&self.scope)? {
-            let value = self.eval_tuple(&tuple);
-            map.insert(tuple, value);
+        let scope_domains = domains.of(&self.scope)?;
+        let Some((_, cells)) = row_major(scope_domains.iter().copied()) else {
+            return Ok(self.clone());
+        };
+        if self.cells_over(domains).is_some() {
+            return Ok(self.clone()); // already dense over these domains
         }
-        Ok(Constraint {
-            semiring: self.semiring.clone(),
-            scope: self.scope.clone(),
-            def: Def::Table(Arc::new(Table {
-                map,
-                default: self.semiring.zero(),
-            })),
-            label: self.label.clone(),
-        })
+        let mut values = Vec::with_capacity(cells);
+        let mut cursor = Cursor::new(scope_domains.clone());
+        while let Some(tuple) = cursor.tuple() {
+            values.push(self.eval_tuple(tuple));
+            cursor.advance();
+        }
+        let domains = scope_domains.into_iter().cloned().collect();
+        let mut dense =
+            Constraint::from_cells(self.semiring.clone(), self.scope.clone(), domains, values);
+        dense.label = self.label.clone();
+        Ok(dense)
     }
+
+    /// A dense table over the sorted `scope`, whose domains are
+    /// `domains`, from its levels in [`Domains::tuples`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold one level per tuple.
+    pub(crate) fn from_cells(
+        semiring: S,
+        scope: Vec<Var>,
+        domains: Vec<Domain>,
+        values: Vec<S::Value>,
+    ) -> Constraint<S> {
+        let (strides, cells) = row_major(&domains).expect("a filled table's cell count fits usize");
+        assert_eq!(values.len(), cells, "one level per tuple");
+        Constraint {
+            semiring,
+            scope,
+            def: Def::Dense(Arc::new(Dense {
+                domains,
+                strides,
+                values,
+            })),
+            label: None,
+        }
+    }
+
+    /// The levels and strides of a dense table built over exactly the
+    /// domains `domains` gives its scope; `None` for any other
+    /// constraint, or for a table whose domains were since replaced.
+    pub(crate) fn cells_over(&self, domains: &Domains) -> Option<(&[S::Value], &[usize])> {
+        let Def::Dense(dense) = &self.def else {
+            return None;
+        };
+        let same = self
+            .scope
+            .iter()
+            .zip(&dense.domains)
+            .all(|(v, d)| domains.get(v).is_ok_and(|e| e == d));
+        same.then_some((&dense.values, &dense.strides))
+    }
+}
+
+/// How a walk over the tuples of a scope (a [`Cursor`]) reads one
+/// constraint whose scope embeds in it, set up once per walk.
+pub(crate) enum Reader<'c, S: Semiring> {
+    /// A dense table over the walked domains: the level of a tuple is
+    /// the cell at its indices dotted with these strides (`0` at the
+    /// walked positions outside the table's scope).
+    Cells(&'c [S::Value], Vec<usize>),
+    /// Anything else: evaluated on the walked tuple restricted to the
+    /// embedding, through a reused buffer.
+    Eval(&'c Constraint<S>, Vec<usize>, Vec<Val>),
+}
+
+impl<'c, S: Semiring> Reader<'c, S> {
+    /// Reads `c`, embedded at `emb` in a walk of `arity` positions over
+    /// `domains`.
+    pub(crate) fn new(
+        c: &'c Constraint<S>,
+        emb: Vec<usize>,
+        arity: usize,
+        domains: &Domains,
+    ) -> Self {
+        if let Some((cells, strides)) = c.cells_over(domains) {
+            let mut walk_strides = vec![0; arity];
+            for (&pos, &stride) in emb.iter().zip(strides) {
+                walk_strides[pos] = stride;
+            }
+            return Reader::Cells(cells, walk_strides);
+        }
+        Reader::Eval(c, emb, Vec::new())
+    }
+
+    /// The level at the walked tuple `tuple`, whose domain indices are
+    /// `indices`.
+    pub(crate) fn read(&mut self, indices: &[usize], tuple: &[Val]) -> S::Value {
+        match self {
+            Reader::Cells(cells, strides) => {
+                let flat: usize = indices.iter().zip(strides.iter()).map(|(i, s)| i * s).sum();
+                cells[flat].clone()
+            }
+            Reader::Eval(c, emb, buf) => c.eval_tuple(restrict(tuple, emb, buf)),
+        }
+    }
+}
+
+/// The row-major strides (last fastest) and cell count of a table over
+/// `domains`; `None` when the count overflows `usize`.
+pub(crate) fn row_major<'d>(
+    domains: impl IntoIterator<Item = &'d Domain>,
+) -> Option<(Vec<usize>, usize)> {
+    let sizes: Vec<usize> = domains.into_iter().map(Domain::len).collect();
+    let positions: Vec<usize> = (0..sizes.len()).collect();
+    mixed_radix(&positions, &sizes)
+}
+
+/// `tuple` restricted to the positions `emb` — the embedding of an
+/// operand's sorted scope into the parent's, so it is strictly
+/// increasing and is the identity exactly when it covers the whole
+/// tuple, in which case `tuple` is read as is.
+fn restrict<'t>(tuple: &'t [Val], emb: &[usize], buf: &'t mut Vec<Val>) -> &'t [Val] {
+    if emb.len() == tuple.len() {
+        debug_assert!(emb.iter().enumerate().all(|(k, &i)| k == i));
+        return tuple;
+    }
+    buf.clear();
+    buf.extend(emb.iter().map(|&i| tuple[i].clone()));
+    buf
 }
 
 impl<S: Semiring> fmt::Debug for Constraint<S> {
@@ -567,6 +717,7 @@ impl<S: Semiring> fmt::Debug for Constraint<S> {
         let kind = match &self.def {
             Def::Const(v) => format!("const({v:?})"),
             Def::Table(t) => format!("table({} entries)", t.map.len()),
+            Def::Dense(t) => format!("table({} entries)", t.values.len()),
             Def::Func(_) => "fn".to_string(),
             Def::Combined(def) => format!("⊗({} operands)", def.operands.len()),
             Def::Divided(_) => "÷".to_string(),

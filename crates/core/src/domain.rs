@@ -2,13 +2,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{Val, Var};
 
 /// A finite, explicitly enumerated variable domain.
 ///
 /// Values are kept in sorted order without duplicates, so two domains
-/// built from the same values in any order compare equal.
+/// built from the same values in any order compare equal. The values
+/// are shared: a clone (of a [`Domains`] map, or into a materialised
+/// constraint) copies a pointer.
 ///
 /// # Examples
 ///
@@ -22,7 +25,7 @@ use crate::{Val, Var};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Domain {
-    values: Vec<Val>,
+    values: Arc<[Val]>,
 }
 
 impl Domain {
@@ -30,7 +33,9 @@ impl Domain {
     pub fn new(mut values: Vec<Val>) -> Domain {
         values.sort();
         values.dedup();
-        Domain { values }
+        Domain {
+            values: values.into(),
+        }
     }
 
     /// The integer domain over an inclusive range.
@@ -229,8 +234,19 @@ impl Domains {
     ///
     /// Returns [`MissingDomainError`] if any variable has no domain.
     pub fn tuples(&self, vars: &[Var]) -> Result<TupleIter<'_>, MissingDomainError> {
-        let domains: Vec<&Domain> = vars.iter().map(|v| self.get(v)).collect::<Result<_, _>>()?;
-        Ok(TupleIter::new(domains))
+        Ok(TupleIter {
+            cursor: self.cursor(vars)?,
+        })
+    }
+
+    /// The domains of `vars`, in order.
+    pub(crate) fn of(&self, vars: &[Var]) -> Result<Vec<&Domain>, MissingDomainError> {
+        vars.iter().map(|v| self.get(v)).collect()
+    }
+
+    /// A [`Cursor`] over the tuples [`Domains::tuples`] yields.
+    pub(crate) fn cursor(&self, vars: &[Var]) -> Result<Cursor<'_>, MissingDomainError> {
+        Ok(Cursor::new(self.of(vars)?))
     }
 
     /// The number of tuples [`Domains::tuples`] would yield, saturating
@@ -250,51 +266,83 @@ impl Domains {
 /// *last* variable varying fastest. Returned by [`Domains::tuples`].
 #[derive(Debug, Clone)]
 pub struct TupleIter<'a> {
-    domains: Vec<&'a Domain>,
-    indices: Vec<usize>,
-    done: bool,
-}
-
-impl<'a> TupleIter<'a> {
-    fn new(domains: Vec<&'a Domain>) -> TupleIter<'a> {
-        let done = domains.iter().any(|d| d.is_empty());
-        let indices = vec![0; domains.len()];
-        TupleIter {
-            domains,
-            indices,
-            done,
-        }
-    }
+    cursor: Cursor<'a>,
 }
 
 impl<'a> Iterator for TupleIter<'a> {
     type Item = Vec<Val>;
 
     fn next(&mut self) -> Option<Vec<Val>> {
-        if self.done {
-            return None;
+        let tuple = self.cursor.tuple()?.to_vec();
+        self.cursor.advance();
+        Some(tuple)
+    }
+}
+
+/// A walk over the Cartesian product of a list of domains in
+/// [`TupleIter`] order that reuses one index and one value buffer for
+/// every tuple: a step re-clones only the positions that changed.
+///
+/// ```text
+/// let mut cursor = domains.cursor(vars)?;
+/// while let Some(tuple) = cursor.tuple() {
+///     /* read `tuple` and `cursor.indices()` */
+///     cursor.advance();
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub(crate) struct Cursor<'a> {
+    domains: Vec<&'a [Val]>,
+    indices: Vec<usize>,
+    values: Vec<Val>,
+    done: bool,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(domains: Vec<&'a Domain>) -> Cursor<'a> {
+        Cursor::over(domains.into_iter().map(Domain::values).collect())
+    }
+
+    /// A cursor over domains given as sorted value slices.
+    pub(crate) fn over(domains: Vec<&'a [Val]>) -> Cursor<'a> {
+        let done = domains.iter().any(|d| d.is_empty());
+        let values = if done {
+            Vec::new()
+        } else {
+            domains.iter().map(|d| d[0].clone()).collect()
+        };
+        Cursor {
+            indices: vec![0; domains.len()],
+            domains,
+            values,
+            done,
         }
-        let tuple: Vec<Val> = self
-            .indices
-            .iter()
-            .zip(&self.domains)
-            .map(|(&i, d)| d.values()[i].clone())
-            .collect();
-        // Odometer increment, last position fastest.
-        let mut pos = self.indices.len();
-        loop {
-            if pos == 0 {
-                self.done = true;
-                break;
-            }
-            pos -= 1;
+    }
+
+    /// The current tuple, or `None` once the product is exhausted.
+    pub(crate) fn tuple(&self) -> Option<&[Val]> {
+        (!self.done).then_some(self.values.as_slice())
+    }
+
+    /// The current tuple's position in each domain.
+    pub(crate) fn indices(&self) -> &[usize] {
+        &self.indices
+    }
+
+    /// Steps to the next tuple (odometer increment, last position
+    /// fastest).
+    pub(crate) fn advance(&mut self) {
+        for pos in (0..self.indices.len()).rev() {
+            let domain = self.domains[pos];
             self.indices[pos] += 1;
-            if self.indices[pos] < self.domains[pos].len() {
-                break;
+            if self.indices[pos] < domain.len() {
+                self.values[pos] = domain[self.indices[pos]].clone();
+                return;
             }
             self.indices[pos] = 0;
+            self.values[pos] = domain[0].clone();
         }
-        Some(tuple)
+        self.done = true;
     }
 }
 

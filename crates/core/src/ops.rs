@@ -16,12 +16,18 @@
 //! constraint over the union scope that evaluates both operands on
 //! demand (call [`Constraint::materialize`] to pay the enumeration cost
 //! once). Projection is necessarily *eager* — it sums over the
-//! eliminated variables' domains — and therefore needs a [`Domains`]
-//! map and can fail with [`MissingDomainError`].
+//! eliminated variables' domains into a dense table — and therefore
+//! needs a [`Domains`] map and can fail with [`MissingDomainError`].
+//!
+//! Every eager operator walks its tuples with one reusable buffer and
+//! reads a dense table built over the same domains by index, so a
+//! materialised store is folded, compared and projected as a slice.
 
 use softsoa_semiring::{Residuated, Semiring};
 
-use crate::{Constraint, Domains, MissingDomainError, Val, Var};
+use crate::constraint::{row_major, Reader};
+use crate::domain::Cursor;
+use crate::{Constraint, Domain, Domains, MissingDomainError, Var};
 
 /// Positions of each `sub` variable inside `sup` (both sorted).
 ///
@@ -35,13 +41,6 @@ fn embedding(sub: &[Var], sup: &[Var]) -> Vec<usize> {
                 .expect("operand scope must embed in the union scope")
         })
         .collect()
-}
-
-fn union_scope(a: &[Var], b: &[Var]) -> Vec<Var> {
-    let mut scope: Vec<Var> = a.iter().chain(b.iter()).cloned().collect();
-    scope.sort();
-    scope.dedup();
-    scope
 }
 
 /// Merges two sorted, deduplicated scopes in one linear pass, returning
@@ -144,45 +143,41 @@ impl<S: Semiring> Constraint<S> {
         keep: &[Var],
         domains: &Domains,
     ) -> Result<Constraint<S>, MissingDomainError> {
-        let kept: Vec<Var> = self
-            .scope()
-            .iter()
-            .filter(|v| keep.contains(v))
-            .cloned()
+        let scope = self.scope();
+        // Where each kept variable sits in the sorted scope.
+        let kept_idx: Vec<usize> = (0..scope.len())
+            .filter(|&i| keep.contains(&scope[i]))
             .collect();
-        let eliminated: Vec<Var> = self
-            .scope()
-            .iter()
-            .filter(|v| !keep.contains(v))
-            .cloned()
-            .collect();
-        if eliminated.is_empty() {
+        if kept_idx.len() == scope.len() {
             // Nothing to eliminate; materialise for a stable result shape.
             return self.materialize(domains);
         }
         let semiring = self.semiring().clone();
-        // Where each kept/eliminated variable sits in the sorted scope.
-        let kept_idx = embedding(&kept, self.scope());
-        let elim_idx = embedding(&eliminated, self.scope());
-        let elim_tuples: Vec<Vec<Val>> = domains.tuples(&eliminated)?.collect();
-
-        let mut entries = Vec::new();
-        for kept_tuple in domains.tuples(&kept)? {
-            let mut acc = semiring.zero();
-            let mut full = vec![Val::Bool(false); self.scope().len()];
-            for (slot, v) in kept_idx.iter().zip(&kept_tuple) {
-                full[*slot] = v.clone();
-            }
-            for elim_tuple in &elim_tuples {
-                for (slot, v) in elim_idx.iter().zip(elim_tuple) {
-                    full[*slot] = v.clone();
-                }
-                acc = semiring.plus(&acc, &self.eval_tuple(&full));
-            }
-            entries.push((kept_tuple, acc));
+        let scope_domains = domains.of(scope)?;
+        let kept: Vec<Var> = kept_idx.iter().map(|&i| scope[i].clone()).collect();
+        let kept_domains: Vec<Domain> =
+            kept_idx.iter().map(|&i| scope_domains[i].clone()).collect();
+        // The result's dense layout, as strides over the scope's positions.
+        let (strides, cells) =
+            row_major(&kept_domains).expect("projection table size overflows usize");
+        let mut to_kept = vec![0; scope.len()];
+        for (&i, &stride) in kept_idx.iter().zip(&strides) {
+            to_kept[i] = stride;
         }
-        let zero = semiring.zero();
-        let mut projected = Constraint::table(semiring, &kept, entries, zero);
+
+        // One walk over the whole scope: every tuple adds its level to
+        // the cell of its kept sub-tuple. Each cell's summands arrive
+        // in the lexicographic order of the eliminated tuples.
+        let mut reader = Reader::new(self, (0..scope.len()).collect(), scope.len(), domains);
+        let mut values = vec![semiring.zero(); cells];
+        let mut cursor = Cursor::new(scope_domains);
+        while let Some(tuple) = cursor.tuple() {
+            let indices = cursor.indices();
+            let cell: usize = indices.iter().zip(&to_kept).map(|(i, s)| i * s).sum();
+            values[cell] = semiring.plus(&values[cell], &reader.read(indices, tuple));
+            cursor.advance();
+        }
+        let mut projected = Constraint::from_cells(semiring, kept, kept_domains, values);
         if let Some(label) = self.label() {
             projected = projected.with_label(format!("{label}⇓"));
         }
@@ -213,10 +208,17 @@ impl<S: Semiring> Constraint<S> {
     /// Returns [`MissingDomainError`] if a support variable has no
     /// domain.
     pub fn consistency(&self, domains: &Domains) -> Result<S::Value, MissingDomainError> {
-        let semiring = self.semiring().clone();
+        let semiring = self.semiring();
+        if let Some((cells, _)) = self.cells_over(domains) {
+            return Ok(cells
+                .iter()
+                .fold(semiring.zero(), |acc, level| semiring.plus(&acc, level)));
+        }
         let mut acc = semiring.zero();
-        for tuple in domains.tuples(self.scope())? {
-            acc = semiring.plus(&acc, &self.eval_tuple(&tuple));
+        let mut cursor = domains.cursor(self.scope())?;
+        while let Some(tuple) = cursor.tuple() {
+            acc = semiring.plus(&acc, &self.eval_tuple(tuple));
+            cursor.advance();
         }
         Ok(acc)
     }
@@ -243,16 +245,17 @@ impl<S: Semiring> Constraint<S> {
             self.semiring() == other.semiring(),
             "cannot compare constraints over different semirings"
         );
-        let semiring = self.semiring().clone();
-        let scope = union_scope(self.scope(), other.scope());
-        let self_idx = embedding(self.scope(), &scope);
-        let other_idx = embedding(other.scope(), &scope);
-        for tuple in domains.tuples(&scope)? {
-            let st: Vec<Val> = self_idx.iter().map(|&i| tuple[i].clone()).collect();
-            let ot: Vec<Val> = other_idx.iter().map(|&i| tuple[i].clone()).collect();
-            if !semiring.leq(&self.eval_tuple(&st), &other.eval_tuple(&ot)) {
+        let semiring = self.semiring();
+        let (scope, self_idx, other_idx) = merge_scopes(self.scope(), other.scope());
+        let mut cursor = domains.cursor(&scope)?;
+        let mut left = Reader::new(self, self_idx, scope.len(), domains);
+        let mut right = Reader::new(other, other_idx, scope.len(), domains);
+        while let Some(tuple) = cursor.tuple() {
+            let indices = cursor.indices();
+            if !semiring.leq(&left.read(indices, tuple), &right.read(indices, tuple)) {
                 return Ok(false);
             }
+            cursor.advance();
         }
         Ok(true)
     }
@@ -344,7 +347,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Assignment, Domain};
+    use crate::{Assignment, Domain, Val};
     use softsoa_semiring::{Fuzzy, Unit, WeightedInt};
 
     fn doms_xy() -> Domains {

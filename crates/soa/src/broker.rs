@@ -628,12 +628,22 @@ impl<S: Residuated> Broker<S> {
         sigma: &Constraint<S>,
     ) -> Option<(Assignment, S::Value)> {
         let start = self.telemetry.enabled().then(Instant::now);
+        // σ's scope tuple is the value itself (or empty for a constant σ).
+        let unary = match sigma.scope() {
+            [] => false,
+            [v] if v == variable => true,
+            scope => panic!("cannot bind `{variable}` under a store over {scope:?}"),
+        };
         let entries: Vec<(Vec<Val>, S::Value)> = domain
             .values()
             .iter()
             .map(|value| {
-                let eta = Assignment::new().bind(variable.clone(), value.clone());
-                (vec![value.clone()], sigma.eval(&eta))
+                let tuple = if unary {
+                    std::slice::from_ref(value)
+                } else {
+                    &[]
+                };
+                (vec![value.clone()], sigma.eval_tuple(tuple))
             })
             .collect();
         if let Some(start) = start {

@@ -330,9 +330,12 @@ fn worker_loop<S: WireSemiring>(
         }
         match queue.take(TAKE_TICK) {
             Some(pending) => {
-                // A panicking session must not retire its worker: the
-                // unwind drops the stream (the peer sees a close), and
-                // the worker takes the next connection.
+                // A panicking session must not retire its worker. A panic
+                // while handling a request is caught in the session (the
+                // peer reads an `internal` error); this catch is the
+                // backstop for the rest: the unwind drops the stream (the
+                // peer sees a close), and the worker takes the next
+                // connection.
                 let Ok(outcome) =
                     panic::catch_unwind(AssertUnwindSafe(|| run_session(broker, ctx, pending)))
                 else {
@@ -489,7 +492,7 @@ fn wake_target(mut addr: SocketAddr) -> SocketAddr {
 mod tests {
     use super::*;
     use crate::qos::OfferShape;
-    use crate::server::protocol::{NegotiateRequest, Request};
+    use crate::server::protocol::{ErrorCode, NegotiateRequest, Request};
     use crate::server::session::PANIC_CAPABILITY;
     use crate::server::transport::{FrameError, FrameReader};
     use softsoa_semiring::Fuzzy;
@@ -527,9 +530,19 @@ mod tests {
             NegotiationServer::start(Fuzzy, loadgen::seed_providers(1), config, telemetry).unwrap();
         let addr = handle.local_addr();
 
-        // The session panics; the unwind drops the stream, so the peer
-        // sees a close rather than a hang.
-        assert!(exchange(addr, PANIC_CAPABILITY).unwrap().is_none());
+        // The request panics; the peer reads a typed internal error
+        // before the close, rather than a bare close or a hang.
+        let reply = exchange(addr, PANIC_CAPABILITY).unwrap();
+        assert!(
+            matches!(
+                reply,
+                Some(Reply::Error {
+                    code: ErrorCode::Internal,
+                    ..
+                })
+            ),
+            "{reply:?}"
+        );
         // The only worker survived and serves the next session.
         let reply = exchange(addr, "compute").expect("the worker serves the next session");
         assert!(matches!(reply, Some(Reply::Bound { .. })), "{reply:?}");

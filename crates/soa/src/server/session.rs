@@ -7,10 +7,11 @@
 //! PR 3 recovery machinery's `deadline`), so a fault-heavy retry
 //! schedule cannot outlive the session; writes carry a socket timeout
 //! so a peer that stops reading cannot wedge a worker. Whatever
-//! terminates the session, the peer gets a typed reply first when the
-//! wire still allows one.
+//! terminates the session — a panic while handling a request included —
+//! the peer gets a typed reply first when the wire still allows one.
 
 use std::io::Write;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,6 +55,8 @@ pub(crate) enum SessionEnd {
     Aborted,
     /// The transport failed mid-session.
     TransportError,
+    /// Handling a request panicked; the peer got an `internal` error.
+    Panicked,
 }
 
 /// Per-session outcome summary.
@@ -175,15 +178,33 @@ pub(crate) fn run_session<S: WireSemiring>(
             }
         };
 
+        let mut panicked = false;
         let answer = match Request::parse(&frame) {
             Err(detail) => Reply::Error {
                 code: ErrorCode::BadRequest,
                 detail,
             },
-            Ok(request) => dispatch(broker, ctx, request, deadline, conn_id),
+            // A panic below `dispatch` is a server bug: the peer reads a
+            // typed `internal` error before the close, and the worker
+            // keeps serving (its own catch is only the backstop).
+            Ok(request) => panic::catch_unwind(AssertUnwindSafe(|| {
+                dispatch(broker, ctx, request, deadline, conn_id)
+            }))
+            .unwrap_or_else(|_| {
+                panicked = true;
+                Reply::Error {
+                    code: ErrorCode::Internal,
+                    detail: "the request panicked the session".to_string(),
+                }
+            }),
         };
         stats.requests += 1;
-        if !reply(t, &mut writer, &mut stats, answer) {
+        let wrote = reply(t, &mut writer, &mut stats, answer);
+        if panicked {
+            t.incr("server.sessions.panicked");
+            end(&mut stats, SessionEnd::Panicked);
+        }
+        if !wrote || panicked {
             break;
         }
     }
