@@ -74,8 +74,9 @@ impl std::error::Error for UnboundVarError {}
 #[derive(Clone)]
 pub struct Constraint<S: Semiring> {
     semiring: S,
-    /// Sorted, deduplicated support.
-    scope: Vec<Var>,
+    /// Sorted, deduplicated support (shared by clones and by the
+    /// tables a one-pass operator derives from a dense table).
+    scope: Arc<[Var]>,
     def: Def<S>,
     label: Option<Arc<str>>,
 }
@@ -109,14 +110,27 @@ struct Table<S: Semiring> {
 /// value outside its domain reads `0`, as a sparse table's default
 /// does for a missing entry.
 struct Dense<S: Semiring> {
+    /// Shared with every table derived cell by cell from this one.
+    layout: Arc<Layout>,
+    values: Vec<S::Value>,
+}
+
+/// Where each tuple of a dense table sits in its value vector.
+struct Layout {
     /// The domain of each scope variable, in scope order.
     domains: Vec<Domain>,
     /// Mixed-radix strides over `domains` (last fastest).
     strides: Vec<usize>,
-    values: Vec<S::Value>,
 }
 
-impl<S: Semiring> Dense<S> {
+impl Layout {
+    /// The layout over `domains`; `None` when the cell count
+    /// overflows `usize`.
+    fn over(domains: Vec<Domain>) -> Option<(Layout, usize)> {
+        let (strides, cells) = row_major(&domains)?;
+        Some((Layout { domains, strides }, cells))
+    }
+
     /// The cell of `tuple` (in scope order), `None` off the domains.
     fn index(&self, tuple: &[Val]) -> Option<usize> {
         let mut flat = 0;
@@ -173,7 +187,7 @@ impl<S: Semiring> Constraint<S> {
     pub fn constant(semiring: S, value: S::Value) -> Constraint<S> {
         Constraint {
             semiring,
-            scope: Vec::new(),
+            scope: Arc::from([]),
             def: Def::Const(value),
             label: None,
         }
@@ -232,7 +246,7 @@ impl<S: Semiring> Constraint<S> {
             .collect();
         Constraint {
             semiring,
-            scope,
+            scope: scope.into(),
             def: Def::Table(Arc::new(Table { map, default })),
             label: None,
         }
@@ -262,7 +276,7 @@ impl<S: Semiring> Constraint<S> {
         });
         Constraint {
             semiring,
-            scope,
+            scope: scope.into(),
             def: Def::Func(Arc::new(FuncDef {
                 params: vars.to_vec(),
                 perm,
@@ -426,6 +440,7 @@ impl<S: Semiring> Constraint<S> {
                 .cloned()
                 .unwrap_or_else(|| table.default.clone()),
             Def::Dense(dense) => dense
+                .layout
                 .index(tuple)
                 .map_or_else(|| self.semiring.zero(), |i| dense.values[i].clone()),
             Def::Func(func) => match &func.perm {
@@ -482,7 +497,7 @@ impl<S: Semiring> Constraint<S> {
         }
         Constraint {
             semiring,
-            scope,
+            scope: scope.into(),
             def: Def::Combined(Arc::new(CombinedDef { operands })),
             label: None,
         }
@@ -499,7 +514,7 @@ impl<S: Semiring> Constraint<S> {
     ) -> Constraint<S> {
         Constraint {
             semiring,
-            scope,
+            scope: scope.into(),
             def: Def::Divided(Arc::new(DividedDef { left, right, div })),
             label: None,
         }
@@ -597,7 +612,7 @@ impl<S: Semiring> Constraint<S> {
         }
         let domains = scope_domains.into_iter().cloned().collect();
         let mut dense =
-            Constraint::from_cells(self.semiring.clone(), self.scope.clone(), domains, values);
+            Constraint::from_cells(self.semiring.clone(), self.scope.to_vec(), domains, values);
         dense.label = self.label.clone();
         Ok(dense)
     }
@@ -614,18 +629,48 @@ impl<S: Semiring> Constraint<S> {
         domains: Vec<Domain>,
         values: Vec<S::Value>,
     ) -> Constraint<S> {
-        let (strides, cells) = row_major(&domains).expect("a filled table's cell count fits usize");
+        let (layout, cells) =
+            Layout::over(domains).expect("a filled table's cell count fits usize");
         assert_eq!(values.len(), cells, "one level per tuple");
         Constraint {
             semiring,
-            scope,
+            scope: scope.into(),
             def: Def::Dense(Arc::new(Dense {
-                domains,
-                strides,
+                layout: Arc::new(layout),
                 values,
             })),
             label: None,
         }
+    }
+
+    /// The dense table over `scope` (whose domains are
+    /// `scope_domains`) holding `values`, derived cell by cell from
+    /// `self`: when `self` is a dense table over `domains` with the
+    /// same scope, the result shares its scope and layout instead of
+    /// building new ones.
+    pub(crate) fn derive_cells(
+        &self,
+        scope: Vec<Var>,
+        scope_domains: Vec<&Domain>,
+        values: Vec<S::Value>,
+        domains: &Domains,
+    ) -> Constraint<S> {
+        if let Def::Dense(dense) = &self.def {
+            if *self.scope == *scope && self.cells_over(domains).is_some() {
+                debug_assert_eq!(values.len(), dense.values.len(), "one level per tuple");
+                return Constraint {
+                    semiring: self.semiring.clone(),
+                    scope: self.scope.clone(),
+                    def: Def::Dense(Arc::new(Dense {
+                        layout: dense.layout.clone(),
+                        values,
+                    })),
+                    label: None,
+                };
+            }
+        }
+        let scope_domains = scope_domains.into_iter().cloned().collect();
+        Constraint::from_cells(self.semiring.clone(), scope, scope_domains, values)
     }
 
     /// The levels and strides of a dense table built over exactly the
@@ -635,12 +680,13 @@ impl<S: Semiring> Constraint<S> {
         let Def::Dense(dense) = &self.def else {
             return None;
         };
+        let layout = &dense.layout;
         let same = self
             .scope
             .iter()
-            .zip(&dense.domains)
+            .zip(&layout.domains)
             .all(|(v, d)| domains.get(v).is_ok_and(|e| e == d));
-        same.then_some((&dense.values, &dense.strides))
+        same.then_some((&dense.values, &layout.strides))
     }
 }
 

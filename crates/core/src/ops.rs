@@ -22,6 +22,9 @@
 //! Every eager operator walks its tuples with one reusable buffer and
 //! reads a dense table built over the same domains by index, so a
 //! materialised store is folded, compared and projected as a slice.
+//! The one-pass kernels [`Constraint::combine_over`] and
+//! [`Constraint::divide_over`] are the lazy operator followed by
+//! `materialize`, computed in one walk without building the lazy node.
 
 use softsoa_semiring::{Residuated, Semiring};
 
@@ -76,7 +79,131 @@ fn merge_scopes(a: &[Var], b: &[Var]) -> (Vec<Var>, Vec<usize>, Vec<usize>) {
     (scope, emb_a, emb_b)
 }
 
+/// The pointwise operator of the one-pass kernel.
+enum Pointwise<S: Semiring> {
+    /// `⊗`, folded over the flat operands of both sides exactly as a
+    /// lazy combination evaluates (`0` absorbs the rest).
+    Combine,
+    /// `÷`, the semiring's residuation of the left level by the right.
+    Divide(fn(&S, &S::Value, &S::Value) -> S::Value),
+}
+
 impl<S: Semiring> Constraint<S> {
+    /// `(self ∘ other).materialize(domains)`, computed in one walk of
+    /// the union scope that reads each operand as the lazy `∘` node
+    /// would, without building that node (unless the scope is too
+    /// large to tabulate, when the node itself is returned).
+    fn pointwise(
+        &self,
+        other: &Constraint<S>,
+        op: Pointwise<S>,
+        domains: &Domains,
+    ) -> Result<Constraint<S>, MissingDomainError> {
+        let semiring = self.semiring();
+        assert!(
+            semiring == other.semiring(),
+            "cannot operate on constraints over different semirings"
+        );
+        let (scope, self_emb, other_emb) = merge_scopes(self.scope(), other.scope());
+        let scope_domains = domains.of(&scope)?;
+        let Some((_, cells)) = row_major(scope_domains.iter().copied()) else {
+            let (left, right) = ((self.clone(), self_emb), (other.clone(), other_emb));
+            return Ok(match op {
+                Pointwise::Combine => {
+                    Constraint::combined_from(semiring.clone(), scope, vec![left, right])
+                }
+                Pointwise::Divide(div) => {
+                    Constraint::divided_from(semiring.clone(), scope, left, right, div)
+                }
+            });
+        };
+        let arity = scope.len();
+        let mut readers = Vec::new();
+        match op {
+            Pointwise::Combine => {
+                for (side, emb) in [(self, &self_emb), (other, &other_emb)] {
+                    for (c, e) in side.flat_operands() {
+                        let placed = e.iter().map(|&i| emb[i]).collect();
+                        readers.push(Reader::new(c, placed, arity, domains));
+                    }
+                }
+            }
+            Pointwise::Divide(_) => {
+                readers.push(Reader::new(self, self_emb, arity, domains));
+                readers.push(Reader::new(other, other_emb, arity, domains));
+            }
+        }
+        let mut values = Vec::with_capacity(cells);
+        let mut cursor = Cursor::new(scope_domains.clone());
+        while let Some(tuple) = cursor.tuple() {
+            let indices = cursor.indices();
+            values.push(match op {
+                Pointwise::Combine => {
+                    let mut acc = semiring.one();
+                    for reader in &mut readers {
+                        if semiring.is_zero(&acc) {
+                            break;
+                        }
+                        acc = semiring.times(&acc, &reader.read(indices, tuple));
+                    }
+                    acc
+                }
+                Pointwise::Divide(div) => {
+                    let left = readers[0].read(indices, tuple);
+                    div(semiring, &left, &readers[1].read(indices, tuple))
+                }
+            });
+            cursor.advance();
+        }
+        Ok(self.derive_cells(scope, scope_domains, values, domains))
+    }
+
+    /// The materialised combination: equal to
+    /// `self.combine(other).materialize(domains)`, computed in one walk
+    /// of the union scope without building the lazy node. When `self`
+    /// is a dense table over `domains` and `other`'s scope lies inside
+    /// `self`'s, the walk is over `self`'s cells and the result shares
+    /// its scope and layout.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MissingDomainError`] if a variable of the union scope
+    /// has no domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two constraints are valued in different semirings.
+    pub fn combine_over(
+        &self,
+        other: &Constraint<S>,
+        domains: &Domains,
+    ) -> Result<Constraint<S>, MissingDomainError> {
+        self.pointwise(other, Pointwise::Combine, domains)
+    }
+
+    /// The materialised division: equal to
+    /// `self.divide(other).materialize(domains)`, in one walk (see
+    /// [`Constraint::combine_over`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MissingDomainError`] if a variable of the union scope
+    /// has no domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two constraints are valued in different semirings.
+    pub fn divide_over(
+        &self,
+        other: &Constraint<S>,
+        domains: &Domains,
+    ) -> Result<Constraint<S>, MissingDomainError>
+    where
+        S: Residuated,
+    {
+        self.pointwise(other, Pointwise::Divide(<S as Residuated>::div), domains)
+    }
+
     /// The combination `self ⊗ other`: `(c1 ⊗ c2)η = c1η × c2η`.
     ///
     /// The support of the result is the union of the supports. The

@@ -88,6 +88,21 @@ impl<S: Semiring> Guard<S> {
     pub fn kind(&self) -> GuardKind {
         self.kind
     }
+
+    /// The constraint asked (or nasked) for.
+    pub fn constraint(&self) -> &Constraint<S> {
+        &self.constraint
+    }
+
+    /// The consistency interval guarding the branch.
+    pub fn check(&self) -> &Interval<S> {
+        &self.check
+    }
+
+    /// The continuation agent.
+    pub fn then(&self) -> &Agent<S> {
+        &self.then
+    }
 }
 
 /// An `nmsccp` agent (Fig. 2).

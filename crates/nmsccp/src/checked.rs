@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use softsoa_core::Constraint;
+use softsoa_core::{Constraint, Domains};
 use softsoa_semiring::Semiring;
 
 use crate::{Store, StoreError};
@@ -158,19 +158,38 @@ impl<S: Semiring> Interval<S> {
     /// Returns [`StoreError::MissingDomain`] if a support variable has
     /// no domain.
     pub fn check(&self, store: &Store<S>) -> Result<bool, StoreError> {
-        let semiring = store.semiring().clone();
+        self.decide(
+            store.semiring(),
+            store.domains(),
+            || store.consistency(),
+            || Ok(store.sigma().clone()),
+        )
+    }
+
+    /// [`Interval::check`] on a store known only by its level and its
+    /// `σ`, so that a prospective store need not be built: `level` runs
+    /// only for a level threshold that can fail, `sigma` only for a
+    /// constraint threshold. A lower level `0` and an upper level `1`
+    /// hold of every store (they bound the carrier), so
+    /// [`Interval::any`] reads neither.
+    pub(crate) fn decide(
+        &self,
+        semiring: &S,
+        domains: &Domains,
+        level: impl Fn() -> Result<S::Value, StoreError>,
+        sigma: impl Fn() -> Result<Constraint<S>, StoreError>,
+    ) -> Result<bool, StoreError> {
         let lower_ok = match &self.lower {
-            Bound::Level(a1) => !semiring.lt(&store.consistency()?, a1),
-            Bound::Constraint(phi1) => store.geq(phi1)?,
+            Bound::Level(a1) if semiring.is_zero(a1) => true,
+            Bound::Level(a1) => !semiring.lt(&level()?, a1),
+            Bound::Constraint(phi1) => phi1.leq(&sigma()?, domains)?,
         };
-        if !lower_ok {
-            return Ok(false);
-        }
-        let upper_ok = match &self.upper {
-            Bound::Level(a2) => !semiring.lt(a2, &store.consistency()?),
-            Bound::Constraint(phi2) => store.leq(phi2)?,
-        };
-        Ok(upper_ok)
+        Ok(lower_ok
+            && match &self.upper {
+                Bound::Level(a2) if *a2 == semiring.one() => true,
+                Bound::Level(a2) => !semiring.lt(a2, &level()?),
+                Bound::Constraint(phi2) => sigma()?.leq(phi2, domains)?,
+            })
     }
 
     /// Validates the parenthesised side conditions of Fig. 3: the

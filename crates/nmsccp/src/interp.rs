@@ -5,8 +5,9 @@ use rand::{Rng, SeedableRng};
 use softsoa_semiring::{Residuated, Semiring};
 use softsoa_telemetry::Telemetry;
 
-use crate::semantics::{enabled, FreshGen, Rule, SemanticsError};
-use crate::{Agent, Program, Store};
+use crate::resilience::RecoveryState;
+use crate::semantics::{moves, FreshGen, Rule, SemanticsError};
+use crate::{Agent, FaultAction, FaultStatus, Program, RecoveryPolicy, Store, TimedAction};
 
 /// How the interpreter picks among enabled transitions.
 ///
@@ -272,6 +273,93 @@ impl<S: Residuated> Interpreter<S> {
     /// Returns [`SemanticsError`] on missing domains, unknown
     /// procedures, arity mismatches or unproductive recursion.
     pub fn run(&self, agent: Agent<S>, store: Store<S>) -> Result<RunReport<S>, SemanticsError> {
+        let run = StepLoop {
+            program: &self.program,
+            policy: self.policy,
+            max_steps: self.max_steps,
+            schedule: Vec::new(),
+            recovery: None,
+            telemetry: &self.telemetry,
+        }
+        .run(agent, store)?;
+        emit_run(&self.telemetry, &run.report);
+        Ok(run.report)
+    }
+}
+
+/// An event the step loop fires before the transition of its step: an
+/// environment action of a timed run ([`crate::TimedEvent`]) or an
+/// injected fault of a resilient one ([`crate::FaultEvent`]). Each
+/// firing takes one step and leaves one trace entry.
+pub(crate) enum Event<'p, S: Semiring> {
+    /// A scheduled `tell`/`retract` of the environment.
+    Timed(&'p TimedAction<S>),
+    /// A fault.
+    Fault(&'p FaultAction<S>),
+}
+
+/// What firing an event did.
+pub(crate) struct Fired {
+    /// The rule its trace entry carries.
+    pub(crate) rule: Rule,
+    /// Its trace note.
+    pub(crate) note: String,
+    /// Whether it applied or was skipped.
+    pub(crate) status: FaultStatus,
+    /// Whether the store changed (the invariant is then re-checked).
+    pub(crate) mutated: bool,
+    /// Whether it swallows the next chosen transition.
+    pub(crate) drops_next: bool,
+}
+
+/// The one sequential step loop: [`Interpreter`], [`TimedInterpreter`]
+/// and [`ResilientInterpreter`] are configurations of it.
+///
+/// At each step it fires the events due, then lists the enabled
+/// [`moves`], picks one under `policy` and builds only that move's
+/// successor; a dropped transition builds nothing. With a `recovery`
+/// policy a blocked configuration retries and relaxes, and the
+/// declared interval is kept by checkpoint and rollback.
+///
+/// [`TimedInterpreter`]: crate::TimedInterpreter
+/// [`ResilientInterpreter`]: crate::ResilientInterpreter
+pub(crate) struct StepLoop<'p, S: Semiring> {
+    pub(crate) program: &'p Program<S>,
+    pub(crate) policy: Policy,
+    pub(crate) max_steps: usize,
+    /// `(declaration index, step, event)`, sorted by step, then index.
+    pub(crate) schedule: Vec<(usize, usize, Event<'p, S>)>,
+    pub(crate) recovery: Option<&'p RecoveryPolicy<S>>,
+    pub(crate) telemetry: &'p Telemetry,
+}
+
+/// What the step loop leaves behind: the run report, the fate of every
+/// event that fired, and the recovery counters.
+pub(crate) struct Run<S: Semiring> {
+    pub(crate) report: RunReport<S>,
+    /// `(declaration index, status)` in firing order.
+    pub(crate) log: Vec<(usize, FaultStatus)>,
+    pub(crate) dropped_transitions: usize,
+    pub(crate) retries: usize,
+    pub(crate) rollbacks: usize,
+    pub(crate) relaxations: usize,
+    pub(crate) violations: usize,
+}
+
+impl<'p, S: Residuated> StepLoop<'p, S> {
+    /// Sorts `(declaration index, step, event)` triples into a
+    /// schedule: by step, and in declaration order within a step.
+    pub(crate) fn schedule(
+        events: impl IntoIterator<Item = (usize, usize, Event<'p, S>)>,
+    ) -> Vec<(usize, usize, Event<'p, S>)> {
+        let mut schedule: Vec<_> = events.into_iter().collect();
+        schedule.sort_by_key(|&(index, at_step, _)| (at_step, index));
+        schedule
+    }
+
+    /// Runs `agent` on `store` to success, deadlock, fuel exhaustion
+    /// or the session deadline.
+    pub(crate) fn run(&self, agent: Agent<S>, store: Store<S>) -> Result<Run<S>, SemanticsError> {
         let mut rng = match self.policy {
             Policy::First | Policy::RoundRobin => None,
             Policy::Random(seed) => Some(StdRng::seed_from_u64(seed)),
@@ -280,47 +368,159 @@ impl<S: Residuated> Interpreter<S> {
         let mut agent = agent.normalize();
         let mut store = store;
         let mut trace = Vec::new();
-        let mut steps = 0;
+        let mut steps = 0usize;
+        let mut next_event = 0usize;
+        let mut log = Vec::new();
+        let mut dropped_transitions = 0usize;
+        let mut retries = 0usize;
+        let mut retry_attempt = 0usize;
+        let mut drop_pending = false;
+        let mut rec = RecoveryState::new(self.recovery);
 
-        let finish = |outcome, steps, trace| {
-            let report = RunReport {
-                outcome,
-                steps,
-                trace,
-            };
-            emit_run(&self.telemetry, &report);
-            Ok(report)
-        };
-        loop {
+        // Arm the initial checkpoint if the empty-run store already
+        // satisfies the invariant.
+        rec.ensure_invariant(&mut agent, &mut store, &mut steps, &mut trace, true)?;
+
+        let outcome = loop {
+            // 1. Fire due events (each costs a step).
+            while let Some((index, at_step, event)) = self.schedule.get(next_event) {
+                if *at_step > steps {
+                    break;
+                }
+                next_event += 1;
+                let (fired, origin) = match event {
+                    Event::Timed(action) => (action.fire(&mut store)?, EntryOrigin::Environment),
+                    Event::Fault(action) => {
+                        (action.fire(&mut agent, &mut store)?, EntryOrigin::Fault)
+                    }
+                };
+                drop_pending |= fired.drops_next;
+                trace.push(TraceEntry {
+                    step: steps,
+                    rule: fired.rule,
+                    note: fired.note,
+                    consistency: store.consistency()?,
+                    enabled: 0,
+                    origin,
+                });
+                log.push((*index, fired.status));
+                steps += 1;
+                if fired.mutated {
+                    rec.ensure_invariant(&mut agent, &mut store, &mut steps, &mut trace, false)?;
+                }
+            }
+
             if agent.is_success() {
-                return finish(Outcome::Success { store }, steps, trace);
+                break Outcome::Success { store };
+            }
+            if self
+                .recovery
+                .and_then(|r| r.deadline)
+                .is_some_and(|d| steps >= d)
+            {
+                break Outcome::DeadlineExceeded { store, agent };
             }
             if steps >= self.max_steps {
-                return finish(Outcome::OutOfFuel { store, agent }, steps, trace);
+                break Outcome::OutOfFuel { store, agent };
             }
-            let transitions = enabled(&self.program, &agent, &store, &mut fresh)?;
-            if transitions.is_empty() {
-                return finish(Outcome::Deadlock { store, agent }, steps, trace);
-            }
-            let count = transitions.len();
-            let index = match (&self.policy, &mut rng) {
-                (Policy::RoundRobin, _) => steps % count,
-                (_, Some(rng)) => rng.random_range(0..count),
-                _ => 0,
+
+            // 2. Choose a move, then build only that one.
+            let taken = {
+                let mut moves = moves(self.program, &agent, &store, &mut fresh)?;
+                let count = moves.len();
+                if count == 0 {
+                    None
+                } else {
+                    let index = match (&self.policy, &mut rng) {
+                        (Policy::RoundRobin, _) => steps % count,
+                        (_, Some(rng)) => rng.random_range(0..count),
+                        _ => 0,
+                    };
+                    let chosen = moves.swap_remove(index);
+                    if drop_pending {
+                        // The armed fault swallows the chosen transition:
+                        // nothing is built and the configuration does
+                        // not move.
+                        drop_pending = false;
+                        dropped_transitions += 1;
+                        trace.push(TraceEntry {
+                            step: steps,
+                            rule: chosen.rule(),
+                            note: format!("fault: dropped {chosen}"),
+                            consistency: store.consistency()?,
+                            enabled: count,
+                            origin: EntryOrigin::Fault,
+                        });
+                        steps += 1;
+                        continue;
+                    }
+                    Some((chosen.build(&store)?, count))
+                }
             };
-            let chosen = transitions.into_iter().nth(index).expect("index in range");
+            let Some((taken, count)) = taken else {
+                if let Some((_, at_step, _)) = self.schedule.get(next_event) {
+                    // Suspended, but events still pend: advance the clock
+                    // to the next one — it may unblock us.
+                    steps = steps.max(*at_step);
+                    continue;
+                }
+                let Some(recovery) = self.recovery else {
+                    break Outcome::Deadlock { store, agent };
+                };
+                if retry_attempt < recovery.max_retries {
+                    retry_attempt += 1;
+                    retries += 1;
+                    let wait = recovery.retry_wait(retry_attempt, steps);
+                    self.telemetry
+                        .observe("nmsccp.recovery.backoff_wait", wait as u64);
+                    steps = steps.saturating_add(wait);
+                    trace.push(TraceEntry {
+                        step: steps,
+                        rule: Rule::Ask,
+                        note: format!(
+                            "recovery: retry {retry_attempt} after {wait}-step suspension"
+                        ),
+                        consistency: store.consistency()?,
+                        enabled: 0,
+                        origin: EntryOrigin::Recovery,
+                    });
+                    continue;
+                }
+                // Retries exhausted: degrade gracefully, one rung at a
+                // time, with a fresh retry budget per rung.
+                if rec.apply_next_rung(&mut store, &mut steps, &mut trace)? {
+                    retry_attempt = 0;
+                    continue;
+                }
+                break Outcome::Deadlock { store, agent };
+            };
             trace.push(TraceEntry {
                 step: steps,
-                rule: chosen.rule,
-                note: chosen.note,
-                consistency: chosen.store.consistency()?,
+                rule: taken.rule,
+                note: taken.note,
+                consistency: taken.store.consistency()?,
                 enabled: count,
                 origin: EntryOrigin::Agent,
             });
-            agent = chosen.agent.normalize();
-            store = chosen.store;
+            agent = taken.agent.normalize();
+            store = taken.store;
             steps += 1;
-        }
+            retry_attempt = 0;
+            rec.ensure_invariant(&mut agent, &mut store, &mut steps, &mut trace, true)?;
+        };
+        Ok(Run {
+            report: RunReport {
+                outcome,
+                steps,
+                trace,
+            },
+            log,
+            dropped_transitions,
+            retries,
+            rollbacks: rec.rollbacks,
+            relaxations: rec.relaxations,
+            violations: rec.violations,
+        })
     }
 }
 

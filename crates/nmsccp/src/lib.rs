@@ -10,7 +10,7 @@
 //! |---|---|
 //! | agent syntax `A` | [`Agent`] |
 //! | checked transitions C1–C4 (Fig. 3) | [`Interval`], [`Bound`] |
-//! | transition rules R1–R10 (Fig. 4) | [`enabled`] in [`semantics`] |
+//! | transition rules R1–R10 (Fig. 4) | [`moves`] and [`enabled`] in [`semantics`] |
 //! | the store `σ` | [`Store`] |
 //! | programs `F.A` | [`Program`], [`parse_program`] |
 //!
@@ -95,6 +95,6 @@ pub use resilience::{
     FaultAction, FaultEvent, FaultPalette, FaultPlan, FaultStatus, RecoveryPolicy,
     ResilienceReport, ResilientInterpreter,
 };
-pub use semantics::{enabled, FreshGen, Rule, SemanticsError, Transition};
+pub use semantics::{enabled, moves, FreshGen, Move, Rule, SemanticsError, Transition};
 pub use store::{Store, StoreError};
 pub use timed::{EventStatus, TimedAction, TimedEvent, TimedInterpreter, TimedRunReport};

@@ -29,11 +29,10 @@ use softsoa_core::Constraint;
 use softsoa_semiring::{Residuated, Semiring};
 use softsoa_telemetry::Telemetry;
 
-use crate::interp::emit_run;
-use crate::semantics::{enabled, FreshGen, Rule, SemanticsError};
+use crate::interp::{emit_run, Event, Fired, StepLoop};
+use crate::semantics::{Rule, SemanticsError};
 use crate::{
-    Agent, EntryOrigin, Interval, Outcome, Policy, Program, RunReport, Store, StoreError,
-    TraceEntry,
+    Agent, EntryOrigin, Interval, Policy, Program, RunReport, Store, StoreError, TraceEntry,
 };
 
 /// A fault the environment can inject into a running configuration.
@@ -213,9 +212,9 @@ pub struct RecoveryPolicy<S: Semiring> {
     /// never allowed to sleep past it: the idle wait is clamped to the
     /// steps remaining, and once the clock reaches the deadline with
     /// agents still pending the run ends with
-    /// [`Outcome::DeadlineExceeded`] instead of retrying into a dead
-    /// session. `None` leaves the session unbounded (the `max_steps`
-    /// fuel budget still applies).
+    /// [`Outcome::DeadlineExceeded`](crate::Outcome::DeadlineExceeded)
+    /// instead of retrying into a dead session. `None` leaves the
+    /// session unbounded (the `max_steps` fuel budget still applies).
     pub deadline: Option<usize>,
 }
 
@@ -267,20 +266,50 @@ impl<S: Semiring> ResilienceReport<S> {
     }
 }
 
+impl<S: Semiring> RecoveryPolicy<S> {
+    /// The idle wait of retry `attempt` (from 1) at step `steps`:
+    /// `guard_deadline + backoff_base · 2^(attempt−1)`, saturating at
+    /// [`MAX_RETRY_WAIT`] (a `1 << attempt` shift is otherwise
+    /// undefined past 63 attempts), and never sleeping past the
+    /// session deadline: the final wait is clamped to the steps
+    /// remaining, and the step loop then ends the run with
+    /// `DeadlineExceeded` if the retry still finds the configuration
+    /// blocked.
+    pub(crate) fn retry_wait(&self, attempt: usize, steps: usize) -> usize {
+        let exp = u32::try_from(attempt - 1).unwrap_or(u32::MAX);
+        let base = self.backoff_base;
+        let backoff = if base == 0 || exp <= base.leading_zeros() {
+            base.checked_shl(exp).unwrap_or(usize::MAX)
+        } else {
+            usize::MAX
+        };
+        let wait = self
+            .guard_deadline
+            .saturating_add(backoff)
+            .min(MAX_RETRY_WAIT);
+        match self.deadline {
+            Some(deadline) => wait.min(deadline.saturating_sub(steps)),
+            None => wait,
+        }
+    }
+}
+
 /// Tracks checkpoint, ladder position and recovery counters during a
-/// resilient run.
-struct RecoveryState<S: Semiring> {
+/// run of the step loop; without a [`RecoveryPolicy`] it does nothing.
+pub(crate) struct RecoveryState<'p, S: Semiring> {
+    policy: Option<&'p RecoveryPolicy<S>>,
     checkpoint: Option<(Agent<S>, Store<S>)>,
     next_rung: usize,
-    rollbacks: usize,
-    relaxations: usize,
-    violations: usize,
+    pub(crate) rollbacks: usize,
+    pub(crate) relaxations: usize,
+    pub(crate) violations: usize,
     unrecovered_logged: bool,
 }
 
-impl<S: Residuated> RecoveryState<S> {
-    fn new() -> RecoveryState<S> {
+impl<'p, S: Residuated> RecoveryState<'p, S> {
+    pub(crate) fn new(policy: Option<&'p RecoveryPolicy<S>>) -> RecoveryState<'p, S> {
         RecoveryState {
+            policy,
             checkpoint: None,
             next_rung: 0,
             rollbacks: 0,
@@ -291,24 +320,25 @@ impl<S: Residuated> RecoveryState<S> {
     }
 
     /// Retracts the next entailed rung of the ladder, if any.
-    fn apply_next_rung(
+    pub(crate) fn apply_next_rung(
         &mut self,
-        recovery: &RecoveryPolicy<S>,
         store: &mut Store<S>,
         steps: &mut usize,
         trace: &mut Vec<TraceEntry<S>>,
     ) -> Result<bool, SemanticsError> {
-        while self.next_rung < recovery.relaxations.len() {
-            let rung = recovery.relaxations[self.next_rung].clone();
+        let Some(recovery) = self.policy else {
+            return Ok(false);
+        };
+        while let Some(rung) = recovery.relaxations.get(self.next_rung) {
             self.next_rung += 1;
-            match store.retract(&rung) {
+            match store.retract(rung) {
                 Ok(next) => {
                     *store = next;
                     self.relaxations += 1;
                     trace.push(TraceEntry {
                         step: *steps,
                         rule: Rule::Retract,
-                        note: format!("recovery: relax({})", label(&rung)),
+                        note: format!("recovery: relax({})", label(rung)),
                         consistency: store.consistency()?,
                         enabled: 0,
                         origin: EntryOrigin::Recovery,
@@ -328,19 +358,18 @@ impl<S: Residuated> RecoveryState<S> {
     /// a violation: restore the checkpoint if one is armed, otherwise
     /// relax rung by rung until the interval is re-entered, otherwise
     /// record (once) that the violation is unrecoverable and carry on.
-    fn ensure_invariant(
+    pub(crate) fn ensure_invariant(
         &mut self,
-        recovery: &RecoveryPolicy<S>,
         agent: &mut Agent<S>,
         store: &mut Store<S>,
         steps: &mut usize,
         trace: &mut Vec<TraceEntry<S>>,
         arm_checkpoint: bool,
     ) -> Result<(), SemanticsError> {
-        let Some(interval) = &recovery.invariant else {
+        let Some(interval) = self.policy.and_then(|r| r.invariant.as_ref()) else {
             return Ok(());
         };
-        if interval.check(store).map_err(SemanticsError::from)? {
+        if interval.check(store)? {
             if arm_checkpoint {
                 self.checkpoint = Some((agent.clone(), store.clone()));
             }
@@ -363,10 +392,10 @@ impl<S: Residuated> RecoveryState<S> {
             return Ok(());
         }
         loop {
-            if interval.check(store).map_err(SemanticsError::from)? {
+            if interval.check(store)? {
                 return Ok(());
             }
-            if !self.apply_next_rung(recovery, store, steps, trace)? {
+            if !self.apply_next_rung(store, steps, trace)? {
                 if !self.unrecovered_logged {
                     self.unrecovered_logged = true;
                     trace.push(TraceEntry {
@@ -385,12 +414,64 @@ impl<S: Residuated> RecoveryState<S> {
     }
 }
 
-/// How a resilient run ended (internal; converted to [`Outcome`]).
-enum End {
-    Success,
-    OutOfFuel,
-    Deadlock,
-    DeadlineExceeded,
+impl<S: Residuated> FaultAction<S> {
+    /// Injects the fault into `⟨agent, store⟩`.
+    pub(crate) fn fire(
+        &self,
+        agent: &mut Agent<S>,
+        store: &mut Store<S>,
+    ) -> Result<Fired, SemanticsError> {
+        use FaultStatus::{Applied, SkippedNoBranch, SkippedNotEntailed};
+        let (status, rule, note, mutated) = match self {
+            FaultAction::DropTransition => (
+                Applied,
+                Rule::Tell,
+                "fault: drop next transition".to_string(),
+                false,
+            ),
+            FaultAction::Corrupt(c) => {
+                *store = store.tell(c)?;
+                let note = format!("fault: corrupt({})", label(c));
+                (Applied, Rule::Tell, note, true)
+            }
+            FaultAction::Degrade(v) => {
+                *store = store.attenuate(v)?;
+                (Applied, Rule::Tell, format!("fault: degrade({v:?})"), true)
+            }
+            FaultAction::CrashBranch(i) => {
+                let leaves = par_leaf_count(agent);
+                if leaves <= 1 {
+                    let note = "fault: crash branch skipped (no parallel branch)".to_string();
+                    (SkippedNoBranch, Rule::Tell, note, false)
+                } else {
+                    let target = i % leaves;
+                    let crashed = crash_leaf(std::mem::replace(agent, Agent::Success), target);
+                    *agent = crashed.normalize();
+                    let note = format!("fault: crash branch {target} of {leaves}");
+                    (Applied, Rule::Tell, note, false)
+                }
+            }
+            FaultAction::Unconstrain(c) => match store.retract(c) {
+                Ok(next) => {
+                    *store = next;
+                    let note = format!("fault: unconstrain({})", label(c));
+                    (Applied, Rule::Retract, note, true)
+                }
+                Err(StoreError::NotEntailed) => {
+                    let note = format!("fault: unconstrain({}) skipped", label(c));
+                    (SkippedNotEntailed, Rule::Retract, note, false)
+                }
+                Err(e) => return Err(e.into()),
+            },
+        };
+        Ok(Fired {
+            rule,
+            note,
+            status,
+            mutated,
+            drops_next: matches!(self, FaultAction::DropTransition),
+        })
+    }
 }
 
 /// An interpreter that injects a [`FaultPlan`] into a run and applies
@@ -512,269 +593,36 @@ impl<S: Residuated> ResilientInterpreter<S> {
         agent: Agent<S>,
         store: Store<S>,
     ) -> Result<ResilienceReport<S>, SemanticsError> {
-        let mut rng = match self.policy {
-            Policy::First | Policy::RoundRobin => None,
-            Policy::Random(seed) => Some(StdRng::seed_from_u64(seed)),
-        };
-        let mut fresh = FreshGen::new();
-        let mut agent = agent.normalize();
-        let mut store = store;
-        let mut trace = Vec::new();
-        let mut steps = 0usize;
-
-        let mut schedule: Vec<(usize, &FaultEvent<S>)> =
-            self.plan.events.iter().enumerate().collect();
-        schedule.sort_by_key(|(i, e)| (e.at_step, *i));
-        let mut next_fault = 0usize;
-
-        let mut fault_log = Vec::new();
-        let mut faults_injected = 0usize;
-        let mut dropped_transitions = 0usize;
-        let mut retries = 0usize;
-        let mut retry_attempt = 0usize;
-        let mut drop_pending = false;
-        let mut rec = RecoveryState::new();
-
-        // Arm the initial checkpoint if the empty-run store already
-        // satisfies the invariant.
-        rec.ensure_invariant(
-            &self.recovery,
-            &mut agent,
-            &mut store,
-            &mut steps,
-            &mut trace,
-            true,
-        )?;
-
-        let end = loop {
-            // 1. Inject due faults (each costs a step, like a timed
-            //    event).
-            while next_fault < schedule.len() && schedule[next_fault].1.at_step <= steps {
-                let (event_index, event) = schedule[next_fault];
-                next_fault += 1;
-                let mut mutated = false;
-                let (status, rule, note) = match &event.action {
-                    FaultAction::DropTransition => {
-                        drop_pending = true;
-                        (
-                            FaultStatus::Applied,
-                            Rule::Tell,
-                            "fault: drop next transition".to_string(),
-                        )
-                    }
-                    FaultAction::Corrupt(c) => {
-                        store = store.tell(c)?;
-                        mutated = true;
-                        (
-                            FaultStatus::Applied,
-                            Rule::Tell,
-                            format!("fault: corrupt({})", label(c)),
-                        )
-                    }
-                    FaultAction::Degrade(v) => {
-                        store = store.attenuate(v)?;
-                        mutated = true;
-                        (
-                            FaultStatus::Applied,
-                            Rule::Tell,
-                            format!("fault: degrade({v:?})"),
-                        )
-                    }
-                    FaultAction::CrashBranch(i) => {
-                        let leaves = par_leaf_count(&agent);
-                        if leaves <= 1 {
-                            (
-                                FaultStatus::SkippedNoBranch,
-                                Rule::Tell,
-                                "fault: crash branch skipped (no parallel branch)".to_string(),
-                            )
-                        } else {
-                            let target = i % leaves;
-                            agent = crash_leaf(agent, target).normalize();
-                            (
-                                FaultStatus::Applied,
-                                Rule::Tell,
-                                format!("fault: crash branch {target} of {leaves}"),
-                            )
-                        }
-                    }
-                    FaultAction::Unconstrain(c) => match store.retract(c) {
-                        Ok(next) => {
-                            store = next;
-                            mutated = true;
-                            (
-                                FaultStatus::Applied,
-                                Rule::Retract,
-                                format!("fault: unconstrain({})", label(c)),
-                            )
-                        }
-                        Err(StoreError::NotEntailed) => (
-                            FaultStatus::SkippedNotEntailed,
-                            Rule::Retract,
-                            format!("fault: unconstrain({}) skipped", label(c)),
-                        ),
-                        Err(e) => return Err(e.into()),
-                    },
-                };
-                if status == FaultStatus::Applied {
-                    faults_injected += 1;
-                }
-                trace.push(TraceEntry {
-                    step: steps,
-                    rule,
-                    note,
-                    consistency: store.consistency()?,
-                    enabled: 0,
-                    origin: EntryOrigin::Fault,
-                });
-                fault_log.push((event_index, status));
-                steps += 1;
-                if mutated {
-                    rec.ensure_invariant(
-                        &self.recovery,
-                        &mut agent,
-                        &mut store,
-                        &mut steps,
-                        &mut trace,
-                        false,
-                    )?;
-                }
-            }
-
-            if agent.is_success() {
-                break End::Success;
-            }
-            if self.recovery.deadline.is_some_and(|d| steps >= d) {
-                break End::DeadlineExceeded;
-            }
-            if steps >= self.max_steps {
-                break End::OutOfFuel;
-            }
-
-            let transitions = enabled(&self.program, &agent, &store, &mut fresh)?;
-            if transitions.is_empty() {
-                if next_fault < schedule.len() {
-                    // Suspended, but faults still pend: advance the
-                    // clock to the next one — it may unblock us.
-                    steps = steps.max(schedule[next_fault].1.at_step);
-                    continue;
-                }
-                if retry_attempt < self.recovery.max_retries {
-                    // Per-guard deadline: idle, then retry with
-                    // deterministic exponential backoff, saturating
-                    // at MAX_RETRY_WAIT (a `1 << attempt` shift is
-                    // otherwise undefined past 63 attempts).
-                    retry_attempt += 1;
-                    retries += 1;
-                    let exp = u32::try_from(retry_attempt - 1).unwrap_or(u32::MAX);
-                    let base = self.recovery.backoff_base;
-                    let backoff = if base == 0 || exp <= base.leading_zeros() {
-                        base.checked_shl(exp).unwrap_or(usize::MAX)
-                    } else {
-                        usize::MAX
-                    };
-                    let mut wait = self
-                        .recovery
-                        .guard_deadline
-                        .saturating_add(backoff)
-                        .min(MAX_RETRY_WAIT);
-                    if let Some(deadline) = self.recovery.deadline {
-                        // Never sleep past the session deadline: the
-                        // final wait is clamped to the steps remaining
-                        // (the top of the loop then ends the run with
-                        // `DeadlineExceeded` if the retry still finds
-                        // the configuration blocked).
-                        wait = wait.min(deadline.saturating_sub(steps));
-                    }
-                    self.telemetry
-                        .observe("nmsccp.recovery.backoff_wait", wait as u64);
-                    steps = steps.saturating_add(wait);
-                    trace.push(TraceEntry {
-                        step: steps,
-                        rule: Rule::Ask,
-                        note: format!(
-                            "recovery: retry {retry_attempt} after {wait}-step suspension"
-                        ),
-                        consistency: store.consistency()?,
-                        enabled: 0,
-                        origin: EntryOrigin::Recovery,
-                    });
-                    continue;
-                }
-                // Retries exhausted: degrade gracefully, one rung at a
-                // time, with a fresh retry budget per rung.
-                if rec.apply_next_rung(&self.recovery, &mut store, &mut steps, &mut trace)? {
-                    retry_attempt = 0;
-                    continue;
-                }
-                break End::Deadlock;
-            }
-
-            let count = transitions.len();
-            let index = match (&self.policy, &mut rng) {
-                (Policy::RoundRobin, _) => steps % count,
-                (_, Some(rng)) => rng.random_range(0..count),
-                _ => 0,
-            };
-            let chosen = transitions.into_iter().nth(index).expect("index in range");
-            if drop_pending {
-                // The armed fault swallows the chosen transition: the
-                // configuration does not move.
-                drop_pending = false;
-                dropped_transitions += 1;
-                trace.push(TraceEntry {
-                    step: steps,
-                    rule: chosen.rule,
-                    note: format!("fault: dropped {}", chosen.note),
-                    consistency: store.consistency()?,
-                    enabled: count,
-                    origin: EntryOrigin::Fault,
-                });
-                steps += 1;
-                continue;
-            }
-            trace.push(TraceEntry {
-                step: steps,
-                rule: chosen.rule,
-                note: chosen.note,
-                consistency: chosen.store.consistency()?,
-                enabled: count,
-                origin: EntryOrigin::Agent,
-            });
-            agent = chosen.agent.normalize();
-            store = chosen.store;
-            steps += 1;
-            retry_attempt = 0;
-            rec.ensure_invariant(
-                &self.recovery,
-                &mut agent,
-                &mut store,
-                &mut steps,
-                &mut trace,
-                true,
-            )?;
-        };
-
-        let final_consistency = store.consistency()?;
-        let outcome = match end {
-            End::Success => Outcome::Success { store },
-            End::OutOfFuel => Outcome::OutOfFuel { store, agent },
-            End::Deadlock => Outcome::Deadlock { store, agent },
-            End::DeadlineExceeded => Outcome::DeadlineExceeded { store, agent },
-        };
+        let schedule = self
+            .plan
+            .events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (i, e.at_step, Event::Fault(&e.action)));
+        let run = StepLoop {
+            program: &self.program,
+            policy: self.policy,
+            max_steps: self.max_steps,
+            schedule: StepLoop::schedule(schedule),
+            recovery: Some(&self.recovery),
+            telemetry: &self.telemetry,
+        }
+        .run(agent, store)?;
+        let final_consistency = run.report.outcome.store().consistency()?;
+        let faults_injected = run
+            .log
+            .iter()
+            .filter(|(_, status)| *status == FaultStatus::Applied)
+            .count();
         let report = ResilienceReport {
-            report: RunReport {
-                outcome,
-                steps,
-                trace,
-            },
-            fault_log,
+            report: run.report,
+            fault_log: run.log,
             faults_injected,
-            dropped_transitions,
-            retries,
-            rollbacks: rec.rollbacks,
-            relaxations_applied: rec.relaxations,
-            invariant_violations: rec.violations,
+            dropped_transitions: run.dropped_transitions,
+            retries: run.retries,
+            rollbacks: run.rollbacks,
+            relaxations_applied: run.relaxations,
+            invariant_violations: run.violations,
             final_consistency,
         };
         self.emit(&report);
@@ -851,6 +699,7 @@ fn label<S: Semiring>(c: &Constraint<S>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Outcome;
     use softsoa_core::{Constraint, Domain, Domains};
     use softsoa_semiring::WeightedInt;
 

@@ -1,13 +1,19 @@
 //! The structural operational semantics of `nmsccp` (Fig. 4).
 //!
-//! [`enabled`] computes every transition a configuration `⟨A, σ⟩` can
-//! take, labelled with the rule (R1–R10) that justifies it. The
-//! [`Interpreter`](crate::Interpreter) and the concurrent executor are
-//! thin drivers around this relation.
+//! [`moves`] lists every transition a configuration `⟨A, σ⟩` can take,
+//! labelled with the rule (R1–R10) that justifies it, and decides each
+//! check without building the successor store; [`Move::build`] then
+//! takes one. [`enabled`] is every move, built. The
+//! [`Interpreter`](crate::Interpreter), the timed and resilient
+//! interpreters (one step loop that builds only the move it takes),
+//! the [`Explorer`](crate::Explorer) and the concurrent executor all
+//! read this one relation.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fmt;
 
-use softsoa_core::Var;
+use softsoa_core::{Constraint, Var};
 use softsoa_semiring::{Residuated, Semiring};
 
 use crate::{Agent, GuardKind, Program, Store, StoreError};
@@ -142,7 +148,7 @@ impl FreshGen {
 const CALL_UNFOLD_LIMIT: usize = 64;
 
 /// Computes every enabled transition of `⟨agent, store⟩` under
-/// `program` (the relation `→` of Fig. 4).
+/// `program` (the relation `→` of Fig. 4): every [`Move`], built.
 ///
 /// An empty result with a non-`success` agent means the configuration
 /// is *suspended*: it may become enabled again after another agent
@@ -158,86 +164,276 @@ pub fn enabled<S: Residuated>(
     store: &Store<S>,
     fresh: &mut FreshGen,
 ) -> Result<Vec<Transition<S>>, SemanticsError> {
-    enabled_rec(program, agent, store, fresh, 0)
+    moves(program, agent, store, fresh)?
+        .into_iter()
+        .map(|m| m.build(store))
+        .collect()
 }
 
-fn enabled_rec<S: Residuated>(
+/// The choose-then-build form of [`enabled`]: every enabled transition
+/// of `⟨agent, store⟩`, in the same order, with its rule, note and
+/// continuation, but with its successor store not yet built.
+///
+/// Each R1/R7/R8 check is decided on the prospective store without
+/// building it: a level threshold folds `(σ ⊗ c) ⇓ ∅` (or `σ ÷ c`), a
+/// constraint threshold compares against the lazy `σ ⊗ c`, and
+/// [`Interval::any`](crate::Interval::any) reads nothing. `ask` and
+/// `nask` decide entailment once and keep the store. A driver then
+/// [`build`](Move::build)s only the move it takes.
+///
+/// # Errors
+///
+/// Returns [`SemanticsError`] exactly when [`enabled`] does.
+pub fn moves<'a, S: Residuated>(
     program: &Program<S>,
-    agent: &Agent<S>,
+    agent: &'a Agent<S>,
+    store: &Store<S>,
+    fresh: &mut FreshGen,
+) -> Result<Vec<Move<'a, S>>, SemanticsError> {
+    moves_rec(program, agent, store, fresh, 0)
+}
+
+/// What a [`Move`] does to the store, decided but not yet done.
+#[derive(Debug, Clone)]
+enum Effect<'a, S: Semiring> {
+    /// `ask`/`nask` (R2/R6): the store is kept.
+    Keep,
+    /// `tell(c)` (R1): `σ ⊗ c`.
+    Tell(Cow<'a, Constraint<S>>),
+    /// `retract(c)` (R7): `σ ÷ c`, with `σ ⊑ c` already decided.
+    Retract(Cow<'a, Constraint<S>>),
+    /// `update_X(c)` (R8): `(σ ⇓ (V \ X)) ⊗ c`.
+    Update(Cow<'a, [Var]>, Cow<'a, Constraint<S>>),
+    /// An `update` whose interval needed the successor: already built.
+    Built(Store<S>),
+}
+
+impl<'a, S: Semiring> Effect<'a, S> {
+    fn into_owned<'b>(self) -> Effect<'b, S> {
+        match self {
+            Effect::Keep => Effect::Keep,
+            Effect::Tell(c) => Effect::Tell(Cow::Owned(c.into_owned())),
+            Effect::Retract(c) => Effect::Retract(Cow::Owned(c.into_owned())),
+            Effect::Update(vars, c) => {
+                Effect::Update(Cow::Owned(vars.into_owned()), Cow::Owned(c.into_owned()))
+            }
+            Effect::Built(store) => Effect::Built(store),
+        }
+    }
+}
+
+/// One enabled transition of `⟨A, σ⟩`, chosen but not yet taken: its
+/// rule and note, and what [`Move::build`] will do to the agent and
+/// the store. A move displays as its note.
+#[derive(Debug, Clone)]
+pub struct Move<'a, S: Semiring> {
+    rule: Rule,
+    label: Cow<'a, str>,
+    /// The continuation of the acting action.
+    then: Cow<'a, Agent<S>>,
+    /// The parallel contexts around the acting branch, innermost first:
+    /// the sibling, and whether the acting branch is the left one.
+    frames: Vec<(&'a Agent<S>, bool)>,
+    /// The store the effect applies to when hiding declared a fresh
+    /// variable; `None` for the store the moves were computed on.
+    base: Option<Store<S>>,
+    effect: Effect<'a, S>,
+}
+
+impl<'a, S: Semiring> Move<'a, S> {
+    fn new(
+        rule: Rule,
+        constraint: &'a Constraint<S>,
+        then: &'a Agent<S>,
+        effect: Effect<'a, S>,
+    ) -> Move<'a, S> {
+        Move {
+            rule,
+            label: Cow::Borrowed(constraint.label().unwrap_or("c")),
+            then: Cow::Borrowed(then),
+            frames: Vec::new(),
+            base: None,
+            effect,
+        }
+    }
+
+    /// The basic rule performing the step.
+    pub fn rule(&self) -> Rule {
+        self.rule
+    }
+
+    /// The agent after the step: the continuation placed back into its
+    /// parallel contexts, a branch that reached `success` dissolving.
+    fn agent(then: Cow<'a, Agent<S>>, frames: &[(&'a Agent<S>, bool)]) -> Agent<S> {
+        let mut agent = then.into_owned();
+        for &(sibling, left) in frames {
+            agent = match (agent.is_success(), left) {
+                (true, _) => sibling.clone(),
+                (false, true) => Agent::par(agent, sibling.clone()),
+                (false, false) => Agent::par(sibling.clone(), agent),
+            };
+        }
+        agent
+    }
+
+    /// The move with its agent built and every borrow of the
+    /// (renamed, local) agent it was computed on released, applying to
+    /// `base` unless it already carries a store of its own.
+    fn detach<'b>(self, base: Option<&Store<S>>) -> Move<'b, S> {
+        Move {
+            then: Cow::Owned(Move::agent(self.then, &self.frames)),
+            rule: self.rule,
+            label: Cow::Owned(self.label.into_owned()),
+            frames: Vec::new(),
+            base: self.base.or_else(|| base.cloned()),
+            effect: self.effect.into_owned(),
+        }
+    }
+}
+
+impl<S: Residuated> Move<'_, S> {
+    /// Takes the move on `store` (the store the moves were computed
+    /// on): builds the agent after the step and materialises the one
+    /// successor store.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SemanticsError`] if a store operation fails (not for
+    /// a move [`moves`] returned on the same store).
+    pub fn build(self, store: &Store<S>) -> Result<Transition<S>, SemanticsError> {
+        let note = self.to_string();
+        let agent = Move::agent(self.then, &self.frames);
+        let base = self.base.as_ref().unwrap_or(store);
+        let store = match self.effect {
+            Effect::Keep => base.clone(),
+            Effect::Tell(c) => base.tell(&c)?,
+            Effect::Retract(c) => base.retracted(&c)?,
+            Effect::Update(vars, c) => base.update(&vars, &c)?,
+            Effect::Built(next) => next,
+        };
+        Ok(Transition {
+            agent,
+            store,
+            rule: self.rule,
+            note,
+        })
+    }
+}
+
+impl<S: Semiring> fmt::Display for Move<'_, S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let op = match self.rule {
+            Rule::Tell => "tell",
+            Rule::Ask => "ask",
+            Rule::Nask => "nask",
+            Rule::Retract => "retract",
+            Rule::Update => "update",
+        };
+        write!(f, "{op}({})", self.label)
+    }
+}
+
+fn moves_rec<'a, S: Residuated>(
+    program: &Program<S>,
+    agent: &'a Agent<S>,
     store: &Store<S>,
     fresh: &mut FreshGen,
     depth: usize,
-) -> Result<Vec<Transition<S>>, SemanticsError> {
+) -> Result<Vec<Move<'a, S>>, SemanticsError> {
     if depth > CALL_UNFOLD_LIMIT {
         return Err(SemanticsError::RecursionLimit);
     }
+    let semiring = store.semiring();
+    let domains = store.domains();
     match agent {
         Agent::Success => Ok(Vec::new()),
 
         // R1: the check is evaluated on the prospective store σ ⊗ c.
         Agent::Tell(action) => {
-            let next = store.tell(action.constraint())?;
-            if action.check().check(&next)? {
-                Ok(vec![Transition {
-                    agent: (*action.then()).clone(),
-                    store: next,
-                    rule: Rule::Tell,
-                    note: format!("tell({})", label(action.constraint())),
-                }])
+            let c = action.constraint();
+            store.require_domains(c)?;
+            let next = || store.sigma().combine(c);
+            let holds = action.check().decide(
+                semiring,
+                domains,
+                || Ok(next().consistency(domains)?),
+                || Ok(next()),
+            )?;
+            Ok(if holds {
+                let effect = Effect::Tell(Cow::Borrowed(c));
+                vec![Move::new(Rule::Tell, c, action.then(), effect)]
             } else {
-                Ok(Vec::new())
-            }
+                Vec::new()
+            })
         }
 
         // R7: requires σ ⊑ c; the check is evaluated on σ ÷ c.
         Agent::Retract(action) => {
-            if !store.entails(action.constraint())? {
+            let c = action.constraint();
+            if !store.entails(c)? {
                 return Ok(Vec::new());
             }
-            let next = store.retract(action.constraint())?;
-            if action.check().check(&next)? {
-                Ok(vec![Transition {
-                    agent: (*action.then()).clone(),
-                    store: next,
-                    rule: Rule::Retract,
-                    note: format!("retract({})", label(action.constraint())),
-                }])
+            let next = || store.sigma().divide(c);
+            let holds = action.check().decide(
+                semiring,
+                domains,
+                || Ok(next().consistency(domains)?),
+                || Ok(next()),
+            )?;
+            Ok(if holds {
+                let effect = Effect::Retract(Cow::Borrowed(c));
+                vec![Move::new(Rule::Retract, c, action.then(), effect)]
             } else {
-                Ok(Vec::new())
-            }
+                Vec::new()
+            })
         }
 
-        // R8: transactional removal of X plus tell; check on the result.
+        // R8: transactional removal of X plus tell; check on the result,
+        // built only if the interval reads it.
         Agent::Update { vars, action } => {
-            let next = store.update(vars, action.constraint())?;
-            if action.check().check(&next)? {
-                Ok(vec![Transition {
-                    agent: (*action.then()).clone(),
-                    store: next,
-                    rule: Rule::Update,
-                    note: format!("update({})", label(action.constraint())),
-                }])
+            let c = action.constraint();
+            store.require_domains(c)?;
+            let next = OnceCell::new();
+            let built = || -> Result<&Store<S>, StoreError> {
+                if next.get().is_none() {
+                    let _ = next.set(store.update(vars, c)?);
+                }
+                Ok(next.get().expect("just built"))
+            };
+            let holds = action.check().decide(
+                semiring,
+                domains,
+                || built()?.consistency(),
+                || Ok(built()?.sigma().clone()),
+            )?;
+            Ok(if holds {
+                let effect = match next.into_inner() {
+                    Some(store) => Effect::Built(store),
+                    None => Effect::Update(Cow::Borrowed(vars), Cow::Borrowed(c)),
+                };
+                vec![Move::new(Rule::Update, c, action.then(), effect)]
             } else {
-                Ok(Vec::new())
-            }
+                Vec::new()
+            })
         }
 
-        // R2/R5/R6: every enabled guard is one nondeterministic branch.
+        // R2/R5/R6: every enabled guard is one nondeterministic branch,
+        // on the unchanged store.
         Agent::Sum(guards) => {
             let mut out = Vec::new();
             for guard in guards {
                 let entailed = store.entails(&guard.constraint)?;
-                let (wanted, rule, op) = match guard.kind {
-                    GuardKind::Ask => (true, Rule::Ask, "ask"),
-                    GuardKind::Nask => (false, Rule::Nask, "nask"),
+                let (wanted, rule) = match guard.kind {
+                    GuardKind::Ask => (true, Rule::Ask),
+                    GuardKind::Nask => (false, Rule::Nask),
                 };
                 if entailed == wanted && guard.check.check(store)? {
-                    out.push(Transition {
-                        agent: guard.then.clone(),
-                        store: store.clone(),
+                    out.push(Move::new(
                         rule,
-                        note: format!("{op}({})", label(&guard.constraint)),
-                    });
+                        &guard.constraint,
+                        &guard.then,
+                        Effect::Keep,
+                    ));
                 }
             }
             Ok(out)
@@ -245,22 +441,13 @@ fn enabled_rec<S: Residuated>(
 
         // R3/R4: interleaving; a branch stepping to success dissolves.
         Agent::Par(a, b) => {
-            let mut out = Vec::new();
-            for t in enabled_rec(program, a, store, fresh, depth)? {
-                let agent = if t.agent.is_success() {
-                    (**b).clone()
-                } else {
-                    Agent::par(t.agent, (**b).clone())
-                };
-                out.push(Transition { agent, ..t });
+            let mut out = moves_rec(program, a, store, fresh, depth)?;
+            for m in &mut out {
+                m.frames.push((b, true));
             }
-            for t in enabled_rec(program, b, store, fresh, depth)? {
-                let agent = if t.agent.is_success() {
-                    (**a).clone()
-                } else {
-                    Agent::par((**a).clone(), t.agent)
-                };
-                out.push(Transition { agent, ..t });
+            for mut m in moves_rec(program, b, store, fresh, depth)? {
+                m.frames.push((a, false));
+                out.push(m);
             }
             Ok(out)
         }
@@ -273,7 +460,11 @@ fn enabled_rec<S: Residuated>(
             let mut next_store = store.clone();
             next_store.declare(y.clone(), domain);
             let renamed = body.rename_var(var, &y);
-            enabled_rec(program, &renamed, &next_store, fresh, depth + 1)
+            let inner = moves_rec(program, &renamed, &next_store, fresh, depth + 1)?;
+            Ok(inner
+                .into_iter()
+                .map(|m| m.detach(Some(&next_store)))
+                .collect())
         }
 
         // R10: unfold the declaration with parameter passing.
@@ -299,13 +490,10 @@ fn enabled_rec<S: Residuated>(
             for (temp, actual) in temps.iter().zip(args) {
                 body = body.rename_var(temp, actual);
             }
-            enabled_rec(program, &body, store, fresh, depth + 1)
+            let inner = moves_rec(program, &body, store, fresh, depth + 1)?;
+            Ok(inner.into_iter().map(|m| m.detach(None)).collect())
         }
     }
-}
-
-fn label<S: Semiring>(c: &softsoa_core::Constraint<S>) -> String {
-    c.label().map_or_else(|| "c".to_string(), str::to_string)
 }
 
 impl<S: Semiring> Agent<S> {

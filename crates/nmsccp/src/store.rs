@@ -1,6 +1,7 @@
 //! The shared constraint store `σ`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use softsoa_core::{Constraint, Domain, Domains, MissingDomainError, Var};
@@ -55,9 +56,12 @@ impl From<MissingDomainError> for StoreError {
 /// `1̄`, the unit of `⊗`.
 ///
 /// Stores are immutable: every operation returns the next store, whose
-/// `σ` is eagerly materialised into a table over its support so that
-/// repeated queries (entailment, consistency checks on every checked
-/// transition) never re-evaluate user closures.
+/// `σ` is eagerly materialised into a dense table over its support so
+/// that repeated queries (entailment, consistency checks on every
+/// checked transition) never re-evaluate user closures. Once `σ` is
+/// such a table, `tell`, `retract` and `update` walk its cells once
+/// and write the next store's level vector, which shares `σ`'s scope
+/// and layout.
 ///
 /// Because `σ` is materialised on every operation,
 /// [`consistency`](Store::consistency) — `σ ⇓ ∅`, the level every
@@ -85,7 +89,7 @@ impl From<MissingDomainError> for StoreError {
 /// ```
 pub struct Store<S: Semiring> {
     semiring: S,
-    domains: Domains,
+    domains: Arc<Domains>,
     sigma: Constraint<S>,
     /// The consistency level of this (immutable) store, once computed.
     memo: Mutex<Option<S::Value>>,
@@ -118,7 +122,7 @@ impl<S: Semiring> Store<S> {
         Store {
             sigma: Constraint::always(semiring.clone()),
             semiring,
-            domains,
+            domains: Arc::new(domains),
             memo: Mutex::new(None),
         }
     }
@@ -152,7 +156,7 @@ impl<S: Semiring> Store<S> {
     /// Declares (or replaces) a variable's domain — used by the hiding
     /// rule to introduce fresh variables.
     pub fn declare(&mut self, var: Var, domain: Domain) {
-        self.domains.insert(var, domain);
+        Arc::make_mut(&mut self.domains).insert(var, domain);
         *self.memo.get_mut() = None;
     }
 
@@ -163,8 +167,31 @@ impl<S: Semiring> Store<S> {
     /// Returns [`StoreError::MissingDomain`] if a support variable of
     /// the result has no domain.
     pub fn tell(&self, c: &Constraint<S>) -> Result<Store<S>, StoreError> {
-        let sigma = self.sigma.combine(c).materialize(&self.domains)?;
+        let sigma = if self.is_unit() {
+            c.materialize(&self.domains)?
+        } else {
+            self.sigma.combine_over(c, &self.domains)?
+        };
         Ok(self.derived(sigma))
+    }
+
+    /// Whether `σ` is the unit `1̄` of an exact `×`, so that `σ ⊗ c`
+    /// is `c` itself and the first `tell` materialises `c` directly.
+    fn is_unit(&self) -> bool {
+        self.semiring.exact_times()
+            && self
+                .sigma
+                .as_constant()
+                .is_some_and(|v| *v == self.semiring.one())
+    }
+
+    /// Fails as an operation with `c` would if a variable of `c`'s
+    /// support has no domain (`σ`'s own support always has one).
+    pub(crate) fn require_domains(&self, c: &Constraint<S>) -> Result<(), StoreError> {
+        for var in c.scope() {
+            self.domains.get(var)?;
+        }
+        Ok(())
     }
 
     /// Whether the store entails `c`: `σ ⊢ c ⇔ σ ⊑ c` (used by `ask`,
@@ -247,7 +274,7 @@ impl<S: Semiring> Store<S> {
             .filter(|v| !vars.contains(v))
             .collect();
         let projected = self.sigma.project(&keep, &self.domains)?;
-        let sigma = projected.combine(c).materialize(&self.domains)?;
+        let sigma = projected.combine_over(c, &self.domains)?;
         Ok(self.derived(sigma))
     }
 }
@@ -268,7 +295,12 @@ impl<S: Residuated> Store<S> {
         if !self.entails(c)? {
             return Err(StoreError::NotEntailed);
         }
-        let sigma = self.sigma.divide(c).materialize(&self.domains)?;
+        self.retracted(c)
+    }
+
+    /// `σ ÷ c` for a `c` the caller knows the store entails.
+    pub(crate) fn retracted(&self, c: &Constraint<S>) -> Result<Store<S>, StoreError> {
+        let sigma = self.sigma.divide_over(c, &self.domains)?;
         Ok(self.derived(sigma))
     }
 }

@@ -12,9 +12,11 @@ use std::fmt;
 
 use softsoa_core::Constraint;
 use softsoa_semiring::{Residuated, Semiring};
+use softsoa_telemetry::Telemetry;
 
-use crate::semantics::{enabled, FreshGen, SemanticsError};
-use crate::{Agent, Outcome, Program, RunReport, Store, StoreError, TraceEntry};
+use crate::interp::{Event, Fired, StepLoop};
+use crate::semantics::SemanticsError;
+use crate::{Agent, FaultStatus, Policy, Program, Rule, RunReport, Store, StoreError};
 
 /// A store mutation scheduled at an interpreter step.
 #[derive(Debug, Clone)]
@@ -132,102 +134,66 @@ impl<S: Residuated> TimedInterpreter<S> {
         agent: Agent<S>,
         store: Store<S>,
     ) -> Result<TimedRunReport<S>, SemanticsError> {
-        let mut fresh = FreshGen::new();
-        let mut agent = agent.normalize();
-        let mut store = store;
-        let mut trace = Vec::new();
-        let mut events = Vec::new();
-        let mut steps = 0usize;
-        let mut schedule: Vec<(usize, &TimedEvent<S>)> = self.schedule.iter().enumerate().collect();
-        schedule.sort_by_key(|(i, e)| (e.at_step, *i));
-        let mut next_event = 0usize;
-
-        loop {
-            // Fire due events first.
-            while next_event < schedule.len() && schedule[next_event].1.at_step <= steps {
-                let (event_index, event) = schedule[next_event];
-                next_event += 1;
-                let (status, note) = match &event.action {
-                    TimedAction::Tell(c) => {
-                        store = store.tell(c)?;
-                        (EventStatus::Applied, format!("timed tell({})", label(c)))
-                    }
-                    TimedAction::Retract(c) => match store.retract(c) {
-                        Ok(next) => {
-                            store = next;
-                            (EventStatus::Applied, format!("timed retract({})", label(c)))
-                        }
-                        Err(StoreError::NotEntailed) => (
-                            EventStatus::SkippedNotEntailed,
-                            format!("timed retract({}) skipped", label(c)),
-                        ),
-                        Err(e) => return Err(e.into()),
-                    },
-                };
-                trace.push(TraceEntry {
-                    step: steps,
-                    rule: crate::Rule::Tell, // environment action
-                    note,
-                    consistency: store.consistency()?,
-                    enabled: 0,
-                    origin: crate::EntryOrigin::Environment,
-                });
-                events.push((event_index, status));
-                steps += 1;
-            }
-
-            if agent.is_success() {
-                return Ok(TimedRunReport {
-                    report: RunReport {
-                        outcome: Outcome::Success { store },
-                        steps,
-                        trace,
-                    },
-                    events,
-                });
-            }
-            if steps >= self.max_steps {
-                return Ok(TimedRunReport {
-                    report: RunReport {
-                        outcome: Outcome::OutOfFuel { store, agent },
-                        steps,
-                        trace,
-                    },
-                    events,
-                });
-            }
-
-            let transitions = enabled(&self.program, &agent, &store, &mut fresh)?;
-            if transitions.is_empty() {
-                if next_event < schedule.len() {
-                    // Suspended, but the environment still has events:
-                    // advance the clock to the next event.
-                    steps = steps.max(schedule[next_event].1.at_step);
-                    continue;
-                }
-                return Ok(TimedRunReport {
-                    report: RunReport {
-                        outcome: Outcome::Deadlock { store, agent },
-                        steps,
-                        trace,
-                    },
-                    events,
-                });
-            }
-            let count = transitions.len();
-            let chosen = transitions.into_iter().next().expect("non-empty");
-            trace.push(TraceEntry {
-                step: steps,
-                rule: chosen.rule,
-                note: chosen.note,
-                consistency: chosen.store.consistency()?,
-                enabled: count,
-                origin: crate::EntryOrigin::Agent,
-            });
-            agent = chosen.agent.normalize();
-            store = chosen.store;
-            steps += 1;
+        let schedule = self
+            .schedule
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (i, e.at_step, Event::Timed(&e.action)));
+        let run = StepLoop {
+            program: &self.program,
+            policy: Policy::First,
+            max_steps: self.max_steps,
+            schedule: StepLoop::schedule(schedule),
+            recovery: None,
+            telemetry: &Telemetry::disabled(),
         }
+        .run(agent, store)?;
+        let events = run
+            .log
+            .into_iter()
+            .map(|(i, status)| {
+                let status = match status {
+                    FaultStatus::Applied => EventStatus::Applied,
+                    _ => EventStatus::SkippedNotEntailed,
+                };
+                (i, status)
+            })
+            .collect();
+        Ok(TimedRunReport {
+            report: run.report,
+            events,
+        })
+    }
+}
+
+impl<S: Residuated> TimedAction<S> {
+    /// Applies the action to the store. An environment action's trace
+    /// entry carries the `tell` rule, whatever the action.
+    pub(crate) fn fire(&self, store: &mut Store<S>) -> Result<Fired, SemanticsError> {
+        let (status, note) = match self {
+            TimedAction::Tell(c) => {
+                *store = store.tell(c)?;
+                (FaultStatus::Applied, format!("timed tell({})", label(c)))
+            }
+            TimedAction::Retract(c) => match store.retract(c) {
+                Ok(next) => {
+                    *store = next;
+                    (FaultStatus::Applied, format!("timed retract({})", label(c)))
+                }
+                Err(StoreError::NotEntailed) => (
+                    FaultStatus::SkippedNotEntailed,
+                    format!("timed retract({}) skipped", label(c)),
+                ),
+                Err(e) => return Err(e.into()),
+            },
+        };
+        Ok(Fired {
+            rule: Rule::Tell,
+            note,
+            mutated: status == FaultStatus::Applied,
+            status,
+            drops_next: false,
+        })
     }
 }
 
@@ -239,6 +205,7 @@ fn label<S: Semiring>(c: &Constraint<S>) -> String {
 mod tests {
     use super::*;
     use crate::Interval;
+    use crate::Outcome;
     use softsoa_core::{Constraint, Domain, Domains};
     use softsoa_semiring::WeightedInt;
 

@@ -19,17 +19,16 @@
 //! by [`Interval::validate`] with an [`InvalidIntervalError`], and an
 //! interval that some store passes is never rejected.
 
+mod common;
+
 use std::fmt::Debug;
 
+use common::{level, picks, pointwise_leq, table, units, Picks};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use softsoa_core::solve::{EnumerationSolver, Solver};
-use softsoa_core::{Assignment, Constraint, Domain, Domains, Scsp, Var};
+use softsoa_core::{Constraint, Domain, Domains, Var};
 use softsoa_nmsccp::{Interval, InvalidIntervalError, Store, ValidationError};
-use softsoa_semiring::{Fuzzy, Residuated, Unit, WeightedInt};
-
-/// Palette picks for one table, cycled over its tuples.
-type Picks = Vec<usize>;
+use softsoa_semiring::{Fuzzy, Residuated, WeightedInt};
 
 /// The variable count (1–2) and domain spans, the store's tells, two
 /// level picks and two constraint thresholds.
@@ -41,10 +40,6 @@ type Case = (
     (Picks, Picks),
 );
 
-fn picks() -> impl Strategy<Value = Picks> {
-    vec(0usize..64, 1..=6)
-}
-
 fn case() -> impl Strategy<Value = Case> {
     (
         1usize..=2,
@@ -53,58 +48,6 @@ fn case() -> impl Strategy<Value = Case> {
         (0usize..64, 0usize..64),
         (picks(), picks()),
     )
-}
-
-/// The table over every tuple of `vars` with levels from `palette`.
-fn table<S: Residuated>(
-    semiring: &S,
-    palette: &[S::Value],
-    domains: &Domains,
-    vars: &[Var],
-    picks: &[usize],
-) -> Constraint<S> {
-    let entries: Vec<_> = domains
-        .tuples(vars)
-        .unwrap()
-        .enumerate()
-        .map(|(i, tuple)| {
-            (
-                tuple,
-                palette[picks[i % picks.len()] % palette.len()].clone(),
-            )
-        })
-        .collect();
-    Constraint::table(semiring.clone(), vars, entries, semiring.zero())
-}
-
-/// The blevel of `{c}` with `con = ∅`, by the lazy enumeration oracle.
-fn level<S: Residuated>(c: &Constraint<S>, domains: &Domains) -> S::Value {
-    let mut problem = Scsp::new(c.semiring().clone()).with_constraint(c.clone());
-    for (v, d) in domains.iter() {
-        problem.add_domain(v.clone(), d.clone());
-    }
-    EnumerationSolver::new()
-        .solve(&problem)
-        .unwrap()
-        .blevel()
-        .clone()
-}
-
-/// `a ⊑ b`, by evaluating both on every assignment of `vars`.
-fn pointwise_leq<S: Residuated>(
-    a: &Constraint<S>,
-    b: &Constraint<S>,
-    domains: &Domains,
-    vars: &[Var],
-) -> bool {
-    let semiring = a.semiring();
-    domains.tuples(vars).unwrap().all(|tuple| {
-        let eta = vars
-            .iter()
-            .zip(tuple)
-            .fold(Assignment::new(), |eta, (v, val)| eta.bind(v.clone(), val));
-        semiring.leq(&a.eval(&eta), &b.eval(&eta))
-    })
 }
 
 fn is_invalid<S: Residuated>(iv: &Interval<S>, semiring: &S, domains: &Domains) -> bool {
@@ -181,10 +124,6 @@ where
             "C{c}: a passing interval was rejected"
         );
     }
-}
-
-fn units(levels: &[f64]) -> Vec<Unit> {
-    levels.iter().map(|&l| Unit::new(l).unwrap()).collect()
 }
 
 proptest! {

@@ -98,6 +98,9 @@ pub fn encode_frame(payload: &str) -> Vec<u8> {
 pub struct FrameReader<R> {
     stream: R,
     buffer: Vec<u8>,
+    /// How much of `buffer` is known to hold no terminator, so each
+    /// read searches only the bytes it added.
+    scanned: usize,
     max_frame_bytes: usize,
     /// Set once an oversized frame is detected: the stream position is
     /// unrecoverable (we are mid-garbage), so all further reads fail.
@@ -110,6 +113,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             stream,
             buffer: Vec::new(),
+            scanned: 0,
             max_frame_bytes: max_frame_bytes.max(1),
             poisoned: false,
         }
@@ -132,7 +136,8 @@ impl<R: Read> FrameReader<R> {
             });
         }
         loop {
-            if let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
+            let fresh = self.buffer[self.scanned..].iter().position(|&b| b == b'\n');
+            if let Some(pos) = fresh.map(|i| self.scanned + i) {
                 // The limit applies even when the terminator has
                 // already arrived (e.g. a whole oversized frame in one
                 // chunk) — a bound that only holds for slow senders is
@@ -145,11 +150,13 @@ impl<R: Read> FrameReader<R> {
                 }
                 let rest = self.buffer.split_off(pos + 1);
                 let mut line = std::mem::replace(&mut self.buffer, rest);
+                self.scanned = 0;
                 line.pop(); // the terminator
                 return String::from_utf8(line).map_err(|e| {
                     FrameError::Io(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
                 });
             }
+            self.scanned = self.buffer.len();
             if self.buffer.len() > self.max_frame_bytes {
                 self.poisoned = true;
                 return Err(FrameError::Oversized {
@@ -457,6 +464,25 @@ mod tests {
         let mut frames = FrameReader::new(reader, DEFAULT_MAX_FRAME_BYTES);
         assert_eq!(frames.read_frame().unwrap(), r#"{"op":"ping"}"#);
         assert_eq!(frames.read_frame().unwrap(), r#"{"op":"negotiate"}"#);
+        assert!(matches!(frames.read_frame(), Err(FrameError::Closed)));
+    }
+
+    /// A frame trickled one byte per read up to the limit is found by
+    /// searching only each new byte: linear, where rescanning the
+    /// whole buffer after every read was quadratic.
+    #[test]
+    fn a_frame_trickled_byte_by_byte_up_to_the_limit_reads_in_linear_time() {
+        let payload = "x".repeat(DEFAULT_MAX_FRAME_BYTES);
+        let bytes = encode_frame(&payload);
+        let cuts: Vec<usize> = (1..bytes.len()).collect();
+        let mut frames = FrameReader::new(ChunkedReader::new(bytes, cuts), DEFAULT_MAX_FRAME_BYTES);
+        let start = std::time::Instant::now();
+        assert_eq!(frames.read_frame().unwrap().len(), DEFAULT_MAX_FRAME_BYTES);
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(250),
+            "a byte-by-byte 64 KiB frame took {elapsed:?}"
+        );
         assert!(matches!(frames.read_frame(), Err(FrameError::Closed)));
     }
 

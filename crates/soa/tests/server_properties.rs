@@ -152,6 +152,44 @@ fn publish_and_deregister_bump_the_epoch() {
     handle.shutdown(Duration::from_secs(2));
 }
 
+/// A hostile request: a deregister whose service id is 60,000
+/// characters, just under the 64 KiB frame limit. Reading and parsing
+/// the frame is linear in its length, so the typed reply comes back
+/// within a fortieth of the session deadline (a parse that re-decoded
+/// the rest of the input for every character took longer), and the
+/// next session still binds.
+#[test]
+fn a_sixty_thousand_character_service_id_gets_a_prompt_typed_reply() {
+    let handle = start(ServerConfig::default());
+    let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let hostile = Request::Deregister {
+        service: "s".repeat(60_000),
+    };
+    let start = std::time::Instant::now();
+    match roundtrip(&stream, &hostile) {
+        Reply::Deregistered { existed, .. } => assert!(!existed, "no such service"),
+        other => panic!("expected deregistered, got {other:?}"),
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < ServerConfig::default().session_deadline / 40,
+        "the 60,000-character request took {elapsed:?}"
+    );
+    drop(stream);
+
+    let next = TcpStream::connect(handle.local_addr()).expect("connect");
+    next.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    match roundtrip(&next, &negotiate()) {
+        Reply::Bound { .. } => {}
+        other => panic!("expected bound, got {other:?}"),
+    }
+    drop(next);
+    handle.shutdown(Duration::from_secs(2));
+}
+
 #[test]
 fn concurrent_writes_reply_with_their_own_epochs() {
     // Regression: a `Published`/`Deregistered` reply used to read the

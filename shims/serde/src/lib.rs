@@ -115,12 +115,25 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Renders `self` as a data tree.
     fn to_value(&self) -> Value;
+
+    /// `self` as an existing data tree, for a writer to read in place
+    /// of rendering a copy; `None` (the default) for every type that
+    /// is not a [`Value`] itself.
+    fn as_value(&self) -> Option<&Value> {
+        None
+    }
 }
 
 /// Types that can be rebuilt from a [`Value`].
 pub trait Deserialize: Sized {
     /// Parses a data tree into `Self`.
     fn from_value(value: &Value) -> Result<Self, Error>;
+
+    /// Parses a data tree the caller no longer needs; a [`Value`]
+    /// takes it as is instead of copying it.
+    fn from_owned(value: Value) -> Result<Self, Error> {
+        Self::from_value(&value)
+    }
 }
 
 // ---- primitive impls -------------------------------------------------
@@ -254,6 +267,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Option<&Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -360,11 +377,19 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn as_value(&self) -> Option<&Value> {
+        Some(self)
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Value, Error> {
         Ok(value.clone())
+    }
+
+    fn from_owned(value: Value) -> Result<Value, Error> {
+        Ok(value)
     }
 }
 

@@ -4,10 +4,12 @@
 //! `serde_json::Error` type the workspace names. The parser is a
 //! recursive-descent JSON reader (escapes, `\uXXXX` with surrogate
 //! pairs, nesting-depth cap); the writer emits compact or two-space
-//! indented JSON.
+//! indented JSON. A [`Value`] is written and parsed in place, never
+//! copied, and a string is copied run by run, so parsing is linear in
+//! the input.
 
 use serde::{Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser.
 const MAX_DEPTH: usize = 128;
@@ -42,22 +44,29 @@ impl From<serde::Error> for Error {
 
 /// Serialises `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(write_root(value, None))
 }
 
 /// Serialises `value` as two-space indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(write_root(value, Some(2)))
 }
 
 /// Parses `text` into a `T`.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let value = parse_value_complete(text)?;
-    Ok(T::from_value(&value)?)
+    Ok(T::from_owned(value)?)
+}
+
+/// Writes `value`, reading a [`Value`] in place rather than rendering
+/// a copy of it.
+fn write_root<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> String {
+    let mut out = String::new();
+    match value.as_value() {
+        Some(tree) => write_value(tree, &mut out, indent, 0),
+        None => write_value(&value.to_value(), &mut out, indent, 0),
+    }
+    out
 }
 
 // ---- writer ----------------------------------------------------------
@@ -67,8 +76,12 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, level: us
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::UInt(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Arr(items) => write_seq(items.iter(), out, indent, level, ('[', ']'), |v, o, l| {
@@ -126,8 +139,7 @@ fn write_seq<I, F>(
 
 fn write_float(f: f64, out: &mut String) {
     if f.is_finite() {
-        let text = f.to_string();
-        out.push_str(&text);
+        let _ = write!(out, "{f}");
     } else {
         // JSON has no NaN/Infinity; mirror serde_json's lossy `null`.
         out.push_str("null");
@@ -146,7 +158,7 @@ fn write_string(s: &str, out: &mut String) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -157,12 +169,14 @@ fn write_string(s: &str, out: &mut String) {
 // ---- parser ----------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value_complete(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -329,14 +343,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = text.chars().next().expect("nonempty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary of the input `&str`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -462,6 +477,39 @@ mod tests {
         write_value(&value, &mut pretty, Some(2), 0);
         assert_eq!(parse(&pretty), value);
         assert!(pretty.contains('\n'));
+    }
+
+    /// A string is copied run by run: a 1 MiB string (sixteen times the
+    /// largest frame the daemon accepts) parses well inside the bound,
+    /// where decoding the rest of the input for every character took
+    /// minutes.
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        let body = r#"ab\u00e9\\"#.repeat(1 << 18);
+        let text = format!("\"{body}\"");
+        assert!(text.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let Value::Str(parsed) = parse(&text) else {
+            panic!("a string parses to a string");
+        };
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, "abé\\".repeat(1 << 18));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB string took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn a_value_is_written_and_read_in_place() {
+        let value = parse(r#"{"op":"ping","n":[-1,18446744073709551615,2.5,-0.125]}"#);
+        let text = to_string(&value).unwrap();
+        assert_eq!(
+            text,
+            r#"{"op":"ping","n":[-1,18446744073709551615,2.5,-0.125]}"#
+        );
+        let back: Value = from_str(&text).unwrap();
+        assert_eq!(back, value);
     }
 
     #[test]
