@@ -3,25 +3,30 @@
 //! around an explicit fault envelope.
 //!
 //! The runtime is deliberately boring — `std::net` sockets, a bounded
-//! accept-queue, a fixed worker pool — so every robustness property is
-//! a *local, testable invariant* rather than an emergent one:
+//! accept-queue, a fixed leader/followers thread pool — so every
+//! robustness property is a *local, testable invariant* rather than an
+//! emergent one:
 //!
 //! * **Deadlines.** Every session carries a wall-clock deadline from
 //!   the moment it is accepted; every socket read and write carries a
 //!   timeout; every negotiation runs on the step-bounded virtual clock
 //!   of the resilience machinery. No blocking operation is unbounded,
 //!   so no session can hang.
-//! * **Backpressure.** The acceptor blocks in `accept()` and hands each
-//!   connection to the accept-queue ([`admission`]) the moment it
-//!   arrives. The queue is the only buffer and it is bounded; when it
-//!   fills, new connections get a fast typed `shed` reply instead of
-//!   silently queueing.
+//! * **Backpressure.** The pool has `workers + 1` threads, and exactly
+//!   one of them, the leader, blocks in `accept()`. When a follower is
+//!   idle and nothing is queued, the leader hands the accept role to it
+//!   and serves the connection itself, so no thread switch sits between
+//!   a client's connect and its first byte read. Otherwise the
+//!   connection joins the accept-queue ([`admission`]). The queue is
+//!   the only buffer and it is bounded; when it fills, new connections
+//!   get a fast typed `shed` reply instead of silently queueing.
 //! * **Graceful drain.** Shutdown ([`shutdown`]) stops admitting,
 //!   serves what is queued and in flight while the drain deadline
 //!   allows, then aborts the rest with typed replies — and reports
-//!   exactly what happened as a [`DrainReport`]. Once stopped, one
-//!   loopback connection wakes the blocked acceptor, which exits
-//!   without counting or queueing it.
+//!   exactly what happened as a [`DrainReport`]. Once only the leader
+//!   is left and the server is stopped, one loopback connection wakes
+//!   the leader's blocked `accept()`, and the leader exits without
+//!   counting or queueing it.
 //! * **Transport chaos.** The deterministic per-connection fault plans
 //!   of [`transport`] (drops, stalls, truncation, slow-loris) exercise
 //!   the envelope from the wire side with a fixed seed.
@@ -37,7 +42,7 @@ pub mod transport;
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -47,7 +52,7 @@ use softsoa_telemetry::Telemetry;
 use crate::broker::Broker;
 use crate::contention::Fairness;
 use crate::registry::Registry;
-use crate::server::admission::{AdmissionQueue, Pending};
+use crate::server::admission::{Admission, AdmissionQueue, Pending, Role};
 use crate::server::batch::Batcher;
 use crate::server::protocol::{Reply, ShedReason, WireSemiring};
 use crate::server::session::{run_session, SessionContext, SessionEnd};
@@ -57,14 +62,11 @@ use crate::server::transport::{FrameWriter, TransportChaos, DEFAULT_MAX_FRAME_BY
 pub use shutdown::DrainReport;
 
 /// Back-off after a failed `accept()` (e.g. `EMFILE`), so the
-/// acceptor cannot spin on a persistent error.
+/// leader cannot spin on a persistent error.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
-/// Bound on the loopback connect that wakes the blocked acceptor at
-/// shutdown.
+/// Bound on the loopback connect that wakes the leader blocked in
+/// `accept()` at shutdown.
 const ACCEPTOR_WAKE_TIMEOUT: Duration = Duration::from_millis(100);
-/// How long an idle worker waits on the queue before re-checking
-/// drain state (`offer` and `close` wake it sooner).
-const TAKE_TICK: Duration = Duration::from_millis(25);
 
 /// Store-level chaos knobs for the daemon: every negotiation runs
 /// through the resilient interpreter with this fault plan seed.
@@ -83,7 +85,8 @@ pub struct StoreChaos {
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads serving sessions.
+    /// Sessions served at once. The pool runs one thread more: the
+    /// one blocked in `accept()`.
     pub workers: usize,
     /// Accept-queue bound; beyond it connections are shed.
     pub queue_limit: usize,
@@ -141,20 +144,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-worker accounting, folded into the [`DrainReport`].
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerStats {
-    drained: usize,
-    aborted: usize,
-}
-
 /// The negotiation broker daemon.
 #[derive(Debug)]
 pub struct NegotiationServer;
 
 impl NegotiationServer {
-    /// Binds, spawns the acceptor and worker pool, and returns a
-    /// handle. The daemon serves until [`ServerHandle::shutdown`].
+    /// Binds, spawns the leader/followers pool (`workers + 1` threads),
+    /// and returns a handle. The daemon serves until
+    /// [`ServerHandle::shutdown`].
     pub fn start<S: WireSemiring>(
         semiring: S,
         registry: Registry,
@@ -165,66 +162,57 @@ impl NegotiationServer {
         let addr = listener.local_addr()?;
 
         let broker = Broker::new(semiring, registry).with_telemetry(telemetry.scoped("server"));
-        let control = Arc::new(Control::new());
-        let queue = Arc::new(AdmissionQueue::new(config.queue_limit));
-        let shed_draining = Arc::new(AtomicUsize::new(0));
-        let ctx = Arc::new(SessionContext {
-            batcher: Arc::new(Batcher::new(config.batch_window, config.max_batch)),
-            config: config.clone(),
-            control: Arc::clone(&control),
-            telemetry: telemetry.clone(),
+        let threads = config.workers.max(1) + 1;
+        let pool = Arc::new(Pool {
+            listener,
+            queue: AdmissionQueue::new(config.queue_limit, threads),
+            conn_ids: AtomicU64::new(0),
+            drained: AtomicUsize::new(0),
+            aborted: AtomicUsize::new(0),
+            shed_draining: AtomicUsize::new(0),
+            ctx: SessionContext {
+                batcher: Arc::new(Batcher::new(config.batch_window, config.max_batch)),
+                config,
+                control: Control::new(),
+                telemetry,
+            },
         });
 
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for index in 0..config.workers.max(1) {
+        let mut workers = Vec::with_capacity(threads);
+        for index in 0..threads {
             let mut worker_broker = broker.clone();
-            let worker_ctx = Arc::clone(&ctx);
-            let worker_queue = Arc::clone(&queue);
-            let worker_control = Arc::clone(&control);
+            let worker_pool = Arc::clone(&pool);
             workers.push(
                 thread::Builder::new()
                     .name(format!("soa-worker-{index}"))
-                    .spawn(move || {
-                        worker_loop(
-                            &mut worker_broker,
-                            &worker_ctx,
-                            &worker_queue,
-                            &worker_control,
-                        )
-                    })?,
+                    .spawn(move || pool_thread(&mut worker_broker, &worker_pool))?,
             );
         }
 
-        let acceptor = {
-            let acceptor_control = Arc::clone(&control);
-            let acceptor_queue = Arc::clone(&queue);
-            let acceptor_shed = Arc::clone(&shed_draining);
-            let acceptor_telemetry = telemetry.clone();
-            thread::Builder::new()
-                .name("soa-acceptor".to_string())
-                .spawn(move || {
-                    accept_loop(
-                        &listener,
-                        &acceptor_control,
-                        &acceptor_queue,
-                        &acceptor_shed,
-                        &acceptor_telemetry,
-                    )
-                })?
-        };
-
         Ok(ServerHandle {
             addr,
-            config,
-            control,
-            queue,
+            pool,
             workers,
-            acceptor,
-            shed_draining,
-            telemetry,
             broker,
         })
     }
+}
+
+/// What every thread of the leader/followers pool shares.
+#[derive(Debug)]
+struct Pool {
+    ctx: SessionContext,
+    listener: TcpListener,
+    queue: AdmissionQueue,
+    /// The last connection id handed out. Only the leader accepts, so
+    /// ids are monotonic in accept order.
+    conn_ids: AtomicU64,
+    /// Sessions completed during the drain, whichever thread served them.
+    drained: AtomicUsize,
+    /// Sessions aborted at the drain deadline.
+    aborted: AtomicUsize,
+    /// Arrivals shed `draining`.
+    shed_draining: AtomicUsize,
 }
 
 fn bind(addr: &str) -> std::io::Result<TcpListener> {
@@ -243,46 +231,81 @@ fn bind(addr: &str) -> std::io::Result<TcpListener> {
     }))
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    control: &Control,
-    queue: &AdmissionQueue,
-    shed_draining: &AtomicUsize,
-    telemetry: &Telemetry,
-) {
-    let mut conn_id = 0u64;
+/// One pool thread: takes whatever role the admission state gives it
+/// until it retires, or until it leads when the server stops.
+fn pool_thread<S: WireSemiring>(broker: &mut Broker<S>, pool: &Pool) {
+    let ctx = &pool.ctx;
     loop {
-        let accepted = listener.accept();
+        let pending = match pool.queue.follow(ctx.control.should_abort()) {
+            Role::Serve(pending) => pending,
+            Role::Lead => match lead(pool) {
+                Some(pending) => pending,
+                None => return,
+            },
+            Role::Retire => return,
+        };
+        // A panicking session must not retire its thread. A panic while
+        // handling a request is caught in the session (the peer reads an
+        // `internal` error); this catch is the backstop for the rest:
+        // the unwind drops the stream (the peer sees a close), and the
+        // thread goes back to the pool.
+        let Ok(outcome) =
+            panic::catch_unwind(AssertUnwindSafe(|| run_session(broker, ctx, pending)))
+        else {
+            ctx.telemetry.incr("server.sessions.panicked");
+            continue;
+        };
+        if ctx.control.is_draining() {
+            let tally = match outcome.end {
+                SessionEnd::Aborted => &pool.aborted,
+                SessionEnd::Completed => &pool.drained,
+                _ => continue,
+            };
+            tally.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The leader's loop: accepts, and queues or sheds what it accepted,
+/// until it hands the accept role to a follower — then it returns the
+/// connection to serve itself — or the server stops (`None`).
+fn lead(pool: &Pool) -> Option<Pending> {
+    let control = &pool.ctx.control;
+    let telemetry = &pool.ctx.telemetry;
+    loop {
+        let accepted = pool.listener.accept();
         // Checked before anything is counted or queued: once stopped,
-        // what woke the acceptor is the shutdown's own wake connection
+        // what woke the leader is the shutdown's own wake connection
         // (or a client racing it), and is dropped.
         if control.is_stopped() {
-            break;
+            return None;
         }
-        match accepted {
-            Ok((stream, _)) => {
-                conn_id += 1;
-                telemetry.incr("server.sessions.accepted");
-                if control.is_draining() {
-                    shed_draining.fetch_add(1, Ordering::Relaxed);
-                    shed(stream, ShedReason::Draining, telemetry);
-                    continue;
-                }
-                let pending = Pending {
-                    stream,
-                    conn_id,
-                    accepted_at: Instant::now(),
-                };
-                match queue.offer(pending) {
-                    Ok(depth) => telemetry.gauge("server.queue.depth", depth as i64),
-                    Err(refused) => {
-                        shed(refused.stream, ShedReason::Overloaded, telemetry);
-                    }
-                }
-            }
+        let Ok((stream, _)) = accepted else {
             // Accept errors (per-connection resets, fd exhaustion):
             // back off briefly rather than spinning or dying.
-            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
+            thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        telemetry.incr("server.sessions.accepted");
+        let pending = Pending {
+            stream,
+            conn_id: pool.conn_ids.fetch_add(1, Ordering::Relaxed) + 1,
+            accepted_at: Instant::now(),
+        };
+        let admission = if control.is_draining() {
+            Admission::Shed(pending, ShedReason::Draining)
+        } else {
+            pool.queue.admit(pending)
+        };
+        match admission {
+            Admission::Serve(pending) => return Some(pending),
+            Admission::Queued(depth) => telemetry.gauge("server.queue.depth", depth as i64),
+            Admission::Shed(refused, reason) => {
+                if reason == ShedReason::Draining {
+                    pool.shed_draining.fetch_add(1, Ordering::Relaxed);
+                }
+                shed(refused.stream, reason, telemetry);
+            }
         }
     }
 }
@@ -291,16 +314,9 @@ fn accept_loop(
 /// never a silent close while the peer still expects an answer.
 fn shed<W: SetWriteTimeout>(stream: W, reason: ShedReason, telemetry: &Telemetry) {
     // Best effort: a peer that vanished before the reply is its own
-    // problem; the acceptor must not block on it.
+    // problem; the leader must not block on it.
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    telemetry.count_labeled(
-        "server.sessions.shed",
-        match reason {
-            ShedReason::Overloaded => "overloaded",
-            ShedReason::Draining => "draining",
-        },
-        1,
-    );
+    telemetry.count_labeled("server.sessions.shed", reason.as_str(), 1);
     let mut writer = FrameWriter::new(stream);
     let _ = writer.write_frame(&Reply::Shed { reason }.to_json());
 }
@@ -317,64 +333,14 @@ impl SetWriteTimeout for TcpStream {
     }
 }
 
-fn worker_loop<S: WireSemiring>(
-    broker: &mut Broker<S>,
-    ctx: &SessionContext,
-    queue: &AdmissionQueue,
-    control: &Control,
-) -> WorkerStats {
-    let mut stats = WorkerStats::default();
-    loop {
-        if control.should_abort() {
-            break;
-        }
-        match queue.take(TAKE_TICK) {
-            Some(pending) => {
-                // A panicking session must not retire its worker. A panic
-                // while handling a request is caught in the session (the
-                // peer reads an `internal` error); this catch is the
-                // backstop for the rest: the unwind drops the stream (the
-                // peer sees a close), and the worker takes the next
-                // connection.
-                let Ok(outcome) =
-                    panic::catch_unwind(AssertUnwindSafe(|| run_session(broker, ctx, pending)))
-                else {
-                    ctx.telemetry.incr("server.sessions.panicked");
-                    continue;
-                };
-                if control.is_draining() {
-                    match outcome.end {
-                        SessionEnd::Aborted => stats.aborted += 1,
-                        SessionEnd::Completed => stats.drained += 1,
-                        _ => {}
-                    }
-                }
-            }
-            None => {
-                // Queue empty (or closed): during a drain that means
-                // this worker's job is done.
-                if control.is_draining() && queue.depth() == 0 {
-                    break;
-                }
-            }
-        }
-    }
-    stats
-}
-
 /// A running daemon. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] leaves the threads serving (they are
 /// detached with the process); tests and the CLI always drain.
 #[derive(Debug)]
 pub struct ServerHandle<S: WireSemiring> {
     addr: SocketAddr,
-    config: ServerConfig,
-    control: Arc<Control>,
-    queue: Arc<AdmissionQueue>,
-    workers: Vec<JoinHandle<WorkerStats>>,
-    acceptor: JoinHandle<()>,
-    shed_draining: Arc<AtomicUsize>,
-    telemetry: Telemetry,
+    pool: Arc<Pool>,
+    workers: Vec<JoinHandle<()>>,
     broker: Broker<S>,
 }
 
@@ -384,20 +350,20 @@ impl<S: WireSemiring> ServerHandle<S> {
         self.addr
     }
 
-    /// A broker clone sharing the daemon's registry and caches — for
-    /// seeding providers, asserting cache bounds, reading epochs.
+    /// A broker clone sharing the daemon's registry — for seeding
+    /// providers and reading epochs.
     pub fn broker(&self) -> &Broker<S> {
         &self.broker
     }
 
     /// The configuration the daemon runs with.
     pub fn config(&self) -> &ServerConfig {
-        &self.config
+        &self.pool.ctx.config
     }
 
     /// Current accept-queue depth.
     pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
+        self.pool.queue.depth()
     }
 
     /// Gracefully drains and stops the daemon.
@@ -408,68 +374,68 @@ impl<S: WireSemiring> ServerHandle<S> {
     /// checkpoint with a typed `timed-out` reply and anything still
     /// queued is shed. Blocks until every thread has joined — which is
     /// bounded, because every blocking operation in the server is, and
-    /// the acceptor's `accept()` is woken by a loopback connect (if
-    /// that connect fails, the acceptor is detached instead of joined).
+    /// the leader's `accept()` is woken by a loopback connect (if that
+    /// connect fails, the leader is detached instead of joined).
     pub fn shutdown(self, drain: Duration) -> DrainReport {
         let begun = Instant::now();
-        self.control.begin_drain(begun + drain);
-        // Close the queue: offers are refused (the acceptor sheds
-        // anyway) and idle workers wake instead of sleeping out their
-        // tick. Already-queued sessions remain takeable.
-        self.queue.close();
+        let pool = &self.pool;
+        let config = &pool.ctx.config;
+        let control = &pool.ctx.control;
+        control.begin_drain(begun + drain);
+        // Close the queue: the leader sheds every arrival and idle
+        // followers wake to retire. Already-queued sessions remain
+        // takeable.
+        pool.queue.close();
 
-        let mut drained = 0;
-        let mut aborted = 0;
-        for worker in self.workers {
-            let stats = worker.join().unwrap_or_default();
-            drained += stats.drained;
-            aborted += stats.aborted;
-        }
-        self.control.stop();
-
-        // Anything still queued was sacrificed to the deadline.
-        let leftovers = self.queue.drain_remaining();
-        let mut shed_total = leftovers.len();
-        for pending in leftovers {
-            shed(pending.stream, ShedReason::Draining, &self.telemetry);
-        }
-        if !stop_acceptor(self.acceptor, self.addr) {
-            self.telemetry.incr("server.acceptor.detached");
-        }
-        shed_total += self.shed_draining.load(Ordering::Relaxed);
-
-        let elapsed = begun.elapsed();
         // Aborts are observed at the next loop checkpoint: one read
         // tick to notice and one bounded write to reply. Then the
-        // acceptor's wake connect, plus scheduling slack. Anything
-        // beyond that is a genuine drain overrun. (Idle workers wait
-        // on no tick: closing the queue wakes them.)
-        let grace = self.config.read_timeout
-            + self.config.write_timeout
+        // leader's wake connect, plus scheduling slack. Anything beyond
+        // that is a genuine drain overrun.
+        let grace = config.read_timeout
+            + config.write_timeout
             + ACCEPTOR_WAKE_TIMEOUT
             + Duration::from_millis(200);
+        pool.queue.await_leader_only(begun + drain + grace);
+        control.stop();
+
+        // Anything still queued was sacrificed to the deadline.
+        let leftovers = pool.queue.stop();
+        let shed_total = leftovers.len();
+        for pending in leftovers {
+            shed(pending.stream, ShedReason::Draining, &pool.ctx.telemetry);
+        }
+        let leader = pool.queue.leader();
+        for worker in self.workers {
+            if Some(worker.thread().id()) != leader {
+                let _ = worker.join();
+            } else if !stop_acceptor(worker, self.addr) {
+                pool.ctx.telemetry.incr("server.acceptor.detached");
+            }
+        }
+
+        let elapsed = begun.elapsed();
         DrainReport {
-            drained,
-            shed: shed_total,
-            aborted,
+            drained: pool.drained.load(Ordering::Relaxed),
+            shed: shed_total + pool.shed_draining.load(Ordering::Relaxed),
+            aborted: pool.aborted.load(Ordering::Relaxed),
             elapsed,
             within_deadline: elapsed <= drain + grace,
         }
     }
 }
 
-/// Wakes the acceptor blocked in `accept()` with one loopback
-/// connection to the bound port, then joins it. Must run after
-/// [`Control::stop`], so the acceptor drops that connection and exits.
+/// Wakes the leader blocked in `accept()` with one loopback connection
+/// to the bound port, then joins it. Must run after [`Control::stop`],
+/// so the leader drops that connection and exits.
 ///
-/// Returns whether the acceptor was joined. If the wake connect fails
-/// within [`ACCEPTOR_WAKE_TIMEOUT`], the acceptor is left detached
+/// Returns whether the leader was joined. If the wake connect fails
+/// within [`ACCEPTOR_WAKE_TIMEOUT`], the leader is left detached
 /// rather than joined: shutdown stays bounded, and the thread exits on
 /// the next connection it accepts.
-fn stop_acceptor(acceptor: JoinHandle<()>, addr: SocketAddr) -> bool {
+fn stop_acceptor(leader: JoinHandle<()>, addr: SocketAddr) -> bool {
     match TcpStream::connect_timeout(&wake_target(addr), ACCEPTOR_WAKE_TIMEOUT) {
         Ok(_wake) => {
-            let _ = acceptor.join();
+            let _ = leader.join();
             true
         }
         Err(_) => false,
@@ -552,6 +518,33 @@ mod tests {
         let counters = sink.snapshot().counters;
         assert_eq!(counters.get("server.sessions.panicked"), Some(&1));
         assert_eq!(counters.get("server.sessions.completed"), Some(&1));
+    }
+
+    #[test]
+    fn sequential_sessions_on_an_idle_server_are_served_by_the_thread_that_accepts() {
+        let (telemetry, sink) = Telemetry::recording();
+        let config = ServerConfig::default();
+        let workers = config.workers;
+        let handle =
+            NegotiationServer::start(Fuzzy, loadgen::seed_providers(1), config, telemetry).unwrap();
+
+        const SESSIONS: u64 = 8;
+        for _ in 0..SESSIONS {
+            // Idle: every thread but the leader waits for a role.
+            while handle.pool.queue.idle() < workers {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let reply = exchange(handle.local_addr(), "compute").unwrap();
+            assert!(matches!(reply, Some(Reply::Bound { .. })), "{reply:?}");
+        }
+        handle.shutdown(Duration::from_secs(1));
+
+        // The leader handed off and served each connection itself:
+        // nothing was ever queued, and each queue wait was recorded.
+        let snapshot = sink.snapshot();
+        assert_eq!(snapshot.gauges.get("server.queue.depth"), None);
+        let waits = snapshot.timings.get("server.phase.queue_wait");
+        assert_eq!(waits.map(|w| w.count), Some(SESSIONS));
     }
 
     #[test]

@@ -298,7 +298,7 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ShedReason::Overloaded => "overloaded",
             ShedReason::Draining => "draining",

@@ -37,7 +37,7 @@ use crate::ServiceId;
 #[derive(Debug)]
 pub(crate) struct SessionContext {
     pub config: ServerConfig,
-    pub control: Arc<Control>,
+    pub control: Control,
     pub telemetry: Telemetry,
     /// The contended-batching window (used when `config.fairness` is
     /// set).
@@ -76,6 +76,9 @@ pub(crate) fn run_session<S: WireSemiring>(
     pending: Pending,
 ) -> SessionStats {
     let t = &ctx.telemetry;
+    if t.enabled() {
+        t.timing("server.phase.queue_wait", pending.accepted_at.elapsed());
+    }
     let config = &ctx.config;
     let mut stats = SessionStats {
         requests: 0,
@@ -97,21 +100,18 @@ pub(crate) fn run_session<S: WireSemiring>(
         stats.end = SessionEnd::TransportError;
         return stats;
     }
-    let Ok(write_half) = pending.stream.try_clone() else {
-        stats.end = SessionEnd::TransportError;
-        return stats;
-    };
 
-    // Server-side transport chaos (off by default): wraps both halves
-    // with the connection's deterministic fault.
+    // Server-side transport chaos (off by default): wraps the reading
+    // and the writing side of the one stream with the connection's
+    // deterministic fault.
     let conn_id = pending.conn_id;
     let calm = TransportChaos::default();
     let chaos = config.transport_chaos.as_ref().unwrap_or(&calm);
     let mut reader = FrameReader::new(
-        ChaosStream::new(pending.stream, chaos, pending.conn_id),
+        ChaosStream::new(&pending.stream, chaos, conn_id),
         config.max_frame_bytes,
     );
-    let mut writer = FrameWriter::new(ChaosStream::new(write_half, chaos, pending.conn_id));
+    let mut writer = FrameWriter::new(ChaosStream::new(&pending.stream, chaos, conn_id));
 
     let deadline = pending.accepted_at + config.session_deadline;
 

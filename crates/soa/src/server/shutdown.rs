@@ -1,20 +1,21 @@
 //! Graceful-shutdown control plane.
 //!
-//! Shutdown is a three-phase state machine shared by the acceptor,
-//! every worker and every in-flight session:
+//! Shutdown is a three-phase state machine shared by every pool thread
+//! — the leader in `accept()` and the followers serving sessions — and
+//! every in-flight session:
 //!
-//! 1. **Running** — accept, queue, serve.
-//! 2. **Draining** — the acceptor sheds new connections with a fast
-//!    `draining` reply; workers finish the queue and their in-flight
-//!    sessions while the drain deadline allows.
-//! 3. **Stopped** — past the deadline (or once drained): sessions
-//!    abort at their next checkpoint with a typed `timed-out` reply,
-//!    still-queued connections are shed, threads exit.
+//! 1. **Running** — accept, hand off or queue, serve.
+//! 2. **Draining** — the leader sheds new connections with a fast
+//!    `draining` reply; followers finish the queue and their in-flight
+//!    sessions while the drain deadline allows, then retire.
+//! 3. **Stopped** — once only the leader is left, or past the deadline:
+//!    sessions abort at their next checkpoint with a typed `timed-out`
+//!    reply, still-queued connections are shed, threads exit.
 //!
 //! Every blocking operation in the server is bounded (socket timeouts,
 //! condvar waits, step-bounded negotiations), so the transition from
 //! *Draining* to *Stopped* is observed promptly — a drain never hangs
-//! on a stuck peer. The one exception is the acceptor's blocking
+//! on a stuck peer. The one exception is the leader's blocking
 //! `accept()`: on *Stopped*, shutdown wakes it with a loopback connect
 //! bounded by a timeout.
 
@@ -101,7 +102,7 @@ pub struct DrainReport {
     pub elapsed: Duration,
     /// Whether shutdown returned within the drain deadline plus the
     /// bounded-abort grace: one read tick, one bounded write, the
-    /// acceptor's wake connect, and scheduling slack.
+    /// leader's wake connect, and scheduling slack.
     pub within_deadline: bool,
 }
 

@@ -12,11 +12,13 @@
 //! - shutdown drains gracefully within its deadline and reports what
 //!   it served, aborted and shed, and the loopback connection that
 //!   wakes the blocking acceptor is neither counted nor shed;
+//! - the extra thread that accepts adds no capacity: at most `workers`
+//!   sessions are in flight and `queue_limit` queued;
 //! - and the headline acceptance check: a fixed-seed chaos load
 //!   (hundreds of concurrent sessions, >10% hostile transports, store
 //!   faults injected into every negotiation) terminates every single
-//!   session with a typed outcome — zero hung clients — and leaves the
-//!   broker's caches bounded.
+//!   session with a typed outcome — zero hung clients — and drains
+//!   cleanly.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -319,6 +321,63 @@ fn overload_is_shed_with_a_fast_typed_reply() {
 }
 
 #[test]
+fn capacity_is_workers_in_flight_plus_the_queue_limit() {
+    // Two workers and one queue slot make three threads, one of them
+    // always accepting: two stalled sessions and one queued fill the
+    // server, and the accepting thread never serves a third.
+    let config = ServerConfig {
+        workers: 2,
+        queue_limit: 1,
+        session_deadline: Duration::from_millis(900),
+        ..ServerConfig::default()
+    };
+    let handle = start(config);
+    let addr = handle.local_addr();
+    let hold = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut s = &stream;
+        s.write_all(b"{\"op\":").expect("half a frame");
+        // Let the server settle the connection (served or queued)
+        // before the next arrives, so admission state is deterministic.
+        std::thread::sleep(Duration::from_millis(150));
+        stream
+    };
+    let held = [hold(), hold(), hold()];
+    assert_eq!(handle.queue_depth(), 1, "two in flight, one queued");
+
+    for attempt in 0..3 {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .unwrap();
+        let asked = std::time::Instant::now();
+        match read_reply(&stream) {
+            Some(Reply::Shed {
+                reason: ShedReason::Overloaded,
+            }) => {}
+            other => panic!("attempt {attempt}: expected an overload shed, got {other:?}"),
+        }
+        assert!(
+            asked.elapsed() < Duration::from_millis(300),
+            "attempt {attempt}: the shed took {:?}",
+            asked.elapsed()
+        );
+    }
+
+    for stream in held {
+        match read_reply(&stream) {
+            Some(Reply::TimedOut { .. }) | None => {}
+            other => panic!("expected a typed timeout or close, got {other:?}"),
+        }
+    }
+    let report = handle.shutdown(Duration::from_secs(2));
+    assert!(report.within_deadline, "clean drain: {report:?}");
+}
+
+#[test]
 fn stalled_client_times_out_with_a_typed_reply() {
     let config = ServerConfig {
         session_deadline: Duration::from_millis(400),
@@ -453,11 +512,11 @@ fn idle_server_on_an_unspecified_address_shuts_down_promptly() {
     );
 }
 
-/// The PR's acceptance test: a fixed-seed chaos load — hundreds of
-/// concurrent sessions, >10% hostile transports, store-level faults in
-/// every negotiation, server-side wire chaos, registry churn — where
-/// **every session terminates with a typed outcome and nobody hangs**,
-/// followed by a clean drain, with the broker's caches still bounded.
+/// The acceptance test of the fault envelope: a fixed-seed chaos load
+/// — hundreds of concurrent sessions, >10% hostile transports,
+/// store-level faults in every negotiation, server-side wire chaos,
+/// registry churn — where **every session terminates with a typed
+/// outcome and nobody hangs**, followed by a clean drain.
 #[test]
 fn chaos_load_terminates_every_session_with_a_typed_outcome() {
     let server = ServerConfig {
