@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softsoa_core::generate::{chain_weighted, random_fuzzy, random_weighted, RandomScsp};
 use softsoa_core::solve::{
     add_unary_projections, prune_zero_supports, BranchAndBound, BucketElimination,
-    EliminationOrder, EnumerationSolver, Parallelism, Solver, SolverConfig, VarOrder,
+    EnumerationSolver, Parallelism, Solver, SolverConfig, VarOrder,
 };
 use std::hint::black_box;
 
@@ -38,12 +38,8 @@ fn bench(c: &mut Criterion) {
                     .unwrap()
             })
         });
-        group.bench_with_input(BenchmarkId::new("bucket_min_degree", n), &p, |b, p| {
-            b.iter(|| {
-                BucketElimination::new(EliminationOrder::MinDegree)
-                    .solve(black_box(p))
-                    .unwrap()
-            })
+        group.bench_with_input(BenchmarkId::new("bucket", n), &p, |b, p| {
+            b.iter(|| BucketElimination::new().solve(black_box(p)).unwrap())
         });
     }
     group.finish();
@@ -65,12 +61,8 @@ fn bench(c: &mut Criterion) {
                     .unwrap()
             })
         });
-        group.bench_with_input(BenchmarkId::new("bucket_min_degree", n), &p, |b, p| {
-            b.iter(|| {
-                BucketElimination::new(EliminationOrder::MinDegree)
-                    .solve(black_box(p))
-                    .unwrap()
-            })
+        group.bench_with_input(BenchmarkId::new("bucket", n), &p, |b, p| {
+            b.iter(|| BucketElimination::new().solve(black_box(p)).unwrap())
         });
     }
     group.finish();

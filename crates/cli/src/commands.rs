@@ -12,8 +12,8 @@ use softsoa_coalition::{
     socially_oriented, FormationConfig, MAX_EXACT_AGENTS,
 };
 use softsoa_core::solve::{
-    BranchAndBound, BucketElimination, EliminationOrder, Engine, EnumerationSolver, Parallelism,
-    PropagationMode, Solver, SolverConfig, VarOrder,
+    BranchAndBound, BucketElimination, Engine, EnumerationSolver, Parallelism, PropagationMode,
+    Solver, SolverConfig, VarOrder,
 };
 use softsoa_core::{Constraint, Domain, Domains, Scsp, Var};
 use softsoa_dependability::{check_refinement, photo};
@@ -276,12 +276,11 @@ impl SolveOptions {
 pub fn parse_var_order(name: &str) -> Result<VarOrder, String> {
     match name {
         "input" => Ok(VarOrder::Input),
-        "smallest" | "smallest-domain" => Ok(VarOrder::SmallestDomain),
         "most-constrained" => Ok(VarOrder::MostConstrained),
         "dynamic" => Ok(VarOrder::Dynamic),
         "estimate" => Ok(VarOrder::Estimate),
         other => Err(format!(
-            "unknown variable order `{other}` (expected input, smallest, most-constrained, dynamic or estimate)"
+            "unknown variable order `{other}` (expected input, most-constrained, dynamic or estimate)"
         )),
     }
 }
@@ -326,9 +325,7 @@ fn solve_generic<S: Semiring>(
                 None => bnb.solve(problem),
             }
         }
-        SolverChoice::Bucket => {
-            BucketElimination::with_config(EliminationOrder::default(), config).solve(problem)
-        }
+        SolverChoice::Bucket => BucketElimination::with_config(config).solve(problem),
     }
     .map_err(|e| CommandError::Engine(e.to_string()))?;
     let (telemetry, recorder) = metrics_recorder(options.metrics);
@@ -1821,7 +1818,7 @@ mod tests {
         // warm start reports the same blevel and witness as the plain
         // branch-and-bound run.
         let blind = solve(FIG1, SolverChoice::BranchAndBound).unwrap();
-        for order in ["input", "smallest", "most-constrained", "dynamic"] {
+        for order in ["input", "most-constrained", "dynamic"] {
             for ibound in [None, Some(1), Some(2)] {
                 for warm_start in [false, true] {
                     let options = SolveOptions {
@@ -1866,6 +1863,7 @@ mod tests {
         assert_eq!(parse_var_order("dynamic").unwrap(), VarOrder::Dynamic);
         assert_eq!(parse_var_order("estimate").unwrap(), VarOrder::Estimate);
         assert!(parse_var_order("random").is_err());
+        assert!(parse_var_order("smallest").is_err());
     }
 
     #[test]

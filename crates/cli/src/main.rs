@@ -14,7 +14,7 @@ const USAGE: &str = "softsoa — soft constraints for dependable SOAs
 USAGE:
     softsoa solve <problem.json> [--solver enum|bnb|bucket]
                   [--jobs <n>] [--stats] [--metrics[=json|pretty]]
-                  [--order input|smallest|most-constrained|dynamic|estimate]
+                  [--order input|most-constrained|dynamic|estimate]
                   [--ibound <n>] [--warm-start]
                   [--propagate[=off|root|full]] [--decompose|--no-decompose]
                   [--engine auto|bnb|treedec] [--width-cap <n>]
@@ -64,7 +64,9 @@ uses the tree engine exactly when the separator width fits under
 --width-cap (default 8) and falls back to bnb otherwise. treedec
 forced onto a too-wide component still falls back to search, seeded by
 a greedy tree bound. All engines report the same blevel and an equally
-best witness.
+best witness. --solver bucket runs the same bucket tree with the con
+variables kept: its final cluster's table is the printed solution
+table, and it has no width cap or fallback.
 
 `serve` runs the negotiation daemon (line-JSON over TCP) until stdin
 reaches EOF, then drains gracefully within --drain-ms. `load` drives

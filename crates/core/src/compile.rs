@@ -179,31 +179,6 @@ impl<S: Semiring> CompiledProblem<S> {
         )
     }
 
-    /// Compiles an aggregation of `constraints` down to the `keep`
-    /// variables — the workhorse behind bucket-elimination projections.
-    /// The compiled variable set is the union of the constraint scopes
-    /// and `keep` (sorted); `con` is `keep`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MissingDomainError`] if a scope or `keep` variable has
-    /// no domain.
-    pub fn for_projection(
-        semiring: S,
-        constraints: &[Constraint<S>],
-        keep: &[Var],
-        domains: &Domains,
-    ) -> Result<CompiledProblem<S>, MissingDomainError> {
-        let mut vars: Vec<Var> = constraints
-            .iter()
-            .flat_map(|c| c.scope().iter().cloned())
-            .chain(keep.iter().cloned())
-            .collect();
-        vars.sort();
-        vars.dedup();
-        CompiledProblem::build(semiring, constraints, vars, keep, domains)
-    }
-
     fn build(
         semiring: S,
         constraints: &[Constraint<S>],

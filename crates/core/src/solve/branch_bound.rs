@@ -23,8 +23,6 @@ pub enum VarOrder {
     /// The problem's natural (sorted) variable order.
     #[default]
     Input,
-    /// Smallest domain first (fail-first).
-    SmallestDomain,
     /// Variable appearing in the most constraints first.
     MostConstrained,
     /// Greedy combined ordering: repeatedly pick the unplaced variable
@@ -79,7 +77,7 @@ pub enum VarOrder {
 ///         (v.as_int().unwrap() as u64).pow(2)
 ///     }))
 ///     .of_interest(["x"]);
-/// let solution = BranchAndBound::new(VarOrder::SmallestDomain).solve(&p)?;
+/// let solution = BranchAndBound::new(VarOrder::MostConstrained).solve(&p)?;
 /// assert_eq!(*solution.blevel(), 0);
 /// # Ok::<(), softsoa_core::SolveError>(())
 /// ```
@@ -111,14 +109,6 @@ impl BranchAndBound {
             // `Estimate` is resolved inside the search (it needs a
             // root propagation pass).
             VarOrder::Input | VarOrder::Estimate => {}
-            VarOrder::SmallestDomain => {
-                let mut keyed: Vec<(usize, Var)> = vars
-                    .into_iter()
-                    .map(|v| Ok((problem.domains().get(&v)?.len(), v)))
-                    .collect::<Result<_, SolveError>>()?;
-                keyed.sort();
-                vars = keyed.into_iter().map(|(_, v)| v).collect();
-            }
             VarOrder::MostConstrained => {
                 let mut keyed: Vec<(usize, Var)> = vars
                     .into_iter()
@@ -802,7 +792,6 @@ mod tests {
         let reference = EnumerationSolver::new().solve(&p).unwrap();
         for order in [
             VarOrder::Input,
-            VarOrder::SmallestDomain,
             VarOrder::MostConstrained,
             VarOrder::Dynamic,
             VarOrder::Estimate,

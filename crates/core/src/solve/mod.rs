@@ -19,19 +19,21 @@
 //!   [`solve_seeded`](BranchAndBound::solve_seeded) warm-starts the
 //!   incumbent from a known-achievable level — both preserve the blind
 //!   search's `blevel` and witness exactly.
-//! - [`BucketElimination`] — variable elimination; cost is exponential
-//!   only in the induced width of the chosen elimination order, not in
-//!   the total number of variables.
+//! - [`BucketElimination`] — variable elimination computing `Sol(P)` on
+//!   the [`treedec`] bucket tree with `con` kept as its final cluster;
+//!   cost is exponential only in the induced width of the elimination
+//!   order, not in the total number of variables.
 //! - [`ParetoBranchAndBound`] — frontier-bounded search for *partially
 //!   ordered* semirings (multi-criteria Pareto optimisation).
 //! - [`IncrementalSolver`] — a persistent solver accepting
 //!   add/retract/update constraint deltas that re-searches only the
 //!   connected components a delta touched, replaying clean components
 //!   from a shared cache.
-//! - [`treedec`] — bucket-tree elimination with AND/OR context caching
-//!   and witness reconstruction, selected per component via
-//!   [`SolverConfig::engine`]; polynomial in the induced width on
-//!   bounded-treewidth problems.
+//! - [`treedec`] — the one elimination engine: bucket-tree elimination
+//!   with AND/OR context caching and witness reconstruction, selected
+//!   per component via [`SolverConfig::engine`] and serving
+//!   [`BucketElimination`]'s `Sol(P)` tables; polynomial in the induced
+//!   width on bounded-treewidth problems.
 //!
 //! Plus two equivalence-preserving preprocessing passes:
 //! [`prune_zero_supports`] (semiring arc consistency, any semiring)
@@ -52,7 +54,7 @@ mod stats;
 pub mod treedec;
 
 pub use branch_bound::{BranchAndBound, VarOrder};
-pub use bucket::{BucketElimination, EliminationOrder};
+pub use bucket::BucketElimination;
 pub use config::{Engine, Parallelism, PropagationMode, SolverConfig, DEFAULT_WIDTH_CAP};
 pub use decompose::constraint_components;
 pub use enumeration::EnumerationSolver;

@@ -50,8 +50,10 @@ use std::time::Instant;
 use softsoa_semiring::Semiring;
 
 use crate::solve::parallel::fan_out;
-use crate::solve::{Engine, Solution, SolveError, SolverConfig, SolverStats, TreeStats};
-use crate::{Assignment, Scsp, Val, Var};
+use crate::solve::{
+    best_from_entries, Engine, Solution, SolveError, SolverConfig, SolverStats, TreeStats,
+};
+use crate::{Assignment, Constraint, Scsp, Val, Var};
 
 /// Hard guard on the cells of a single cluster table, independent of
 /// the configured width cap (domain sizes can blow a small width up).
@@ -98,7 +100,7 @@ pub fn plan_elimination<S: Semiring>(problem: &Scsp<S>) -> Result<EliminationPla
         problem.domains().get(v)?;
     }
     let adjacency = primal_graph(problem, &vars);
-    let (order, width, heuristic) = best_order(&adjacency);
+    let (order, width, heuristic) = best_order(&adjacency, &[]);
     Ok(EliminationPlan {
         order: order.into_iter().map(|p| vars[p].clone()).collect(),
         induced_width: width,
@@ -125,11 +127,18 @@ fn primal_graph<S: Semiring>(problem: &Scsp<S>, vars: &[Var]) -> Vec<BTreeSet<us
     adj
 }
 
-/// Runs one heuristic to completion, returning `(order, width)`.
-fn eliminate(mut adj: Vec<BTreeSet<usize>>, heuristic: TreeHeuristic) -> (Vec<usize>, usize) {
-    let n = adj.len();
-    let mut alive: BTreeSet<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
+/// Runs one heuristic until every vertex outside `keep` (sorted) is
+/// eliminated, returning `(order, width)`. Kept vertices collect fill
+/// edges but are never eliminated.
+fn eliminate(
+    mut adj: Vec<BTreeSet<usize>>,
+    heuristic: TreeHeuristic,
+    keep: &[usize],
+) -> (Vec<usize>, usize) {
+    let mut alive: BTreeSet<usize> = (0..adj.len())
+        .filter(|v| keep.binary_search(v).is_err())
+        .collect();
+    let mut order = Vec::with_capacity(alive.len());
     let mut width = 0;
     while let Some(&first) = alive.iter().next() {
         let mut best = first;
@@ -175,9 +184,12 @@ fn eliminate(mut adj: Vec<BTreeSet<usize>>, heuristic: TreeHeuristic) -> (Vec<us
     (order, width)
 }
 
-fn best_order(adjacency: &[BTreeSet<usize>]) -> (Vec<usize>, usize, TreeHeuristic) {
-    let (fill_order, fill_width) = eliminate(adjacency.to_vec(), TreeHeuristic::MinFill);
-    let (deg_order, deg_width) = eliminate(adjacency.to_vec(), TreeHeuristic::MinDegree);
+/// The one elimination-order planner: min-fill and min-degree over the
+/// vertices outside `keep`, keeping the narrower order (ties go to
+/// min-fill).
+fn best_order(adjacency: &[BTreeSet<usize>], keep: &[usize]) -> (Vec<usize>, usize, TreeHeuristic) {
+    let (fill_order, fill_width) = eliminate(adjacency.to_vec(), TreeHeuristic::MinFill, keep);
+    let (deg_order, deg_width) = eliminate(adjacency.to_vec(), TreeHeuristic::MinDegree, keep);
     if deg_width < fill_width {
         (deg_order, deg_width, TreeHeuristic::MinDegree)
     } else {
@@ -197,7 +209,8 @@ struct Bucket {
     /// Every separator variable has a *later* elimination rank.
     separator: Vec<usize>,
     /// Parent bucket rank (the separator's earliest variable), `None`
-    /// for roots.
+    /// when the separator lies in the kept variables: the message then
+    /// feeds the final cluster.
     parent: Option<usize>,
     /// Child bucket ranks whose messages feed this bucket.
     children: Vec<usize>,
@@ -211,27 +224,51 @@ struct Bucket {
 /// separators and the bottom-up parallel schedule. Depends only on
 /// variables, domains and constraint *scopes* — never on levels — so
 /// the incremental path can keep it across content-only deltas.
+///
+/// Kept variables are never eliminated: they all rank after every
+/// eliminated one, as one final cluster whose table is `(⊗C) ⇓ keep`.
+/// With nothing kept that cluster has a single cell, `blevel`.
 pub(crate) struct TreeStructure {
     vars: Vec<Var>,
     sizes: Vec<usize>,
     values: Vec<Vec<Val>>,
     /// Positions of the variables of interest.
     con_pos: Vec<usize>,
+    /// Positions of the kept variables (ascending): the final
+    /// cluster's scope.
+    keep: Vec<usize>,
     induced_width: usize,
     heuristic: TreeHeuristic,
     buckets: Vec<Bucket>,
     /// Bottom-up waves: every bucket in a wave has all its children in
     /// earlier waves, so a wave's tables can be computed in parallel.
     levels: Vec<Vec<usize>>,
-    /// Indices of empty-scope (constant) constraints.
-    constants: Vec<usize>,
+    /// Indices of the constraints scoped inside the kept variables
+    /// (every empty-scope constraint among them): the final cluster's
+    /// members.
+    kept_constraints: Vec<usize>,
+    /// Buckets whose message feeds the final cluster.
+    roots: Vec<usize>,
     max_separator: usize,
+    /// Saturating, like every cell count: `u64::MAX` marks an overflow.
     max_cluster_cells: u64,
     total_cells: u64,
 }
 
+/// `∏ sizes(positions)`, saturating at `u64::MAX`.
+fn cells(positions: &[usize], sizes: &[usize]) -> u64 {
+    positions
+        .iter()
+        .fold(1u64, |acc, &p| acc.saturating_mul(sizes[p] as u64))
+}
+
 impl TreeStructure {
-    pub(crate) fn build<S: Semiring>(problem: &Scsp<S>) -> Result<TreeStructure, SolveError> {
+    /// Plans and builds the bucket tree of `problem`, eliminating every
+    /// variable outside `keep` (sorted, like `problem.con()`).
+    pub(crate) fn build<S: Semiring>(
+        problem: &Scsp<S>,
+        keep: &[Var],
+    ) -> Result<TreeStructure, SolveError> {
         let vars = problem.problem_vars();
         let mut sizes = Vec::with_capacity(vars.len());
         let mut values = Vec::with_capacity(vars.len());
@@ -240,30 +277,30 @@ impl TreeStructure {
             sizes.push(d.len());
             values.push(d.values().to_vec());
         }
-        let con_pos = problem
-            .con()
-            .iter()
-            .map(|v| vars.binary_search(v).expect("con var is a problem var"))
-            .collect();
+        let pos = |v: &Var| vars.binary_search(v).expect("scope var is a problem var");
+        let con_pos = problem.con().iter().map(pos).collect();
+        let keep: Vec<usize> = keep.iter().map(pos).collect();
         let adjacency = primal_graph(problem, &vars);
-        let (order, induced_width, heuristic) = best_order(&adjacency);
-        let mut rank = vec![0; vars.len()];
+        let (order, induced_width, heuristic) = best_order(&adjacency, &keep);
+        // Every kept variable shares the rank after the last eliminated
+        // one: the final cluster's.
+        let last = order.len();
+        let mut rank = vec![last; vars.len()];
         for (r, &p) in order.iter().enumerate() {
             rank[p] = r;
         }
 
-        let pos = |v: &Var| vars.binary_search(v).expect("scope var is a problem var");
-        let mut constants = Vec::new();
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); vars.len()];
+        let mut kept_constraints = Vec::new();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); last];
         for (ci, c) in problem.constraints().iter().enumerate() {
             match c.scope().iter().map(|v| rank[pos(v)]).min() {
-                Some(earliest) => members[earliest].push(ci),
-                None => constants.push(ci),
+                Some(earliest) if earliest < last => members[earliest].push(ci),
+                _ => kept_constraints.push(ci),
             }
         }
 
-        let mut buckets: Vec<Bucket> = Vec::with_capacity(vars.len());
-        let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); vars.len()];
+        let mut buckets: Vec<Bucket> = Vec::with_capacity(last);
+        let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); last + 1];
         let (mut max_separator, mut max_cluster_cells, mut total_cells) = (0, 0u64, 0u64);
         for (r, &var) in order.iter().enumerate() {
             let mut cluster: BTreeSet<usize> = BTreeSet::new();
@@ -275,14 +312,14 @@ impl TreeStructure {
                 cluster.extend(buckets[child].separator.iter().copied());
             }
             let separator: Vec<usize> = cluster.iter().copied().filter(|&p| p != var).collect();
-            let parent = separator.iter().map(|&p| rank[p]).min();
-            if let Some(parent) = parent {
-                debug_assert!(parent > r, "separator ranks are later than the bucket's");
-                incoming[parent].push(r);
-            }
-            let sep_cells = separator
+            let parent = separator
                 .iter()
-                .fold(1u64, |acc, &p| acc.saturating_mul(sizes[p] as u64));
+                .map(|&p| rank[p])
+                .min()
+                .filter(|&p| p < last);
+            debug_assert!(parent.map_or(true, |p| p > r), "separator ranks are later");
+            incoming[parent.unwrap_or(last)].push(r);
+            let sep_cells = cells(&separator, &sizes);
             let cluster_cells = sep_cells.saturating_mul(sizes[var] as u64);
             max_separator = max_separator.max(separator.len());
             max_cluster_cells = max_cluster_cells.max(cluster_cells);
@@ -325,11 +362,13 @@ impl TreeStructure {
             sizes,
             values,
             con_pos,
+            keep,
             induced_width,
             heuristic,
             buckets,
             levels,
-            constants,
+            kept_constraints,
+            roots: std::mem::take(&mut incoming[last]),
             max_separator,
             max_cluster_cells,
             total_cells,
@@ -382,7 +421,7 @@ struct FlatConstraint<S: Semiring> {
 
 impl<S: Semiring> FlatConstraint<S> {
     fn materialize(
-        constraint: &crate::Constraint<S>,
+        constraint: &Constraint<S>,
         vars: &[Var],
         sizes: &[usize],
         values: &[Vec<Val>],
@@ -423,13 +462,42 @@ struct BucketTable<S: Semiring> {
     choice: Vec<usize>,
 }
 
+/// `⊗` of `constraints` and of the messages of `children` at the
+/// variable indices `idx` (a zero short-circuits the product).
+fn combine_at<S: Semiring>(
+    semiring: &S,
+    structure: &TreeStructure,
+    flats: &[FlatConstraint<S>],
+    tables: &[Option<BucketTable<S>>],
+    (constraints, children): (&[usize], &[usize]),
+    idx: &[usize],
+) -> S::Value {
+    let sizes = &structure.sizes;
+    let mut acc = semiring.one();
+    for &ci in constraints {
+        acc = semiring.times(&acc, flats[ci].lookup(sizes, idx));
+        if semiring.is_zero(&acc) {
+            return acc;
+        }
+    }
+    for &child in children {
+        let table = tables[child].as_ref().expect("child computed first");
+        let cs = flat_index(&structure.buckets[child].separator, sizes, idx);
+        acc = semiring.times(&acc, &table.message[cs]);
+        if semiring.is_zero(&acc) {
+            break;
+        }
+    }
+    acc
+}
+
 /// Computes bucket `r`'s table from its member constraints and its
 /// children's messages. Returns the table plus the number of child
 /// context-cache reads beyond each entry's first use.
 fn compute_bucket<S: Semiring>(
     semiring: &S,
     structure: &TreeStructure,
-    flats: &[Option<FlatConstraint<S>>],
+    flats: &[FlatConstraint<S>],
     tables: &[Option<BucketTable<S>>],
     r: usize,
 ) -> (BucketTable<S>, u64) {
@@ -440,30 +508,14 @@ fn compute_bucket<S: Semiring>(
     let mut idx = vec![0usize; structure.vars.len()];
     let mut message = Vec::with_capacity(sep_cells);
     let mut choice = Vec::with_capacity(sep_cells);
+    let members = (&bucket.constraints[..], &bucket.children[..]);
     for s in 0..sep_cells {
         unflatten(&bucket.separator, sizes, s, &mut idx);
         let mut sum = semiring.zero();
         let mut best = 0usize;
         for v in 0..d {
             idx[bucket.var] = v;
-            let mut acc = semiring.one();
-            for &ci in &bucket.constraints {
-                let flat = flats[ci].as_ref().expect("bucket constraint materialised");
-                acc = semiring.times(&acc, flat.lookup(sizes, &idx));
-                if semiring.is_zero(&acc) {
-                    break;
-                }
-            }
-            if !semiring.is_zero(&acc) {
-                for &child in &bucket.children {
-                    let table = tables[child].as_ref().expect("child computed first");
-                    let cs = flat_index(&structure.buckets[child].separator, sizes, &idx);
-                    acc = semiring.times(&acc, &table.message[cs]);
-                    if semiring.is_zero(&acc) {
-                        break;
-                    }
-                }
-            }
+            let acc = combine_at(semiring, structure, flats, tables, members, &idx);
             // `+` is the lub, so the running Σ *is* the max; `lt`
             // keeps the first value attaining it (deterministic
             // witness, matching the search engines' first-witness
@@ -496,7 +548,7 @@ fn compute_bucket<S: Semiring>(
 fn upward_pass<S: Semiring>(
     semiring: &S,
     structure: &TreeStructure,
-    flats: &[Option<FlatConstraint<S>>],
+    flats: &[FlatConstraint<S>],
     tables: &mut [Option<BucketTable<S>>],
     dirty: Option<&[bool]>,
     config: &SolverConfig,
@@ -530,25 +582,19 @@ fn upward_pass<S: Semiring>(
     context_hits
 }
 
-/// Combines root messages and constant constraints into `blevel`, then
+/// Reads `blevel` off the one-cell final cluster (nothing kept), then
 /// reconstructs the witness downward and assembles the [`Solution`].
 fn conclude<S: Semiring>(
     problem: &Scsp<S>,
     structure: &TreeStructure,
+    flats: &[FlatConstraint<S>],
     tables: &[Option<BucketTable<S>>],
     stats: SolverStats,
 ) -> Solution<S> {
     let semiring = problem.semiring();
-    let mut blevel = semiring.one();
-    for &ci in &structure.constants {
-        blevel = semiring.times(&blevel, &problem.constraints()[ci].eval_tuple(&[]));
-    }
-    for (r, bucket) in structure.buckets.iter().enumerate() {
-        if bucket.parent.is_none() {
-            let table = tables[r].as_ref().expect("root computed");
-            blevel = semiring.times(&blevel, &table.message[0]);
-        }
-    }
+    let mut idx = vec![0usize; structure.vars.len()];
+    let last = (&structure.kept_constraints[..], &structure.roots[..]);
+    let blevel = combine_at(semiring, structure, flats, tables, last, &idx);
 
     let best = if semiring.is_zero(&blevel) {
         Vec::new()
@@ -556,7 +602,6 @@ fn conclude<S: Semiring>(
         // Downward pass: reverse elimination order. Bucket r's
         // separator variables all have later ranks, hence are already
         // pinned; its cached argmax extends the context optimally.
-        let mut idx = vec![0usize; structure.vars.len()];
         for r in (0..structure.buckets.len()).rev() {
             let bucket = &structure.buckets[r];
             let table = tables[r].as_ref().expect("bucket computed");
@@ -581,15 +626,12 @@ fn conclude<S: Semiring>(
 fn materialize_all<S: Semiring>(
     problem: &Scsp<S>,
     structure: &TreeStructure,
-) -> Vec<Option<FlatConstraint<S>>> {
+) -> Vec<FlatConstraint<S>> {
     problem
         .constraints()
         .iter()
-        .enumerate()
-        .map(|(ci, c)| {
-            (!structure.constants.contains(&ci)).then(|| {
-                FlatConstraint::materialize(c, &structure.vars, &structure.sizes, &structure.values)
-            })
+        .map(|c| {
+            FlatConstraint::materialize(c, &structure.vars, &structure.sizes, &structure.values)
         })
         .collect()
 }
@@ -615,7 +657,77 @@ fn solve_tree<S: Semiring>(
         solve_time: start.elapsed(),
         ..SolverStats::default()
     };
-    conclude(problem, structure, &tables, stats)
+    conclude(problem, structure, &flats, &tables, stats)
+}
+
+/// `Sol(P) = (⊗C) ⇓ con` on the bucket tree: every variable outside
+/// `con` is eliminated, and the final cluster enumerates the `con`
+/// tuples, `⊗`-combining the constraints scoped in `con` with the
+/// messages routed to it, without summing anything out. Its table,
+/// split across worker threads by tuple range, is the solution's
+/// `Sol(P)`; `blevel` is its `+`-fold.
+///
+/// # Errors
+///
+/// [`SolveError::MissingDomain`] for a variable without a domain;
+/// [`SolveError::TableTooLarge`] when a cluster or the `con` table has
+/// more cells than `usize` counts (this path has no search fallback,
+/// so neither the width cap nor [`TREE_CELL_LIMIT`] applies).
+pub(crate) fn solve_con<S: Semiring>(
+    problem: &Scsp<S>,
+    config: &SolverConfig,
+) -> Result<Solution<S>, SolveError> {
+    let start = Instant::now();
+    let semiring = problem.semiring();
+    let structure = TreeStructure::build(problem, problem.con())?;
+    let kept_cells = cells(&structure.keep, &structure.sizes);
+    let cells = usize::try_from(kept_cells)
+        .ok()
+        .filter(|_| structure.max_cluster_cells.max(kept_cells) < u64::MAX)
+        .ok_or(SolveError::TableTooLarge)?;
+    let flats = materialize_all(problem, &structure);
+    let compile_time = start.elapsed();
+    let mut tables = vec![None; structure.buckets.len()];
+    let hits = upward_pass(semiring, &structure, &flats, &mut tables, None, config);
+    let threads = config.parallelism.thread_count(cells);
+    let last = (&structure.kept_constraints[..], &structure.roots[..]);
+    let entries: Vec<(Vec<Val>, S::Value)> = fan_out(threads, cells, |range| {
+        let mut idx = vec![0usize; structure.vars.len()];
+        range
+            .map(|s| {
+                unflatten(&structure.keep, &structure.sizes, s, &mut idx);
+                let tuple = structure
+                    .keep
+                    .iter()
+                    .map(|&p| structure.values[p][idx[p]].clone())
+                    .collect();
+                let level = combine_at(semiring, &structure, &flats, &tables, last, &idx);
+                (tuple, level)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let con = problem.con();
+    let blevel = semiring.sum(entries.iter().map(|(_, v)| v));
+    let best = best_from_entries(semiring, con, &entries);
+    let table = Constraint::table(semiring.clone(), con, entries, semiring.zero());
+    let mut tree = structure.tree_stats(false, hits);
+    tree.table_cells = tree.table_cells.saturating_add(cells as u64);
+    let stats = SolverStats {
+        nodes: tree.table_cells,
+        threads: threads.max(
+            config
+                .parallelism
+                .thread_count(structure.levels.first().map_or(1, |l| l.len())),
+        ),
+        compile_time,
+        tree: Some(tree),
+        solve_time: start.elapsed(),
+        ..SolverStats::default()
+    };
+    Ok(Solution::new(blevel, best, Some(table.with_label("Sol(P)"))).with_stats(stats))
 }
 
 /// The tree-guided greedy fallback seed: a complete assignment built
@@ -706,7 +818,7 @@ pub(crate) fn attempt<S: Semiring>(
     if config.engine == Engine::BranchBound {
         return Ok(TreeAttempt::Declined);
     }
-    let structure = TreeStructure::build(problem)?;
+    let structure = TreeStructure::build(problem, &[])?;
     if structure.fits(config) {
         return Ok(TreeAttempt::Solved(Box::new(solve_tree(
             problem, &structure, config,
@@ -737,7 +849,7 @@ pub(crate) struct TreeReuse {
 /// bucket and its ancestors toward the root.
 pub(crate) struct TreeState<S: Semiring> {
     structure: TreeStructure,
-    flats: Vec<Option<FlatConstraint<S>>>,
+    flats: Vec<FlatConstraint<S>>,
     tables: Vec<Option<BucketTable<S>>>,
     /// `(id, version)` per constraint, aligned with
     /// `problem.constraints()`.
@@ -789,14 +901,14 @@ pub(crate) fn solve_incremental<S: Semiring>(
     // Validate or rebuild the scope-level structure.
     let rebuild = match state {
         Some(st) => {
-            let structure = TreeStructure::build(problem)?;
+            let structure = TreeStructure::build(problem, &[])?;
             if scope_signature(problem, &structure) != st.scope_sig {
                 Some(structure)
             } else {
                 None
             }
         }
-        None => Some(TreeStructure::build(problem)?),
+        None => Some(TreeStructure::build(problem, &[])?),
     };
     if let Some(structure) = rebuild {
         if !structure.fits(config) {
@@ -818,7 +930,7 @@ pub(crate) fn solve_incremental<S: Semiring>(
             solve_time: start.elapsed(),
             ..SolverStats::default()
         };
-        let solution = conclude(problem, &structure, &tables, stats);
+        let solution = conclude(problem, &structure, &flats, &tables, stats);
         *state = Some(TreeState {
             structure,
             flats,
@@ -836,14 +948,12 @@ pub(crate) fn solve_incremental<S: Semiring>(
     let mut dirty = vec![false; st.structure.buckets.len()];
     for (ci, (old, new)) in st.con_sigs.iter().zip(sigs).enumerate() {
         if old != new {
-            if !st.structure.constants.contains(&ci) {
-                st.flats[ci] = Some(FlatConstraint::materialize(
-                    &problem.constraints()[ci],
-                    &st.structure.vars,
-                    &st.structure.sizes,
-                    &st.structure.values,
-                ));
-            }
+            st.flats[ci] = FlatConstraint::materialize(
+                &problem.constraints()[ci],
+                &st.structure.vars,
+                &st.structure.sizes,
+                &st.structure.values,
+            );
             for (r, bucket) in st.structure.buckets.iter().enumerate() {
                 if bucket.constraints.contains(&ci) {
                     dirty[r] = true;
@@ -887,7 +997,7 @@ pub(crate) fn solve_incremental<S: Semiring>(
         ..SolverStats::default()
     };
     Ok(Some((
-        conclude(problem, &st.structure, &st.tables, stats),
+        conclude(problem, &st.structure, &st.flats, &st.tables, stats),
         reuse,
     )))
 }
@@ -895,9 +1005,12 @@ pub(crate) fn solve_incremental<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{banded_weighted, chain_weighted, random_weighted, RandomScsp};
-    use crate::solve::{BranchAndBound, Solver, VarOrder};
-    use crate::{Constraint, Domain};
+    use crate::generate::{
+        banded_weighted, chain_weighted, random_product, random_weighted, RandomScsp,
+    };
+    use crate::solve::{BranchAndBound, EnumerationSolver, Solver, VarOrder};
+    use crate::testutil::fig1_problem;
+    use crate::Domain;
     use softsoa_semiring::WeightedInt;
 
     fn tree_config() -> SolverConfig {
@@ -972,6 +1085,36 @@ mod tests {
 
     fn p_vars(n: usize) -> Vec<Var> {
         (0..n).map(|i| Var::new(format!("x{i}"))).collect()
+    }
+
+    /// The kept-`con` path's table is the oracle's `Sol(P)`, and its
+    /// `blevel` the oracle's.
+    fn assert_con_table_is_sol<S: Semiring>(p: &Scsp<S>) {
+        let reference = EnumerationSolver::new().solve(p).unwrap();
+        let tree = solve_con(p, &tree_config()).unwrap();
+        assert_eq!(tree.blevel(), reference.blevel());
+        let table = tree.solution_constraint().unwrap();
+        let sol = reference.solution_constraint().unwrap();
+        assert!(table.equivalent(sol, p.domains()).unwrap());
+    }
+
+    #[test]
+    fn kept_con_table_is_the_oracles_sol() {
+        assert_con_table_is_sol(&fig1_problem());
+        assert_con_table_is_sol(&chain_weighted(8, 3, 4).of_interest(["x2", "x5"]));
+        let product = random_product(&RandomScsp {
+            vars: 5,
+            domain_size: 3,
+            constraints: 7,
+            arity: 2,
+            seed: 9,
+        });
+        assert_con_table_is_sol(&product.of_interest(["x1", "x3"]));
+        // `con = ∅`: one cell, `blevel`.
+        let blevel_only = fig1_problem().of_interest(Vec::<Var>::new());
+        assert_con_table_is_sol(&blevel_only);
+        let tree = solve_con(&blevel_only, &tree_config()).unwrap();
+        assert_eq!(tree.solution_constraint().unwrap().eval_tuple(&[]), 7);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use softsoa_semiring::{Residuated, Semiring};
 
-use crate::semantics::{enabled, FreshGen, SemanticsError};
+use crate::semantics::{moves, FreshGen, SemanticsError};
 use crate::{Agent, Interpreter, Policy, Program, RunReport, Store};
 
 /// The terminal state of one agent under the concurrent executor.
@@ -231,7 +231,16 @@ fn agent_loop<S: Residuated>(
             };
         }
 
-        match enabled(program, &agent, &state.store, &mut fresh) {
+        // Choose, then build: only the picked move's successor store
+        // is materialised while the store lock is held.
+        let step = moves(program, &agent, &state.store, &mut fresh).and_then(|mut moves| {
+            if moves.is_empty() {
+                return Ok(None);
+            }
+            let pick = rng.random_range(0..moves.len());
+            moves.swap_remove(pick).build(&state.store).map(Some)
+        });
+        match step {
             Err(e) => {
                 state.error = Some(e);
                 shared.wake.notify_all();
@@ -243,7 +252,7 @@ fn agent_loop<S: Residuated>(
                     steps,
                 };
             }
-            Ok(transitions) if transitions.is_empty() => {
+            Ok(None) => {
                 // Suspended: wait for the store to change. `waiting`
                 // counts only agents that found nothing to do at the
                 // *current* epoch; every step resets it, so a waiter
@@ -267,12 +276,7 @@ fn agent_loop<S: Residuated>(
                     shared.wake.wait(&mut state);
                 }
             }
-            Ok(transitions) => {
-                let pick = rng.random_range(0..transitions.len());
-                let chosen = transitions
-                    .into_iter()
-                    .nth(pick)
-                    .expect("pick within range");
+            Ok(Some(chosen)) => {
                 state.store = chosen.store;
                 state.epoch += 1;
                 state.waiting = 0; // all waiters must re-check

@@ -3,11 +3,11 @@
 //! [`moves`] lists every transition a configuration `⟨A, σ⟩` can take,
 //! labelled with the rule (R1–R10) that justifies it, and decides each
 //! check without building the successor store; [`Move::build`] then
-//! takes one. [`enabled`] is every move, built. The
+//! takes one. [`enabled`] is every move, built, for the
+//! [`Explorer`](crate::Explorer). The
 //! [`Interpreter`](crate::Interpreter), the timed and resilient
-//! interpreters (one step loop that builds only the move it takes),
-//! the [`Explorer`](crate::Explorer) and the concurrent executor all
-//! read this one relation.
+//! interpreters (one step loop) and the concurrent executor build only
+//! the move they take. All of them read this one relation.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;

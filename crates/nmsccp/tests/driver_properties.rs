@@ -20,7 +20,8 @@
 //!   variable without a domain.
 //! - A step materialises only the store of the move it takes, and a
 //!   dropped transition none: each told policy is evaluated once per
-//!   tuple over a whole run.
+//!   tuple over a whole run, under every sequential driver and the
+//!   concurrent executor.
 
 mod common;
 
@@ -33,8 +34,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use softsoa_core::{Constraint, Domain, Domains, Var};
 use softsoa_nmsccp::{
-    enabled, moves, Agent, Explorer, FaultAction, FaultEvent, FaultPlan, FreshGen, Guard,
-    GuardKind, Interpreter, Interval, Outcome, Policy, Program, RecoveryPolicy,
+    enabled, moves, Agent, ConcurrentExecutor, Explorer, FaultAction, FaultEvent, FaultPlan,
+    FreshGen, Guard, GuardKind, Interpreter, Interval, Outcome, Policy, Program, RecoveryPolicy,
     ResilientInterpreter, Rule, SemanticsError, Store, Transition,
 };
 use softsoa_semiring::{Fuzzy, Residuated, Unit, WeightedInt};
@@ -492,6 +493,18 @@ fn a_step_materialises_only_the_move_it_takes() {
             .unwrap();
         assert!(report.outcome.is_success());
         told_once(&format!("{policy:?}"));
+    }
+
+    // The concurrent executor chooses among the moves of its agent,
+    // then builds only the chosen one.
+    for seed in 0..3 {
+        reset();
+        let report = ConcurrentExecutor::new(Program::new())
+            .with_seed(seed)
+            .run(vec![agent.clone()], store.clone())
+            .unwrap();
+        assert!(report.all_succeeded());
+        told_once(&format!("concurrent, seed {seed}"));
     }
 
     // Dropped transitions consume the choice and build nothing.

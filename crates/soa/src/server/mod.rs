@@ -207,7 +207,8 @@ struct Pool {
     /// The last connection id handed out. Only the leader accepts, so
     /// ids are monotonic in accept order.
     conn_ids: AtomicU64,
-    /// Sessions completed during the drain, whichever thread served them.
+    /// Sessions completed during the drain that were dequeued, or read
+    /// a request, after it began — whichever thread served them.
     drained: AtomicUsize,
     /// Sessions aborted at the drain deadline.
     aborted: AtomicUsize,
@@ -244,6 +245,7 @@ fn pool_thread<S: WireSemiring>(broker: &mut Broker<S>, pool: &Pool) {
             },
             Role::Retire => return,
         };
+        let dequeued_in_drain = ctx.control.is_draining();
         // A panicking session must not retire its thread. A panic while
         // handling a request is caught in the session (the peer reads an
         // `internal` error); this catch is the backstop for the rest:
@@ -256,9 +258,15 @@ fn pool_thread<S: WireSemiring>(broker: &mut Broker<S>, pool: &Pool) {
             continue;
         };
         if ctx.control.is_draining() {
+            // Drained means the drain saw the session work: dequeued,
+            // or reading a request, after it began. A client that had
+            // already finished, whose EOF was still unread, does not
+            // count.
             let tally = match outcome.end {
                 SessionEnd::Aborted => &pool.aborted,
-                SessionEnd::Completed => &pool.drained,
+                SessionEnd::Completed if dequeued_in_drain || outcome.read_in_drain => {
+                    &pool.drained
+                }
                 _ => continue,
             };
             tally.fetch_add(1, Ordering::Relaxed);

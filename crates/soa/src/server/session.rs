@@ -66,6 +66,8 @@ pub(crate) struct SessionStats {
     pub requests: usize,
     /// How the session ended.
     pub end: SessionEnd,
+    /// Whether a request was read after the drain began.
+    pub read_in_drain: bool,
 }
 
 /// Runs one session to completion. Never panics on transport failures;
@@ -83,6 +85,7 @@ pub(crate) fn run_session<S: WireSemiring>(
     let mut stats = SessionStats {
         requests: 0,
         end: SessionEnd::Completed,
+        read_in_drain: false,
     };
 
     // Bounded socket operations: the read timeout is the loop's tick
@@ -133,6 +136,7 @@ pub(crate) fn run_session<S: WireSemiring>(
         let frame = match reader.read_frame() {
             Ok(frame) => {
                 t.timing("server.phase.read", read_start.elapsed());
+                stats.read_in_drain |= ctx.control.is_draining();
                 frame
             }
             Err(e) if e.is_timeout() => {

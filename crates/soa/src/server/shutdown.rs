@@ -89,8 +89,10 @@ impl Control {
 /// [`crate::server::ServerHandle::shutdown`].
 #[derive(Debug, Clone)]
 pub struct DrainReport {
-    /// Sessions that completed normally during the drain (queued or
-    /// in-flight when it began).
+    /// Sessions that completed normally during the drain and were
+    /// dequeued, or read a request, after it began (queued, or
+    /// in flight with requests still to send). A session whose client
+    /// had already finished before the drain does not count.
     pub drained: usize,
     /// Connections shed with a `draining` reply (arrived during the
     /// drain, or still queued when the deadline passed).

@@ -496,6 +496,28 @@ fn shutdown_wake_connection_is_neither_accepted_nor_shed() {
 }
 
 #[test]
+fn sessions_finished_before_the_drain_are_not_drained() {
+    // Each client gets its reply and closes before the next connects;
+    // the serving thread may still be waiting to read the last EOF
+    // when the drain begins, but nothing was left for it to drain.
+    let handle = start(ServerConfig::default());
+    for session in 0..20 {
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match roundtrip(&stream, &negotiate()) {
+            Reply::Bound { .. } => {}
+            other => panic!("session {session}: expected bound, got {other:?}"),
+        }
+    }
+    let report = handle.shutdown(Duration::from_secs(2));
+    assert!(report.within_deadline, "clean drain: {report:?}");
+    assert_eq!(report.drained, 0, "nothing was in flight: {report:?}");
+    assert_eq!(report.aborted, 0, "{report:?}");
+}
+
+#[test]
 fn idle_server_on_an_unspecified_address_shuts_down_promptly() {
     // The wake connection goes to loopback when the listener is bound
     // to 0.0.0.0.

@@ -102,7 +102,7 @@ fn compiled_problem_is_solvable_by_any_solver() {
     // 3 choice variables + 3 QoS variables.
     assert_eq!(problem.con().len(), 6);
     // The compiled problem is an ordinary SCSP: solve it directly.
-    let direct = BranchAndBound::new(VarOrder::SmallestDomain)
+    let direct = BranchAndBound::new(VarOrder::MostConstrained)
         .solve(&problem)
         .unwrap();
     assert_eq!(*direct.blevel(), Weight::new(14.0).unwrap());

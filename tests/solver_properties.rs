@@ -9,8 +9,8 @@ use softsoa::core::generate::{
     chain_weighted, random_fuzzy, random_probabilistic, random_product, random_weighted, RandomScsp,
 };
 use softsoa::core::solve::{
-    BranchAndBound, BucketElimination, EliminationOrder, EnumerationSolver, Parallelism,
-    ParetoBranchAndBound, Solution, Solver, SolverConfig, VarOrder,
+    BranchAndBound, BucketElimination, EnumerationSolver, Parallelism, ParetoBranchAndBound,
+    Solution, Solver, SolverConfig, VarOrder,
 };
 use softsoa::core::{combine_all, Constraint, Domain, Domains, Scsp, Var};
 use softsoa::semiring::{Probabilistic, Residuated, Semiring, Unit, WeightedInt};
@@ -36,18 +36,16 @@ proptest! {
     fn solvers_agree_weighted(cfg in cfg_strategy()) {
         let p = random_weighted(&cfg);
         let reference = EnumerationSolver::new().solve(&p).unwrap();
-        for order in [VarOrder::Input, VarOrder::SmallestDomain, VarOrder::MostConstrained] {
+        for order in [VarOrder::Input, VarOrder::MostConstrained] {
             let bnb = BranchAndBound::new(order).solve(&p).unwrap();
             prop_assert_eq!(bnb.blevel(), reference.blevel());
         }
-        for order in [EliminationOrder::InputReverse, EliminationOrder::MinDegree] {
-            let be = BucketElimination::new(order).solve(&p).unwrap();
-            prop_assert_eq!(be.blevel(), reference.blevel());
-            // The solution tables must agree extensionally.
-            let t1 = be.solution_constraint().unwrap();
-            let t2 = reference.solution_constraint().unwrap();
-            prop_assert!(t1.equivalent(t2, p.domains()).unwrap());
-        }
+        let be = BucketElimination::new().solve(&p).unwrap();
+        prop_assert_eq!(be.blevel(), reference.blevel());
+        // The solution tables must agree extensionally.
+        let t1 = be.solution_constraint().unwrap();
+        let t2 = reference.solution_constraint().unwrap();
+        prop_assert!(t1.equivalent(t2, p.domains()).unwrap());
     }
 
     /// Same agreement on fuzzy problems (idempotent ×).
@@ -187,9 +185,7 @@ fn check_total_order_engines<S: Semiring>(p: &Scsp<S>) -> Result<(), TestCaseErr
             .unwrap();
         prop_assert_eq!(bnb.blevel(), reference.blevel());
 
-        let be = BucketElimination::with_config(EliminationOrder::InputReverse, config)
-            .solve(p)
-            .unwrap();
+        let be = BucketElimination::with_config(config).solve(p).unwrap();
         prop_assert_eq!(be.blevel(), reference.blevel());
         let t3 = be.solution_constraint().unwrap();
         prop_assert!(t3.equivalent(t2, p.domains()).unwrap());
@@ -223,9 +219,7 @@ fn check_probabilistic_engines(p: &Scsp<Probabilistic>) -> Result<(), TestCaseEr
             .solve(p)
             .unwrap();
         prop_assert!(close(bnb.blevel(), reference.blevel()));
-        let be = BucketElimination::with_config(EliminationOrder::InputReverse, config)
-            .solve(p)
-            .unwrap();
+        let be = BucketElimination::with_config(config).solve(p).unwrap();
         prop_assert!(close(be.blevel(), reference.blevel()));
     }
     Ok(())
@@ -279,9 +273,7 @@ fn check_partial_order_engines<S: Semiring>(p: &Scsp<S>) -> Result<(), TestCaseE
         // enumeration aggregates.
         prop_assert!(frontier_covered(p.semiring(), &pareto, &reference));
 
-        let be = BucketElimination::with_config(EliminationOrder::InputReverse, config)
-            .solve(p)
-            .unwrap();
+        let be = BucketElimination::with_config(config).solve(p).unwrap();
         prop_assert_eq!(be.blevel(), reference.blevel());
     }
     Ok(())
@@ -350,21 +342,15 @@ fn pinned_regression_configs_stay_green() {
     for cfg in pinned {
         let p = random_weighted(&cfg);
         let reference = EnumerationSolver::new().solve(&p).unwrap();
-        for order in [
-            VarOrder::Input,
-            VarOrder::SmallestDomain,
-            VarOrder::MostConstrained,
-        ] {
+        for order in [VarOrder::Input, VarOrder::MostConstrained] {
             let bnb = BranchAndBound::new(order).solve(&p).unwrap();
             assert_eq!(bnb.blevel(), reference.blevel(), "{cfg:?}");
         }
-        for order in [EliminationOrder::InputReverse, EliminationOrder::MinDegree] {
-            let be = BucketElimination::new(order).solve(&p).unwrap();
-            assert_eq!(be.blevel(), reference.blevel(), "{cfg:?}");
-            let t1 = be.solution_constraint().unwrap();
-            let t2 = reference.solution_constraint().unwrap();
-            assert!(t1.equivalent(t2, p.domains()).unwrap(), "{cfg:?}");
-        }
+        let be = BucketElimination::new().solve(&p).unwrap();
+        assert_eq!(be.blevel(), reference.blevel(), "{cfg:?}");
+        let t1 = be.solution_constraint().unwrap();
+        let t2 = reference.solution_constraint().unwrap();
+        assert!(t1.equivalent(t2, p.domains()).unwrap(), "{cfg:?}");
         check_total_order_engines(&p).unwrap();
         check_partial_order_engines(&random_product(&cfg)).unwrap();
     }
@@ -376,9 +362,7 @@ fn pinned_regression_configs_stay_green() {
 #[test]
 fn bucket_elimination_handles_long_chains() {
     let p = chain_weighted(14, 4, 9);
-    let be = BucketElimination::new(EliminationOrder::MinDegree)
-        .solve(&p)
-        .unwrap();
+    let be = BucketElimination::new().solve(&p).unwrap();
     // A chain of |x_i + k_i − x_{i+1}| constraints is always
     // 0-satisfiable when every offset stays in range... not guaranteed
     // for all seeds, but the blevel must at least be finite.
