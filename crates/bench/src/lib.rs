@@ -8,8 +8,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
-
 use softsoa_core::{Constraint, Domain, Domains, Scsp, Val, Var};
 use softsoa_nmsccp::{Agent, Interval, Store};
 use softsoa_semiring::{Fuzzy, Unit, WeightedInt};

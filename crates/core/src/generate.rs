@@ -128,28 +128,6 @@ pub fn chain_weighted(n: usize, domain_size: usize, seed: u64) -> Scsp<WeightedI
     p.of_interest([var(0)])
 }
 
-/// A weighted random *tree*: every variable `x1..` is tied to a random
-/// earlier parent by a binary distance constraint. Induced width 1,
-/// like [`chain_weighted`], but with branching.
-pub fn tree_weighted(n: usize, domain_size: usize, seed: u64) -> Scsp<WeightedInt> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut p = Scsp::new(WeightedInt);
-    for i in 0..n {
-        p.add_domain(var(i), Domain::ints(0..domain_size as i64));
-    }
-    for i in 1..n {
-        let parent = rng.random_range(0..i);
-        let offset = rng.random_range(0..domain_size as i64);
-        p.add_constraint(Constraint::binary(
-            WeightedInt,
-            var(parent),
-            var(i),
-            move |a, b| (a.as_int().unwrap() + offset - b.as_int().unwrap()).unsigned_abs(),
-        ));
-    }
-    p.of_interest([var(0)])
-}
-
 /// Parameters of a structured *union* SCSP: `components` independent
 /// banded sub-problems with no constraints between them. The
 /// constraint graph of each component is the band graph (variable `i`
@@ -367,13 +345,6 @@ mod tests {
         let p = chain_weighted(6, 3, 1);
         assert_eq!(p.constraints().len(), 5);
         assert!(p.constraints().iter().all(|c| c.scope().len() == 2));
-    }
-
-    #[test]
-    fn tree_is_connected_with_width_one() {
-        let p = tree_weighted(7, 3, 5);
-        assert_eq!(p.constraints().len(), 6);
-        assert_eq!(crate::solve::constraint_components(&p).len(), 1);
     }
 
     #[test]

@@ -25,10 +25,8 @@
 //!   order, not in the total number of variables.
 //! - [`ParetoBranchAndBound`] — frontier-bounded search for *partially
 //!   ordered* semirings (multi-criteria Pareto optimisation).
-//! - [`IncrementalSolver`] — a persistent solver accepting
-//!   add/retract/update constraint deltas that re-searches only the
-//!   connected components a delta touched, replaying clean components
-//!   from a shared cache.
+//! - [`IncrementalSolver`] — a facade that re-solves from scratch after
+//!   each constraint update; kept only for the benchmark crate.
 //! - [`treedec`] — the one elimination engine: bucket-tree elimination
 //!   with AND/OR context caching and witness reconstruction, selected
 //!   per component via [`SolverConfig::engine`] and serving
@@ -58,7 +56,7 @@ pub use bucket::BucketElimination;
 pub use config::{Engine, Parallelism, PropagationMode, SolverConfig, DEFAULT_WIDTH_CAP};
 pub use decompose::constraint_components;
 pub use enumeration::EnumerationSolver;
-pub use incremental::{ConstraintId, IncrementalSolver, IncrementalStats};
+pub use incremental::{ConstraintId, IncrementalSolver};
 pub use minibucket::MiniBucketBound;
 pub use pareto::ParetoBranchAndBound;
 pub use preprocess::{add_unary_projections, prune_zero_supports, PruneReport};

@@ -198,7 +198,7 @@ fn best_order(adjacency: &[BTreeSet<usize>], keep: &[usize]) -> (Vec<usize>, usi
 }
 
 /// One bucket of the tree: the variable it eliminates, its member
-/// constraints, and the separator edge to its parent.
+/// constraints, its separator and the children feeding it.
 struct Bucket {
     /// Eliminated variable (position into `TreeStructure::vars`).
     var: usize,
@@ -208,10 +208,6 @@ struct Bucket {
     /// Separator: cluster minus `var`, sorted by variable position.
     /// Every separator variable has a *later* elimination rank.
     separator: Vec<usize>,
-    /// Parent bucket rank (the separator's earliest variable), `None`
-    /// when the separator lies in the kept variables: the message then
-    /// feeds the final cluster.
-    parent: Option<usize>,
     /// Child bucket ranks whose messages feed this bucket.
     children: Vec<usize>,
     /// `∏ sizes(separator)` — the message table length.
@@ -222,8 +218,7 @@ struct Bucket {
 
 /// The scope-level shape of a tree solve: elimination order, buckets,
 /// separators and the bottom-up parallel schedule. Depends only on
-/// variables, domains and constraint *scopes* — never on levels — so
-/// the incremental path can keep it across content-only deltas.
+/// variables, domains and constraint *scopes*, never on levels.
 ///
 /// Kept variables are never eliminated: they all rank after every
 /// eliminated one, as one final cluster whose table is `(⊗C) ⇓ keep`.
@@ -312,6 +307,8 @@ impl TreeStructure {
                 cluster.extend(buckets[child].separator.iter().copied());
             }
             let separator: Vec<usize> = cluster.iter().copied().filter(|&p| p != var).collect();
+            // The parent is the separator's earliest variable; a
+            // separator inside the kept variables feeds the final cluster.
             let parent = separator
                 .iter()
                 .map(|&p| rank[p])
@@ -328,7 +325,6 @@ impl TreeStructure {
                 var,
                 constraints: std::mem::take(&mut members[r]),
                 separator,
-                parent,
                 children: Vec::new(),
                 sep_cells,
                 cluster_cells,
@@ -544,32 +540,22 @@ fn compute_bucket<S: Semiring>(
 }
 
 /// Runs the upward pass: wave-parallel bucket tables, bottom-up.
-/// `dirty` selects which buckets to (re)compute — `None` means all.
 fn upward_pass<S: Semiring>(
     semiring: &S,
     structure: &TreeStructure,
     flats: &[FlatConstraint<S>],
     tables: &mut [Option<BucketTable<S>>],
-    dirty: Option<&[bool]>,
     config: &SolverConfig,
 ) -> u64 {
     let mut context_hits = 0;
     for level in &structure.levels {
-        let todo: Vec<usize> = level
-            .iter()
-            .copied()
-            .filter(|&r| dirty.map_or(true, |d| d[r]))
-            .collect();
-        if todo.is_empty() {
-            continue;
-        }
-        let threads = config.parallelism.thread_count(todo.len());
-        let computed = fan_out(threads, todo.len(), |range| {
+        let threads = config.parallelism.thread_count(level.len());
+        let computed = fan_out(threads, level.len(), |range| {
             range
                 .map(|k| {
                     (
-                        todo[k],
-                        compute_bucket(semiring, structure, flats, tables, todo[k]),
+                        level[k],
+                        compute_bucket(semiring, structure, flats, tables, level[k]),
                     )
                 })
                 .collect::<Vec<_>>()
@@ -636,7 +622,7 @@ fn materialize_all<S: Semiring>(
         .collect()
 }
 
-/// Solves `problem` with a full (non-incremental) tree pass. The
+/// Solves `problem` with one upward and one downward tree pass. The
 /// caller has already checked [`TreeStructure::fits`].
 fn solve_tree<S: Semiring>(
     problem: &Scsp<S>,
@@ -647,7 +633,7 @@ fn solve_tree<S: Semiring>(
     let semiring = problem.semiring().clone();
     let flats = materialize_all(problem, structure);
     let mut tables: Vec<Option<BucketTable<S>>> = vec![None; structure.buckets.len()];
-    let context_hits = upward_pass(&semiring, structure, &flats, &mut tables, None, config);
+    let context_hits = upward_pass(&semiring, structure, &flats, &mut tables, config);
     let stats = SolverStats {
         nodes: structure.total_cells,
         threads: config
@@ -688,7 +674,7 @@ pub(crate) fn solve_con<S: Semiring>(
     let flats = materialize_all(problem, &structure);
     let compile_time = start.elapsed();
     let mut tables = vec![None; structure.buckets.len()];
-    let hits = upward_pass(semiring, &structure, &flats, &mut tables, None, config);
+    let hits = upward_pass(semiring, &structure, &flats, &mut tables, config);
     let threads = config.parallelism.thread_count(cells);
     let last = (&structure.kept_constraints[..], &structure.roots[..]);
     let entries: Vec<(Vec<Val>, S::Value)> = fan_out(threads, cells, |range| {
@@ -736,8 +722,7 @@ pub(crate) fn solve_con<S: Semiring>(
 /// suffix (the tree DP with messages dropped). Its canonically
 /// evaluated level is achievable by construction, hence a sound
 /// incumbent — offered only on exact-`×` semirings, where the seed's
-/// association matches the search's own fold (the same gate as
-/// incremental warm seeds).
+/// association matches the search's own fold.
 fn greedy_seed<S: Semiring>(problem: &Scsp<S>, structure: &TreeStructure) -> Option<S::Value> {
     let semiring = problem.semiring();
     if !semiring.exact_times() {
@@ -832,174 +817,6 @@ pub(crate) fn attempt<S: Semiring>(
         }),
         Engine::BranchBound => unreachable!("returned Declined above"),
     }
-}
-
-/// Per-cluster reuse counters from one incremental tree solve.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct TreeReuse {
-    pub reused: u64,
-    pub recomputed: u64,
-}
-
-/// Persistent tree state for one connected component inside
-/// [`IncrementalSolver`](crate::solve::IncrementalSolver): the
-/// scope-level structure plus the materialised constraint tables and
-/// bucket messages of the last solve, keyed by per-bucket content
-/// signatures so a content-only delta invalidates exactly the touched
-/// bucket and its ancestors toward the root.
-pub(crate) struct TreeState<S: Semiring> {
-    structure: TreeStructure,
-    flats: Vec<FlatConstraint<S>>,
-    tables: Vec<Option<BucketTable<S>>>,
-    /// `(id, version)` per constraint, aligned with
-    /// `problem.constraints()`.
-    con_sigs: Vec<(u64, u64)>,
-    /// Scope-shape fingerprint: constraint scopes + domain sizes.
-    scope_sig: u64,
-}
-
-fn fnv(acc: u64, word: u64) -> u64 {
-    (acc ^ word).wrapping_mul(0x100000001b3)
-}
-
-fn scope_signature<S: Semiring>(problem: &Scsp<S>, structure: &TreeStructure) -> u64 {
-    let mut sig = 0xcbf29ce484222325u64;
-    sig = fnv(sig, structure.vars.len() as u64);
-    for &s in &structure.sizes {
-        sig = fnv(sig, s as u64);
-    }
-    for c in problem.constraints() {
-        sig = fnv(sig, u64::MAX); // scope delimiter
-        for v in c.scope() {
-            let p = structure
-                .vars
-                .binary_search(v)
-                .expect("scope var is a problem var");
-            sig = fnv(sig, p as u64);
-        }
-    }
-    sig
-}
-
-/// Incremental tree solve for one component. `sigs` carries the
-/// `(constraint id, version)` pairs aligned with
-/// `problem.constraints()`. Returns `None` when the component is too
-/// wide for the cap (caller falls back to search); otherwise the
-/// solution plus how many cluster tables were reused versus
-/// recomputed. The caller owns dropping `state` on domain
-/// re-declarations (tables are only sound against the domains they
-/// were filled from).
-pub(crate) fn solve_incremental<S: Semiring>(
-    problem: &Scsp<S>,
-    sigs: &[(u64, u64)],
-    state: &mut Option<TreeState<S>>,
-    config: &SolverConfig,
-) -> Result<Option<(Solution<S>, TreeReuse)>, SolveError> {
-    let start = Instant::now();
-    let semiring = problem.semiring().clone();
-
-    // Validate or rebuild the scope-level structure.
-    let rebuild = match state {
-        Some(st) => {
-            let structure = TreeStructure::build(problem, &[])?;
-            if scope_signature(problem, &structure) != st.scope_sig {
-                Some(structure)
-            } else {
-                None
-            }
-        }
-        None => Some(TreeStructure::build(problem, &[])?),
-    };
-    if let Some(structure) = rebuild {
-        if !structure.fits(config) {
-            *state = None;
-            return Ok(None);
-        }
-        let scope_sig = scope_signature(problem, &structure);
-        let flats = materialize_all(problem, &structure);
-        let mut tables = vec![None; structure.buckets.len()];
-        let context_hits = upward_pass(&semiring, &structure, &flats, &mut tables, None, config);
-        let reuse = TreeReuse {
-            reused: 0,
-            recomputed: structure.buckets.len() as u64,
-        };
-        let stats = SolverStats {
-            nodes: structure.total_cells,
-            threads: 1,
-            tree: Some(structure.tree_stats(false, context_hits)),
-            solve_time: start.elapsed(),
-            ..SolverStats::default()
-        };
-        let solution = conclude(problem, &structure, &flats, &tables, stats);
-        *state = Some(TreeState {
-            structure,
-            flats,
-            tables,
-            con_sigs: sigs.to_vec(),
-            scope_sig,
-        });
-        return Ok(Some((solution, reuse)));
-    }
-
-    let st = state.as_mut().expect("validated above");
-    // Content-only deltas: re-materialise changed constraints, mark
-    // their buckets dirty, and propagate dirtiness to ancestors (a
-    // bucket's message feeds its parent's table).
-    let mut dirty = vec![false; st.structure.buckets.len()];
-    for (ci, (old, new)) in st.con_sigs.iter().zip(sigs).enumerate() {
-        if old != new {
-            st.flats[ci] = FlatConstraint::materialize(
-                &problem.constraints()[ci],
-                &st.structure.vars,
-                &st.structure.sizes,
-                &st.structure.values,
-            );
-            for (r, bucket) in st.structure.buckets.iter().enumerate() {
-                if bucket.constraints.contains(&ci) {
-                    dirty[r] = true;
-                }
-            }
-        }
-    }
-    for r in 0..st.structure.buckets.len() {
-        if dirty[r] {
-            if let Some(parent) = st.structure.buckets[r].parent {
-                dirty[parent] = true;
-            }
-        }
-    }
-    st.con_sigs = sigs.to_vec();
-    let recomputed = dirty.iter().filter(|&&d| d).count() as u64;
-    let context_hits = upward_pass(
-        &semiring,
-        &st.structure,
-        &st.flats,
-        &mut st.tables,
-        Some(&dirty),
-        config,
-    );
-    let reuse = TreeReuse {
-        reused: st.structure.buckets.len() as u64 - recomputed,
-        recomputed,
-    };
-    let stats = SolverStats {
-        nodes: st
-            .structure
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| dirty[*r])
-            .map(|(_, b)| b.cluster_cells)
-            .sum(),
-        threads: 1,
-        tree: Some(st.structure.tree_stats(false, context_hits)),
-        solve_time: start.elapsed(),
-        ..SolverStats::default()
-    };
-    Ok(Some((
-        conclude(problem, &st.structure, &st.flats, &st.tables, stats),
-        reuse,
-    )))
 }
 
 #[cfg(test)]
@@ -1186,46 +1003,5 @@ mod tests {
         .unwrap();
         assert_eq!(par.blevel(), seq.blevel());
         assert_eq!(par.best_assignment(), seq.best_assignment());
-    }
-
-    #[test]
-    fn incremental_state_reuses_clean_clusters() {
-        let p = chain_weighted(8, 3, 4);
-        let sigs: Vec<(u64, u64)> = (0..p.constraints().len() as u64).map(|i| (i, 0)).collect();
-        let cfg = tree_config();
-        let mut state = None;
-        let (cold, reuse) = solve_incremental(&p, &sigs, &mut state, &cfg)
-            .unwrap()
-            .expect("fits");
-        assert_eq!(reuse.reused, 0);
-
-        // Content-only change to one constraint: only its bucket and
-        // the ancestor path recompute.
-        let mut sigs2 = sigs.clone();
-        sigs2[3] = (3, 99);
-        let mut q = Scsp::new(WeightedInt);
-        for (v, d) in p.domains().iter() {
-            q.add_domain(v.clone(), d.clone());
-        }
-        for (ci, c) in p.constraints().iter().enumerate() {
-            if ci == 3 {
-                let inner = c.clone();
-                let scope = c.scope().to_vec();
-                q.add_constraint(Constraint::from_fn(WeightedInt, &scope, move |vals| {
-                    inner.eval_tuple(vals).saturating_add(5)
-                }));
-            } else {
-                q.add_constraint(c.clone());
-            }
-        }
-        let q = q.of_interest(p.con().iter().cloned());
-        let (warm, reuse) = solve_incremental(&q, &sigs2, &mut state, &cfg)
-            .unwrap()
-            .expect("fits");
-        assert!(reuse.reused > 0, "clean clusters reused");
-        assert!(reuse.recomputed < sigs.len() as u64);
-        let scratch = BranchAndBound::default().solve(&q).unwrap();
-        assert_eq!(warm.blevel(), scratch.blevel());
-        assert_eq!(*warm.blevel(), cold.blevel().saturating_add(5));
     }
 }

@@ -6,9 +6,8 @@
 #   scripts/bench_snapshot.sh [out.json] [group ...]
 #
 # Runs the `bounded_vs_blind`, `bell_vs_dp`, `propagation_vs_blind`,
-# `churn_incremental`, `treedec_vs_blind` and `store_ops` criterion
-# groups — or
-# just the groups named on the command line, merging their fresh numbers into an existing
+# `treedec_vs_blind` and `store_ops` criterion groups — or just the
+# groups named on the command line, merging their fresh numbers into an existing
 # out.json so one group can be re-measured without re-running the
 # multi-minute full sweep — and parses the harness report lines, e.g.
 #
@@ -16,8 +15,8 @@
 #
 # into {"median_ns": ..., "min_ns": ..., "mean_ns": ...} records. The
 # default output name, BENCH_10.json, is the committed snapshot for
-# the bucket-tree elimination engine (BENCH_7.json was the incremental
-# re-solve one, BENCH_6.json the propagation/decomposition one,
+# the bucket-tree elimination engine (BENCH_7.json was the retired
+# incremental re-solve one, BENCH_6.json the propagation/decomposition one,
 # BENCH_5.json the bounds/warm-start/coalition-DP one); CI regenerates
 # it as an artifact on every push.
 set -euo pipefail
@@ -27,7 +26,7 @@ out="${1:-BENCH_10.json}"
 shift $(($# > 0 ? 1 : 0))
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
-    benches=(bounded_vs_blind bell_vs_dp propagation_vs_blind churn_incremental treedec_vs_blind store_ops)
+    benches=(bounded_vs_blind bell_vs_dp propagation_vs_blind treedec_vs_blind store_ops)
 fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
