@@ -1,11 +1,16 @@
 //! E1 — Fig. 1: the weighted SCSP and its solution.
 //!
 //! Regenerates the paper's numbers (solution `⟨a⟩ → 7`, `⟨b⟩ → 16`,
-//! `blevel = 7`) and measures all three solvers on the problem.
+//! `blevel = 7`) and measures all three solvers on the problem; the
+//! `_sequential` rows pin the configured solvers to one thread, the
+//! reference their default (`Parallelism::Auto`) rows must stay near.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use softsoa_bench::fig1_problem;
-use softsoa_core::solve::{BranchAndBound, BucketElimination, EnumerationSolver, Solver};
+use softsoa_core::solve::{
+    BranchAndBound, BucketElimination, EnumerationSolver, Parallelism, Solver, SolverConfig,
+    VarOrder,
+};
 use softsoa_core::Assignment;
 use std::hint::black_box;
 
@@ -35,6 +40,21 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("bucket_elimination", |b| {
         b.iter(|| BucketElimination::default().solve(black_box(&p)).unwrap())
+    });
+    let sequential = SolverConfig::default().with_parallelism(Parallelism::Sequential);
+    group.bench_function("branch_and_bound_sequential", |b| {
+        b.iter(|| {
+            BranchAndBound::with_config(VarOrder::default(), sequential)
+                .solve(black_box(&p))
+                .unwrap()
+        })
+    });
+    group.bench_function("bucket_elimination_sequential", |b| {
+        b.iter(|| {
+            BucketElimination::with_config(sequential)
+                .solve(black_box(&p))
+                .unwrap()
+        })
     });
     group.finish();
 }

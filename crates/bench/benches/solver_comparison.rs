@@ -104,31 +104,36 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Sequential vs parallel: the compiled engine splitting the
-    // outermost domain across worker threads. On a single-core host the
-    // thread variants only measure the fan-out overhead.
+    // Sequential vs parallel (E30): compiled enumeration splitting the
+    // outermost domain across worker threads, at sizes bracketing
+    // `MIN_CELLS_PER_THREAD` (65,536). The generator leaves one variable
+    // unconstrained below n = 15, so n = 10..15 search 3^9 ≈ 20k,
+    // 59k, 177k, 531k, 1.6M and 3^15 ≈ 14.3M cells; `auto` runs inline
+    // until two threads get a grain each (from n = 12).
     let mut group = c.benchmark_group("sequential_vs_parallel");
-    let cfg = RandomScsp {
-        vars: 10,
-        domain_size: 3,
-        constraints: 20,
-        arity: 2,
-        seed: 42,
-    };
-    let p = random_weighted(&cfg);
-    for threads in [1usize, 2, 4] {
-        let config = SolverConfig::default().with_parallelism(Parallelism::Threads(threads));
-        group.bench_with_input(
-            BenchmarkId::new("enumeration_compiled", threads),
-            &p,
-            |b, p| {
+    for n in [10usize, 11, 12, 13, 14, 15] {
+        let cfg = RandomScsp {
+            vars: n,
+            domain_size: 3,
+            constraints: 2 * n,
+            arity: 2,
+            seed: 42,
+        };
+        let p = random_weighted(&cfg);
+        for (name, parallelism) in [
+            ("sequential", Parallelism::Sequential),
+            ("threads2", Parallelism::Threads(2)),
+            ("auto", Parallelism::Auto),
+        ] {
+            let config = SolverConfig::default().with_parallelism(parallelism);
+            group.bench_with_input(BenchmarkId::new(name, n), &p, |b, p| {
                 b.iter(|| {
                     EnumerationSolver::with_config(config)
                         .solve(black_box(p))
                         .unwrap()
                 })
-            },
-        );
+            });
+        }
     }
     group.finish();
 

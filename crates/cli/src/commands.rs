@@ -160,8 +160,7 @@ fn append_metrics(out: &mut String, recorder: Option<(Arc<MemorySink>, MetricsFo
 }
 
 /// Preprocessing knobs shared by `solve` and `coalitions`
-/// (`--propagate`, `--decompose`, `--no-decompose`, `--engine`,
-/// `--width-cap`).
+/// (`--propagate`, `--decompose`, `--no-decompose`, `--engine`).
 ///
 /// `None` keeps the [`SolverConfig`] default (root propagation,
 /// decomposition on); the flags exist to force a mode or switch the
@@ -175,8 +174,6 @@ pub struct EngineOptions {
     pub decompose: Option<bool>,
     /// Exact engine per component (`--engine auto|bnb|treedec`).
     pub engine: Option<Engine>,
-    /// Separator-width cap for the tree engine (`--width-cap`).
-    pub width_cap: Option<usize>,
 }
 
 impl EngineOptions {
@@ -191,9 +188,6 @@ impl EngineOptions {
         }
         if let Some(engine) = self.engine {
             config = config.with_engine(engine);
-        }
-        if let Some(cap) = self.width_cap {
-            config = config.with_width_cap(cap);
         }
         config
     }
@@ -234,7 +228,8 @@ pub fn parse_propagation(name: &str) -> Result<PropagationMode, String> {
 /// Engine options shared by every `solve` invocation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveOptions {
-    /// Worker threads (`--jobs`); `None` picks the host parallelism.
+    /// Worker threads (`--jobs`); `None` is [`Parallelism::Auto`]: the
+    /// host's threads for work large enough to pay, inline otherwise.
     pub jobs: Option<usize>,
     /// Append the engine statistics to the report (`--stats`).
     pub stats: bool,
@@ -1701,18 +1696,15 @@ mod tests {
         // from the default branch-and-bound on a committed instance.
         let blind = solve(FIG1, SolverChoice::BranchAndBound).unwrap();
         for engine in [Engine::Auto, Engine::TreeDecompose] {
-            for width_cap in [None, Some(1)] {
-                let options = SolveOptions {
-                    engine: EngineOptions {
-                        engine: Some(engine),
-                        width_cap,
-                        ..EngineOptions::default()
-                    },
-                    ..SolveOptions::default()
-                };
-                let report = solve_with(FIG1, SolverChoice::BranchAndBound, options).unwrap();
-                assert_eq!(report, blind, "{engine:?} cap {width_cap:?}");
-            }
+            let options = SolveOptions {
+                engine: EngineOptions {
+                    engine: Some(engine),
+                    ..EngineOptions::default()
+                },
+                ..SolveOptions::default()
+            };
+            let report = solve_with(FIG1, SolverChoice::BranchAndBound, options).unwrap();
+            assert_eq!(report, blind, "{engine:?}");
         }
     }
 

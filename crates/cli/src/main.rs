@@ -17,7 +17,7 @@ USAGE:
                   [--order input|most-constrained|dynamic|estimate]
                   [--ibound <n>] [--warm-start]
                   [--propagate[=off|root|full]] [--decompose|--no-decompose]
-                  [--engine auto|bnb|treedec] [--width-cap <n>]
+                  [--engine auto|bnb|treedec]
     softsoa negotiate <scenario.json> [--metrics[=json|pretty]]
                   [--chaos-seed <n>] [--chaos-rate <p>] [--chaos-horizon <n>]
                   [--chaos-retries <n>] [--chaos-deadline <n>] [--chaos-backoff <n>]
@@ -25,7 +25,7 @@ USAGE:
     softsoa explore <scenario.json>
     softsoa coalitions <trust.json> [--metrics[=json|pretty]]
                   [--propagate[=off|root|full]] [--decompose|--no-decompose]
-                  [--engine auto|bnb|treedec] [--width-cap <n>]
+                  [--engine auto|bnb|treedec]
     softsoa integrity [--step <kb>]
     softsoa serve [--addr <host:port>] [--semiring weighted|fuzzy|probabilistic]
                   [--providers <n>] [--workers <n>] [--queue <n>]
@@ -61,7 +61,7 @@ variable by scanning its domain.
 searches with branch-and-bound, treedec solves by bucket-tree
 elimination along a min-fill/min-degree elimination order, and auto
 uses the tree engine exactly when the separator width fits under
---width-cap (default 8) and falls back to bnb otherwise. treedec
+the width cap (8) and falls back to bnb otherwise. treedec
 forced onto a too-wide component still falls back to search, seeded by
 a greedy tree bound. All engines report the same blevel and an equally
 best witness. --solver bucket runs the same bucket tree with the con
@@ -138,9 +138,6 @@ fn parse_engine_flag<'a>(
         match flag {
             "--decompose" => engine.decompose = Some(true),
             "--no-decompose" => engine.decompose = Some(false),
-            "--width-cap" => {
-                return Some(parse_num(flag, it.next()).map(|n| engine.width_cap = Some(n)))
-            }
             _ => return None,
         }
         return Some(Ok(()));

@@ -221,6 +221,28 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_formation_worker_reraises_its_payload() {
+        use crate::{exact_formation_enumerated, exact_formation_with, FormationConfig};
+        use softsoa_core::solve::Parallelism;
+        use std::panic::catch_unwind;
+        // A matrix one row long for six agents: every worker's first
+        // lookup past row 0 panics with an index error.
+        let broken = TrustNetwork {
+            n: 6,
+            trust: vec![Unit::MAX; 6],
+        };
+        let (cfg, threads) = (FormationConfig::default(), Parallelism::Threads(2));
+        let dp = catch_unwind(|| exact_formation_with(&broken, cfg, threads)).unwrap_err();
+        let bell = catch_unwind(|| exact_formation_enumerated(&broken, cfg, threads)).unwrap_err();
+        for payload in [dp, bell] {
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the worker's message");
+            assert!(message.contains("index out of bounds"), "{message}");
+        }
+    }
+
+    #[test]
     fn fig10_shape() {
         let net = TrustNetwork::fig10();
         assert_eq!(net.len(), 7);

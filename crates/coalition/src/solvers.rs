@@ -18,6 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use softsoa_core::solve::parallel::fan_out;
 use softsoa_core::solve::Parallelism;
 use softsoa_semiring::Unit;
 use softsoa_telemetry::Telemetry;
@@ -154,20 +155,26 @@ pub fn exact_formation_instrumented(
     }
 
     let full: u32 = (1u32 << n) - 1;
+    // `T(C)` for every coalition bitmask (`Unit::MIN` for the empty
+    // one), filled in contiguous mask ranges: entries are independent,
+    // so every split yields the same table.
     let size = full as usize + 1;
-    let threads = parallelism.thread_count(full as usize);
+    let chunks = fan_out(parallelism, size, size as u64, |range| {
+        range
+            .map(|mask| match mask {
+                0 => Unit::MIN,
+                mask => mask_trust(network, mask as u32, cfg.compose),
+            })
+            .collect::<Vec<_>>()
+    });
     if telemetry.enabled() {
         telemetry.incr("formation.runs");
-        telemetry.gauge("formation.threads", threads as i64);
-        let chunk = size.div_ceil(threads.max(1));
-        let mut start = 0usize;
-        while start < size {
-            let len = chunk.min(size - start);
-            telemetry.observe("formation.chunk_explored", len as u64);
-            start += len;
+        telemetry.gauge("formation.threads", chunks.len() as i64);
+        for chunk in &chunks {
+            telemetry.observe("formation.chunk_explored", chunk.len() as u64);
         }
     }
-    let val = subset_trust_table(network, cfg.compose, threads);
+    let val: Vec<Unit> = chunks.concat();
 
     // A budget of `k ≥ n` coalitions never binds; `Some(0)` behaves as
     // a single mandatory coalition, as in the enumerated baseline.
@@ -266,34 +273,16 @@ fn enumerate_partitions(
     // shallow enough that prefix enumeration stays negligible.
     let depth = (n as usize).min(4);
     let prefixes = rgs_prefixes(depth, cfg.max_coalitions);
-    let threads = parallelism.thread_count(prefixes.len());
-
-    let run_chunk = |chunk: &[Vec<u32>]| -> (Option<(Partition, Unit)>, usize) {
+    let parts = fan_out(parallelism, prefixes.len(), bell(n), |range| {
         let mut best: Option<(Partition, Unit)> = None;
         let mut explored = 0usize;
-        for prefix in chunk {
+        for prefix in &prefixes[range] {
             let mut labels = vec![0u32; n as usize];
             labels[..depth].copy_from_slice(prefix);
             enumerate_rgs(&mut labels, depth, network, cfg, &mut best, &mut explored);
         }
         (best, explored)
-    };
-    let parts: Vec<(Option<(Partition, Unit)>, usize)> = if threads <= 1 {
-        vec![run_chunk(&prefixes)]
-    } else {
-        std::thread::scope(|scope| {
-            let run_chunk = &run_chunk;
-            let chunk_size = prefixes.len().div_ceil(threads);
-            let handles: Vec<_> = prefixes
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || run_chunk(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("formation worker panicked"))
-                .collect()
-        })
-    };
+    });
 
     let mut best: Option<(Partition, Unit)> = None;
     let mut explored = 0usize;
@@ -338,36 +327,18 @@ fn mask_trust(network: &TrustNetwork, mask: u32, compose: TrustComposition) -> U
     )
 }
 
-/// Memoizes `T(C)` for every non-empty coalition bitmask. Entries are
-/// independent, so the table is filled in contiguous ranges across
-/// worker threads with an identical result at every thread count.
-fn subset_trust_table(
-    network: &TrustNetwork,
-    compose: TrustComposition,
-    threads: usize,
-) -> Vec<Unit> {
-    let size = 1usize << network.len();
-    let mut val = vec![Unit::MIN; size];
-    let fill = |start: usize, slice: &mut [Unit]| {
-        for (offset, slot) in slice.iter_mut().enumerate() {
-            let mask = (start + offset) as u32;
-            if mask != 0 {
-                *slot = mask_trust(network, mask, compose);
-            }
+/// `B(n)`, the number of set partitions of `n` agents (Bell triangle):
+/// the leaves [`enumerate_partitions`] visits without a coalition cap.
+fn bell(n: u32) -> u64 {
+    let mut row = vec![1u64];
+    for _ in 0..n {
+        let mut next = vec![row[row.len() - 1]];
+        for &x in &row {
+            next.push(next[next.len() - 1].saturating_add(x));
         }
-    };
-    if threads <= 1 {
-        fill(0, &mut val);
-    } else {
-        let chunk = size.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (index, slice) in val.chunks_mut(chunk).enumerate() {
-                let fill = &fill;
-                scope.spawn(move || fill(index * chunk, slice));
-            }
-        });
+        row = next;
     }
-    val
+    row[0]
 }
 
 /// The unconstrained subset DP. `best[S]` is the optimal score over

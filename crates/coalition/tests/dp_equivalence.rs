@@ -6,11 +6,11 @@
 //! Partitions themselves may differ — several partitions can attain
 //! the optimum and the engines break ties differently — so the tests
 //! compare scores and re-validate each winner against its own
-//! constraints instead.
+//! constraints instead. Both engines run on one thread and on three.
 
 use softsoa_coalition::{
-    exact_formation_enumerated, exact_formation_with, is_stable, FormationConfig, TrustComposition,
-    TrustNetwork,
+    exact_formation_enumerated, exact_formation_with, is_stable, FormationConfig, FormationResult,
+    TrustComposition, TrustNetwork,
 };
 use softsoa_core::solve::Parallelism;
 
@@ -21,8 +21,21 @@ const COMPOSITIONS: [TrustComposition; 3] = [
 ];
 
 fn assert_engines_agree(net: &TrustNetwork, cfg: FormationConfig, context: &str) {
-    let dp = exact_formation_with(net, cfg, Parallelism::Sequential);
-    let bell = exact_formation_enumerated(net, cfg, Parallelism::Sequential);
+    for parallelism in [Parallelism::Sequential, Parallelism::Threads(3)] {
+        let context = format!("{context} {parallelism:?}");
+        let dp = exact_formation_with(net, cfg, parallelism);
+        let bell = exact_formation_enumerated(net, cfg, parallelism);
+        assert_results_agree(net, cfg, dp, bell, &context);
+    }
+}
+
+fn assert_results_agree(
+    net: &TrustNetwork,
+    cfg: FormationConfig,
+    dp: Option<FormationResult>,
+    bell: Option<FormationResult>,
+    context: &str,
+) {
     match (dp, bell) {
         (Some(dp), Some(bell)) => {
             assert_eq!(dp.score, bell.score, "{context}: optimal scores differ");

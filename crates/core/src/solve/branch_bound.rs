@@ -322,13 +322,14 @@ impl BranchAndBound {
             .config
             .ibound
             .map(|ibound| MiniBucketBound::new(&compiled, ibound));
-        let threads = self.config.parallelism.thread_count(compiled.outer_size());
         // An achievable seed enters the search as a pre-published
         // foreign bound: workers cut branches *strictly* below it, which
         // never touches the first assignment attaining the optimum.
         let shared: Mutex<S::Value> = Mutex::new(floor.clone());
         let full = propagate == PropagationMode::Full;
-        let workers = fan_out(threads, compiled.outer_size(), |range| {
+        let (parallelism, outer) = (self.config.parallelism, compiled.outer_size());
+        let volume = problem.domains().tuple_count(compiled.vars())? as u64;
+        let workers = fan_out(parallelism, outer, volume, |range| {
             let pruner = match &root_prop {
                 None => Pruner::Off,
                 Some(prop) if full => Pruner::Mac(Box::new(prop.clone())),
@@ -377,7 +378,7 @@ impl BranchAndBound {
         let mut best_value = semiring.zero();
         let mut witness: Option<Vec<usize>> = None;
         let mut stats = SolverStats {
-            threads,
+            threads: workers.len(),
             compile_time: compiled.compile_time(),
             constraint_evals: Vec::new(),
             ..SolverStats::default()
@@ -454,15 +455,20 @@ impl BranchAndBound {
                 .with_decompose(false)
                 .with_parallelism(Parallelism::Sequential),
         );
-        let threads = self.config.parallelism.thread_count(dec.parts.len());
-        let results = fan_out(threads, dec.parts.len(), |range| {
+        // The work estimate is `Σ ∏|D|` over the components.
+        let volume = dec.parts.iter().fold(0u64, |acc, part| {
+            let count = part.domains().tuple_count(&part.problem_vars());
+            acc.saturating_add(count.map_or(0, |c| c as u64))
+        });
+        let parallelism = self.config.parallelism;
+        let results = fan_out(parallelism, dec.parts.len(), volume, |range| {
             range
                 .map(|i| inner.solve(&dec.parts[i]))
                 .collect::<Vec<_>>()
         });
 
         let mut stats = SolverStats {
-            threads,
+            threads: results.len(),
             components: dec.parts.len(),
             ..SolverStats::default()
         };

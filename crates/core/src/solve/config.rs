@@ -57,33 +57,23 @@ pub enum Engine {
     TreeDecompose,
 }
 
-/// How many worker threads a solver may use.
+/// How many worker threads a solver may use. The policy is resolved
+/// against the work in one place,
+/// [`fan_out`](crate::solve::parallel::fan_out), which reports the
+/// thread count it used as [`SolverStats::threads`](crate::solve::SolverStats::threads).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// One thread, no work splitting.
     Sequential,
-    /// Use [`std::thread::available_parallelism`] threads (capped by
-    /// the amount of splittable work).
+    /// Up to [`std::thread::available_parallelism`] threads, but only
+    /// as many as give each at least
+    /// [`MIN_CELLS_PER_THREAD`](crate::solve::treedec::MIN_CELLS_PER_THREAD)
+    /// cells of work: small solves run inline on the caller's thread.
     #[default]
     Auto,
     /// Use exactly `n` threads (clamped to at least one and to the
-    /// amount of splittable work).
+    /// amount of splittable work), however small the work.
     Threads(usize),
-}
-
-impl Parallelism {
-    /// Resolves the knob to a concrete thread count for a workload
-    /// that splits into `work_items` independent pieces.
-    pub fn thread_count(&self, work_items: usize) -> usize {
-        let requested = match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Parallelism::Threads(n) => (*n).max(1),
-        };
-        requested.min(work_items.max(1))
-    }
 }
 
 /// Configuration shared by every solver in this module.
@@ -95,16 +85,6 @@ impl Parallelism {
 /// [`EnumerationSolver::new`](crate::solve::EnumerationSolver::new):
 /// that constructor is the lazy sequential oracle, the literal
 /// reference semantics every engine is tested against.
-///
-/// # Examples
-///
-/// ```
-/// use softsoa_core::solve::{Parallelism, SolverConfig};
-///
-/// let cfg = SolverConfig::default().with_parallelism(Parallelism::Threads(4));
-/// assert_eq!(cfg.parallelism.thread_count(100), 4);
-/// assert_eq!(cfg.parallelism.thread_count(2), 2); // clamped to the work
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
     /// Worker-thread policy.
@@ -230,24 +210,6 @@ impl SolverConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sequential_is_one_thread() {
-        assert_eq!(Parallelism::Sequential.thread_count(64), 1);
-    }
-
-    #[test]
-    fn explicit_threads_clamp_to_work() {
-        assert_eq!(Parallelism::Threads(8).thread_count(3), 3);
-        assert_eq!(Parallelism::Threads(0).thread_count(3), 1);
-        // Zero work still needs one worker (it just finds nothing).
-        assert_eq!(Parallelism::Threads(8).thread_count(0), 1);
-    }
-
-    #[test]
-    fn auto_is_at_least_one() {
-        assert!(Parallelism::Auto.thread_count(1024) >= 1);
-    }
 
     #[test]
     fn default_config_propagates_and_decomposes() {

@@ -81,10 +81,11 @@ impl EnumerationSolver {
         if compiled.con_cells().is_none() {
             return Err(SolveError::TableTooLarge);
         }
-        let threads = config.parallelism.thread_count(compiled.outer_size());
-        let parts = fan_out(threads, compiled.outer_size(), |range| {
+        let volume = problem.domains().tuple_count(compiled.vars())? as u64;
+        let parts = fan_out(config.parallelism, compiled.outer_size(), volume, |range| {
             compiled.aggregate_range(range)
         });
+        let threads = parts.len();
         let thread_nodes: Vec<u64> = parts.iter().map(|p| p.nodes).collect();
         let agg = Aggregate::merge(&semiring, parts);
         let entries = compiled.con_entries(agg.table);

@@ -44,7 +44,7 @@ mod decompose;
 mod enumeration;
 mod incremental;
 mod minibucket;
-pub(crate) mod parallel;
+pub mod parallel;
 mod pareto;
 mod preprocess;
 mod propagate;

@@ -86,8 +86,9 @@ impl<S: Semiring> Solver<S> for ParetoBranchAndBound {
         let start = Instant::now();
         let semiring = problem.semiring().clone();
         let compiled = CompiledProblem::from_problem(problem)?;
-        let threads = self.config.parallelism.thread_count(compiled.outer_size());
-        let workers = fan_out(threads, compiled.outer_size(), |range| {
+        let (parallelism, outer) = (self.config.parallelism, compiled.outer_size());
+        let volume = problem.domains().tuple_count(compiled.vars())? as u64;
+        let workers = fan_out(parallelism, outer, volume, |range| {
             let mut worker = ParetoWorker {
                 semiring: &semiring,
                 compiled: &compiled,
@@ -104,7 +105,7 @@ impl<S: Semiring> Solver<S> for ParetoBranchAndBound {
 
         let mut frontier: Vec<(Vec<usize>, S::Value)> = Vec::new();
         let mut stats = SolverStats {
-            threads,
+            threads: workers.len(),
             compile_time: compiled.compile_time(),
             ..SolverStats::default()
         };

@@ -73,7 +73,9 @@ pub struct SolverStats {
     /// [`SolverConfig::ibound`](crate::solve::SolverConfig::ibound)
     /// is `None`.
     pub bound_prunes: u64,
-    /// Worker threads used (`1` for sequential runs).
+    /// Worker threads used: the most chunks any
+    /// [`fan_out`](crate::solve::parallel::fan_out) of the solve ran
+    /// (`1` when everything ran inline).
     pub threads: usize,
     /// Search-tree nodes visited per worker chunk, in chunk order
     /// (empty for sequential paths). Exposes partition balance.

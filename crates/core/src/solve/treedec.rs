@@ -59,6 +59,12 @@ use crate::{Assignment, Constraint, Scsp, Val, Var};
 /// the configured width cap (domain sizes can blow a small width up).
 pub const TREE_CELL_LIMIT: u64 = 1 << 22;
 
+/// The cells of work (assignments, table entries, masks) that earn a
+/// thread under [`Parallelism::Auto`](crate::solve::Parallelism::Auto):
+/// below twice this a [`fan_out`] runs inline. From E30: on 2 vCPUs two
+/// threads lost to one at 20k and 59k cells and won from 177k up.
+pub const MIN_CELLS_PER_THREAD: u64 = 1 << 16;
+
 /// Elimination-ordering heuristics over the primal constraint graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeHeuristic {
@@ -540,17 +546,20 @@ fn compute_bucket<S: Semiring>(
 }
 
 /// Runs the upward pass: wave-parallel bucket tables, bottom-up.
+/// Returns the context-cache hits and the most threads any wave ran on.
 fn upward_pass<S: Semiring>(
     semiring: &S,
     structure: &TreeStructure,
     flats: &[FlatConstraint<S>],
     tables: &mut [Option<BucketTable<S>>],
     config: &SolverConfig,
-) -> u64 {
-    let mut context_hits = 0;
+) -> (u64, usize) {
+    let (mut context_hits, mut threads) = (0, 1);
     for level in &structure.levels {
-        let threads = config.parallelism.thread_count(level.len());
-        let computed = fan_out(threads, level.len(), |range| {
+        let cells = level.iter().fold(0u64, |acc, &r| {
+            acc.saturating_add(structure.buckets[r].cluster_cells)
+        });
+        let computed = fan_out(config.parallelism, level.len(), cells, |range| {
             range
                 .map(|k| {
                     (
@@ -560,12 +569,13 @@ fn upward_pass<S: Semiring>(
                 })
                 .collect::<Vec<_>>()
         });
+        threads = threads.max(computed.len());
         for (r, (table, hits)) in computed.into_iter().flatten() {
             context_hits += hits;
             tables[r] = Some(table);
         }
     }
-    context_hits
+    (context_hits, threads)
 }
 
 /// Reads `blevel` off the one-cell final cluster (nothing kept), then
@@ -633,12 +643,10 @@ fn solve_tree<S: Semiring>(
     let semiring = problem.semiring().clone();
     let flats = materialize_all(problem, structure);
     let mut tables: Vec<Option<BucketTable<S>>> = vec![None; structure.buckets.len()];
-    let context_hits = upward_pass(&semiring, structure, &flats, &mut tables, config);
+    let (context_hits, threads) = upward_pass(&semiring, structure, &flats, &mut tables, config);
     let stats = SolverStats {
         nodes: structure.total_cells,
-        threads: config
-            .parallelism
-            .thread_count(structure.levels.first().map_or(1, |l| l.len())),
+        threads,
         tree: Some(structure.tree_stats(false, context_hits)),
         solve_time: start.elapsed(),
         ..SolverStats::default()
@@ -674,10 +682,9 @@ pub(crate) fn solve_con<S: Semiring>(
     let flats = materialize_all(problem, &structure);
     let compile_time = start.elapsed();
     let mut tables = vec![None; structure.buckets.len()];
-    let hits = upward_pass(semiring, &structure, &flats, &mut tables, config);
-    let threads = config.parallelism.thread_count(cells);
+    let (hits, upward_threads) = upward_pass(semiring, &structure, &flats, &mut tables, config);
     let last = (&structure.kept_constraints[..], &structure.roots[..]);
-    let entries: Vec<(Vec<Val>, S::Value)> = fan_out(threads, cells, |range| {
+    let parts = fan_out(config.parallelism, cells, kept_cells, |range| {
         let mut idx = vec![0usize; structure.vars.len()];
         range
             .map(|s| {
@@ -691,10 +698,9 @@ pub(crate) fn solve_con<S: Semiring>(
                 (tuple, level)
             })
             .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    });
+    let threads = upward_threads.max(parts.len());
+    let entries: Vec<(Vec<Val>, S::Value)> = parts.into_iter().flatten().collect();
     let con = problem.con();
     let blevel = semiring.sum(entries.iter().map(|(_, v)| v));
     let best = best_from_entries(semiring, con, &entries);
@@ -703,11 +709,7 @@ pub(crate) fn solve_con<S: Semiring>(
     tree.table_cells = tree.table_cells.saturating_add(cells as u64);
     let stats = SolverStats {
         nodes: tree.table_cells,
-        threads: threads.max(
-            config
-                .parallelism
-                .thread_count(structure.levels.first().map_or(1, |l| l.len())),
-        ),
+        threads,
         compile_time,
         tree: Some(tree),
         solve_time: start.elapsed(),
@@ -1003,5 +1005,70 @@ mod tests {
         .unwrap();
         assert_eq!(par.blevel(), seq.blevel());
         assert_eq!(par.best_assignment(), seq.best_assignment());
+    }
+
+    /// A star: centre `c` (domain `0..centre`) tied to `leaves` binary
+    /// leaves, with `c` of interest.
+    fn star(centre: i64, leaves: usize) -> Scsp<WeightedInt> {
+        let mut p = Scsp::new(WeightedInt)
+            .with_domain("c", Domain::ints(0..centre))
+            .of_interest(["c"]);
+        for i in 0..leaves {
+            let leaf = format!("l{i}");
+            p.add_domain(leaf.clone(), Domain::ints(0..=1));
+            p.add_constraint(Constraint::binary(WeightedInt, "c", leaf, |a, b| {
+                (a.as_int().unwrap() + b.as_int().unwrap()) as u64
+            }));
+        }
+        p
+    }
+
+    #[test]
+    fn reported_threads_are_the_widest_fan_out() {
+        use crate::solve::parallel::chunk_count;
+        use crate::solve::Parallelism;
+        // Upward waves wider than the `con` table, narrower, and absent.
+        let problems = [star(2, 5), star(5, 2), star(3, 0), fig1_problem()];
+        let policies = [
+            Parallelism::Sequential,
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+            Parallelism::Auto,
+        ];
+        for (i, p) in problems.iter().enumerate() {
+            for policy in policies {
+                let config = tree_config().with_parallelism(policy);
+                // The most chunks any upward wave splits into.
+                let widest_wave = |structure: &TreeStructure| {
+                    let wave = |level: &Vec<usize>| {
+                        let cells = level.iter().map(|&r| structure.buckets[r].cluster_cells);
+                        chunk_count(policy, level.len(), cells.sum())
+                    };
+                    structure.levels.iter().map(wave).max().unwrap_or(1)
+                };
+                let kept = TreeStructure::build(p, p.con()).unwrap();
+                let con_cells = cells(&kept.keep, &kept.sizes);
+                let con_chunks = chunk_count(policy, con_cells as usize, con_cells);
+                let expected = widest_wave(&kept).max(con_chunks);
+                let solved = solve_con(p, &config).unwrap();
+                assert_eq!(
+                    solved.stats().unwrap().threads,
+                    expected,
+                    "con {i} {policy:?}"
+                );
+
+                let plain = TreeStructure::build(p, &[]).unwrap();
+                let expected = widest_wave(&plain);
+                let solved = solve_tree(p, &plain, &config);
+                assert_eq!(
+                    solved.stats().unwrap().threads,
+                    expected,
+                    "tree {i} {policy:?}"
+                );
+                if policy == Parallelism::Threads(3) && i == 0 {
+                    assert_eq!(expected, 3, "five leaves split three ways");
+                }
+            }
+        }
     }
 }

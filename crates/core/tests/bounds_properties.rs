@@ -9,7 +9,8 @@
 //! only when `partial ⊗ bound(depth)` cannot *strictly* beat the
 //! incumbent, and a warm seed only raises the pruning floor — the
 //! prefix of the first optimal assignment always evaluates at or
-//! above the seed, so it is never cut.
+//! above the seed, so it is never cut. The accelerated runs are checked
+//! on one thread and on three against the sequential blind run.
 
 use proptest::prelude::*;
 use softsoa_core::generate::{random_fuzzy, random_probabilistic, random_weighted, RandomScsp};
@@ -22,6 +23,9 @@ use softsoa_semiring::Semiring;
 fn sequential() -> SolverConfig {
     SolverConfig::default().with_parallelism(Parallelism::Sequential)
 }
+
+/// The thread policies every accelerated run is checked under.
+const SETTINGS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(3)];
 
 /// Blind vs mini-bucket-bounded: same order, same config, the bound
 /// being the only difference — `blevel` and witness must match, and
@@ -38,16 +42,22 @@ fn assert_bounds_are_pure_acceleration<S: Semiring>(p: &Scsp<S>, check_reference
         let reference = EnumerationSolver::new().solve(p).unwrap();
         assert_eq!(blind.blevel(), reference.blevel());
     }
-    for ibound in [1usize, 2, 3] {
-        let bounded =
-            BranchAndBound::with_config(VarOrder::Input, sequential().with_ibound(Some(ibound)))
-                .solve(p)
-                .unwrap();
-        assert_eq!(bounded.blevel(), blind.blevel(), "ibound {ibound}");
+    for (parallelism, ibound) in SETTINGS.into_iter().flat_map(|p| [(p, 1), (p, 2), (p, 3)]) {
+        let config = SolverConfig::default()
+            .with_parallelism(parallelism)
+            .with_ibound(Some(ibound));
+        let bounded = BranchAndBound::with_config(VarOrder::Input, config)
+            .solve(p)
+            .unwrap();
+        assert_eq!(
+            bounded.blevel(),
+            blind.blevel(),
+            "ibound {ibound} {parallelism:?}"
+        );
         assert_eq!(
             bounded.best_assignment(),
             blind.best_assignment(),
-            "ibound {ibound} changed the witness"
+            "ibound {ibound} {parallelism:?} changed the witness"
         );
     }
 }
@@ -58,11 +68,18 @@ fn assert_warm_start_is_pure_acceleration<S: Semiring>(p: &Scsp<S>) {
     let cold = BranchAndBound::with_config(VarOrder::Input, sequential())
         .solve(p)
         .unwrap();
-    let warm = BranchAndBound::with_config(VarOrder::Input, sequential())
-        .solve_seeded(p, cold.blevel().clone())
-        .unwrap();
-    assert_eq!(warm.blevel(), cold.blevel());
-    assert_eq!(warm.best_assignment(), cold.best_assignment());
+    for parallelism in SETTINGS {
+        let config = SolverConfig::default().with_parallelism(parallelism);
+        let warm = BranchAndBound::with_config(VarOrder::Input, config)
+            .solve_seeded(p, cold.blevel().clone())
+            .unwrap();
+        assert_eq!(warm.blevel(), cold.blevel(), "{parallelism:?}");
+        assert_eq!(
+            warm.best_assignment(),
+            cold.best_assignment(),
+            "{parallelism:?}"
+        );
+    }
 }
 
 fn cfg_strategy() -> impl Strategy<Value = RandomScsp> {
@@ -118,11 +135,13 @@ proptest! {
         let blind = BranchAndBound::with_config(VarOrder::Input, sequential())
             .solve(&p)
             .unwrap();
-        let both =
-            BranchAndBound::with_config(VarOrder::Input, sequential().with_ibound(Some(2)))
+        for parallelism in SETTINGS {
+            let config = sequential().with_parallelism(parallelism).with_ibound(Some(2));
+            let both = BranchAndBound::with_config(VarOrder::Input, config)
                 .solve_seeded(&p, *blind.blevel())
                 .unwrap();
-        prop_assert_eq!(both.blevel(), blind.blevel());
-        prop_assert_eq!(both.best_assignment(), blind.best_assignment());
+            prop_assert_eq!(both.blevel(), blind.blevel());
+            prop_assert_eq!(both.best_assignment(), blind.best_assignment());
+        }
     }
 }

@@ -15,6 +15,8 @@
 //!   fuzzy `×` is idempotent; components merge in component order), so
 //!   for them we assert the reported `blevel` is unchanged and the
 //!   returned witness actually evaluates to it.
+//!
+//! Every accelerated run is checked on one thread and on three.
 
 use proptest::prelude::*;
 use softsoa_core::generate::{
@@ -30,6 +32,9 @@ fn sequential() -> SolverConfig {
     SolverConfig::default().with_parallelism(Parallelism::Sequential)
 }
 
+/// The thread policies every accelerated configuration runs under.
+const SETTINGS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(3)];
+
 /// The blind reference configuration: no propagation, no
 /// decomposition.
 fn blind() -> SolverConfig {
@@ -43,47 +48,60 @@ fn nodes<S: Semiring>(solution: &softsoa_core::solve::Solution<S>) -> u64 {
 }
 
 /// Root and full propagation under the input order: identical
-/// `blevel`, identical witness, never more nodes.
+/// `blevel`, identical witness, and on one thread never more nodes
+/// (threaded node counts depend on when workers share incumbents).
 fn assert_propagation_preserves_the_witness<S: Semiring>(p: &Scsp<S>) {
     let reference = BranchAndBound::with_config(VarOrder::Input, blind())
         .solve(p)
         .unwrap();
-    for mode in [PropagationMode::Root, PropagationMode::Full] {
-        let solved = BranchAndBound::with_config(
-            VarOrder::Input,
-            sequential().with_propagation(mode).with_decompose(false),
-        )
-        .solve(p)
-        .unwrap();
-        assert_eq!(solved.blevel(), reference.blevel(), "{mode:?}");
-        assert_eq!(
-            solved.best_assignment(),
-            reference.best_assignment(),
-            "{mode:?} changed the witness"
-        );
-        assert!(
-            nodes(&solved) <= nodes(&reference),
-            "{mode:?} explored more nodes ({} > {})",
-            nodes(&solved),
-            nodes(&reference)
-        );
+    for parallelism in SETTINGS {
+        for mode in [PropagationMode::Root, PropagationMode::Full] {
+            let config = sequential()
+                .with_parallelism(parallelism)
+                .with_propagation(mode)
+                .with_decompose(false);
+            let solved = BranchAndBound::with_config(VarOrder::Input, config)
+                .solve(p)
+                .unwrap();
+            assert_eq!(
+                solved.blevel(),
+                reference.blevel(),
+                "{mode:?} {parallelism:?}"
+            );
+            assert_eq!(
+                solved.best_assignment(),
+                reference.best_assignment(),
+                "{mode:?} {parallelism:?} changed the witness"
+            );
+            if parallelism == Parallelism::Sequential {
+                assert!(
+                    nodes(&solved) <= nodes(&reference),
+                    "{mode:?} explored more nodes ({} > {})",
+                    nodes(&solved),
+                    nodes(&reference)
+                );
+            }
+        }
     }
 }
 
-fn engine_configs() -> [(&'static str, VarOrder, SolverConfig); 3] {
-    [
-        (
-            "estimate",
-            VarOrder::Estimate,
-            sequential().with_decompose(false),
-        ),
-        ("decomposed", VarOrder::Input, sequential()),
-        (
-            "all-on",
-            VarOrder::Estimate,
-            sequential().with_propagation(PropagationMode::Full),
-        ),
-    ]
+fn engine_configs() -> Vec<(String, VarOrder, SolverConfig)> {
+    SETTINGS
+        .into_iter()
+        .flat_map(|parallelism| {
+            let base = sequential().with_parallelism(parallelism);
+            [
+                ("estimate", VarOrder::Estimate, base.with_decompose(false)),
+                ("decomposed", VarOrder::Input, base),
+                (
+                    "all-on",
+                    VarOrder::Estimate,
+                    base.with_propagation(PropagationMode::Full),
+                ),
+            ]
+            .map(|(name, order, config)| (format!("{name} {parallelism:?}"), order, config))
+        })
+        .collect()
 }
 
 /// Estimate ordering, decomposition, and everything combined: the

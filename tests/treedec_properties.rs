@@ -2,7 +2,9 @@
 //! solves against the exhaustive enumeration oracle on small random
 //! problems, against branch-and-bound on banded instances, across the
 //! weighted, fuzzy and probabilistic semirings — plus the width-cap
-//! fallback path and a pinned inexact-`×` regression.
+//! fallback path and a pinned inexact-`×` regression. Every property
+//! runs under the default thread policy (inline on problems this
+//! small) and under three forced threads.
 //!
 //! The distributivity of `×` over `+` makes elimination valid on any
 //! semiring, but only *totally ordered* ones reconstruct a witness;
@@ -16,19 +18,29 @@ use softsoa::core::generate::{
     random_weighted, RandomScsp,
 };
 use softsoa::core::solve::{
-    plan_elimination, BranchAndBound, Engine, EnumerationSolver, Solver, SolverConfig, VarOrder,
+    plan_elimination, BranchAndBound, Engine, EnumerationSolver, Parallelism, Solver, SolverConfig,
+    VarOrder,
 };
 use softsoa::core::{Scsp, Var};
 use softsoa::semiring::{Fuzzy, Probabilistic, Semiring, Unit, WeightedInt};
 
 /// A branch-and-bound solver routed through the tree engine.
 fn tree_solver(engine: Engine, width_cap: usize) -> BranchAndBound {
-    BranchAndBound::with_config(
-        VarOrder::MostConstrained,
-        SolverConfig::default()
-            .with_engine(engine)
-            .with_width_cap(width_cap),
-    )
+    tree_solvers(engine, width_cap)[0]
+}
+
+/// [`tree_solver`] under the default thread policy and under three
+/// forced threads.
+fn tree_solvers(engine: Engine, width_cap: usize) -> [BranchAndBound; 2] {
+    [Parallelism::Auto, Parallelism::Threads(3)].map(|parallelism| {
+        BranchAndBound::with_config(
+            VarOrder::MostConstrained,
+            SolverConfig::default()
+                .with_engine(engine)
+                .with_width_cap(width_cap)
+                .with_parallelism(parallelism),
+        )
+    })
 }
 
 /// Opens interest to every variable so witnesses are total
@@ -109,22 +121,24 @@ proptest! {
     #[test]
     fn tree_matches_enumeration_weighted(cfg in small_cfg()) {
         let problem = total_interest(&random_weighted(&cfg));
-        check_against(
-            &WeightedInt, &problem,
-            &tree_solver(Engine::TreeDecompose, 16),
-            &EnumerationSolver::new(), |a, b| a == b,
-        )?;
+        for engine in tree_solvers(Engine::TreeDecompose, 16) {
+            check_against(
+                &WeightedInt, &problem, &engine,
+                &EnumerationSolver::new(), |a, b| a == b,
+            )?;
+        }
     }
 
     /// Fuzzy: idempotent min-`×`, bit-exact equality.
     #[test]
     fn tree_matches_enumeration_fuzzy(cfg in small_cfg()) {
         let problem = total_interest(&random_fuzzy(&cfg));
-        check_against(
-            &Fuzzy, &problem,
-            &tree_solver(Engine::TreeDecompose, 16),
-            &EnumerationSolver::new(), |a, b| a == b,
-        )?;
+        for engine in tree_solvers(Engine::TreeDecompose, 16) {
+            check_against(
+                &Fuzzy, &problem, &engine,
+                &EnumerationSolver::new(), |a, b| a == b,
+            )?;
+        }
     }
 
     /// Probabilistic: `×` is floating-point multiplication, and the
@@ -133,11 +147,12 @@ proptest! {
     #[test]
     fn tree_matches_enumeration_probabilistic(cfg in small_cfg()) {
         let problem = total_interest(&random_probabilistic(&cfg));
-        check_against(
-            &Probabilistic, &problem,
-            &tree_solver(Engine::TreeDecompose, 16),
-            &EnumerationSolver::new(), unit_close,
-        )?;
+        for engine in tree_solvers(Engine::TreeDecompose, 16) {
+            check_against(
+                &Probabilistic, &problem, &engine,
+                &EnumerationSolver::new(), unit_close,
+            )?;
+        }
     }
 
     /// Banded instances (the tree engine's home turf): tree ≡
@@ -150,7 +165,6 @@ proptest! {
         band in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let engine = tree_solver(Engine::TreeDecompose, 8);
         let bnb = BranchAndBound::default();
 
         let weighted = banded_weighted(n, domain, band, seed);
@@ -161,15 +175,17 @@ proptest! {
             band,
             plan.induced_width
         );
-        check_against(&WeightedInt, &weighted, &engine, &bnb, |a, b| a == b)?;
-        check_against(
-            &Fuzzy, &banded_fuzzy(n, domain, band, seed),
-            &engine, &bnb, |a, b| a == b,
-        )?;
-        check_against(
-            &Probabilistic, &banded_probabilistic(n, domain, band, seed),
-            &engine, &bnb, unit_close,
-        )?;
+        for engine in tree_solvers(Engine::TreeDecompose, 8) {
+            check_against(&WeightedInt, &weighted, &engine, &bnb, |a, b| a == b)?;
+            check_against(
+                &Fuzzy, &banded_fuzzy(n, domain, band, seed),
+                &engine, &bnb, |a, b| a == b,
+            )?;
+            check_against(
+                &Probabilistic, &banded_probabilistic(n, domain, band, seed),
+                &engine, &bnb, unit_close,
+            )?;
+        }
     }
 
     /// `Engine::Auto` must never differ from the default
@@ -179,11 +195,12 @@ proptest! {
     #[test]
     fn auto_engine_agrees_with_bnb(cfg in small_cfg(), cap in 1usize..12) {
         let problem = total_interest(&random_weighted(&cfg));
-        check_against(
-            &WeightedInt, &problem,
-            &tree_solver(Engine::Auto, cap),
-            &BranchAndBound::default(), |a, b| a == b,
-        )?;
+        for engine in tree_solvers(Engine::Auto, cap) {
+            check_against(
+                &WeightedInt, &problem, &engine,
+                &BranchAndBound::default(), |a, b| a == b,
+            )?;
+        }
     }
 
     /// Forcing `Engine::TreeDecompose` onto instances it cannot fit
@@ -196,11 +213,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let problem = banded_weighted(n, 3, 2, seed);
-        check_against(
-            &WeightedInt, &problem,
-            &tree_solver(Engine::TreeDecompose, 1),
-            &BranchAndBound::default(), |a, b| a == b,
-        )?;
+        for engine in tree_solvers(Engine::TreeDecompose, 1) {
+            check_against(
+                &WeightedInt, &problem, &engine,
+                &BranchAndBound::default(), |a, b| a == b,
+            )?;
+        }
     }
 }
 
