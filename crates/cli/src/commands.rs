@@ -19,22 +19,22 @@ use softsoa_core::{Constraint, Domain, Domains, Scsp, Var};
 use softsoa_dependability::{check_refinement, photo};
 use softsoa_nmsccp::{
     parse_program, FaultPalette, FaultPlan, Interpreter, Interval, ParseEnv, Policy,
-    RecoveryPolicy, ResilientInterpreter, Store,
+    RecoveryPolicy, ResilientInterpreter, SemanticsError, Store,
 };
 use softsoa_semiring::{Boolean, Fuzzy, Probabilistic, Semiring, Weighted};
 use softsoa_soa::server::loadgen::{self, ContentionConfig, LoadConfig};
 use softsoa_soa::server::protocol::WireSemiring;
 use softsoa_soa::server::transport::TransportChaos;
 use softsoa_soa::{
-    Broker, ChaosConfig, ContendedRequest, ContentionOutcome, Fairness, NegotiationRequest,
-    NegotiationServer, QosDocument, QosOffer, Registry, ServerConfig, ServiceDescription,
-    StoreChaos,
+    Broker, ChaosConfig, ContendedRequest, ContentionOutcome, Fairness, NegotiationError,
+    NegotiationRequest, NegotiationServer, QosDocument, QosOffer, Registry, ServerConfig,
+    ServiceDescription, StoreChaos,
 };
 use softsoa_telemetry::{MemorySink, Telemetry};
 
 use crate::format::{
-    bool_level, unit_level, weight_level, BrokerSpec, CoalitionSpec, FormatError, NegotiationSpec,
-    PolicySpec, ProblemSpec, SemiringKind,
+    bool_level, unit_level, weight_level, BrokerSpec, CoalitionSpec, ConstraintSpec, FormatError,
+    NegotiationSpec, PolicySpec, ProblemSpec, SemiringKind,
 };
 
 /// An error from a command.
@@ -399,27 +399,76 @@ pub fn solve_with(
     }
 }
 
-fn negotiate_generic<S, L>(
+/// Builds the document's constraint `name`, labelled with its name
+/// unless the document gives a label: fault and recovery trace notes
+/// name constraints by label.
+fn labelled<S, L>(
+    name: &str,
+    cspec: &ConstraintSpec,
+    semiring: &S,
+    level: &L,
+) -> Result<Constraint<S>, CommandError>
+where
+    S: Semiring,
+    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
+{
+    let c = cspec.to_constraint(semiring.clone(), level.clone())?;
+    Ok(if c.label().is_none() {
+        c.with_label(name)
+    } else {
+        c
+    })
+}
+
+/// The document's relaxation ladder for chaos mode, in declared order.
+fn relaxations<S, L>(
     spec: &NegotiationSpec,
+    semiring: &S,
+    level: &L,
+) -> Result<Vec<Constraint<S>>, CommandError>
+where
+    S: Semiring,
+    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
+{
+    spec.relaxations
+        .iter()
+        .map(|name| {
+            let cspec = spec.constraints.get(name).ok_or_else(|| {
+                CommandError::Usage(format!("relaxation `{name}` names no constraint"))
+            })?;
+            labelled(name, cspec, semiring, level)
+        })
+        .collect()
+}
+
+/// Runs a negotiation document without a `broker` section: parses its
+/// `nmsccp` scenario and runs it on the plain interpreter, or — under
+/// `--chaos-*` options — on the resilient one with a seeded fault plan
+/// and the document's relaxations and invariant.
+fn scenario_generic<S, L>(
+    spec: &NegotiationSpec,
+    chaos: Option<ChaosOptions>,
     semiring: S,
     level: L,
-    fmt_level: impl Fn(&S::Value) -> String,
     metrics: Option<MetricsFormat>,
 ) -> Result<String, CommandError>
 where
     S: softsoa_semiring::Residuated,
+    S::Value: std::fmt::Display,
     L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
 {
     let mut env = ParseEnv::new(semiring.clone());
+    let mut named = Vec::new();
     for (name, cspec) in &spec.constraints {
-        env = env.with_constraint(name, cspec.to_constraint(semiring.clone(), level.clone())?);
+        let c = labelled(name, cspec, &semiring, &level)?;
+        env = env.with_constraint(name, c.clone());
+        named.push(c);
     }
     for (name, raw) in &spec.levels {
         env = env.with_level(name, level(*raw)?);
     }
     let (program, agent) = parse_program(&spec.agent, &env)
         .map_err(|e| CommandError::Engine(format!("agent syntax: {e}")))?;
-
     let mut domains = Domains::new();
     for (name, dspec) in &spec.domains {
         domains.insert(Var::new(name), dspec.to_domain()?);
@@ -429,34 +478,94 @@ where
         PolicySpec::RoundRobin => Policy::RoundRobin,
         PolicySpec::Random(seed) => Policy::Random(seed),
     };
+    let store = Store::empty(semiring.clone(), domains);
+    let engine = |e: SemanticsError| CommandError::Engine(e.to_string());
     let (telemetry, recorder) = metrics_recorder(metrics);
-    let report = Interpreter::new(program)
-        .with_policy(policy)
-        .with_max_steps(spec.max_steps)
-        .with_telemetry(telemetry)
-        .run(agent, Store::empty(semiring, domains))
-        .map_err(|e| CommandError::Engine(e.to_string()))?;
-
     let mut out = String::new();
-    for entry in &report.trace {
-        let _ = writeln!(
-            out,
-            "step {:3}  {:12} {:24} σ⇓∅ = {}",
-            entry.step,
-            entry.rule.to_string(),
-            entry.note,
-            fmt_level(&entry.consistency)
-        );
+    match chaos {
+        None => {
+            let report = Interpreter::new(program)
+                .with_policy(policy)
+                .with_max_steps(spec.max_steps)
+                .with_telemetry(telemetry)
+                .run(agent, store)
+                .map_err(engine)?;
+            for entry in &report.trace {
+                let _ = writeln!(
+                    out,
+                    "step {:3}  {:12} {:24} σ⇓∅ = {}",
+                    entry.step,
+                    entry.rule.to_string(),
+                    entry.note,
+                    entry.consistency
+                );
+            }
+            let reached = report
+                .final_consistency()
+                .map_err(|e| CommandError::Engine(e.to_string()))?;
+            let _ = writeln!(out, "outcome: {} at σ⇓∅ = {reached}", report.outcome);
+        }
+        Some(options) => {
+            // Faults draw from the scenario's own vocabulary: any named
+            // constraint may be forcibly retracted, and chosen
+            // transitions may be dropped.
+            let palette = FaultPalette {
+                retractions: named,
+                drop_transitions: true,
+                ..FaultPalette::default()
+            };
+            let plan = FaultPlan::seeded(options.seed, options.horizon, options.rate, &palette);
+            let invariant = spec
+                .invariant
+                .map(|[lo, hi]| Ok::<_, FormatError>(Interval::levels(level(lo)?, level(hi)?)))
+                .transpose()?;
+            let recovery = RecoveryPolicy {
+                guard_deadline: options.deadline,
+                max_retries: options.retries,
+                backoff_base: options.backoff,
+                relaxations: relaxations(spec, &semiring, &level)?,
+                invariant,
+                deadline: None,
+            };
+            let report = ResilientInterpreter::new(program)
+                .with_plan(plan)
+                .with_recovery(recovery)
+                .with_policy(policy)
+                .with_max_steps(spec.max_steps)
+                .with_telemetry(telemetry)
+                .run(agent, store)
+                .map_err(engine)?;
+            for entry in &report.report.trace {
+                let _ = writeln!(
+                    out,
+                    "step {:3}  {:8} {:12} {:40} σ⇓∅ = {}",
+                    entry.step,
+                    entry.origin.to_string(),
+                    entry.rule.to_string(),
+                    entry.note,
+                    entry.consistency
+                );
+            }
+            let _ = writeln!(
+                out,
+                "faults: {} injected, {} transitions dropped",
+                report.faults_injected, report.dropped_transitions
+            );
+            let _ = writeln!(
+                out,
+                "recovery: {} retries, {} rollbacks, {} relaxations, {} interval violations",
+                report.retries,
+                report.rollbacks,
+                report.relaxations_applied,
+                report.invariant_violations
+            );
+            let _ = writeln!(
+                out,
+                "outcome: {} at σ⇓∅ = {}",
+                report.report.outcome, report.final_consistency
+            );
+        }
     }
-    let level = report
-        .final_consistency()
-        .map_err(|e| CommandError::Engine(e.to_string()))?;
-    let _ = writeln!(
-        out,
-        "outcome: {} at σ⇓∅ = {}",
-        report.outcome,
-        fmt_level(&level)
-    );
     append_metrics(&mut out, recorder);
     Ok(out)
 }
@@ -481,67 +590,7 @@ pub fn negotiate(text: &str) -> Result<String, CommandError> {
 /// Returns [`CommandError`] for malformed documents, agent syntax
 /// errors or engine failures.
 pub fn negotiate_with(text: &str, metrics: Option<MetricsFormat>) -> Result<String, CommandError> {
-    let spec = NegotiationSpec::from_json(text)?;
-    match spec.semiring {
-        SemiringKind::Weighted => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                None,
-                Weighted,
-                weight_level,
-                QosOffer::to_weighted,
-                ToString::to_string,
-                metrics,
-            ),
-            None => negotiate_generic(&spec, Weighted, weight_level, ToString::to_string, metrics),
-        },
-        SemiringKind::Fuzzy => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                None,
-                Fuzzy,
-                unit_level,
-                QosOffer::to_fuzzy,
-                ToString::to_string,
-                metrics,
-            ),
-            None => negotiate_generic(&spec, Fuzzy, unit_level, ToString::to_string, metrics),
-        },
-        SemiringKind::Probabilistic => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                None,
-                Probabilistic,
-                unit_level,
-                QosOffer::to_probabilistic,
-                ToString::to_string,
-                metrics,
-            ),
-            None => negotiate_generic(
-                &spec,
-                Probabilistic,
-                unit_level,
-                ToString::to_string,
-                metrics,
-            ),
-        },
-        SemiringKind::Boolean => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                None,
-                Boolean,
-                bool_level,
-                QosOffer::to_crisp,
-                ToString::to_string,
-                metrics,
-            ),
-            None => negotiate_generic(&spec, Boolean, bool_level, ToString::to_string, metrics),
-        },
-    }
+    negotiate_document(text, None, metrics)
 }
 
 /// Chaos-mode options for `negotiate` (`--chaos-*` flags).
@@ -578,117 +627,6 @@ impl Default for ChaosOptions {
     }
 }
 
-fn negotiate_chaos_generic<S, L>(
-    spec: &NegotiationSpec,
-    options: ChaosOptions,
-    semiring: S,
-    level: L,
-    fmt_level: impl Fn(&S::Value) -> String,
-) -> Result<String, CommandError>
-where
-    S: softsoa_semiring::Residuated,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-{
-    let mut env = ParseEnv::new(semiring.clone());
-    let mut named = std::collections::BTreeMap::new();
-    for (name, cspec) in &spec.constraints {
-        let mut c = cspec.to_constraint(semiring.clone(), level.clone())?;
-        if c.label().is_none() {
-            // Fault and recovery trace notes name constraints by label.
-            c = c.with_label(name.clone());
-        }
-        env = env.with_constraint(name, c.clone());
-        named.insert(name.clone(), c);
-    }
-    for (name, raw) in &spec.levels {
-        env = env.with_level(name, level(*raw)?);
-    }
-    let (program, agent) = parse_program(&spec.agent, &env)
-        .map_err(|e| CommandError::Engine(format!("agent syntax: {e}")))?;
-    let mut domains = Domains::new();
-    for (name, dspec) in &spec.domains {
-        domains.insert(Var::new(name), dspec.to_domain()?);
-    }
-
-    // Faults draw from the scenario's own vocabulary: any named
-    // constraint may be forcibly retracted, and chosen transitions may
-    // be dropped.
-    let palette = FaultPalette {
-        retractions: named.values().cloned().collect(),
-        drop_transitions: true,
-        ..FaultPalette::default()
-    };
-    let plan = FaultPlan::seeded(options.seed, options.horizon, options.rate, &palette);
-
-    let relaxations = spec
-        .relaxations
-        .iter()
-        .map(|name| {
-            named.get(name).cloned().ok_or_else(|| {
-                CommandError::Usage(format!("relaxation `{name}` names no constraint"))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let invariant = spec
-        .invariant
-        .map(|[lo, hi]| Ok::<_, FormatError>(Interval::levels(level(lo)?, level(hi)?)))
-        .transpose()?;
-    let recovery = RecoveryPolicy {
-        guard_deadline: options.deadline,
-        max_retries: options.retries,
-        backoff_base: options.backoff,
-        relaxations,
-        invariant,
-        deadline: None,
-    };
-
-    let policy = match spec.policy {
-        PolicySpec::First => Policy::First,
-        PolicySpec::RoundRobin => Policy::RoundRobin,
-        PolicySpec::Random(seed) => Policy::Random(seed),
-    };
-    let (telemetry, recorder) = metrics_recorder(options.metrics);
-    let report = ResilientInterpreter::new(program)
-        .with_plan(plan)
-        .with_recovery(recovery)
-        .with_policy(policy)
-        .with_max_steps(spec.max_steps)
-        .with_telemetry(telemetry)
-        .run(agent, Store::empty(semiring, domains))
-        .map_err(|e| CommandError::Engine(e.to_string()))?;
-
-    let mut out = String::new();
-    for entry in &report.report.trace {
-        let _ = writeln!(
-            out,
-            "step {:3}  {:8} {:12} {:40} σ⇓∅ = {}",
-            entry.step,
-            entry.origin.to_string(),
-            entry.rule.to_string(),
-            entry.note,
-            fmt_level(&entry.consistency)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "faults: {} injected, {} transitions dropped",
-        report.faults_injected, report.dropped_transitions
-    );
-    let _ = writeln!(
-        out,
-        "recovery: {} retries, {} rollbacks, {} relaxations, {} interval violations",
-        report.retries, report.rollbacks, report.relaxations_applied, report.invariant_violations
-    );
-    let _ = writeln!(
-        out,
-        "outcome: {} at σ⇓∅ = {}",
-        report.report.outcome,
-        fmt_level(&report.final_consistency)
-    );
-    append_metrics(&mut out, recorder);
-    Ok(out)
-}
-
 /// `softsoa negotiate --chaos-*`: run an `nmsccp` scenario under
 /// deterministic fault injection with retry, rollback and relaxation
 /// recovery. Same seed, same report, bit for bit. Documents with a
@@ -700,70 +638,73 @@ where
 /// Returns [`CommandError`] for malformed documents, unknown
 /// relaxation names, agent syntax errors or engine failures.
 pub fn negotiate_chaos(text: &str, options: ChaosOptions) -> Result<String, CommandError> {
+    negotiate_document(text, Some(options), options.metrics)
+}
+
+/// The one `negotiate` dispatch: picks the document's semiring, then
+/// runs its broker section or its scenario, plainly or under `chaos`.
+fn negotiate_document(
+    text: &str,
+    chaos: Option<ChaosOptions>,
+    metrics: Option<MetricsFormat>,
+) -> Result<String, CommandError> {
     let spec = NegotiationSpec::from_json(text)?;
     match spec.semiring {
-        SemiringKind::Weighted => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                Some(options),
-                Weighted,
-                weight_level,
-                QosOffer::to_weighted,
-                ToString::to_string,
-                options.metrics,
-            ),
-            None => {
-                negotiate_chaos_generic(&spec, options, Weighted, weight_level, ToString::to_string)
-            }
-        },
-        SemiringKind::Fuzzy => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                Some(options),
-                Fuzzy,
-                unit_level,
-                QosOffer::to_fuzzy,
-                ToString::to_string,
-                options.metrics,
-            ),
-            None => negotiate_chaos_generic(&spec, options, Fuzzy, unit_level, ToString::to_string),
-        },
-        SemiringKind::Probabilistic => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                Some(options),
-                Probabilistic,
-                unit_level,
-                QosOffer::to_probabilistic,
-                ToString::to_string,
-                options.metrics,
-            ),
-            None => negotiate_chaos_generic(
-                &spec,
-                options,
-                Probabilistic,
-                unit_level,
-                ToString::to_string,
-            ),
-        },
-        SemiringKind::Boolean => match spec.broker.clone() {
-            Some(broker) => broker_generic(
-                &spec,
-                &broker,
-                Some(options),
-                Boolean,
-                bool_level,
-                QosOffer::to_crisp,
-                ToString::to_string,
-                options.metrics,
-            ),
-            None => {
-                negotiate_chaos_generic(&spec, options, Boolean, bool_level, ToString::to_string)
-            }
-        },
+        SemiringKind::Weighted => negotiate_generic(
+            &spec,
+            chaos,
+            metrics,
+            Weighted,
+            weight_level,
+            QosOffer::to_weighted,
+        ),
+        SemiringKind::Fuzzy => {
+            negotiate_generic(&spec, chaos, metrics, Fuzzy, unit_level, QosOffer::to_fuzzy)
+        }
+        SemiringKind::Probabilistic => negotiate_generic(
+            &spec,
+            chaos,
+            metrics,
+            Probabilistic,
+            unit_level,
+            QosOffer::to_probabilistic,
+        ),
+        SemiringKind::Boolean => negotiate_generic(
+            &spec,
+            chaos,
+            metrics,
+            Boolean,
+            bool_level,
+            QosOffer::to_crisp,
+        ),
+    }
+}
+
+fn negotiate_generic<S, L, F>(
+    spec: &NegotiationSpec,
+    chaos: Option<ChaosOptions>,
+    metrics: Option<MetricsFormat>,
+    semiring: S,
+    level: L,
+    translate: F,
+) -> Result<String, CommandError>
+where
+    S: softsoa_semiring::Residuated,
+    S::Value: std::fmt::Display,
+    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
+    F: Fn(&QosOffer) -> Constraint<S>,
+{
+    match &spec.broker {
+        Some(broker_spec) => broker_generic(
+            spec,
+            broker_spec,
+            chaos,
+            semiring,
+            level,
+            translate,
+            metrics,
+        ),
+        None => scenario_generic(spec, chaos, semiring, level, metrics),
     }
 }
 
@@ -835,7 +776,6 @@ where
 /// Runs the broker section of a negotiation document: publishes the
 /// declared providers, builds the client request and negotiates —
 /// plainly, or resiliently under `--chaos-*` options.
-#[allow(clippy::too_many_arguments)]
 fn broker_generic<S, L, F>(
     spec: &NegotiationSpec,
     broker_spec: &BrokerSpec,
@@ -843,11 +783,11 @@ fn broker_generic<S, L, F>(
     semiring: S,
     level: L,
     translate: F,
-    fmt_level: impl Fn(&S::Value) -> String,
     metrics: Option<MetricsFormat>,
 ) -> Result<String, CommandError>
 where
     S: softsoa_semiring::Residuated,
+    S::Value: std::fmt::Display,
     L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
     F: Fn(&QosOffer) -> Constraint<S>,
 {
@@ -856,27 +796,14 @@ where
 
     let (telemetry, recorder) = metrics_recorder(metrics);
     let broker = Broker::new(semiring.clone(), registry).with_telemetry(telemetry);
+    let engine = |e: NegotiationError| CommandError::Engine(e.to_string());
     let mut out = String::new();
     match chaos {
         None => {
-            let sla = broker
-                .negotiate(&request, &translate)
-                .map_err(|e| CommandError::Engine(e.to_string()))?;
-            write_sla(&mut out, &sla, &fmt_level);
+            let sla = broker.negotiate(&request, &translate).map_err(engine)?;
+            write_sla(&mut out, &sla);
         }
         Some(options) => {
-            let relaxations = spec
-                .relaxations
-                .iter()
-                .map(|name| {
-                    spec.constraints
-                        .get(name)
-                        .ok_or_else(|| {
-                            CommandError::Usage(format!("relaxation `{name}` names no constraint"))
-                        })
-                        .and_then(|cspec| Ok(cspec.to_constraint(semiring.clone(), level.clone())?))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
             let config = ChaosConfig {
                 seed: options.seed,
                 fault_rate: options.rate,
@@ -886,9 +813,10 @@ where
                 backoff_base: options.backoff,
                 ..ChaosConfig::default()
             };
+            let relaxations = relaxations(spec, &semiring, &level)?;
             let report = broker
                 .negotiate_resilient(&request, &relaxations, &config, &translate)
-                .map_err(|e| CommandError::Engine(e.to_string()))?;
+                .map_err(engine)?;
             for (service, session) in &report.sessions {
                 let _ = writeln!(
                     out,
@@ -915,7 +843,7 @@ where
                 report.invariant_violations
             );
             match &report.sla {
-                Some(sla) => write_sla(&mut out, sla, &fmt_level),
+                Some(sla) => write_sla(&mut out, sla),
                 None => {
                     let _ = writeln!(out, "outcome: no agreement survived the chaos run");
                 }
@@ -926,20 +854,19 @@ where
     Ok(out)
 }
 
-fn write_sla<S: Semiring>(
-    out: &mut String,
-    sla: &softsoa_soa::Sla<S>,
-    fmt_level: &impl Fn(&S::Value) -> String,
-) {
+fn write_sla<S: Semiring>(out: &mut String, sla: &softsoa_soa::Sla<S>)
+where
+    S::Value: std::fmt::Display,
+{
     let _ = writeln!(
         out,
         "sla: {} from {} at {}",
         sla.service.as_str(),
         sla.provider.as_str(),
-        fmt_level(&sla.agreed_level)
+        sla.agreed_level
     );
     if let Some((eta, level)) = &sla.binding {
-        let _ = writeln!(out, "binding: {eta} at {}", fmt_level(level));
+        let _ = writeln!(out, "binding: {eta} at {level}");
     }
 }
 

@@ -176,6 +176,14 @@ impl<S: Semiring> RunReport<S> {
     }
 }
 
+/// Lets callers that take either report read the plain run (see the
+/// resilient report's impl).
+impl<S: Semiring> AsRef<RunReport<S>> for RunReport<S> {
+    fn as_ref(&self) -> &RunReport<S> {
+        self
+    }
+}
+
 /// Replays a finished run into `telemetry`: per-rule and per-origin
 /// transition counts, the consistency-level time series (indexed by
 /// step), the enabled-transition fan-out distribution, the step total

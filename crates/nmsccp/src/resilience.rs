@@ -266,6 +266,14 @@ impl<S: Semiring> ResilienceReport<S> {
     }
 }
 
+/// A resilient run read as its underlying plain run (outcome, steps,
+/// trace).
+impl<S: Semiring> AsRef<RunReport<S>> for ResilienceReport<S> {
+    fn as_ref(&self) -> &RunReport<S> {
+        &self.report
+    }
+}
+
 impl<S: Semiring> RecoveryPolicy<S> {
     /// The idle wait of retry `attempt` (from 1) at step `steps`:
     /// `guard_deadline + backoff_base · 2^(attempt−1)`, saturating at

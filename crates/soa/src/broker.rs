@@ -20,7 +20,9 @@ use std::time::Instant;
 
 use softsoa_core::solve::{non_dominated, SolverStats};
 use softsoa_core::{Assignment, Constraint, Domain, Domains, Val, Var};
-use softsoa_nmsccp::{Agent, Interpreter, Interval, Outcome, Program, SemanticsError, Store};
+use softsoa_nmsccp::{
+    Agent, Interpreter, Interval, Outcome, Program, RunReport, SemanticsError, Store,
+};
 use softsoa_semiring::{Residuated, Semiring};
 use softsoa_telemetry::Telemetry;
 
@@ -403,21 +405,22 @@ impl<S: Residuated> Broker<S> {
     where
         F: Fn(&QosOffer) -> Constraint<S>,
     {
-        let agreements = self.negotiate_all(request, translate)?;
-        // Keep the maximal agreed levels (non-dominated under the
-        // semiring order), then the first by service id.
-        agreements
-            .into_iter()
-            .fold(None::<Sla<S>>, |best, sla| match best {
-                None => Some(sla),
-                Some(best) => {
-                    if self.semiring.lt(&best.agreed_level, &sla.agreed_level) {
-                        Some(sla)
-                    } else {
-                        Some(best)
-                    }
-                }
-            })
+        self.negotiate_at(&self.registry.snapshot(), request, translate)
+    }
+
+    /// [`Broker::negotiate`] against a caller-supplied snapshot, so a
+    /// caller can report the epoch its agreement was computed under.
+    pub(crate) fn negotiate_at<F>(
+        &self,
+        registry: &RegistrySnapshot,
+        request: &NegotiationRequest<S>,
+        translate: F,
+    ) -> Result<Sla<S>, NegotiationError>
+    where
+        F: Fn(&QosOffer) -> Constraint<S>,
+    {
+        let agreements = self.negotiate_all_at(registry, request, translate)?;
+        self.best(agreements)
             .ok_or_else(|| NegotiationError::NoAgreement(request.capability.clone()))
     }
 
@@ -455,8 +458,38 @@ impl<S: Residuated> Broker<S> {
     where
         F: Fn(&QosOffer) -> Constraint<S>,
     {
-        self.telemetry
-            .gauge("broker.registry.epoch", registry.epoch() as i64);
+        let interpreter = Interpreter::new(Program::new()).with_telemetry(self.telemetry.clone());
+        let (agreements, _) =
+            self.run_sessions(registry, request, &translate, |_, _, agent, store| {
+                interpreter.run(agent, store)
+            })?;
+        Ok(agreements)
+    }
+
+    /// The protocol's steps 2–5 against one registry snapshot: discover
+    /// the providers, validate the acceptance interval, run one `nmsccp`
+    /// session per provider with an offer on the negotiation variable,
+    /// and bind every agreement. Returns the agreements and each
+    /// session's report, both in registry order.
+    ///
+    /// How a session runs is the only part that varies: `run` receives
+    /// the service, its translated policy, the `provider ‖ client`
+    /// agent and the empty store, and drives them with a plain
+    /// [`Interpreter`] or a fault-injecting `ResilientInterpreter`
+    /// (which also records its own recovery counters).
+    pub(crate) fn run_sessions<F, R>(
+        &self,
+        registry: &RegistrySnapshot,
+        request: &NegotiationRequest<S>,
+        translate: &F,
+        run: impl Fn(&ServiceId, &Constraint<S>, Agent<S>, Store<S>) -> Result<R, SemanticsError>,
+    ) -> Result<Sessions<S, R>, NegotiationError>
+    where
+        F: Fn(&QosOffer) -> Constraint<S>,
+        R: AsRef<RunReport<S>>,
+    {
+        let t = &self.telemetry;
+        t.gauge("broker.registry.epoch", registry.epoch() as i64);
         let candidates = registry.discover(&request.capability);
         if candidates.is_empty() {
             return Err(NegotiationError::NoProvider(request.capability.clone()));
@@ -473,8 +506,8 @@ impl<S: Residuated> Broker<S> {
             ));
         }
         // The client side of the session is provider-independent: build
-        // its agent (and the session domains) once instead of
-        // re-translating the client policy for every provider.
+        // its agent once. It publishes its policy and then checks the
+        // agreement interval.
         let client = Agent::tell(
             request.constraint.clone(),
             Interval::any(&self.semiring),
@@ -485,14 +518,58 @@ impl<S: Residuated> Broker<S> {
             ),
         );
         let mut agreements = Vec::new();
+        let mut reports = Vec::new();
         for service in candidates {
-            if let Some(sla) =
-                self.negotiate_one(request, service, &client, &domains, &translate)?
-            {
-                agreements.push(sla);
+            let Some(policy) = provider_constraint(service, request.variable.name(), translate)
+            else {
+                continue;
+            };
+            // The provider agent publishes its policy.
+            let provider = Agent::tell(
+                policy.clone(),
+                Interval::any(&self.semiring),
+                Agent::success(),
+            );
+            let store = Store::empty(self.semiring.clone(), domains.clone());
+            let id = service.id.as_str();
+            let session_start = t.enabled().then(Instant::now);
+            t.incr("broker.sessions");
+            let report = run(
+                &service.id,
+                &policy,
+                Agent::par(provider, client.clone()),
+                store,
+            )?;
+            if let Some(start) = session_start {
+                t.timing_labeled("broker.provider.latency", id, start.elapsed());
             }
+            if let Outcome::Success { store } = &report.as_ref().outcome {
+                t.count_labeled("broker.provider.agreements", id, 1);
+                agreements.push(Sla {
+                    service: service.id.clone(),
+                    provider: service.provider.clone(),
+                    agreed_level: store.consistency().map_err(SemanticsError::from)?,
+                    binding: self.bind(&request.variable, &request.domain, store.sigma()),
+                });
+            } else {
+                t.count_labeled("broker.provider.rejections", id, 1);
+            }
+            reports.push((service.id.clone(), report));
         }
-        Ok(agreements)
+        Ok((agreements, reports))
+    }
+
+    /// The best agreement under the semiring order: a later agreement
+    /// replaces the incumbent only when strictly better, so among
+    /// maximal levels the first in registry order wins.
+    pub(crate) fn best(&self, agreements: Vec<Sla<S>>) -> Option<Sla<S>> {
+        agreements.into_iter().reduce(|best, sla| {
+            if self.semiring.lt(&best.agreed_level, &sla.agreed_level) {
+                sla
+            } else {
+                best
+            }
+        })
     }
 
     /// Negotiates with iterative *relaxation*: if no provider yields an
@@ -539,71 +616,6 @@ impl<S: Residuated> Broker<S> {
             }
         }
         Err(NegotiationError::NoAgreement(request.capability.clone()))
-    }
-
-    /// Runs the nmsccp negotiation session against one provider
-    /// (steps 3–4); `None` means the session failed the acceptance
-    /// check.
-    fn negotiate_one<F>(
-        &self,
-        request: &NegotiationRequest<S>,
-        service: &ServiceDescription,
-        client: &Agent<S>,
-        domains: &Domains,
-        translate: &F,
-    ) -> Result<Option<Sla<S>>, NegotiationError>
-    where
-        F: Fn(&QosOffer) -> Constraint<S>,
-    {
-        // Translate the offers concerning the negotiation variable.
-        let Some(provider_constraint) =
-            provider_constraint(service, request.variable.name(), translate)
-        else {
-            return Ok(None);
-        };
-
-        // The provider agent publishes its policy; the (precompiled)
-        // client agent publishes its own and then checks the agreement
-        // interval.
-        let provider = Agent::tell(
-            provider_constraint,
-            Interval::any(&self.semiring),
-            Agent::success(),
-        );
-        let store = Store::empty(self.semiring.clone(), domains.clone());
-        let session_start = self.telemetry.enabled().then(std::time::Instant::now);
-        self.telemetry.incr("broker.sessions");
-        let report = Interpreter::new(Program::new())
-            .with_telemetry(self.telemetry.clone())
-            .run(Agent::par(provider, client.clone()), store)?;
-        if let Some(start) = session_start {
-            self.telemetry.timing_labeled(
-                "broker.provider.latency",
-                service.id.as_str(),
-                start.elapsed(),
-            );
-        }
-
-        let final_store = match report.outcome {
-            Outcome::Success { store } => store,
-            _ => {
-                self.telemetry
-                    .count_labeled("broker.provider.rejections", service.id.as_str(), 1);
-                return Ok(None);
-            }
-        };
-        self.telemetry
-            .count_labeled("broker.provider.agreements", service.id.as_str(), 1);
-        let agreed_level = final_store.consistency().map_err(SemanticsError::from)?;
-
-        let binding = self.bind(&request.variable, &request.domain, final_store.sigma());
-
-        Ok(Some(Sla {
-            service: service.id.clone(),
-            provider: service.provider.clone(),
-            agreed_level,
-            binding,
-        }))
     }
 
     /// Binds the negotiation variable to its best value under the
@@ -686,6 +698,10 @@ where
     Some(offers.iter().skip(1).fold(first, |acc, c| acc.combine(c)))
 }
 
+/// What [`Broker::run_sessions`] returns: every agreement, and every
+/// provider session's report, in registry order.
+pub(crate) type Sessions<S, R> = (Vec<Sla<S>>, Vec<(ServiceId, R)>);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,6 +762,25 @@ mod tests {
             .unwrap();
         assert_eq!(sla.service, ServiceId::new("svc-flat"));
         assert_eq!(sla.agreed_level, Unit::new(0.8).unwrap());
+    }
+
+    #[test]
+    fn best_keeps_the_first_of_equal_agreements() {
+        let broker = Broker::new(Fuzzy, Registry::new());
+        let sla = |id: &str, level: f64| Sla::<Fuzzy> {
+            service: ServiceId::new(id),
+            provider: ProviderId::new("acme"),
+            agreed_level: Unit::new(level).unwrap(),
+            binding: None,
+        };
+        let best = broker.best(vec![
+            sla("svc-low", 0.2),
+            sla("svc-first", 0.7),
+            sla("svc-tied", 0.7),
+            sla("svc-lower", 0.5),
+        ]);
+        assert_eq!(best.unwrap().service, ServiceId::new("svc-first"));
+        assert!(broker.best(Vec::new()).is_none());
     }
 
     #[test]

@@ -10,21 +10,28 @@
 //! `softsoa_nmsccp::resilience` decides *what* that does to the store
 //! mid-negotiation. Everything is a pure function of the
 //! [`ChaosConfig`] seed, so a chaos run is replayable bit for bit.
+//!
+//! Chaos negotiation is a setting of the broker's one session loop,
+//! not a second copy of the protocol: [`Broker::negotiate_resilient`]
+//! hands the loop a [`ResilientInterpreter`] (the provider's fault
+//! plan and the recovery policy) where [`Broker::negotiate`] hands it
+//! a plain interpreter. Discovery, validation, the agents, binding and
+//! the best-SLA fold are shared, so with no faults and no relaxations
+//! both reach the same agreement.
 
 use std::collections::BTreeMap;
 
 use softsoa_core::solve::SolverConfig;
-use softsoa_core::{Constraint, Domains};
+use softsoa_core::Constraint;
 use softsoa_nmsccp::{
-    Agent, Bound, FaultAction, FaultEvent, FaultPlan, Interval, Program, RecoveryPolicy,
-    ResilienceReport, ResilientInterpreter, SemanticsError, Store,
+    Bound, FaultAction, FaultEvent, FaultPlan, Interval, Program, RecoveryPolicy, ResilienceReport,
+    ResilientInterpreter,
 };
 use softsoa_semiring::{Residuated, Semiring};
 
-use crate::broker::provider_constraint;
 use crate::{
     Broker, NegotiationError, NegotiationRequest, QosOffer, QueryError, QueryPlan, Registry,
-    ServiceId, ServiceQuery, SimConfig, SimService, Sla,
+    RegistrySnapshot, ServiceId, ServiceQuery, SimConfig, SimService, Sla,
 };
 
 /// How hostile the environment is during a chaos run, and how much
@@ -41,16 +48,9 @@ pub struct ChaosConfig<S: Semiring> {
     pub fault_rate: f64,
     /// How many interpreter steps the fault model covers.
     pub horizon: usize,
-    /// Degradation values available as injected faults (each worsens
-    /// the whole store by a fixed semiring value).
+    /// Degradation values injected after the two fixed fault kinds
+    /// (each worsens the whole store by a fixed semiring value).
     pub degradations: Vec<S::Value>,
-    /// Whether faults may drop chosen transitions (lost messages).
-    pub drop_transitions: bool,
-    /// Whether faults may retract the provider's told policy from the
-    /// store (a provider reneging on its offer).
-    pub unconstrain: bool,
-    /// Whether faults may crash a parallel branch outright.
-    pub crash_branches: bool,
     /// Steps a blocked session idles before each retry.
     pub guard_deadline: usize,
     /// Retry budget per session (see [`RecoveryPolicy`]).
@@ -66,19 +66,19 @@ pub struct ChaosConfig<S: Semiring> {
 }
 
 impl<S: Semiring> Default for ChaosConfig<S> {
+    /// Seed 0, fault rate 0.1 over 16 steps, no degradations, and the
+    /// default [`RecoveryPolicy`]'s patience.
     fn default() -> ChaosConfig<S> {
+        let recovery = RecoveryPolicy::<S>::default();
         ChaosConfig {
             seed: 0,
             fault_rate: 0.1,
             horizon: 16,
             degradations: Vec::new(),
-            drop_transitions: true,
-            unconstrain: true,
-            crash_branches: false,
-            guard_deadline: 4,
-            max_retries: 3,
-            backoff_base: 2,
-            session_deadline: None,
+            guard_deadline: recovery.guard_deadline,
+            max_retries: recovery.max_retries,
+            backoff_base: recovery.backoff_base,
+            session_deadline: recovery.deadline,
         }
     }
 }
@@ -184,29 +184,22 @@ fn fault_steps(seed: u64, fault_rate: f64, horizon: usize) -> Vec<usize> {
 
 /// Maps a provider's [`ServiceFault`](crate::ServiceFault) stream to a
 /// deterministic [`FaultPlan`]: every simulated failure below the
-/// horizon becomes one injected store fault, cycling through the
-/// fault kinds the configuration enables.
+/// horizon becomes one injected store fault, cycling through a dropped
+/// transition (a lost message), a retraction of the provider's told
+/// policy (a provider reneging on its offer) and then each configured
+/// degradation.
 pub fn provider_fault_plan<S: Semiring>(
     chaos: &ChaosConfig<S>,
     service: &ServiceId,
     provider_policy: &Constraint<S>,
 ) -> FaultPlan<S> {
-    let mut kinds: Vec<FaultAction<S>> = Vec::new();
-    if chaos.drop_transitions {
-        kinds.push(FaultAction::DropTransition);
-    }
-    if chaos.unconstrain {
-        kinds.push(FaultAction::Unconstrain(provider_policy.clone()));
-    }
-    for d in &chaos.degradations {
-        kinds.push(FaultAction::Degrade(d.clone()));
-    }
-    if chaos.crash_branches {
-        kinds.push(FaultAction::CrashBranch(0));
-    }
-    if kinds.is_empty() {
-        return FaultPlan::none();
-    }
+    let kinds: Vec<FaultAction<S>> = [
+        FaultAction::DropTransition,
+        FaultAction::Unconstrain(provider_policy.clone()),
+    ]
+    .into_iter()
+    .chain(chaos.degradations.iter().cloned().map(FaultAction::Degrade))
+    .collect();
     let steps = fault_steps(
         provider_seed(chaos.seed, service),
         chaos.fault_rate,
@@ -232,11 +225,12 @@ fn lower_only_invariant<S: Semiring>(semiring: &S, acceptance: &Interval<S>) -> 
 }
 
 impl<S: Residuated> Broker<S> {
-    /// Negotiates under chaos: every per-provider `nmsccp` session
-    /// runs in a [`ResilientInterpreter`] whose fault plan is derived
-    /// from the provider's seeded failure model, and whose recovery
-    /// policy retries, rolls back on interval violations and concedes
-    /// rungs of `relaxations`.
+    /// Negotiates under chaos: the broker's one session loop, with
+    /// every per-provider `nmsccp` session run in a
+    /// [`ResilientInterpreter`] whose fault plan is derived from the
+    /// provider's seeded failure model, and whose recovery policy
+    /// retries, rolls back on interval violations and concedes rungs
+    /// of `relaxations`.
     ///
     /// Unlike [`Broker::negotiate`], failing to agree is not an error:
     /// the [`ChaosReport`] carries `sla: None` together with every
@@ -257,104 +251,51 @@ impl<S: Residuated> Broker<S> {
     where
         F: Fn(&QosOffer) -> Constraint<S>,
     {
-        let registry = self.registry();
-        let candidates = registry.discover(&request.capability);
-        if candidates.is_empty() {
-            return Err(NegotiationError::NoProvider(request.capability.clone()));
-        }
-        let domains = Domains::new().with(request.variable.clone(), request.domain.clone());
-        if matches!(
-            request.acceptance.validate(self.semiring(), &domains),
-            Err(softsoa_nmsccp::ValidationError::Invalid(_))
-        ) {
-            return Err(NegotiationError::InvalidAcceptance(
-                request.capability.clone(),
-            ));
-        }
+        self.negotiate_resilient_at(&self.registry(), request, relaxations, chaos, translate)
+    }
+
+    /// [`Broker::negotiate_resilient`] against a caller-supplied
+    /// snapshot, so a caller can report the epoch its agreement was
+    /// computed under.
+    pub(crate) fn negotiate_resilient_at<F>(
+        &self,
+        registry: &RegistrySnapshot,
+        request: &NegotiationRequest<S>,
+        relaxations: &[Constraint<S>],
+        chaos: &ChaosConfig<S>,
+        translate: F,
+    ) -> Result<ChaosReport<S>, NegotiationError>
+    where
+        F: Fn(&QosOffer) -> Constraint<S>,
+    {
         let recovery = chaos.recovery(
             relaxations,
             Some(lower_only_invariant(self.semiring(), &request.acceptance)),
         );
-
-        // Provider-independent: the client agent is identical for every
-        // session, so translate the client policy once.
-        let client = Agent::tell(
-            request.constraint.clone(),
-            Interval::any(self.semiring()),
-            Agent::ask(
-                Constraint::always(self.semiring().clone()),
-                request.acceptance.clone(),
-                Agent::success(),
-            ),
-        );
-        let mut sessions = Vec::new();
-        let mut best: Option<Sla<S>> = None;
-        for service in candidates {
-            let Some(policy) = provider_constraint(service, request.variable.name(), &translate)
-            else {
-                continue;
-            };
-            let plan = provider_fault_plan(chaos, &service.id, &policy);
-            let provider = Agent::tell(policy, Interval::any(self.semiring()), Agent::success());
-            let store = Store::empty(self.semiring().clone(), domains.clone());
-            let session_start = self.telemetry.enabled().then(std::time::Instant::now);
-            self.telemetry.incr("broker.sessions");
-            let report = ResilientInterpreter::new(Program::new())
-                .with_plan(plan)
-                .with_recovery(recovery.clone())
-                .with_telemetry(self.telemetry.clone())
-                .run(Agent::par(provider, client.clone()), store)?;
-            if self.telemetry.enabled() {
-                let id = service.id.as_str();
-                if let Some(start) = session_start {
-                    self.telemetry
-                        .timing_labeled("broker.provider.latency", id, start.elapsed());
-                }
-                let t = &self.telemetry;
+        let t = &self.telemetry;
+        let (agreements, sessions) = self.run_sessions(
+            registry,
+            request,
+            &translate,
+            |service, policy, agent, store| {
+                let report = ResilientInterpreter::new(Program::new())
+                    .with_plan(provider_fault_plan(chaos, service, policy))
+                    .with_recovery(recovery.clone())
+                    .with_telemetry(t.clone())
+                    .run(agent, store)?;
+                // The session's recovery counters; the loop records its
+                // latency and its verdict.
+                let id = service.as_str();
                 t.count_labeled("broker.provider.retries", id, report.retries as u64);
                 t.count_labeled("broker.provider.faults", id, report.faults_injected as u64);
                 t.count_labeled("broker.provider.rollbacks", id, report.rollbacks as u64);
-                t.count_labeled(
-                    "broker.provider.degradation_rung",
-                    id,
-                    report.relaxations_applied as u64,
-                );
-                t.count_labeled(
-                    "broker.provider.interval_excursions",
-                    id,
-                    report.invariant_violations as u64,
-                );
-                let outcome = if report.is_success() {
-                    "broker.provider.agreements"
-                } else {
-                    "broker.provider.rejections"
-                };
-                t.count_labeled(outcome, id, 1);
-            }
-
-            if report.is_success() {
-                let final_store = report.report.outcome.store();
-                let agreed_level = final_store.consistency().map_err(SemanticsError::from)?;
-                let sla = Sla {
-                    service: service.id.clone(),
-                    provider: service.provider.clone(),
-                    agreed_level,
-                    binding: self.bind(&request.variable, &request.domain, final_store.sigma()),
-                };
-                best = match best {
-                    None => Some(sla),
-                    Some(current) => {
-                        if self.semiring().lt(&current.agreed_level, &sla.agreed_level) {
-                            Some(sla)
-                        } else {
-                            Some(current)
-                        }
-                    }
-                };
-            }
-            sessions.push((service.id.clone(), report));
-        }
-
+                let rungs = report.relaxations_applied as u64;
+                t.count_labeled("broker.provider.degradation_rung", id, rungs);
+                let excursions = report.invariant_violations as u64;
+                t.count_labeled("broker.provider.interval_excursions", id, excursions);
+                Ok(report)
+            },
+        )?;
         let sum = |f: fn(&ResilienceReport<S>) -> usize| {
             sessions.iter().map(|(_, r)| f(r)).sum::<usize>()
         };
@@ -365,7 +306,7 @@ impl<S: Residuated> Broker<S> {
             rollbacks: sum(|r| r.rollbacks),
             relaxations_applied: sum(|r| r.relaxations_applied),
             invariant_violations: sum(|r| r.invariant_violations),
-            sla: best,
+            sla: self.best(agreements),
             sessions,
         })
     }

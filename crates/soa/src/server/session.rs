@@ -19,8 +19,8 @@ use softsoa_core::Domain;
 use softsoa_nmsccp::{Interval, Outcome};
 use softsoa_telemetry::Telemetry;
 
-use crate::broker::{Broker, NegotiationError, NegotiationRequest};
-use crate::chaos::ChaosConfig;
+use crate::broker::{Broker, NegotiationError, NegotiationRequest, RegistrySnapshot, Sla};
+use crate::chaos::{ChaosConfig, ChaosReport};
 use crate::contention::{ContendedRequest, ContentionOutcome, Fairness};
 use crate::registry::ServiceDescription;
 use crate::server::admission::Pending;
@@ -381,86 +381,115 @@ fn handle_negotiate<S: WireSemiring>(
     if let Some(fairness) = ctx.config.fairness {
         return negotiate_batched(broker, ctx, fairness, negotiate, deadline, conn_id);
     }
-    let epoch = broker.registry().epoch();
     let start = Instant::now();
-    let answer = match ctx.config.store_chaos {
-        None => match broker.negotiate(&request, S::translate) {
-            Ok(sla) => Reply::Bound {
-                service: sla.service.as_str().to_string(),
-                provider: sla.provider.as_str().to_string(),
-                level: S::render_level(&sla.agreed_level),
-                binding: binding_value::<S>(&negotiate.variable, &sla.binding),
-                epoch,
-            },
-            Err(e) => negotiation_error(&e),
-        },
+    let answer = negotiate_at(
+        broker,
+        &broker.registry(),
+        &ctx.config,
+        &negotiate,
+        &request,
+    );
+    t.timing("server.phase.negotiate", start.elapsed());
+    answer
+}
+
+/// Negotiates one request against one registry snapshot and answers
+/// with that snapshot's epoch: the epoch the agreement was computed
+/// under, whatever other sessions publish meanwhile. The plain and the
+/// store-chaos modes differ only in the broker call they make.
+fn negotiate_at<S: WireSemiring>(
+    broker: &Broker<S>,
+    registry: &RegistrySnapshot,
+    config: &ServerConfig,
+    negotiate: &NegotiateRequest,
+    request: &NegotiationRequest<S>,
+) -> Reply {
+    let epoch = registry.epoch();
+    let variable = &negotiate.variable;
+    let answer = match config.store_chaos {
+        None => broker
+            .negotiate_at(registry, request, S::translate)
+            .map(|sla| agreement(sla, variable, epoch, None)),
         Some(store_chaos) => {
             let chaos = ChaosConfig::<S> {
                 seed: store_chaos.seed,
                 fault_rate: store_chaos.fault_rate,
-                session_deadline: Some(ctx.config.negotiation_deadline_steps),
+                session_deadline: Some(config.negotiation_deadline_steps),
                 ..ChaosConfig::default()
             };
-            match broker.negotiate_resilient(&request, &[], &chaos, S::translate) {
-                Ok(report) => {
+            broker
+                .negotiate_resilient_at(registry, request, &[], &chaos, S::translate)
+                .map(|report| {
                     let recovered = report.retries
                         + report.rollbacks
                         + report.relaxations_applied
                         + report.faults_injected;
+                    let recovery = (recovered > 0)
+                        .then_some((report.retries as u64, report.relaxations_applied as u64));
                     match report.sla {
-                        Some(sla) if recovered == 0 => Reply::Bound {
-                            service: sla.service.as_str().to_string(),
-                            provider: sla.provider.as_str().to_string(),
-                            level: S::render_level(&sla.agreed_level),
-                            binding: binding_value::<S>(&negotiate.variable, &sla.binding),
-                            epoch,
-                        },
-                        Some(sla) => Reply::Degraded {
-                            service: sla.service.as_str().to_string(),
-                            provider: sla.provider.as_str().to_string(),
-                            level: S::render_level(&sla.agreed_level),
-                            binding: binding_value::<S>(&negotiate.variable, &sla.binding),
-                            epoch,
-                            retries: report.retries as u64,
-                            relaxations: report.relaxations_applied as u64,
-                        },
-                        None => {
-                            // No agreement: if any provider session hit
-                            // the step deadline, this is a negotiation
-                            // timeout — report the best checkpointed
-                            // partial level the rollback machinery kept.
-                            let partial = report
-                                .sessions
-                                .iter()
-                                .filter(|(_, r)| {
-                                    matches!(r.report.outcome, Outcome::DeadlineExceeded { .. })
-                                })
-                                .map(|(_, r)| S::render_level(&r.final_consistency))
-                                .fold(None::<f64>, |best, level| {
-                                    Some(best.map_or(level, |b| b.max(level)))
-                                });
-                            match partial {
-                                Some(level) => Reply::TimedOut {
-                                    phase: Phase::Negotiate,
-                                    partial_level: Some(level),
-                                },
-                                None => Reply::Error {
-                                    code: ErrorCode::NoAgreement,
-                                    detail: format!(
-                                        "no provider agreed for `{}`",
-                                        negotiate.capability
-                                    ),
-                                },
-                            }
-                        }
+                        Some(sla) => agreement(sla, variable, epoch, recovery),
+                        None => no_survivor(&report, &negotiate.capability),
                     }
-                }
-                Err(e) => negotiation_error(&e),
-            }
+                })
         }
     };
-    t.timing("server.phase.negotiate", start.elapsed());
-    answer
+    answer.unwrap_or_else(|e| negotiation_error(&e))
+}
+
+/// The reply for a concluded agreement: `Bound`, or `Degraded` when
+/// `recovery` holds the `(retries, relaxations)` spent reaching it.
+fn agreement<S: WireSemiring>(
+    sla: Sla<S>,
+    variable: &str,
+    epoch: u64,
+    recovery: Option<(u64, u64)>,
+) -> Reply {
+    let service = sla.service.as_str().to_string();
+    let provider = sla.provider.as_str().to_string();
+    let level = S::render_level(&sla.agreed_level);
+    let binding = sla
+        .binding
+        .and_then(|(eta, _)| eta.get(&variable.into())?.as_int());
+    match recovery {
+        None => Reply::Bound {
+            service,
+            provider,
+            level,
+            binding,
+            epoch,
+        },
+        Some((retries, relaxations)) => Reply::Degraded {
+            service,
+            provider,
+            level,
+            binding,
+            epoch,
+            retries,
+            relaxations,
+        },
+    }
+}
+
+/// The reply for a chaos negotiation no session survived: if any
+/// provider session hit the step deadline, this is a negotiation
+/// timeout — report the best checkpointed partial level the rollback
+/// machinery kept.
+fn no_survivor<S: WireSemiring>(report: &ChaosReport<S>, capability: &str) -> Reply {
+    let partial = report
+        .sessions
+        .iter()
+        .filter(|(_, r)| matches!(r.report.outcome, Outcome::DeadlineExceeded { .. }))
+        .map(|(_, r)| S::render_level(&r.final_consistency))
+        .fold(None::<f64>, |best, level| {
+            Some(best.map_or(level, |b| b.max(level)))
+        });
+    match partial {
+        Some(level) => Reply::TimedOut {
+            phase: Phase::Negotiate,
+            partial_level: Some(level),
+        },
+        None => negotiation_error(&NegotiationError::NoAgreement(capability.to_string())),
+    }
 }
 
 /// The contended path: parks the request in the batching window,
@@ -536,36 +565,19 @@ fn solve_batch<S: WireSemiring>(
     let epoch = allocation.epoch;
     for ((ticket, wire), (_, outcome)) in admitted.iter().zip(allocation.outcomes) {
         let reply = match outcome {
-            ContentionOutcome::Granted(sla) => Reply::Bound {
-                service: sla.service.as_str().to_string(),
-                provider: sla.provider.as_str().to_string(),
-                level: S::render_level(&sla.agreed_level),
-                binding: binding_value::<S>(&wire.variable, &sla.binding),
-                epoch,
-            },
+            ContentionOutcome::Granted(sla) => agreement(sla, &wire.variable, epoch, None),
             ContentionOutcome::Preempted => Reply::Preempted {
                 epoch,
                 objective: fairness.as_str().to_string(),
             },
             ContentionOutcome::Waitlisted { age } => Reply::Waitlisted { epoch, age },
-            ContentionOutcome::Unserved => Reply::Error {
-                code: ErrorCode::NoAgreement,
-                detail: format!("no provider agreed for `{}`", wire.capability),
-            },
+            ContentionOutcome::Unserved => {
+                negotiation_error(&NegotiationError::NoAgreement(wire.capability.clone()))
+            }
         };
         results.push((*ticket, reply));
     }
     results
-}
-
-fn binding_value<S: WireSemiring>(
-    variable: &str,
-    binding: &Option<(softsoa_core::Assignment, S::Value)>,
-) -> Option<i64> {
-    binding
-        .as_ref()
-        .and_then(|(assignment, _)| assignment.get(&variable.into()))
-        .and_then(|v| v.as_int())
 }
 
 fn negotiation_error(error: &NegotiationError) -> Reply {
@@ -585,4 +597,70 @@ fn negotiation_error(error: &NegotiationError) -> Reply {
         other => (ErrorCode::Internal, other.to_string()),
     };
     Reply::Error { code, detail }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::StoreChaos;
+    use crate::{OfferShape, QosDocument, QosOffer, Registry};
+    use softsoa_dependability::Attribute;
+    use softsoa_semiring::Fuzzy;
+
+    fn provider(id: &str, level: f64) -> ServiceDescription {
+        ServiceDescription::new(
+            id,
+            "acme",
+            "compute",
+            QosDocument::new(id).with_offer(QosOffer {
+                attribute: Attribute::Reliability,
+                variable: "x".into(),
+                shape: OfferShape::Constant { level },
+            }),
+        )
+    }
+
+    /// A publish between the snapshot and the reply must not leak into
+    /// the reply: the agreement and its epoch both come from the
+    /// snapshot the negotiation ran against, on both engines.
+    #[test]
+    fn a_reply_names_the_epoch_it_was_negotiated_under() {
+        let wire = NegotiateRequest {
+            capability: "compute".into(),
+            variable: "x".into(),
+            domain: [0, 4],
+            policy: OfferShape::Constant { level: 1.0 },
+            accept: [0.1, 1.0],
+            client: None,
+        };
+        let request = build_request::<Fuzzy>(&wire).unwrap();
+        let calm = StoreChaos {
+            seed: 7,
+            fault_rate: 0.0,
+        };
+        for store_chaos in [None, Some(calm)] {
+            let config = ServerConfig {
+                store_chaos,
+                ..ServerConfig::default()
+            };
+            let mut registry = Registry::new();
+            registry.publish(provider("svc-weak", 0.4));
+            let mut broker = Broker::new(Fuzzy, registry);
+            let old = broker.registry();
+            broker.registry_mut().publish(provider("svc-strong", 0.9));
+
+            // What the client reads off the wire: a `bound` reply naming
+            // the service and the epoch.
+            let bound_to = |reply: Reply, service: &str, epoch: u64| {
+                let json = reply.to_json();
+                reply.outcome_label() == "bound"
+                    && json.contains(&format!("\"service\":\"{service}\""))
+                    && json.contains(&format!("\"epoch\":{epoch}"))
+            };
+            let reply = negotiate_at(&broker, &old, &config, &wire, &request);
+            assert!(bound_to(reply, "svc-weak", 0), "{store_chaos:?}");
+            let reply = negotiate_at(&broker, &broker.registry(), &config, &wire, &request);
+            assert!(bound_to(reply, "svc-strong", 1), "{store_chaos:?}");
+        }
+    }
 }

@@ -20,61 +20,21 @@
 //! Each case draws a client policy, providers and intervals as tables
 //! over a fixed int domain, with levels from a small palette.
 
+mod common;
+
 use std::fmt::Debug;
 
-use proptest::collection::vec;
 use proptest::prelude::*;
-use softsoa_core::{Constraint, Domain, Var};
-use softsoa_dependability::Attribute;
 use softsoa_nmsccp::Interval;
-use softsoa_semiring::{Fuzzy, Residuated, Unit, Weight, Weighted};
-use softsoa_soa::{
-    Broker, NegotiationError, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry,
-    ServiceDescription,
-};
+use softsoa_semiring::{Residuated, Unit};
+use softsoa_soa::{Broker, NegotiationError};
 
-/// The negotiation domain is `0..=MAX_X`.
-const MAX_X: i64 = 5;
-const CELLS: usize = MAX_X as usize + 1;
-
-/// One semiring's view of the raw levels that offers carry.
-struct Kind<S: Residuated> {
-    semiring: S,
-    /// Raw levels the tables draw from (`0` of the semiring included).
-    palette: &'static [f64],
-    /// The semiring level of a raw level.
-    level: fn(f64) -> S::Value,
-    translate: fn(&QosOffer) -> Constraint<S>,
-}
-
-fn fuzzy() -> Kind<Fuzzy> {
-    Kind {
-        semiring: Fuzzy,
-        palette: &[0.0, 0.25, 0.5, 0.75, 1.0],
-        level: Unit::clamped,
-        translate: QosOffer::to_fuzzy,
-    }
-}
-
-fn weighted() -> Kind<Weighted> {
-    Kind {
-        semiring: Weighted,
-        // Costs: 0 is the best level; 64 stands in for a cost too high
-        // to accept.
-        palette: &[0.0, 1.0, 2.0, 4.0, 64.0],
-        level: Weight::saturating,
-        translate: QosOffer::to_weighted,
-    }
-}
+use common::{fuzzy, picks, weighted, Kind, CELLS};
 
 impl<S: Residuated> Kind<S>
 where
     S::Value: Debug,
 {
-    fn raw(&self, pick: usize) -> f64 {
-        self.palette[pick % self.palette.len()]
-    }
-
     /// The raw level of `a` and `b` that is better in the semiring.
     fn better(&self, a: f64, b: f64) -> f64 {
         if self.semiring.lt(&(self.level)(a), &(self.level)(b)) {
@@ -82,43 +42,6 @@ where
         } else {
             a
         }
-    }
-
-    /// The raw table over the domain that `picks` selects.
-    fn table(&self, picks: &[usize]) -> Vec<f64> {
-        picks.iter().map(|&p| self.raw(p)).collect()
-    }
-
-    fn provider(&self, index: usize, table: &[f64]) -> ServiceDescription {
-        let id = format!("svc-{index}");
-        let points = (0..=MAX_X).zip(table.iter().copied()).collect();
-        ServiceDescription::new(
-            id.as_str(),
-            "acme",
-            "compute",
-            QosDocument::new(id.as_str()).with_offer(QosOffer {
-                attribute: Attribute::Reliability,
-                variable: "x".into(),
-                shape: OfferShape::Piecewise { points },
-            }),
-        )
-    }
-
-    /// The levels of two palette picks as `(lower, upper)`
-    /// thresholds: the worse one first.
-    fn bounds(&self, a: usize, b: usize) -> (S::Value, S::Value) {
-        let (a, b) = ((self.level)(self.raw(a)), (self.level)(self.raw(b)));
-        if self.semiring.lt(&b, &a) {
-            (b, a)
-        } else {
-            (a, b)
-        }
-    }
-
-    /// The acceptance interval between two palette picks.
-    fn interval(&self, a: usize, b: usize) -> Interval<S> {
-        let (lower, upper) = self.bounds(a, b);
-        Interval::levels(lower, upper)
     }
 
     /// The agreed level of one uncontended negotiation, `None` for
@@ -129,22 +52,10 @@ where
         providers: &[Vec<f64>],
         acceptance: Interval<S>,
     ) -> Option<S::Value> {
-        let mut registry = Registry::new();
-        for (index, table) in providers.iter().enumerate() {
-            registry.publish(self.provider(index, table));
-        }
-        let client = client.to_vec();
-        let level = self.level;
-        let request = NegotiationRequest {
-            capability: "compute".into(),
-            variable: Var::new("x"),
-            domain: Domain::ints(0..=MAX_X),
-            constraint: Constraint::unary(self.semiring.clone(), "x", move |v| {
-                level(client[v.as_int().unwrap() as usize])
-            }),
-            acceptance,
-        };
-        match Broker::new(self.semiring.clone(), registry).negotiate(&request, self.translate) {
+        let request = self.request(client, acceptance);
+        match Broker::new(self.semiring.clone(), self.registry(providers))
+            .negotiate(&request, self.translate)
+        {
             Ok(sla) => Some(sla.agreed_level),
             Err(NegotiationError::NoAgreement(_)) => None,
             Err(other) => panic!("unexpected negotiation error: {other}"),
@@ -167,9 +78,9 @@ type Case = (Vec<usize>, Vec<Vec<usize>>, Vec<usize>, usize);
 
 fn case() -> impl Strategy<Value = Case> {
     (
-        vec(0usize..64, CELLS),
-        vec(vec(0usize..64, CELLS), 1..=3),
-        vec(0usize..64, CELLS),
+        picks(),
+        proptest::collection::vec(picks(), 1..=3),
+        picks(),
         0usize..64,
     )
 }
