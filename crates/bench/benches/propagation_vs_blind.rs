@@ -1,13 +1,13 @@
 //! E16 — the propagation-and-decomposition engine: blind
-//! branch-and-bound vs soft arc-consistency (root and full),
-//! estimate-driven ordering, and connected-component decomposition.
+//! branch-and-bound vs root soft arc-consistency, estimate-driven
+//! ordering, and connected-component decomposition.
 //!
 //! Every variant returns the identical `blevel` (property-tested in
-//! `softsoa-core`); the series measures what the preprocessing layer
-//! buys in explored nodes and wall-clock on the structured k-component
-//! union family, where both levers engage: banded components give root
-//! pruning real forbidden values to cut, and the union splits into
-//! independent subproblems.
+//! `softsoa-core`); the series measures what the propagation and
+//! decomposition layer buys in explored nodes and wall-clock on the
+//! structured k-component union family, where both levers engage:
+//! banded components give root pruning real forbidden values to cut,
+//! and the union splits into independent subproblems.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softsoa_core::generate::{union_weighted, UnionScsp};
@@ -110,18 +110,6 @@ fn bench(c: &mut Criterion) {
                     VarOrder::Input,
                     sequential()
                         .with_propagation(PropagationMode::Root)
-                        .with_decompose(false),
-                )
-                .solve(black_box(p))
-                .unwrap()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("propagate_full", &id), &p, |b, p| {
-            b.iter(|| {
-                BranchAndBound::with_config(
-                    VarOrder::Input,
-                    sequential()
-                        .with_propagation(PropagationMode::Full)
                         .with_decompose(false),
                 )
                 .solve(black_box(p))

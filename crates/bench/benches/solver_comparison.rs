@@ -7,10 +7,10 @@
 //! of magnitude and enumeration becomes infeasible first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use softsoa_core::generate::{chain_weighted, random_fuzzy, random_weighted, RandomScsp};
+use softsoa_core::generate::{chain_weighted, random_weighted, RandomScsp};
 use softsoa_core::solve::{
-    add_unary_projections, prune_zero_supports, BranchAndBound, BucketElimination,
-    EnumerationSolver, Parallelism, Solver, SolverConfig, VarOrder,
+    BranchAndBound, BucketElimination, EnumerationSolver, Parallelism, Solver, SolverConfig,
+    VarOrder,
 };
 use std::hint::black_box;
 
@@ -135,41 +135,6 @@ fn bench(c: &mut Criterion) {
             });
         }
     }
-    group.finish();
-
-    // Preprocessing ablation: arc-consistency pruning on weighted
-    // problems (many ∞ entries) and unary projections on fuzzy ones.
-    let mut group = c.benchmark_group("preprocess");
-    let cfg = RandomScsp {
-        vars: 8,
-        domain_size: 4,
-        constraints: 16,
-        arity: 2,
-        seed: 13,
-    };
-    let pw = random_weighted(&cfg);
-    group.bench_function("bnb_plain", |b| {
-        b.iter(|| BranchAndBound::default().solve(black_box(&pw)).unwrap())
-    });
-    group.bench_function("bnb_after_prune", |b| {
-        let (pruned, _) = prune_zero_supports(&pw).unwrap();
-        b.iter(|| BranchAndBound::default().solve(black_box(&pruned)).unwrap())
-    });
-    group.bench_function("prune_pass_itself", |b| {
-        b.iter(|| prune_zero_supports(black_box(&pw)).unwrap())
-    });
-    let pf = random_fuzzy(&cfg);
-    group.bench_function("fuzzy_bnb_plain", |b| {
-        b.iter(|| BranchAndBound::default().solve(black_box(&pf)).unwrap())
-    });
-    group.bench_function("fuzzy_bnb_with_unary_projections", |b| {
-        let extended = add_unary_projections(&pf).unwrap();
-        b.iter(|| {
-            BranchAndBound::default()
-                .solve(black_box(&extended))
-                .unwrap()
-        })
-    });
     group.finish();
 }
 

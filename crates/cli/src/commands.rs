@@ -167,7 +167,7 @@ fn append_metrics(out: &mut String, recorder: Option<(Arc<MemorySink>, MetricsFo
 /// machinery off for comparison runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Soft arc-consistency mode (`--propagate=off|root|full`).
+    /// Soft arc-consistency mode (`--propagate=off|root`).
     pub propagate: Option<PropagationMode>,
     /// Solve independent constraint-graph components separately
     /// (`--decompose` / `--no-decompose`).
@@ -218,9 +218,8 @@ pub fn parse_propagation(name: &str) -> Result<PropagationMode, String> {
     match name {
         "off" => Ok(PropagationMode::Off),
         "root" => Ok(PropagationMode::Root),
-        "full" => Ok(PropagationMode::Full),
         other => Err(format!(
-            "unknown propagation mode `{other}` (expected off, root or full)"
+            "unknown propagation mode `{other}` (expected off or root)"
         )),
     }
 }
@@ -614,14 +613,17 @@ pub struct ChaosOptions {
 }
 
 impl Default for ChaosOptions {
+    /// The library's defaults: [`ChaosConfig::default`]'s fault model
+    /// and its (the default [`RecoveryPolicy`]'s) patience.
     fn default() -> ChaosOptions {
+        let config = ChaosConfig::<Fuzzy>::default();
         ChaosOptions {
-            seed: 0,
-            rate: 0.1,
-            horizon: 16,
-            retries: 3,
-            deadline: 4,
-            backoff: 2,
+            seed: config.seed,
+            rate: config.fault_rate,
+            horizon: config.horizon,
+            retries: config.max_retries,
+            deadline: config.guard_deadline,
+            backoff: config.backoff_base,
             metrics: None,
         }
     }
@@ -1789,8 +1791,8 @@ mod tests {
     fn parse_propagation_rejects_unknown_names() {
         assert_eq!(parse_propagation("off").unwrap(), PropagationMode::Off);
         assert_eq!(parse_propagation("root").unwrap(), PropagationMode::Root);
-        assert_eq!(parse_propagation("full").unwrap(), PropagationMode::Full);
         assert!(parse_propagation("eager").is_err());
+        assert!(parse_propagation("full").is_err());
     }
 
     #[test]
@@ -1816,7 +1818,6 @@ mod tests {
             None,
             Some(PropagationMode::Off),
             Some(PropagationMode::Root),
-            Some(PropagationMode::Full),
         ] {
             for decompose in [None, Some(false), Some(true)] {
                 for order in [None, Some(VarOrder::Estimate)] {
@@ -1938,6 +1939,26 @@ mod tests {
         "relaxations": ["c1"],
         "invariant": [10.0, 0.0]
     }"#;
+
+    #[test]
+    fn chaos_option_defaults_are_the_library_defaults() {
+        let options = ChaosOptions::default();
+        let config = ChaosConfig::<Fuzzy>::default();
+        let recovery = RecoveryPolicy::<Fuzzy>::default();
+        assert_eq!(
+            (options.seed, options.rate, options.horizon),
+            (config.seed, config.fault_rate, config.horizon)
+        );
+        assert_eq!(
+            (options.retries, options.deadline, options.backoff),
+            (
+                recovery.max_retries,
+                recovery.guard_deadline,
+                recovery.backoff_base
+            )
+        );
+        assert!(options.metrics.is_none());
+    }
 
     #[test]
     fn negotiate_chaos_rescues_a_deadlock() {

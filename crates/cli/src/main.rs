@@ -16,7 +16,7 @@ USAGE:
                   [--jobs <n>] [--stats] [--metrics[=json|pretty]]
                   [--order input|most-constrained|dynamic|estimate]
                   [--ibound <n>] [--warm-start]
-                  [--propagate[=off|root|full]] [--decompose|--no-decompose]
+                  [--propagate[=off|root]] [--decompose|--no-decompose]
                   [--engine auto|bnb|treedec]
     softsoa negotiate <scenario.json> [--metrics[=json|pretty]]
                   [--chaos-seed <n>] [--chaos-rate <p>] [--chaos-horizon <n>]
@@ -24,7 +24,7 @@ USAGE:
                   [--contend <n>] [--fairness fcfs|utilitarian|leximin|nash]
     softsoa explore <scenario.json>
     softsoa coalitions <trust.json> [--metrics[=json|pretty]]
-                  [--propagate[=off|root|full]] [--decompose|--no-decompose]
+                  [--propagate[=off|root]] [--decompose|--no-decompose]
                   [--engine auto|bnb|treedec]
     softsoa integrity [--step <kb>]
     softsoa serve [--addr <host:port>] [--semiring weighted|fuzzy|probabilistic]
@@ -49,9 +49,9 @@ and --warm-start seeds the incumbent from a greedy probe. All three
 leave the reported blevel and witness unchanged.
 
 --propagate sets the soft arc-consistency mode (default root: one
-bounds-propagation pass before search; full re-propagates at every
-node; off disables it) and --decompose/--no-decompose toggles solving
-independent constraint-graph components separately (default on). Both
+bounds-propagation pass before search; off disables it) and
+--decompose/--no-decompose toggles solving independent
+constraint-graph components separately (default on). Both
 preserve the reported blevel and yield an equally best witness; they
 steer bnb solves and the coalitions `scsp` algorithm. `negotiate`
 takes none of the engine flags: the broker binds the negotiation

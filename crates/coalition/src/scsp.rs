@@ -274,7 +274,6 @@ mod tests {
             .expect("feasible");
         for config in [
             SolverConfig::default(),
-            SolverConfig::default().with_propagation(PropagationMode::Full),
             SolverConfig::default()
                 .with_propagation(PropagationMode::Off)
                 .with_decompose(false),

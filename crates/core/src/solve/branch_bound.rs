@@ -9,7 +9,7 @@ use crate::compile::CompiledProblem;
 use crate::solve::decompose::Decomposition;
 use crate::solve::minibucket::MiniBucketBound;
 use crate::solve::parallel::fan_out;
-use crate::solve::propagate::{PropagationStats, Propagator};
+use crate::solve::propagate::Propagator;
 use crate::solve::treedec::{self, TreeAttempt};
 use crate::solve::{
     Parallelism, PropagationMode, Solution, SolveError, Solver, SolverConfig, SolverStats,
@@ -59,8 +59,8 @@ pub enum VarOrder {
 /// Behind the search sits a preprocessing-and-decomposition layer,
 /// on by default (see [`SolverConfig`]): connected components of the
 /// constraint graph solve independently in parallel
-/// ([`SolverConfig::decompose`]), and a soft arc-consistency pass
-/// prunes domain values that cannot appear in any optimal solution
+/// ([`SolverConfig::decompose`]), and a root soft arc-consistency
+/// pass prunes domain values that cannot appear in any optimal solution
 /// ([`SolverConfig::propagate`]). Both preserve the exact `blevel`
 /// and a valid witness on every semiring.
 ///
@@ -219,18 +219,6 @@ fn value_orders<S: Semiring>(
         .collect()
 }
 
-/// Node-time pruning state of one search worker.
-enum Pruner<'a, S: Semiring> {
-    /// Blind search ([`PropagationMode::Off`]).
-    Off,
-    /// Shared read-only live masks from the root fixpoint
-    /// ([`PropagationMode::Root`]).
-    Masks(&'a Propagator<'a, S>),
-    /// A private incremental propagator re-run at every node
-    /// ([`PropagationMode::Full`]).
-    Mac(Box<Propagator<'a, S>>),
-}
-
 impl BranchAndBound {
     /// The search: DFS over domain-index tuples with dense operand
     /// tables, the outermost variable's values split across worker
@@ -272,7 +260,7 @@ impl BranchAndBound {
                     threads: 1,
                     compile_time: pre.compile_time(),
                     solve_time: start.elapsed(),
-                    propagation: Some(pre_prop.take_stats()),
+                    propagation: Some(pre_prop.stats()),
                     ..SolverStats::default()
                 };
                 return Ok(Solution::new(semiring.zero(), Vec::new(), None).with_stats(stats));
@@ -287,18 +275,13 @@ impl BranchAndBound {
         // (the warm seed when present, `0` otherwise). `Estimate`
         // needs the pass for its value orders even when the config
         // says `Off`.
-        let propagate = match self.config.propagate {
-            PropagationMode::Off if self.order == VarOrder::Estimate => PropagationMode::Root,
-            mode => mode,
-        };
-        let mut root_prop = match propagate {
-            PropagationMode::Off => None,
-            _ => Some(Propagator::new(&compiled)),
-        };
-        let mut pstats: Option<PropagationStats> = None;
+        let propagate =
+            self.config.propagate == PropagationMode::Root || self.order == VarOrder::Estimate;
+        let mut root_prop = propagate.then(|| Propagator::new(&compiled));
+        let mut pstats = None;
         if let Some(prop) = &mut root_prop {
             let alive = prop.root(&prop_floor);
-            let snapshot = prop.take_stats();
+            let snapshot = prop.stats();
             if !alive {
                 // Some variable has no value that can reach the
                 // floor: with a cold floor of `0` the problem is
@@ -326,21 +309,14 @@ impl BranchAndBound {
         // foreign bound: workers cut branches *strictly* below it, which
         // never touches the first assignment attaining the optimum.
         let shared: Mutex<S::Value> = Mutex::new(floor.clone());
-        let full = propagate == PropagationMode::Full;
         let (parallelism, outer) = (self.config.parallelism, compiled.outer_size());
         let volume = problem.domains().tuple_count(compiled.vars())? as u64;
         let workers = fan_out(parallelism, outer, volume, |range| {
-            let pruner = match &root_prop {
-                None => Pruner::Off,
-                Some(prop) if full => Pruner::Mac(Box::new(prop.clone())),
-                Some(prop) => Pruner::Masks(prop),
-            };
             let mut worker = BnbWorker {
                 semiring: &semiring,
                 compiled: &compiled,
                 bounds: bound.as_ref().map(|b| b.bounds()),
-                pruner,
-                exact_times: semiring.exact_times(),
+                pruner: root_prop.as_ref(),
                 val_order: val_order.as_deref(),
                 shared: &shared,
                 foreign: floor.clone(),
@@ -357,10 +333,6 @@ impl BranchAndBound {
                 evals: vec![0; compiled.num_operands()],
             };
             worker.run(range);
-            let prop_stats = match worker.pruner {
-                Pruner::Mac(mut prop) => Some(prop.take_stats()),
-                _ => None,
-            };
             (
                 worker.best_value,
                 worker.witness,
@@ -368,7 +340,6 @@ impl BranchAndBound {
                 worker.prunings,
                 worker.bound_prunes,
                 worker.evals,
-                prop_stats,
                 worker.exhausted,
             )
         });
@@ -385,17 +356,7 @@ impl BranchAndBound {
         };
         let mut evals = vec![0u64; compiled.num_operands()];
         let mut exhausted = false;
-        for (
-            value,
-            wit,
-            nodes,
-            prunings,
-            bound_prunes,
-            worker_evals,
-            prop_stats,
-            worker_exhausted,
-        ) in workers
-        {
+        for (value, wit, nodes, prunings, bound_prunes, worker_evals, worker_exhausted) in workers {
             exhausted |= worker_exhausted;
             stats.nodes += nodes;
             stats.prunings += prunings;
@@ -403,12 +364,6 @@ impl BranchAndBound {
             stats.thread_nodes.push(nodes);
             for (acc, e) in evals.iter_mut().zip(&worker_evals) {
                 *acc += e;
-            }
-            if let Some(worker_pstats) = prop_stats {
-                match &mut pstats {
-                    Some(acc) => acc.absorb(&worker_pstats),
-                    None => pstats = Some(worker_pstats),
-                }
             }
             if wit.is_some() && semiring.lt(&best_value, &value) {
                 best_value = value;
@@ -609,13 +564,9 @@ struct BnbWorker<'a, S: Semiring> {
     /// Per-depth admissible completion bounds (mini-bucket pass), when
     /// the engine was configured with an `ibound`.
     bounds: Option<&'a [S::Value]>,
-    /// Soft arc-consistency state: root live masks or a private
-    /// incremental propagator.
-    pruner: Pruner<'a, S>,
-    /// Whether `×` re-associates exactly; when it does not, the
-    /// incremental propagator only uses its zero-prune (an inexact
-    /// bound may land an ulp below an achievable floor).
-    exact_times: bool,
+    /// The root propagation pass, whose live masks every worker reads;
+    /// `None` for blind search ([`PropagationMode::Off`]).
+    pruner: Option<&'a Propagator<'a, S>>,
     /// Per-depth value visit order ([`VarOrder::Estimate`] only).
     val_order: Option<&'a [Vec<usize>]>,
     shared: &'a Mutex<S::Value>,
@@ -666,46 +617,17 @@ impl<'a, S: Semiring> BnbWorker<'a, S> {
         }
     }
 
-    fn is_live(&self, depth: usize, val: usize) -> bool {
-        match &self.pruner {
-            Pruner::Off => true,
-            Pruner::Masks(prop) => prop.is_live(depth, val),
-            Pruner::Mac(prop) => prop.is_live(depth, val),
-        }
-    }
-
-    /// Tries `slot`'s value for the variable at `depth`: skips dead
-    /// values, narrows the incremental propagator (pruning the branch
-    /// on wipeout), and recurses.
+    /// Tries `slot`'s value for the variable at `depth`: skips values
+    /// the root pass pruned, and recurses.
     fn descend(&mut self, depth: usize, slot: usize, value: &S::Value) {
         if self.exhausted {
             return;
         }
         let i = self.value_at_slot(depth, slot);
-        if !self.is_live(depth, i) {
+        if self.pruner.is_some_and(|prop| !prop.is_live(depth, i)) {
             return;
         }
         self.idx[depth] = i;
-        let mut frame_open = false;
-        if let Pruner::Mac(prop) = &mut self.pruner {
-            prop.begin_frame();
-            frame_open = true;
-            let floor = if !self.exact_times {
-                self.semiring.zero()
-            } else if self.witness.is_some() {
-                self.semiring.plus(&self.foreign, &self.best_value)
-            } else {
-                self.foreign.clone()
-            };
-            let Pruner::Mac(prop) = &mut self.pruner else {
-                unreachable!()
-            };
-            if !prop.assign(depth, i, &floor) {
-                self.prunings += 1;
-                prop.undo_frame();
-                return;
-            }
-        }
         let next = self.compiled.apply_completed(
             depth + 1,
             value.clone(),
@@ -714,11 +636,6 @@ impl<'a, S: Semiring> BnbWorker<'a, S> {
             &mut self.evals,
         );
         self.dfs(depth + 1, next);
-        if frame_open {
-            if let Pruner::Mac(prop) = &mut self.pruner {
-                prop.undo_frame();
-            }
-        }
     }
 
     fn dfs(&mut self, depth: usize, value: S::Value) {
@@ -1012,22 +929,22 @@ mod tests {
             )
             .solve(&p)
             .unwrap();
-            for mode in [PropagationMode::Root, PropagationMode::Full] {
-                let propagated =
-                    BranchAndBound::with_config(VarOrder::Input, seq.with_propagation(mode))
-                        .solve(&p)
-                        .unwrap();
-                assert_eq!(propagated.blevel(), blind.blevel(), "seed {seed} {mode:?}");
-                assert_eq!(
-                    propagated.best_assignment(),
-                    blind.best_assignment(),
-                    "propagation must keep the blind witness (seed {seed}, {mode:?})"
-                );
-                assert!(
-                    propagated.stats().unwrap().nodes <= blind.stats().unwrap().nodes,
-                    "propagation must not expand the tree (seed {seed}, {mode:?})"
-                );
-            }
+            let propagated = BranchAndBound::with_config(
+                VarOrder::Input,
+                seq.with_propagation(PropagationMode::Root),
+            )
+            .solve(&p)
+            .unwrap();
+            assert_eq!(propagated.blevel(), blind.blevel(), "seed {seed}");
+            assert_eq!(
+                propagated.best_assignment(),
+                blind.best_assignment(),
+                "propagation must keep the blind witness (seed {seed})"
+            );
+            assert!(
+                propagated.stats().unwrap().nodes <= blind.stats().unwrap().nodes,
+                "propagation must not expand the tree (seed {seed})"
+            );
         }
     }
 

@@ -20,12 +20,6 @@ pub enum PropagationMode {
     /// default.
     #[default]
     Root,
-    /// Root pass plus incremental re-propagation at every search
-    /// node (maintaining arc consistency during descent). Strongest
-    /// pruning, but pays a revision worklist per node — worth it on
-    /// tightly constrained problems, a constant-factor tax on loose
-    /// ones.
-    Full,
 }
 
 /// Which exact engine the [`BranchAndBound`](crate::solve::BranchAndBound)
@@ -217,9 +211,9 @@ mod tests {
         assert_eq!(cfg.propagate, PropagationMode::Root);
         assert!(cfg.decompose);
         let off = cfg
-            .with_propagation(PropagationMode::Full)
+            .with_propagation(PropagationMode::Off)
             .with_decompose(false);
-        assert_eq!(off.propagate, PropagationMode::Full);
+        assert_eq!(off.propagate, PropagationMode::Off);
         assert!(!off.decompose);
     }
 }

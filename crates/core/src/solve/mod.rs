@@ -33,9 +33,9 @@
 //!   [`BucketElimination`]'s `Sol(P)` tables; polynomial in the induced
 //!   width on bounded-treewidth problems.
 //!
-//! Plus two equivalence-preserving preprocessing passes:
-//! [`prune_zero_supports`] (semiring arc consistency, any semiring)
-//! and [`add_unary_projections`] (idempotent-`×` semirings only).
+//! Local consistency is one pass: [`BranchAndBound`]'s root soft
+//! arc-consistency fixpoint ([`SolverConfig::propagate`]), which
+//! removes every value without support before the search.
 
 mod branch_bound;
 mod bucket;
@@ -46,7 +46,6 @@ mod incremental;
 mod minibucket;
 pub mod parallel;
 mod pareto;
-mod preprocess;
 mod propagate;
 mod stats;
 pub mod treedec;
@@ -59,7 +58,6 @@ pub use enumeration::EnumerationSolver;
 pub use incremental::{ConstraintId, IncrementalSolver};
 pub use minibucket::MiniBucketBound;
 pub use pareto::ParetoBranchAndBound;
-pub use preprocess::{add_unary_projections, prune_zero_supports, PruneReport};
 pub use propagate::{PerConstraintStats, PropagationStats};
 pub use stats::{ConstraintEvalStats, SolverStats, TreeStats};
 pub use treedec::{plan_elimination, EliminationPlan, TreeHeuristic};

@@ -15,10 +15,8 @@
 //! of `x` re-enqueues every revision of a *neighbouring* variable
 //! (one sharing an operand with `x`), until fixpoint or until some
 //! variable wipes out (no live values — the problem is inconsistent
-//! at the current floor). During branch-and-bound descent the same
-//! worklist runs incrementally: assigning `x := d` prunes the other
-//! values of `x` onto an undo trail, propagates, and the trail frame
-//! is popped on backtrack.
+//! at the current floor). It runs once, before the search; the
+//! surviving live masks are the search space every worker reads.
 //!
 //! Only dense-materialised operands of arity ≥ 1 are revisable;
 //! constants and lazy (too-big-to-materialise) operands contribute
@@ -48,14 +46,10 @@ pub struct PerConstraintStats {
 /// Counters describing the propagation work of one solve.
 #[derive(Debug, Clone, Default)]
 pub struct PropagationStats {
-    /// Total revisions executed (root pass plus in-search).
+    /// Total revisions executed.
     pub revisions: u64,
     /// Domain values removed by the root fixpoint pass.
     pub root_prunes: u64,
-    /// Domain values removed by in-search propagation
-    /// ([`PropagationMode::Full`](crate::solve::PropagationMode)
-    /// only); counted across all undone frames.
-    pub node_prunes: u64,
     /// Domain wipeouts detected (each cuts a whole subtree).
     pub wipeouts: u64,
     /// Wall-clock time spent propagating.
@@ -65,14 +59,13 @@ pub struct PropagationStats {
 }
 
 impl PropagationStats {
-    /// Sums `other` into `self` (used to merge worker and component
-    /// stats). Per-constraint entries are matched positionally when
-    /// the shapes agree and concatenated otherwise (distinct
-    /// components compile distinct operand lists).
+    /// Sums `other` into `self` (used to merge component stats).
+    /// Per-constraint entries are matched positionally when the shapes
+    /// agree and concatenated otherwise (distinct components compile
+    /// distinct operand lists).
     pub(crate) fn absorb(&mut self, other: &PropagationStats) {
         self.revisions += other.revisions;
         self.root_prunes += other.root_prunes;
-        self.node_prunes += other.node_prunes;
         self.wipeouts += other.wipeouts;
         self.time += other.time;
         let aligned = self.per_constraint.len() == other.per_constraint.len()
@@ -93,20 +86,10 @@ impl PropagationStats {
     }
 }
 
-/// An undo-trail entry: either a pruned value or a revision's
-/// previous support vector.
-#[derive(Clone)]
-enum Trail<S: Semiring> {
-    Prune { var: usize, val: usize },
-    Support { rid: usize, old: Vec<S::Value> },
-}
-
 /// The revision-worklist propagator.
 ///
-/// Lives as long as the compiled problem it prunes; cloning it gives
-/// each parallel worker an independent live-mask/trail state that
-/// starts from the shared root fixpoint.
-#[derive(Clone)]
+/// Lives as long as the compiled problem it prunes; after the root
+/// pass the search workers share it read-only.
 pub(crate) struct Propagator<'a, S: Semiring> {
     compiled: &'a CompiledProblem<S>,
     /// `×`-product of the constant (empty-scope) operands: a factor of
@@ -126,14 +109,10 @@ pub(crate) struct Propagator<'a, S: Semiring> {
     supports: Vec<Vec<S::Value>>,
     queue: VecDeque<usize>,
     in_queue: Vec<bool>,
-    trail: Vec<Trail<S>>,
-    frames: Vec<usize>,
-    in_search: bool,
     op_revisions: Vec<u64>,
     op_prunes: Vec<u64>,
     op_time: Vec<Duration>,
     root_prunes: u64,
-    node_prunes: u64,
     wipeouts: u64,
     time: Duration,
 }
@@ -179,14 +158,10 @@ impl<'a, S: Semiring> Propagator<'a, S> {
             supports,
             queue: VecDeque::new(),
             in_queue,
-            trail: Vec::new(),
-            frames: Vec::new(),
-            in_search: false,
             op_revisions: vec![0; compiled.num_operands()],
             op_prunes: vec![0; compiled.num_operands()],
             op_time: vec![Duration::ZERO; compiled.num_operands()],
             root_prunes: 0,
-            node_prunes: 0,
             wipeouts: 0,
             time: Duration::ZERO,
         }
@@ -221,7 +196,6 @@ impl<'a, S: Semiring> Propagator<'a, S> {
     /// Returns `false` on a wipeout (no complete assignment can reach
     /// the floor — for a floor of `0`, the problem is inconsistent).
     pub(crate) fn root(&mut self, floor: &S::Value) -> bool {
-        self.in_search = false;
         // The constant factor caps every assignment outright: if it is
         // `0` (or below an achievable floor) nothing can succeed.
         let semiring = self.compiled.semiring();
@@ -231,51 +205,6 @@ impl<'a, S: Semiring> Propagator<'a, S> {
         }
         for rid in 0..self.revs.len() {
             self.enqueue(rid);
-        }
-        self.drain(floor)
-    }
-
-    /// Opens an undo frame (one per search branch).
-    pub(crate) fn begin_frame(&mut self) {
-        self.frames.push(self.trail.len());
-    }
-
-    /// Pops the innermost frame, restoring live masks and supports.
-    pub(crate) fn undo_frame(&mut self) {
-        let mark = self.frames.pop().expect("frame to undo");
-        while self.trail.len() > mark {
-            match self.trail.pop().expect("trail entry") {
-                Trail::Prune { var, val } => {
-                    self.live[var][val] = true;
-                    self.live_count[var] += 1;
-                }
-                Trail::Support { rid, old } => self.supports[rid] = old,
-            }
-        }
-        for rid in self.queue.drain(..) {
-            self.in_queue[rid] = false;
-        }
-    }
-
-    /// Narrows the variable at `pos` to exactly `val` and propagates
-    /// under `floor`. Returns `false` on wipeout (the branch cannot
-    /// reach the floor); the caller must still pop its frame.
-    pub(crate) fn assign(&mut self, pos: usize, val: usize, floor: &S::Value) -> bool {
-        self.in_search = true;
-        debug_assert!(self.live[pos][val], "assigning a dead value");
-        let mut shrunk = false;
-        for d in 0..self.live[pos].len() {
-            if d != val && self.live[pos][d] {
-                self.live[pos][d] = false;
-                self.live_count[pos] -= 1;
-                self.trail.push(Trail::Prune { var: pos, val: d });
-                shrunk = true;
-            }
-        }
-        if shrunk {
-            for i in 0..self.requeue[pos].len() {
-                self.enqueue(self.requeue[pos][i]);
-            }
         }
         self.drain(floor)
     }
@@ -355,10 +284,7 @@ impl<'a, S: Semiring> Propagator<'a, S> {
                 }
             }
         }
-        if supp != self.supports[rid] {
-            let old = std::mem::replace(&mut self.supports[rid], supp);
-            self.trail.push(Trail::Support { rid, old });
-        }
+        self.supports[rid] = supp;
         self.op_time[oi] += started.elapsed();
         self.tighten(emb[k], oi, floor)
     }
@@ -377,13 +303,8 @@ impl<'a, S: Semiring> Propagator<'a, S> {
             }
             self.live[var][d] = false;
             self.live_count[var] -= 1;
-            self.trail.push(Trail::Prune { var, val: d });
             self.op_prunes[oi] += 1;
-            if self.in_search {
-                self.node_prunes += 1;
-            } else {
-                self.root_prunes += 1;
-            }
+            self.root_prunes += 1;
             for i in 0..self.requeue[var].len() {
                 self.enqueue(self.requeue[var][i]);
             }
@@ -395,32 +316,22 @@ impl<'a, S: Semiring> Propagator<'a, S> {
         true
     }
 
-    /// Snapshots the accumulated counters and zeroes them, so cloned
-    /// workers report only their own in-search work on top of a
-    /// shared root pass.
-    pub(crate) fn take_stats(&mut self) -> PropagationStats {
+    /// Snapshots the accumulated counters.
+    pub(crate) fn stats(&self) -> PropagationStats {
         let per_constraint: Vec<PerConstraintStats> = (0..self.compiled.num_operands())
             .filter(|&oi| self.compiled.operand_dense(oi).is_some())
             .map(|oi| PerConstraintStats {
                 label: self.compiled.operand_label(oi).to_string(),
-                revisions: std::mem::take(&mut self.op_revisions[oi]),
-                prunes: std::mem::take(&mut self.op_prunes[oi]),
-                time: std::mem::take(&mut self.op_time[oi]),
+                revisions: self.op_revisions[oi],
+                prunes: self.op_prunes[oi],
+                time: self.op_time[oi],
             })
             .collect();
         PropagationStats {
-            revisions: {
-                // `op_revisions` was just drained into the snapshot.
-                let total: u64 = per_constraint
-                    .iter()
-                    .map(|c: &PerConstraintStats| c.revisions)
-                    .sum();
-                total
-            },
-            root_prunes: std::mem::take(&mut self.root_prunes),
-            node_prunes: std::mem::take(&mut self.node_prunes),
-            wipeouts: std::mem::take(&mut self.wipeouts),
-            time: std::mem::take(&mut self.time),
+            revisions: per_constraint.iter().map(|c| c.revisions).sum(),
+            root_prunes: self.root_prunes,
+            wipeouts: self.wipeouts,
+            time: self.time,
             per_constraint,
         }
     }
@@ -469,7 +380,7 @@ mod tests {
         assert_eq!(prop.live_count(y), 1);
         assert!(prop.is_live(y, 0));
         assert!(!prop.is_live(y, 1));
-        let stats = prop.take_stats();
+        let stats = prop.stats();
         assert_eq!(stats.root_prunes, 1);
         assert!(stats.revisions > 0);
     }
@@ -483,7 +394,7 @@ mod tests {
         let cp = compiled(&p);
         let mut prop = Propagator::new(&cp);
         assert!(!prop.root(&WeightedInt.zero()));
-        assert_eq!(prop.take_stats().wipeouts, 1);
+        assert_eq!(prop.stats().wipeouts, 1);
     }
 
     #[test]
@@ -504,19 +415,33 @@ mod tests {
     }
 
     #[test]
-    fn assign_and_undo_restore_state() {
-        let p = fig1_problem();
+    fn root_pass_iterates_to_fixpoint_on_chains() {
+        // x < y < z over {0..2}: one revision each leaves x∈{0,1} and
+        // z∈{1,2}; the fixpoint tightens x to {0} and z to {2} via y.
+        let lt = |a: &str, b: &str| {
+            Constraint::binary(WeightedInt, a, b, |a, b| {
+                if a.as_int() < b.as_int() {
+                    0
+                } else {
+                    u64::MAX
+                }
+            })
+        };
+        let mut p = Scsp::new(WeightedInt).of_interest(["x"]);
+        for v in ["x", "y", "z"] {
+            p.add_domain(v, Domain::ints(0..=2));
+        }
+        p.add_constraint(lt("x", "y"));
+        p.add_constraint(lt("y", "z"));
         let cp = compiled(&p);
         let mut prop = Propagator::new(&cp);
         assert!(prop.root(&WeightedInt.zero()));
-        let before: Vec<usize> = (0..cp.vars().len()).map(|i| prop.live_count(i)).collect();
-        prop.begin_frame();
-        let ok = prop.assign(0, 0, &WeightedInt.zero());
-        assert!(ok);
-        assert_eq!(prop.live_count(0), 1);
-        prop.undo_frame();
-        let after: Vec<usize> = (0..cp.vars().len()).map(|i| prop.live_count(i)).collect();
-        assert_eq!(before, after);
+        let pos = |name: &str| cp.vars().iter().position(|v| v.name() == name).unwrap();
+        let (x, z) = (pos("x"), pos("z"));
+        assert_eq!(prop.live_count(x), 1);
+        assert!(prop.is_live(x, 0));
+        assert_eq!(prop.live_count(z), 1);
+        assert!(prop.is_live(z, 2));
     }
 
     #[test]

@@ -138,7 +138,6 @@ impl SolverStats {
         if let Some(p) = &self.propagation {
             telemetry.count("solver.propagation.revisions", p.revisions);
             telemetry.count("solver.propagation.root_prunes", p.root_prunes);
-            telemetry.count("solver.propagation.node_prunes", p.node_prunes);
             telemetry.count("solver.propagation.wipeouts", p.wipeouts);
             for c in &p.per_constraint {
                 telemetry.count_labeled("solver.propagation.revisions", &c.label, c.revisions);
@@ -198,8 +197,8 @@ impl fmt::Display for SolverStats {
         if let Some(p) = &self.propagation {
             write!(
                 f,
-                "\n  propagation: {} revisions, {} root prunes, {} node prunes, {} wipeouts, {:?}",
-                p.revisions, p.root_prunes, p.node_prunes, p.wipeouts, p.time
+                "\n  propagation: {} revisions, {} root prunes, {} wipeouts, {:?}",
+                p.revisions, p.root_prunes, p.wipeouts, p.time
             )?;
             for c in &p.per_constraint {
                 write!(

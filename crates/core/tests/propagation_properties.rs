@@ -4,8 +4,8 @@
 //!
 //! The contract, in two strengths:
 //!
-//! - **Witness identity** — root or full propagation under the input
-//!   order reproduces the blind run's `blevel` *and* witness exactly:
+//! - **Witness identity** — root propagation under the input order
+//!   reproduces the blind run's `blevel` *and* witness exactly:
 //!   a value is pruned only when its best completion cannot strictly
 //!   beat the current floor, so the lexicographically first optimum is
 //!   never cut. Inexact semirings (floating-point `×`) keep only the
@@ -47,40 +47,34 @@ fn nodes<S: Semiring>(solution: &softsoa_core::solve::Solution<S>) -> u64 {
     solution.stats().map_or(0, |s| s.nodes)
 }
 
-/// Root and full propagation under the input order: identical
-/// `blevel`, identical witness, and on one thread never more nodes
-/// (threaded node counts depend on when workers share incumbents).
+/// Root propagation under the input order: identical `blevel`,
+/// identical witness, and on one thread never more nodes (threaded
+/// node counts depend on when workers share incumbents).
 fn assert_propagation_preserves_the_witness<S: Semiring>(p: &Scsp<S>) {
     let reference = BranchAndBound::with_config(VarOrder::Input, blind())
         .solve(p)
         .unwrap();
     for parallelism in SETTINGS {
-        for mode in [PropagationMode::Root, PropagationMode::Full] {
-            let config = sequential()
-                .with_parallelism(parallelism)
-                .with_propagation(mode)
-                .with_decompose(false);
-            let solved = BranchAndBound::with_config(VarOrder::Input, config)
-                .solve(p)
-                .unwrap();
-            assert_eq!(
-                solved.blevel(),
-                reference.blevel(),
-                "{mode:?} {parallelism:?}"
+        let config = sequential()
+            .with_parallelism(parallelism)
+            .with_propagation(PropagationMode::Root)
+            .with_decompose(false);
+        let solved = BranchAndBound::with_config(VarOrder::Input, config)
+            .solve(p)
+            .unwrap();
+        assert_eq!(solved.blevel(), reference.blevel(), "{parallelism:?}");
+        assert_eq!(
+            solved.best_assignment(),
+            reference.best_assignment(),
+            "{parallelism:?} changed the witness"
+        );
+        if parallelism == Parallelism::Sequential {
+            assert!(
+                nodes(&solved) <= nodes(&reference),
+                "root propagation explored more nodes ({} > {})",
+                nodes(&solved),
+                nodes(&reference)
             );
-            assert_eq!(
-                solved.best_assignment(),
-                reference.best_assignment(),
-                "{mode:?} {parallelism:?} changed the witness"
-            );
-            if parallelism == Parallelism::Sequential {
-                assert!(
-                    nodes(&solved) <= nodes(&reference),
-                    "{mode:?} explored more nodes ({} > {})",
-                    nodes(&solved),
-                    nodes(&reference)
-                );
-            }
         }
     }
 }
@@ -96,7 +90,7 @@ fn engine_configs() -> Vec<(String, VarOrder, SolverConfig)> {
                 (
                     "all-on",
                     VarOrder::Estimate,
-                    base.with_propagation(PropagationMode::Full),
+                    base.with_propagation(PropagationMode::Root),
                 ),
             ]
             .map(|(name, order, config)| (format!("{name} {parallelism:?}"), order, config))

@@ -352,8 +352,8 @@ impl<S: Semiring> fmt::Display for Agent<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Agent::Success => f.write_str("success"),
-            Agent::Tell(a) => write!(f, "tell({})▷{}", label_of(&a.constraint), a.then),
-            Agent::Retract(a) => write!(f, "retract({})▷{}", label_of(&a.constraint), a.then),
+            Agent::Tell(a) => write!(f, "tell({})▷{}", label(&a.constraint), a.then),
+            Agent::Retract(a) => write!(f, "retract({})▷{}", label(&a.constraint), a.then),
             Agent::Update { vars, action } => {
                 write!(f, "update{{")?;
                 for (i, v) in vars.iter().enumerate() {
@@ -362,7 +362,7 @@ impl<S: Semiring> fmt::Display for Agent<S> {
                     }
                     write!(f, "{v}")?;
                 }
-                write!(f, "}}({})▷{}", label_of(&action.constraint), action.then)
+                write!(f, "}}({})▷{}", label(&action.constraint), action.then)
             }
             Agent::Sum(guards) => {
                 for (i, g) in guards.iter().enumerate() {
@@ -373,7 +373,7 @@ impl<S: Semiring> fmt::Display for Agent<S> {
                         GuardKind::Ask => "ask",
                         GuardKind::Nask => "nask",
                     };
-                    write!(f, "{op}({})▷{}", label_of(&g.constraint), g.then)?;
+                    write!(f, "{op}({})▷{}", label(&g.constraint), g.then)?;
                 }
                 Ok(())
             }
@@ -393,7 +393,9 @@ impl<S: Semiring> fmt::Display for Agent<S> {
     }
 }
 
-fn label_of<S: Semiring>(c: &Constraint<S>) -> String {
+/// A constraint's label for traces and agent syntax (`c` when it has
+/// none).
+pub(crate) fn label<S: Semiring>(c: &Constraint<S>) -> String {
     c.label().map_or_else(|| "c".to_string(), str::to_string)
 }
 

@@ -29,6 +29,7 @@ use softsoa_core::Constraint;
 use softsoa_semiring::{Residuated, Semiring};
 use softsoa_telemetry::Telemetry;
 
+use crate::agent::label;
 use crate::interp::{emit_run, Event, Fired, StepLoop};
 use crate::semantics::{Rule, SemanticsError};
 use crate::{
@@ -698,10 +699,6 @@ fn crash_leaf<S: Semiring>(agent: Agent<S>, target: usize) -> Agent<S> {
         }
     }
     go(agent, target, &mut 0)
-}
-
-fn label<S: Semiring>(c: &Constraint<S>) -> String {
-    c.label().map_or_else(|| "c".to_string(), str::to_string)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use softsoa_core::Constraint;
 use softsoa_semiring::{Residuated, Semiring};
 use softsoa_telemetry::Telemetry;
 
+use crate::agent::label;
 use crate::interp::{Event, Fired, StepLoop};
 use crate::semantics::SemanticsError;
 use crate::{Agent, FaultStatus, Policy, Program, Rule, RunReport, Store, StoreError};
@@ -195,10 +196,6 @@ impl<S: Residuated> TimedAction<S> {
             drops_next: false,
         })
     }
-}
-
-fn label<S: Semiring>(c: &Constraint<S>) -> String {
-    c.label().map_or_else(|| "c".to_string(), str::to_string)
 }
 
 #[cfg(test)]

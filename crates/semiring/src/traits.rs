@@ -144,8 +144,7 @@ pub trait Semiring: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
 /// of the induced lattice, and several equivalence-preserving local
 /// consistency transformations become available — notably, a
 /// constraint may be combined with its own projections without
-/// changing the problem (`c ⊗ (c ⇓ x) ≡ c`), which is what soft
-/// arc-consistency preprocessing exploits.
+/// changing the problem (`c ⊗ (c ⇓ x) ≡ c`).
 ///
 /// Implemented by the fuzzy, classical, set-based and capacity
 /// instances; *not* by weighted, probabilistic or Łukasiewicz, whose

@@ -582,6 +582,12 @@ fn fcfs_allocate<S: Semiring>(
 /// *merge-consistent*: clients outside the mask contribute identical
 /// utilities to both sides of any comparison, so the winner among
 /// partial states is the winner among their completions.
+///
+/// Ties keep the assignment found first: masks are visited in
+/// ascending order, each mask's free subsets from the largest down,
+/// and a state is replaced only by a strictly preferred one; the final
+/// pick is the lowest mask among equally preferred assignments. The
+/// allocation is thus a function of the batch alone.
 fn exact_allocate<S: Semiring>(
     fairness: Fairness,
     candidates: &[Vec<Candidate<S>>],
@@ -599,7 +605,7 @@ fn exact_allocate<S: Semiring>(
     }
 
     let score = |assignment: &[Option<usize>]| utility_vector(assignment, candidates, histories);
-    let mut dp: HashMap<u32, Vec<Option<usize>>> = HashMap::new();
+    let mut dp: BTreeMap<u32, Vec<Option<usize>>> = BTreeMap::new();
     dp.insert(0, vec![None; n]);
 
     for (service, served) in &eligible {
@@ -1012,6 +1018,35 @@ mod tests {
         assert!(allocation.outcomes.is_empty());
         assert_eq!(allocation.report.clients, 0);
         assert_eq!(allocation.report.jain, 1.0);
+    }
+
+    #[test]
+    fn tied_clients_get_one_reproducible_allocation() {
+        // Three identical clients, two single-slot services: every
+        // objective ties across the clients, so only the tie rule
+        // decides who gets which slot, and it must not vary by run
+        // (the lowest client mask wins: arrival order takes the slots).
+        let requests = batch(&["a", "b", "c"]);
+        for fairness in [Fairness::Leximin, Fairness::Nash, Fairness::Utilitarian] {
+            for run in 0..32 {
+                let broker = Broker::new(Fuzzy, contended_registry());
+                let allocation =
+                    broker.negotiate_contended(&requests, fairness, QosOffer::to_fuzzy);
+                let grants: Vec<Option<&str>> = allocation
+                    .outcomes
+                    .iter()
+                    .map(|(_, o)| match o {
+                        ContentionOutcome::Granted(sla) => Some(sla.service.as_str()),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    grants,
+                    [Some("svc-a"), Some("svc-b"), None],
+                    "{fairness} run {run}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -329,8 +329,8 @@ fn plan_for(load: &LoadConfig, index: u64) -> ClientPlan {
 }
 
 fn negotiate_request(index: u64) -> Request {
-    // Vary the domain upper bound so the broker sees several binding
-    // shapes (exercising the bounded per-shape solver table).
+    // Vary the domain upper bound so the broker binds over several
+    // domain sizes (one domain scan per value, see `Broker::bind`).
     Request::Negotiate(NegotiateRequest {
         capability: "compute".into(),
         variable: "x".into(),
