@@ -39,6 +39,7 @@ use crate::{Assignment, Constraint, Domains, MissingDomainError, Scsp, Val, Var}
 /// constraint's own evaluation).
 pub const DENSE_TABLE_LIMIT: usize = 1 << 16;
 
+#[derive(Clone)]
 enum OperandKind<S: Semiring> {
     /// A constant level (empty scope after compilation).
     Const(S::Value),
@@ -48,6 +49,7 @@ enum OperandKind<S: Semiring> {
     Lazy(Constraint<S>),
 }
 
+#[derive(Clone)]
 struct CompiledOperand<S: Semiring> {
     label: String,
     /// Positions of the operand's (sorted) scope variables inside the
@@ -200,7 +202,7 @@ impl<S: Semiring> CompiledProblem<S> {
 
         let mut operands: Vec<CompiledOperand<S>> = Vec::new();
         for (ci, c) in constraints.iter().enumerate() {
-            for (oi, (op, _)) in c.flat_operands().into_iter().enumerate() {
+            for (oi, (op, _)) in c.flat_operands().enumerate() {
                 let label = match op.label().or(c.label()) {
                     Some(l) => l.to_string(),
                     None if oi == 0 => format!("c{ci}"),
@@ -218,7 +220,8 @@ impl<S: Semiring> CompiledProblem<S> {
                     // scope with the last variable fastest, matching
                     // the stride layout.
                     let mut table = Vec::with_capacity(cells);
-                    let mut cursor = Cursor::over(emb.iter().map(|&p| &domains[p][..]).collect());
+                    let mut cursor =
+                        Cursor::over(emb.iter().map(|&p| &domains[p][..]).collect::<Vec<_>>());
                     while let Some(tuple) = cursor.tuple() {
                         table.push(op.eval_tuple(tuple));
                         cursor.advance();
@@ -238,12 +241,7 @@ impl<S: Semiring> CompiledProblem<S> {
             }
         }
 
-        let mut completing: Vec<Vec<usize>> = vec![Vec::new(); vars.len() + 1];
-        for (oi, op) in operands.iter().enumerate() {
-            let depth = op.emb.iter().copied().max().map_or(0, |d| d + 1);
-            completing[depth].push(oi);
-        }
-
+        let completing = completing(&operands, vars.len());
         let con_pos: Vec<usize> = con.iter().map(&position).collect();
         let (con_strides, con_cells) = mixed_radix(&con_pos, &sizes)
             .map_or((Vec::new(), None), |(strides, cells)| {
@@ -263,6 +261,52 @@ impl<S: Semiring> CompiledProblem<S> {
             con_cells,
             compile_time: start.elapsed(),
         })
+    }
+
+    /// The same problem compiled in the variable order `vars`, a
+    /// permutation of [`CompiledProblem::vars`]. An operand's table is
+    /// laid out over its own sorted scope, whatever the order, so the
+    /// tables are copied rather than evaluated again and only the
+    /// positions move. The compile time is this problem's plus the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` is not a permutation of the compiled variables.
+    pub(crate) fn reordered(&self, vars: Vec<Var>) -> CompiledProblem<S> {
+        let start = Instant::now();
+        let permutation = "variable order must be a permutation of the compiled variables";
+        assert_eq!(vars.len(), self.vars.len(), "{permutation}");
+        // `from[new] = old`, and its inverse.
+        let from: Vec<usize> = vars
+            .iter()
+            .map(|v| self.vars.iter().position(|u| u == v).expect(permutation))
+            .collect();
+        let mut to = vec![usize::MAX; from.len()];
+        for (new, &old) in from.iter().enumerate() {
+            to[old] = new;
+        }
+        assert!(to.iter().all(|&new| new != usize::MAX), "{permutation}");
+        let operands: Vec<CompiledOperand<S>> = self
+            .operands
+            .iter()
+            .map(|op| CompiledOperand {
+                emb: op.emb.iter().map(|&p| to[p]).collect(),
+                ..op.clone()
+            })
+            .collect();
+        CompiledProblem {
+            semiring: self.semiring.clone(),
+            domains: from.iter().map(|&old| self.domains[old].clone()).collect(),
+            sizes: from.iter().map(|&old| self.sizes[old]).collect(),
+            completing: completing(&operands, vars.len()),
+            operands,
+            vars,
+            con: self.con.clone(),
+            con_pos: self.con_pos.iter().map(|&p| to[p]).collect(),
+            con_strides: self.con_strides.clone(),
+            con_cells: self.con_cells,
+            compile_time: self.compile_time + start.elapsed(),
+        }
     }
 
     /// The compiled variable order.
@@ -535,6 +579,18 @@ impl<S: Semiring> CompiledProblem<S> {
     pub fn semiring(&self) -> &S {
         &self.semiring
     }
+}
+
+/// The operands whose scope completes at each assignment depth over
+/// `nvars` variables (index `d`: fully assigned once the first `d`
+/// are).
+fn completing<S: Semiring>(operands: &[CompiledOperand<S>], nvars: usize) -> Vec<Vec<usize>> {
+    let mut completing: Vec<Vec<usize>> = vec![Vec::new(); nvars + 1];
+    for (oi, op) in operands.iter().enumerate() {
+        let depth = op.emb.iter().copied().max().map_or(0, |d| d + 1);
+        completing[depth].push(oi);
+    }
+    completing
 }
 
 /// Mixed-radix strides (last position fastest) over the variables at

@@ -1,12 +1,12 @@
 //! Soft constraints: functions from assignments to semiring levels.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use softsoa_semiring::Semiring;
 
-use crate::compile::mixed_radix;
 use crate::domain::Cursor;
 use crate::{Assignment, Domain, Domains, MissingDomainError, Val, Var};
 
@@ -110,7 +110,7 @@ struct Table<S: Semiring> {
 /// value outside its domain reads `0`, as a sparse table's default
 /// does for a missing entry.
 struct Dense<S: Semiring> {
-    /// Shared with every table derived cell by cell from this one.
+    /// Shared with every table walked over the same scope and domains.
     layout: Arc<Layout>,
     values: Vec<S::Value>,
 }
@@ -119,16 +119,26 @@ struct Dense<S: Semiring> {
 struct Layout {
     /// The domain of each scope variable, in scope order.
     domains: Vec<Domain>,
-    /// Mixed-radix strides over `domains` (last fastest).
+    /// Mixed-radix strides over `domains` (last fastest); empty when
+    /// `cells` overflows.
     strides: Vec<usize>,
+    /// The number of tuples; `None` when it overflows `usize`, and no
+    /// table is ever built over such a layout.
+    cells: Option<usize>,
 }
 
 impl Layout {
-    /// The layout over `domains`; `None` when the cell count
-    /// overflows `usize`.
-    fn over(domains: Vec<Domain>) -> Option<(Layout, usize)> {
-        let (strides, cells) = row_major(&domains)?;
-        Some((Layout { domains, strides }, cells))
+    /// The layout over `domains`.
+    fn over(domains: Vec<Domain>) -> Layout {
+        let (strides, cells) = match row_major(&domains) {
+            Some((strides, cells)) => (strides, Some(cells)),
+            None => (Vec::new(), None),
+        };
+        Layout {
+            domains,
+            strides,
+            cells,
+        }
     }
 
     /// The cell of `tuple` (in scope order), `None` off the domains.
@@ -138,6 +148,14 @@ impl Layout {
             flat += domain.values().binary_search(v).ok()? * stride;
         }
         Some(flat)
+    }
+
+    /// Whether these are exactly the domains `domains` gives `scope`.
+    fn is_over(&self, scope: &[Var], domains: &Domains) -> bool {
+        scope
+            .iter()
+            .zip(&self.domains)
+            .all(|(v, d)| domains.get(v).is_ok_and(|e| e == d))
     }
 }
 
@@ -521,18 +539,18 @@ impl<S: Semiring> Constraint<S> {
     }
 
     /// The constraint's `⊗`-operands, each with the embedding of its
-    /// scope into `self.scope()`. Non-combination constraints are their
-    /// own single operand (identity embedding). This is the entry point
-    /// the compiler uses to collapse combine DAGs into a flat list.
-    pub(crate) fn flat_operands(&self) -> Vec<(&Constraint<S>, Vec<usize>)> {
-        match &self.def {
-            Def::Combined(def) => def
-                .operands
-                .iter()
-                .map(|(c, emb)| (c, emb.clone()))
-                .collect(),
-            _ => vec![(self, (0..self.scope.len()).collect())],
-        }
+    /// scope into `self.scope()` (`None`: the constraint is its own
+    /// single operand). This is the entry point the compiler and the
+    /// one-pass kernels use to read combine DAGs as a flat list.
+    pub(crate) fn flat_operands(&self) -> impl Iterator<Item = (&Constraint<S>, Option<&[usize]>)> {
+        let (single, combined) = match &self.def {
+            Def::Combined(def) => (None, def.operands.as_slice()),
+            _ => (Some(self), &[][..]),
+        };
+        single
+            .map(|c| (c, None))
+            .into_iter()
+            .chain(combined.iter().map(|(c, emb)| (c, Some(emb.as_slice()))))
     }
 
     fn scope_tuple(&self, eta: &Assignment) -> Result<Vec<Val>, UnboundVarError> {
@@ -597,151 +615,293 @@ impl<S: Semiring> Constraint<S> {
         if let Def::Const(_) = self.def {
             return Ok(self.clone());
         }
-        let scope_domains = domains.of(&self.scope)?;
-        let Some((_, cells)) = row_major(scope_domains.iter().copied()) else {
-            return Ok(self.clone());
-        };
-        if self.cells_over(domains).is_some() {
+        if self.dense_over(domains).is_some() {
             return Ok(self.clone()); // already dense over these domains
         }
+        // A `⊗`-operand dense over the whole scope lends its layout.
+        let lent = self
+            .flat_operands()
+            .filter(|(_, emb)| emb.map_or(true, |e| e.len() == self.scope.len()))
+            .find_map(|(c, _)| Space::of(c, domains));
+        let space = match lent {
+            Some(space) => space,
+            None => Space::around(self, domains)?,
+        };
+        let Some(cells) = space.cells() else {
+            return Ok(self.clone());
+        };
+        let mut reader = Reader::Eval(self, None, Vec::new());
         let mut values = Vec::with_capacity(cells);
-        let mut cursor = Cursor::new(scope_domains.clone());
-        while let Some(tuple) = cursor.tuple() {
-            values.push(self.eval_tuple(tuple));
-            cursor.advance();
-        }
-        let domains = scope_domains.into_iter().cloned().collect();
-        let mut dense =
-            Constraint::from_cells(self.semiring.clone(), self.scope.to_vec(), domains, values);
+        space.walk(|flat, indices, tuple| {
+            values.push(reader.read(flat, indices, tuple));
+            true
+        });
+        let mut dense = space.table(self.semiring.clone(), values);
         dense.label = self.label.clone();
         Ok(dense)
     }
 
-    /// A dense table over the sorted `scope`, whose domains are
-    /// `domains`, from its levels in [`Domains::tuples`] order.
+    /// The dense table of `self` when it was built over exactly the
+    /// domains `domains` gives its scope; `None` for any other
+    /// constraint, or for a table whose domains were since replaced.
+    fn dense_over(&self, domains: &Domains) -> Option<&Dense<S>> {
+        match &self.def {
+            Def::Dense(dense) if dense.layout.is_over(&self.scope, domains) => Some(dense),
+            _ => None,
+        }
+    }
+
+    /// The levels of a dense table built over exactly the domains
+    /// `domains` gives its scope, in [`Domains::tuples`] order.
+    pub(crate) fn cells_over(&self, domains: &Domains) -> Option<&[S::Value]> {
+        self.dense_over(domains)
+            .map(|dense| dense.values.as_slice())
+    }
+}
+
+/// The tuple space a one-pass kernel walks: a sorted scope and the
+/// dense layout of its domains. A kernel whose operands all lie in the
+/// scope of a dense table over the same domains walks that table's
+/// space — no scope, domain list or stride vector is built — and its
+/// result shares the table's scope and layout.
+pub(crate) struct Space {
+    scope: Arc<[Var]>,
+    layout: Arc<Layout>,
+}
+
+impl Space {
+    /// The space of `c` when it is a dense table over `domains`.
+    pub(crate) fn of<S: Semiring>(c: &Constraint<S>, domains: &Domains) -> Option<Space> {
+        let dense = c.dense_over(domains)?;
+        Some(Space {
+            scope: c.scope.clone(),
+            layout: dense.layout.clone(),
+        })
+    }
+
+    /// A new space over the sorted `scope`.
+    pub(crate) fn build(scope: Arc<[Var]>, domains: &Domains) -> Result<Space, MissingDomainError> {
+        let scope_domains = scope
+            .iter()
+            .map(|v| domains.get(v).cloned())
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Space::over(scope, scope_domains))
+    }
+
+    /// A new space over the sorted `scope`, whose domains are
+    /// `scope_domains`.
+    pub(crate) fn over(scope: Arc<[Var]>, scope_domains: Vec<Domain>) -> Space {
+        Space {
+            scope,
+            layout: Arc::new(Layout::over(scope_domains)),
+        }
+    }
+
+    /// The space over `c`'s scope: `c`'s own when it is a dense table
+    /// over `domains`, else a new one.
+    pub(crate) fn around<S: Semiring>(
+        c: &Constraint<S>,
+        domains: &Domains,
+    ) -> Result<Space, MissingDomainError> {
+        match Space::of(c, domains) {
+            Some(space) => Ok(space),
+            None => Space::build(c.scope.clone(), domains),
+        }
+    }
+
+    /// The space over the union of `a`'s and `b`'s scopes: the space of
+    /// whichever is a dense table over `domains` whose scope holds the
+    /// other's, or else a new one.
+    pub(crate) fn union<S: Semiring>(
+        a: &Constraint<S>,
+        b: &Constraint<S>,
+        domains: &Domains,
+    ) -> Result<Space, MissingDomainError> {
+        for (table, within) in [(a, b), (b, a)] {
+            if let Some(space) = Space::of(table, domains) {
+                if covers(&space.scope, within.scope()) {
+                    return Ok(space);
+                }
+            }
+        }
+        Space::build(union_scope(a.scope(), b.scope()).into(), domains)
+    }
+
+    /// The scope walked.
+    pub(crate) fn scope(&self) -> &[Var] {
+        &self.scope
+    }
+
+    /// The domains walked, in scope order.
+    pub(crate) fn domains(&self) -> &[Domain] {
+        &self.layout.domains
+    }
+
+    /// The number of tuples, `None` when it overflows `usize`.
+    pub(crate) fn cells(&self) -> Option<usize> {
+        self.layout.cells
+    }
+
+    /// The row-major strides of the scope's positions.
+    pub(crate) fn strides(&self) -> &[usize] {
+        &self.layout.strides
+    }
+
+    /// Where the sorted `sub` (a subset of the scope) sits in the
+    /// scope; `None` when it is the whole scope.
+    pub(crate) fn embed(&self, sub: &[Var]) -> Option<Cow<'static, [usize]>> {
+        (sub.len() != self.scope.len()).then(|| Cow::Owned(embedding(sub, &self.scope)))
+    }
+
+    /// Calls `f(flat, indices, tuple)` on every tuple in row-major
+    /// order — `flat` the tuple's cell, `indices` its position in each
+    /// domain — until `f` returns `false`. Returns whether it never did.
+    pub(crate) fn walk(&self, mut f: impl FnMut(usize, &[usize], &[Val]) -> bool) -> bool {
+        if let [domain] = &self.layout.domains[..] {
+            // One variable: a tuple is a value, its cell its index.
+            let mut values = domain.values().iter().enumerate();
+            return values.all(|(i, v)| f(i, std::slice::from_ref(&i), std::slice::from_ref(v)));
+        }
+        let mut cursor = Cursor::over(&self.layout.domains[..]);
+        let mut flat = 0usize;
+        while let Some(tuple) = cursor.tuple() {
+            if !f(flat, cursor.indices(), tuple) {
+                return false;
+            }
+            flat = flat.wrapping_add(1);
+            cursor.advance();
+        }
+        true
+    }
+
+    /// The dense table over this space holding `values`, one level per
+    /// tuple in walk order.
     ///
     /// # Panics
     ///
     /// Panics if `values` does not hold one level per tuple.
-    pub(crate) fn from_cells(
-        semiring: S,
-        scope: Vec<Var>,
-        domains: Vec<Domain>,
-        values: Vec<S::Value>,
-    ) -> Constraint<S> {
-        let (layout, cells) =
-            Layout::over(domains).expect("a filled table's cell count fits usize");
-        assert_eq!(values.len(), cells, "one level per tuple");
+    pub(crate) fn table<S: Semiring>(self, semiring: S, values: Vec<S::Value>) -> Constraint<S> {
+        assert_eq!(Some(values.len()), self.layout.cells, "one level per tuple");
         Constraint {
             semiring,
-            scope: scope.into(),
+            scope: self.scope,
             def: Def::Dense(Arc::new(Dense {
-                layout: Arc::new(layout),
+                layout: self.layout,
                 values,
             })),
             label: None,
         }
     }
-
-    /// The dense table over `scope` (whose domains are
-    /// `scope_domains`) holding `values`, derived cell by cell from
-    /// `self`: when `self` is a dense table over `domains` with the
-    /// same scope, the result shares its scope and layout instead of
-    /// building new ones.
-    pub(crate) fn derive_cells(
-        &self,
-        scope: Vec<Var>,
-        scope_domains: Vec<&Domain>,
-        values: Vec<S::Value>,
-        domains: &Domains,
-    ) -> Constraint<S> {
-        if let Def::Dense(dense) = &self.def {
-            if *self.scope == *scope && self.cells_over(domains).is_some() {
-                debug_assert_eq!(values.len(), dense.values.len(), "one level per tuple");
-                return Constraint {
-                    semiring: self.semiring.clone(),
-                    scope: self.scope.clone(),
-                    def: Def::Dense(Arc::new(Dense {
-                        layout: dense.layout.clone(),
-                        values,
-                    })),
-                    label: None,
-                };
-            }
-        }
-        let scope_domains = scope_domains.into_iter().cloned().collect();
-        Constraint::from_cells(self.semiring.clone(), scope, scope_domains, values)
-    }
-
-    /// The levels and strides of a dense table built over exactly the
-    /// domains `domains` gives its scope; `None` for any other
-    /// constraint, or for a table whose domains were since replaced.
-    pub(crate) fn cells_over(&self, domains: &Domains) -> Option<(&[S::Value], &[usize])> {
-        let Def::Dense(dense) = &self.def else {
-            return None;
-        };
-        let layout = &dense.layout;
-        let same = self
-            .scope
-            .iter()
-            .zip(&layout.domains)
-            .all(|(v, d)| domains.get(v).is_ok_and(|e| e == d));
-        same.then_some((&dense.values, &layout.strides))
-    }
 }
 
-/// How a walk over the tuples of a scope (a [`Cursor`]) reads one
-/// constraint whose scope embeds in it, set up once per walk.
+/// Positions of each `sub` variable inside `sup` (both sorted).
+///
+/// # Panics
+///
+/// Panics if `sub` is not a subset of `sup`.
+pub(crate) fn embedding(sub: &[Var], sup: &[Var]) -> Vec<usize> {
+    sub.iter()
+        .map(|v| {
+            sup.binary_search(v)
+                .expect("operand scope must embed in the enclosing scope")
+        })
+        .collect()
+}
+
+/// Whether the sorted scope `sup` holds every variable of the sorted
+/// scope `sub`.
+fn covers(sup: &[Var], sub: &[Var]) -> bool {
+    let mut rest = sup.iter();
+    sub.iter().all(|v| rest.any(|u| u == v))
+}
+
+/// The union of two sorted, deduplicated scopes, merged in one pass.
+pub(crate) fn union_scope(a: &[Var], b: &[Var]) -> Vec<Var> {
+    let mut scope = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        if j >= b.len() || (i < a.len() && a[i] < b[j]) {
+            scope.push(a[i].clone());
+            i += 1;
+        } else {
+            if i < a.len() && a[i] == b[j] {
+                i += 1;
+            }
+            scope.push(b[j].clone());
+            j += 1;
+        }
+    }
+    scope
+}
+
+/// How a walk over a [`Space`] reads one constraint whose scope embeds
+/// in the walked scope, set up once per walk.
 pub(crate) enum Reader<'c, S: Semiring> {
-    /// A dense table over the walked domains: the level of a tuple is
-    /// the cell at its indices dotted with these strides (`0` at the
-    /// walked positions outside the table's scope).
+    /// A dense table over the walked space itself: the level of a
+    /// tuple is the cell at the walk's flat index.
+    Flat(&'c [S::Value]),
+    /// A dense table over the walked domains on part of the scope: the
+    /// level of a tuple is the cell at its indices dotted with these
+    /// strides (`0` at the walked positions outside the table's scope).
     Cells(&'c [S::Value], Vec<usize>),
     /// Anything else: evaluated on the walked tuple restricted to the
-    /// embedding, through a reused buffer.
-    Eval(&'c Constraint<S>, Vec<usize>, Vec<Val>),
+    /// embedding (`None`: the whole tuple), through a reused buffer.
+    Eval(&'c Constraint<S>, Option<Cow<'c, [usize]>>, Vec<Val>),
 }
 
 impl<'c, S: Semiring> Reader<'c, S> {
-    /// Reads `c`, embedded at `emb` in a walk of `arity` positions over
-    /// `domains`.
+    /// Reads `c`, embedded at `emb` (`None`: its scope is the walked
+    /// one) in a walk of `space` over `domains`.
     pub(crate) fn new(
         c: &'c Constraint<S>,
-        emb: Vec<usize>,
-        arity: usize,
+        emb: Option<Cow<'c, [usize]>>,
+        space: &Space,
         domains: &Domains,
     ) -> Self {
-        if let Some((cells, strides)) = c.cells_over(domains) {
-            let mut walk_strides = vec![0; arity];
-            for (&pos, &stride) in emb.iter().zip(strides) {
-                walk_strides[pos] = stride;
+        let Some(dense) = c.dense_over(domains) else {
+            return Reader::Eval(c, emb, Vec::new());
+        };
+        match emb {
+            None => Reader::Flat(&dense.values),
+            Some(emb) => {
+                let mut walk_strides = vec![0; space.scope.len()];
+                for (&pos, &stride) in emb.iter().zip(&dense.layout.strides) {
+                    walk_strides[pos] = stride;
+                }
+                Reader::Cells(&dense.values, walk_strides)
             }
-            return Reader::Cells(cells, walk_strides);
         }
-        Reader::Eval(c, emb, Vec::new())
     }
 
-    /// The level at the walked tuple `tuple`, whose domain indices are
-    /// `indices`.
-    pub(crate) fn read(&mut self, indices: &[usize], tuple: &[Val]) -> S::Value {
+    /// The level at the walked tuple `tuple`, whose cell is `flat` and
+    /// whose domain indices are `indices`.
+    pub(crate) fn read(&mut self, flat: usize, indices: &[usize], tuple: &[Val]) -> S::Value {
         match self {
+            Reader::Flat(cells) => cells[flat].clone(),
             Reader::Cells(cells, strides) => {
                 let flat: usize = indices.iter().zip(strides.iter()).map(|(i, s)| i * s).sum();
                 cells[flat].clone()
             }
-            Reader::Eval(c, emb, buf) => c.eval_tuple(restrict(tuple, emb, buf)),
+            Reader::Eval(c, None, _) => c.eval_tuple(tuple),
+            Reader::Eval(c, Some(emb), buf) => c.eval_tuple(restrict(tuple, emb, buf)),
         }
     }
 }
 
 /// The row-major strides (last fastest) and cell count of a table over
-/// `domains`; `None` when the count overflows `usize`.
-pub(crate) fn row_major<'d>(
-    domains: impl IntoIterator<Item = &'d Domain>,
-) -> Option<(Vec<usize>, usize)> {
-    let sizes: Vec<usize> = domains.into_iter().map(Domain::len).collect();
-    let positions: Vec<usize> = (0..sizes.len()).collect();
-    mixed_radix(&positions, &sizes)
+/// `domains`; `None` when the count overflows `usize`. An empty domain
+/// empties the table: its count is `0` and its strides are never read.
+fn row_major(domains: &[Domain]) -> Option<(Vec<usize>, usize)> {
+    let mut strides = vec![0; domains.len()];
+    if domains.iter().any(Domain::is_empty) {
+        return Some((strides, 0));
+    }
+    let mut cells = 1usize;
+    for (stride, domain) in strides.iter_mut().zip(domains).rev() {
+        *stride = cells;
+        cells = cells.checked_mul(domain.len())?;
+    }
+    Some((strides, cells))
 }
 
 /// `tuple` restricted to the positions `emb` — the embedding of an

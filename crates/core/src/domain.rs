@@ -1,5 +1,6 @@
 //! Finite variable domains and the domain map of a problem.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -11,7 +12,8 @@ use crate::{Val, Var};
 /// Values are kept in sorted order without duplicates, so two domains
 /// built from the same values in any order compare equal. The values
 /// are shared: a clone (of a [`Domains`] map, or into a materialised
-/// constraint) copies a pointer.
+/// constraint) copies a pointer, and two clones compare equal by that
+/// pointer before any value is read.
 ///
 /// # Examples
 ///
@@ -23,9 +25,15 @@ use crate::{Val, Var};
 /// assert!(d.contains(&Val::Int(2)));
 /// assert_eq!(d, Domain::new(vec![3.into(), 0.into(), 1.into(), 2.into()]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Eq)]
 pub struct Domain {
     values: Arc<[Val]>,
+}
+
+impl PartialEq for Domain {
+    fn eq(&self, other: &Domain) -> bool {
+        Arc::ptr_eq(&self.values, &other.values) || self.values == other.values
+    }
 }
 
 impl Domain {
@@ -104,6 +112,12 @@ impl Domain {
 
     /// The domain values as a slice, in sorted order.
     pub fn values(&self) -> &[Val] {
+        &self.values
+    }
+}
+
+impl AsRef<[Val]> for Domain {
+    fn as_ref(&self) -> &[Val] {
         &self.values
     }
 }
@@ -245,8 +259,8 @@ impl Domains {
     }
 
     /// A [`Cursor`] over the tuples [`Domains::tuples`] yields.
-    pub(crate) fn cursor(&self, vars: &[Var]) -> Result<Cursor<'_>, MissingDomainError> {
-        Ok(Cursor::new(self.of(vars)?))
+    pub(crate) fn cursor(&self, vars: &[Var]) -> Result<Cursor<'_, &Domain>, MissingDomainError> {
+        Ok(Cursor::over(self.of(vars)?))
     }
 
     /// The number of tuples [`Domains::tuples`] would yield, saturating
@@ -266,7 +280,7 @@ impl Domains {
 /// *last* variable varying fastest. Returned by [`Domains::tuples`].
 #[derive(Debug, Clone)]
 pub struct TupleIter<'a> {
-    cursor: Cursor<'a>,
+    cursor: Cursor<'a, &'a Domain>,
 }
 
 impl<'a> Iterator for TupleIter<'a> {
@@ -281,7 +295,9 @@ impl<'a> Iterator for TupleIter<'a> {
 
 /// A walk over the Cartesian product of a list of domains in
 /// [`TupleIter`] order that reuses one index and one value buffer for
-/// every tuple: a step re-clones only the positions that changed.
+/// every tuple: a step re-clones only the positions that changed. The
+/// domain list is owned or borrowed (a dense table's layout lends its
+/// own), so a walk allocates only its two buffers.
 ///
 /// ```text
 /// let mut cursor = domains.cursor(vars)?;
@@ -291,25 +307,22 @@ impl<'a> Iterator for TupleIter<'a> {
 /// }
 /// ```
 #[derive(Debug, Clone)]
-pub(crate) struct Cursor<'a> {
-    domains: Vec<&'a [Val]>,
+pub(crate) struct Cursor<'a, D: AsRef<[Val]> + Clone> {
+    domains: Cow<'a, [D]>,
     indices: Vec<usize>,
     values: Vec<Val>,
     done: bool,
 }
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(domains: Vec<&'a Domain>) -> Cursor<'a> {
-        Cursor::over(domains.into_iter().map(Domain::values).collect())
-    }
-
-    /// A cursor over domains given as sorted value slices.
-    pub(crate) fn over(domains: Vec<&'a [Val]>) -> Cursor<'a> {
-        let done = domains.iter().any(|d| d.is_empty());
+impl<'a, D: AsRef<[Val]> + Clone> Cursor<'a, D> {
+    /// A cursor over domains given in walk order.
+    pub(crate) fn over(domains: impl Into<Cow<'a, [D]>>) -> Cursor<'a, D> {
+        let domains = domains.into();
+        let done = domains.iter().any(|d| d.as_ref().is_empty());
         let values = if done {
             Vec::new()
         } else {
-            domains.iter().map(|d| d[0].clone()).collect()
+            domains.iter().map(|d| d.as_ref()[0].clone()).collect()
         };
         Cursor {
             indices: vec![0; domains.len()],
@@ -333,7 +346,7 @@ impl<'a> Cursor<'a> {
     /// fastest).
     pub(crate) fn advance(&mut self) {
         for pos in (0..self.indices.len()).rev() {
-            let domain = self.domains[pos];
+            let domain = self.domains[pos].as_ref();
             self.indices[pos] += 1;
             if self.indices[pos] < domain.len() {
                 self.values[pos] = domain[self.indices[pos]].clone();

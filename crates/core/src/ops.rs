@@ -25,58 +25,42 @@
 //! The one-pass kernels [`Constraint::combine_over`] and
 //! [`Constraint::divide_over`] are the lazy operator followed by
 //! `materialize`, computed in one walk without building the lazy node.
+//! When one operand is a dense table over the domains whose scope holds
+//! the other's, a walk (and [`Constraint::leq`]) runs over that table's
+//! own scope and layout instead of building its own.
+
+use std::borrow::Cow;
 
 use softsoa_semiring::{Residuated, Semiring};
 
-use crate::constraint::{row_major, Reader};
-use crate::domain::Cursor;
-use crate::{Constraint, Domain, Domains, MissingDomainError, Var};
+use crate::constraint::{embedding, union_scope, Reader, Space};
+use crate::{Constraint, Domains, MissingDomainError, Var};
 
-/// Positions of each `sub` variable inside `sup` (both sorted).
-///
-/// # Panics
-///
-/// Panics if `sub` is not a subset of `sup`.
-fn embedding(sub: &[Var], sup: &[Var]) -> Vec<usize> {
-    sub.iter()
-        .map(|v| {
-            sup.binary_search(v)
-                .expect("operand scope must embed in the union scope")
-        })
-        .collect()
+/// The union of two sorted, deduplicated scopes together with both
+/// operands' embeddings into it. Nested lazy combinations *compose*
+/// these embeddings (index lookups) instead of recomputing them.
+fn merge_scopes(a: &[Var], b: &[Var]) -> (Vec<Var>, Vec<usize>, Vec<usize>) {
+    let scope = union_scope(a, b);
+    let (emb_a, emb_b) = (embedding(a, &scope), embedding(b, &scope));
+    (scope, emb_a, emb_b)
 }
 
-/// Merges two sorted, deduplicated scopes in one linear pass, returning
-/// the union scope together with both operands' embeddings into it.
-///
-/// This replaces the sort + dedup + per-variable binary search that the
-/// lazy operators used to repeat on every nesting level: the embeddings
-/// fall out of the merge for free, and nested combinations *compose*
-/// them (index lookups) instead of recomputing them.
-fn merge_scopes(a: &[Var], b: &[Var]) -> (Vec<Var>, Vec<usize>, Vec<usize>) {
-    let mut scope = Vec::with_capacity(a.len() + b.len());
-    let mut emb_a = Vec::with_capacity(a.len());
-    let mut emb_b = Vec::with_capacity(b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let pos = scope.len();
-        if j >= b.len() || (i < a.len() && a[i] < b[j]) {
-            scope.push(a[i].clone());
-            emb_a.push(pos);
-            i += 1;
-        } else if i >= a.len() || b[j] < a[i] {
-            scope.push(b[j].clone());
-            emb_b.push(pos);
-            j += 1;
-        } else {
-            scope.push(a[i].clone());
-            emb_a.push(pos);
-            emb_b.push(pos);
-            i += 1;
-            j += 1;
-        }
-    }
-    (scope, emb_a, emb_b)
+/// Where a `⊗`-operand sits in a walked space of `arity` positions:
+/// its side's embedding there (`None`: the whole space) composed with
+/// its own embedding in its side (`None`: the whole side); `None` when
+/// the result is the whole space.
+fn place<'c>(
+    side: &Option<Cow<'c, [usize]>>,
+    own: Option<&'c [usize]>,
+    arity: usize,
+) -> Option<Cow<'c, [usize]>> {
+    let placed = match (side, own) {
+        (None, None) => return None,
+        (None, Some(own)) => Cow::Borrowed(own),
+        (Some(side), None) => side.clone(),
+        (Some(side), Some(own)) => Cow::Owned(own.iter().map(|&i| side[i]).collect()),
+    };
+    (placed.len() != arity).then_some(placed)
 }
 
 /// The pointwise operator of the one-pass kernel.
@@ -104,9 +88,9 @@ impl<S: Semiring> Constraint<S> {
             semiring == other.semiring(),
             "cannot operate on constraints over different semirings"
         );
-        let (scope, self_emb, other_emb) = merge_scopes(self.scope(), other.scope());
-        let scope_domains = domains.of(&scope)?;
-        let Some((_, cells)) = row_major(scope_domains.iter().copied()) else {
+        let space = Space::union(self, other, domains)?;
+        let Some(cells) = space.cells() else {
+            let (scope, self_emb, other_emb) = merge_scopes(self.scope(), other.scope());
             let (left, right) = ((self.clone(), self_emb), (other.clone(), other_emb));
             return Ok(match op {
                 Pointwise::Combine => {
@@ -117,26 +101,24 @@ impl<S: Semiring> Constraint<S> {
                 }
             });
         };
-        let arity = scope.len();
+        let arity = space.scope().len();
         let mut readers = Vec::new();
-        match op {
-            Pointwise::Combine => {
-                for (side, emb) in [(self, &self_emb), (other, &other_emb)] {
-                    for (c, e) in side.flat_operands() {
-                        let placed = e.iter().map(|&i| emb[i]).collect();
-                        readers.push(Reader::new(c, placed, arity, domains));
+        for side in [self, other] {
+            let side_emb = space.embed(side.scope());
+            match op {
+                // One reader per flat operand, so a level folds exactly
+                // as the lazy combination evaluates it.
+                Pointwise::Combine => {
+                    for (c, own) in side.flat_operands() {
+                        let emb = place(&side_emb, own, arity);
+                        readers.push(Reader::new(c, emb, &space, domains));
                     }
                 }
-            }
-            Pointwise::Divide(_) => {
-                readers.push(Reader::new(self, self_emb, arity, domains));
-                readers.push(Reader::new(other, other_emb, arity, domains));
+                Pointwise::Divide(_) => readers.push(Reader::new(side, side_emb, &space, domains)),
             }
         }
         let mut values = Vec::with_capacity(cells);
-        let mut cursor = Cursor::new(scope_domains.clone());
-        while let Some(tuple) = cursor.tuple() {
-            let indices = cursor.indices();
+        space.walk(|flat, indices, tuple| {
             values.push(match op {
                 Pointwise::Combine => {
                     let mut acc = semiring.one();
@@ -144,26 +126,26 @@ impl<S: Semiring> Constraint<S> {
                         if semiring.is_zero(&acc) {
                             break;
                         }
-                        acc = semiring.times(&acc, &reader.read(indices, tuple));
+                        acc = semiring.times(&acc, &reader.read(flat, indices, tuple));
                     }
                     acc
                 }
                 Pointwise::Divide(div) => {
-                    let left = readers[0].read(indices, tuple);
-                    div(semiring, &left, &readers[1].read(indices, tuple))
+                    let left = readers[0].read(flat, indices, tuple);
+                    div(semiring, &left, &readers[1].read(flat, indices, tuple))
                 }
             });
-            cursor.advance();
-        }
-        Ok(self.derive_cells(scope, scope_domains, values, domains))
+            true
+        });
+        Ok(space.table(semiring.clone(), values))
     }
 
     /// The materialised combination: equal to
     /// `self.combine(other).materialize(domains)`, computed in one walk
-    /// of the union scope without building the lazy node. When `self`
-    /// is a dense table over `domains` and `other`'s scope lies inside
-    /// `self`'s, the walk is over `self`'s cells and the result shares
-    /// its scope and layout.
+    /// of the union scope without building the lazy node. When one
+    /// operand is a dense table over `domains` whose scope holds the
+    /// other's, the walk is over that table's cells and the result
+    /// shares its scope and layout.
     ///
     /// # Errors
     ///
@@ -280,31 +262,30 @@ impl<S: Semiring> Constraint<S> {
             return self.materialize(domains);
         }
         let semiring = self.semiring().clone();
-        let scope_domains = domains.of(scope)?;
+        let space = Space::around(self, domains)?;
         let kept: Vec<Var> = kept_idx.iter().map(|&i| scope[i].clone()).collect();
-        let kept_domains: Vec<Domain> =
-            kept_idx.iter().map(|&i| scope_domains[i].clone()).collect();
+        let kept_domains = kept_idx.iter().map(|&i| space.domains()[i].clone());
         // The result's dense layout, as strides over the scope's positions.
-        let (strides, cells) =
-            row_major(&kept_domains).expect("projection table size overflows usize");
+        let kept_space = Space::over(kept.into(), kept_domains.collect());
+        let cells = kept_space
+            .cells()
+            .expect("projection table size overflows usize");
         let mut to_kept = vec![0; scope.len()];
-        for (&i, &stride) in kept_idx.iter().zip(&strides) {
+        for (&i, &stride) in kept_idx.iter().zip(kept_space.strides()) {
             to_kept[i] = stride;
         }
 
         // One walk over the whole scope: every tuple adds its level to
         // the cell of its kept sub-tuple. Each cell's summands arrive
         // in the lexicographic order of the eliminated tuples.
-        let mut reader = Reader::new(self, (0..scope.len()).collect(), scope.len(), domains);
+        let mut reader = Reader::new(self, None, &space, domains);
         let mut values = vec![semiring.zero(); cells];
-        let mut cursor = Cursor::new(scope_domains);
-        while let Some(tuple) = cursor.tuple() {
-            let indices = cursor.indices();
+        space.walk(|flat, indices, tuple| {
             let cell: usize = indices.iter().zip(&to_kept).map(|(i, s)| i * s).sum();
-            values[cell] = semiring.plus(&values[cell], &reader.read(indices, tuple));
-            cursor.advance();
-        }
-        let mut projected = Constraint::from_cells(semiring, kept, kept_domains, values);
+            values[cell] = semiring.plus(&values[cell], &reader.read(flat, indices, tuple));
+            true
+        });
+        let mut projected = kept_space.table(semiring, values);
         if let Some(label) = self.label() {
             projected = projected.with_label(format!("{label}⇓"));
         }
@@ -336,7 +317,7 @@ impl<S: Semiring> Constraint<S> {
     /// domain.
     pub fn consistency(&self, domains: &Domains) -> Result<S::Value, MissingDomainError> {
         let semiring = self.semiring();
-        if let Some((cells, _)) = self.cells_over(domains) {
+        if let Some(cells) = self.cells_over(domains) {
             return Ok(cells
                 .iter()
                 .fold(semiring.zero(), |acc, level| semiring.plus(&acc, level)));
@@ -373,18 +354,15 @@ impl<S: Semiring> Constraint<S> {
             "cannot compare constraints over different semirings"
         );
         let semiring = self.semiring();
-        let (scope, self_idx, other_idx) = merge_scopes(self.scope(), other.scope());
-        let mut cursor = domains.cursor(&scope)?;
-        let mut left = Reader::new(self, self_idx, scope.len(), domains);
-        let mut right = Reader::new(other, other_idx, scope.len(), domains);
-        while let Some(tuple) = cursor.tuple() {
-            let indices = cursor.indices();
-            if !semiring.leq(&left.read(indices, tuple), &right.read(indices, tuple)) {
-                return Ok(false);
-            }
-            cursor.advance();
-        }
-        Ok(true)
+        let space = Space::union(self, other, domains)?;
+        let mut left = Reader::new(self, space.embed(self.scope()), &space, domains);
+        let mut right = Reader::new(other, space.embed(other.scope()), &space, domains);
+        Ok(space.walk(|flat, indices, tuple| {
+            semiring.leq(
+                &left.read(flat, indices, tuple),
+                &right.read(flat, indices, tuple),
+            )
+        }))
     }
 
     /// Extensional equality: `self ⊑ other ∧ other ⊑ self` over

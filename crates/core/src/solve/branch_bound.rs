@@ -251,36 +251,41 @@ impl BranchAndBound {
 
         // `Estimate` orders from a pre-pass: compile in sorted order,
         // propagate at the root, and run the propose/confirm loop on
-        // the tightened candidate counts.
-        let vars = if self.order == VarOrder::Estimate {
-            let pre = CompiledProblem::with_order(problem, problem.problem_vars())?;
-            let mut pre_prop = Propagator::new(&pre);
-            if !pre_prop.root(&prop_floor) {
-                let stats = SolverStats {
-                    threads: 1,
-                    compile_time: pre.compile_time(),
-                    solve_time: start.elapsed(),
-                    propagation: Some(pre_prop.stats()),
-                    ..SolverStats::default()
-                };
-                return Ok(Solution::new(semiring.zero(), Vec::new(), None).with_stats(stats));
+        // the tightened candidate counts. The search then runs on the
+        // pre-pass reordered, its fixpoint carried over.
+        let pre = (self.order == VarOrder::Estimate)
+            .then(|| CompiledProblem::with_order(problem, problem.problem_vars()))
+            .transpose()?;
+        let mut pre_prop = pre.as_ref().map(Propagator::new);
+        let compiled = match (&pre, &mut pre_prop) {
+            (Some(pre), Some(prop)) => {
+                if !prop.root(&prop_floor) {
+                    let stats = SolverStats {
+                        threads: 1,
+                        compile_time: pre.compile_time(),
+                        solve_time: start.elapsed(),
+                        propagation: Some(prop.stats()),
+                        ..SolverStats::default()
+                    };
+                    return Ok(Solution::new(semiring.zero(), Vec::new(), None).with_stats(stats));
+                }
+                pre.reordered(estimate_order(pre, prop))
             }
-            estimate_order(&pre, &pre_prop)
-        } else {
-            self.order_vars(problem)?
+            _ => CompiledProblem::with_order(problem, self.order_vars(problem)?)?,
         };
-        let compiled = CompiledProblem::with_order(problem, vars)?;
 
         // Root propagation: prune values that cannot reach the floor
         // (the warm seed when present, `0` otherwise). `Estimate`
-        // needs the pass for its value orders even when the config
-        // says `Off`.
-        let propagate =
-            self.config.propagate == PropagationMode::Root || self.order == VarOrder::Estimate;
-        let mut root_prop = propagate.then(|| Propagator::new(&compiled));
+        // carries its pre-pass fixpoint over, which it needs for its
+        // value orders even when the config says `Off`.
+        let carried = pre_prop.map(|prop| prop.reorder(&compiled));
+        let propagated = carried.is_some();
+        let mut root_prop = carried.or_else(|| {
+            (self.config.propagate == PropagationMode::Root).then(|| Propagator::new(&compiled))
+        });
         let mut pstats = None;
         if let Some(prop) = &mut root_prop {
-            let alive = prop.root(&prop_floor);
+            let alive = propagated || prop.root(&prop_floor);
             let snapshot = prop.stats();
             if !alive {
                 // Some variable has no value that can reach the

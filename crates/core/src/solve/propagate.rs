@@ -316,6 +316,34 @@ impl<'a, S: Semiring> Propagator<'a, S> {
         true
     }
 
+    /// This fixpoint carried over to `compiled`, the same problem in
+    /// another variable order ([`CompiledProblem::reordered`]). A
+    /// revision is numbered by its operand and its position in the
+    /// operand's own scope, which no variable order changes, so the
+    /// supports and counters carry over as they are and each live mask
+    /// moves with its variable. The root fixpoint is unique, so this is
+    /// the state a root pass on `compiled` would reach.
+    pub(crate) fn reorder<'b>(mut self, compiled: &'b CompiledProblem<S>) -> Propagator<'b, S> {
+        let mut next = Propagator::new(compiled);
+        debug_assert_eq!(next.revs, self.revs, "the same operands");
+        for (pos, var) in compiled.vars().iter().enumerate() {
+            let old = self.compiled.vars().iter().position(|v| v == var);
+            let old = old.expect("the same variables");
+            next.live[pos] = std::mem::take(&mut self.live[old]);
+            next.live_count[pos] = self.live_count[old];
+        }
+        Propagator {
+            supports: self.supports,
+            op_revisions: self.op_revisions,
+            op_prunes: self.op_prunes,
+            op_time: self.op_time,
+            root_prunes: self.root_prunes,
+            wipeouts: self.wipeouts,
+            time: self.time,
+            ..next
+        }
+    }
+
     /// Snapshots the accumulated counters.
     pub(crate) fn stats(&self) -> PropagationStats {
         let per_constraint: Vec<PerConstraintStats> = (0..self.compiled.num_operands())

@@ -19,7 +19,12 @@
 //! - after a domain is replaced, a table built over the old domains
 //!   behaves exactly like the sparse table of its old entries, and a
 //!   `Store` whose domain `declare` replaced after a `tell` still
-//!   matches the [`EnumerationSolver::new`] oracle.
+//!   matches the [`EnumerationSolver::new`] oracle;
+//! - the one-pass kernels `combine_over` and `divide_over` equal
+//!   `combine` and `divide` followed by `materialize`, cell for cell
+//!   and bit for bit (Probabilistic included), whichever side is the
+//!   dense table and whether the other side is a closure, a dense
+//!   table or a structural `⊗`, over the table's scope or part of it.
 
 use std::fmt::Debug;
 
@@ -28,7 +33,7 @@ use proptest::prelude::*;
 use softsoa_core::solve::{EnumerationSolver, Solver};
 use softsoa_core::{Assignment, Constraint, Domain, Domains, Scsp, Val, Var};
 use softsoa_nmsccp::Store;
-use softsoa_semiring::{Boolean, Fuzzy, Probabilistic, Semiring, Unit, WeightedInt};
+use softsoa_semiring::{Boolean, Fuzzy, Probabilistic, Residuated, Semiring, Unit, WeightedInt};
 
 /// The (at most three) variables a case draws from.
 const VARS: [&str; 3] = ["x", "y", "z"];
@@ -387,7 +392,59 @@ where
     );
 }
 
-fn check<S: Semiring>(s: S, palette: &[S::Value], case: Case)
+/// `combine_over` and `divide_over` against the lazy operator followed
+/// by `materialize`. `σ` is the first shape, dense over the domains
+/// (and, for the generic walk, lazy); each operand is a closure, its
+/// dense table or a structural `⊗` of it with a closure over its last
+/// variable — whose product must fold one operand at a time, as the
+/// lazy node evaluates it — over `σ`'s scope and over a sub-scope.
+fn check_kernels<S: Residuated>(s: &S, palette: &[S::Value], case: &Case)
+where
+    S::Value: Debug,
+{
+    let d = domains(case);
+    let lazy_sigma = lazy(s, palette, &case.a);
+    let sigma = lazy_sigma.materialize(&d).unwrap();
+    let scope = sigma.scope().to_vec();
+    let mut sub: Vec<Var> = pick(&case.b.vars)
+        .into_iter()
+        .filter(|v| scope.contains(v) && *v != scope[0])
+        .collect();
+    if sub.is_empty() {
+        sub.push(scope[0].clone());
+    }
+    for over in [scope, sub] {
+        let salt = case.b.salt;
+        let first = closure(s, palette, &over, salt);
+        let last = closure(s, palette, &over[over.len() - 1..], salt + 1);
+        let operands = [
+            ("closure", first.clone()),
+            ("dense", first.materialize(&d).unwrap()),
+            ("structural ⊗", first.combine(&last)),
+        ];
+        for (what, op) in &operands {
+            for (side, x) in [("dense σ", &sigma), ("lazy σ", &lazy_sigma)] {
+                let at = format!("{side} with a {what} over {over:?}");
+                for (l, r) in [(x, op), (op, x)] {
+                    assert_pointwise(
+                        &l.combine_over(r, &d).unwrap(),
+                        &l.combine(r).materialize(&d).unwrap(),
+                        &d,
+                        &format!("combine_over, {at}"),
+                    );
+                    assert_pointwise(
+                        &l.divide_over(r, &d).unwrap(),
+                        &l.divide(r).materialize(&d).unwrap(),
+                        &d,
+                        &format!("divide_over, {at}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn check<S: Residuated>(s: S, palette: &[S::Value], case: Case)
 where
     S::Value: Debug,
 {
@@ -396,6 +453,7 @@ where
     check_fold_and_order(&s, palette, &case);
     check_stale(&s, palette, &case);
     check_store(&s, palette, &case);
+    check_kernels(&s, palette, &case);
 }
 
 fn units(levels: &[f64]) -> Vec<Unit> {

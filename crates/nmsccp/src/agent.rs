@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use softsoa_core::{Constraint, Var};
 use softsoa_semiring::Semiring;
@@ -20,12 +21,13 @@ use softsoa_semiring::Semiring;
 use crate::Interval;
 
 /// A checked action `op(c) →ᵘₗ A`: the constraint it carries, its
-/// consistency interval and the continuation agent.
+/// consistency interval and the continuation agent, shared by every
+/// copy of the action.
 #[derive(Debug, Clone)]
 pub struct Action<S: Semiring> {
     pub(crate) constraint: Constraint<S>,
     pub(crate) check: Interval<S>,
-    pub(crate) then: Box<Agent<S>>,
+    pub(crate) then: Arc<Agent<S>>,
 }
 
 impl<S: Semiring> Action<S> {
@@ -60,7 +62,7 @@ pub struct Guard<S: Semiring> {
     pub(crate) kind: GuardKind,
     pub(crate) constraint: Constraint<S>,
     pub(crate) check: Interval<S>,
-    pub(crate) then: Agent<S>,
+    pub(crate) then: Arc<Agent<S>>,
 }
 
 impl<S: Semiring> Guard<S> {
@@ -70,7 +72,7 @@ impl<S: Semiring> Guard<S> {
             kind: GuardKind::Ask,
             constraint,
             check,
-            then,
+            then: Arc::new(then),
         }
     }
 
@@ -80,7 +82,7 @@ impl<S: Semiring> Guard<S> {
             kind: GuardKind::Nask,
             constraint,
             check,
-            then,
+            then: Arc::new(then),
         }
     }
 
@@ -106,6 +108,10 @@ impl<S: Semiring> Guard<S> {
 }
 
 /// An `nmsccp` agent (Fig. 2).
+///
+/// Subterms are shared (`Arc`), so copying an agent — a continuation
+/// placed back into its parallel context, a recovery checkpoint, one
+/// client agent per provider session — copies pointers, not trees.
 ///
 /// Build agents with the constructor methods; they read close to the
 /// paper's syntax:
@@ -140,13 +146,13 @@ pub enum Agent<S: Semiring> {
     /// R6).
     Sum(Vec<Guard<S>>),
     /// Parallel composition `A ‖ B` by interleaving (rules R3, R4).
-    Par(Box<Agent<S>>, Box<Agent<S>>),
+    Par(Arc<Agent<S>>, Arc<Agent<S>>),
     /// Hiding `∃x.A` (rule R9).
     Hide {
         /// The hidden (local) variable.
         var: Var,
         /// The agent body.
-        body: Box<Agent<S>>,
+        body: Arc<Agent<S>>,
     },
     /// A procedure call `p(Y)` (rule R10).
     Call {
@@ -168,7 +174,7 @@ impl<S: Semiring> Agent<S> {
         Agent::Tell(Action {
             constraint: c,
             check,
-            then: Box::new(then),
+            then: Arc::new(then),
         })
     }
 
@@ -187,7 +193,7 @@ impl<S: Semiring> Agent<S> {
         Agent::Retract(Action {
             constraint: c,
             check,
-            then: Box::new(then),
+            then: Arc::new(then),
         })
     }
 
@@ -203,7 +209,7 @@ impl<S: Semiring> Agent<S> {
             action: Action {
                 constraint: c,
                 check,
-                then: Box::new(then),
+                then: Arc::new(then),
             },
         }
     }
@@ -215,7 +221,7 @@ impl<S: Semiring> Agent<S> {
 
     /// Parallel composition `a ‖ b`.
     pub fn par(a: Agent<S>, b: Agent<S>) -> Agent<S> {
-        Agent::Par(Box::new(a), Box::new(b))
+        Agent::Par(Arc::new(a), Arc::new(b))
     }
 
     /// Parallel composition of many agents (right-associated).
@@ -234,7 +240,7 @@ impl<S: Semiring> Agent<S> {
     pub fn hide(var: impl Into<Var>, body: Agent<S>) -> Agent<S> {
         Agent::Hide {
             var: var.into(),
-            body: Box::new(body),
+            body: Arc::new(body),
         }
     }
 
@@ -314,7 +320,7 @@ impl<S: Semiring> Agent<S> {
                         kind: g.kind,
                         constraint: g.constraint.rename(from, to),
                         check: g.check.rename_var(from, to),
-                        then: g.then.rename_var(from, to),
+                        then: Arc::new(g.then.rename_var(from, to)),
                     })
                     .collect(),
             ),
@@ -326,7 +332,7 @@ impl<S: Semiring> Agent<S> {
                 } else {
                     Agent::Hide {
                         var: var.clone(),
-                        body: Box::new(body.rename_var(from, to)),
+                        body: Arc::new(body.rename_var(from, to)),
                     }
                 }
             }
@@ -343,7 +349,7 @@ impl<S: Semiring> Action<S> {
         Action {
             constraint: self.constraint.rename(from, to),
             check: self.check.rename_var(from, to),
-            then: Box::new(self.then.rename_var(from, to)),
+            then: Arc::new(self.then.rename_var(from, to)),
         }
     }
 }
@@ -395,8 +401,15 @@ impl<S: Semiring> fmt::Display for Agent<S> {
 
 /// A constraint's label for traces and agent syntax (`c` when it has
 /// none).
-pub(crate) fn label<S: Semiring>(c: &Constraint<S>) -> String {
-    c.label().map_or_else(|| "c".to_string(), str::to_string)
+pub(crate) fn label<S: Semiring>(c: &Constraint<S>) -> &str {
+    c.label().unwrap_or("c")
+}
+
+/// A shared agent as an owned one: the agent itself when this was its
+/// last reference, else a copy of its top node (whose subterms stay
+/// shared).
+pub(crate) fn unshared<S: Semiring>(agent: Arc<Agent<S>>) -> Agent<S> {
+    Arc::try_unwrap(agent).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// A procedure declaration `p(Y) :: A`.
@@ -486,7 +499,7 @@ mod tests {
     fn par_all_right_associates() {
         let a = Agent::par_all([tell_x("x"), tell_x("y"), tell_x("z")]);
         match a {
-            Agent::Par(_, rest) => match *rest {
+            Agent::Par(_, rest) => match &*rest {
                 Agent::Par(_, _) => {}
                 _ => panic!("expected nested Par"),
             },
@@ -504,7 +517,7 @@ mod tests {
         match renamed {
             Agent::Hide { var, body } => {
                 assert_eq!(var, Var::new("x"));
-                match *body {
+                match &*body {
                     Agent::Tell(a) => assert_eq!(a.constraint().scope(), &[Var::new("x")]),
                     _ => panic!("expected Tell"),
                 }

@@ -454,7 +454,7 @@ impl<'p, S: Residuated> StepLoop<'p, S> {
                         trace.push(TraceEntry {
                             step: steps,
                             rule: chosen.rule(),
-                            note: format!("fault: dropped {chosen}"),
+                            note: chosen.note("fault: dropped "),
                             consistency: store.consistency()?,
                             enabled: count,
                             origin: EntryOrigin::Fault,

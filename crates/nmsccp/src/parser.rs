@@ -438,7 +438,7 @@ mod tests {
         )
         .unwrap();
         match a {
-            Agent::Par(left, _) => match *left {
+            Agent::Par(left, _) => match &*left {
                 Agent::Sum(guards) => assert_eq!(guards.len(), 2),
                 _ => panic!("expected Sum"),
             },

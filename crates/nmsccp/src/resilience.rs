@@ -29,7 +29,7 @@ use softsoa_core::Constraint;
 use softsoa_semiring::{Residuated, Semiring};
 use softsoa_telemetry::Telemetry;
 
-use crate::agent::label;
+use crate::agent::{label, unshared};
 use crate::interp::{emit_run, Event, Fired, StepLoop};
 use crate::semantics::{Rule, SemanticsError};
 use crate::{
@@ -347,7 +347,7 @@ impl<'p, S: Residuated> RecoveryState<'p, S> {
                     trace.push(TraceEntry {
                         step: *steps,
                         rule: Rule::Retract,
-                        note: format!("recovery: relax({})", label(rung)),
+                        note: ["recovery: relax(", label(rung), ")"].concat(),
                         consistency: store.consistency()?,
                         enabled: 0,
                         origin: EntryOrigin::Recovery,
@@ -440,7 +440,7 @@ impl<S: Residuated> FaultAction<S> {
             ),
             FaultAction::Corrupt(c) => {
                 *store = store.tell(c)?;
-                let note = format!("fault: corrupt({})", label(c));
+                let note = ["fault: corrupt(", label(c), ")"].concat();
                 (Applied, Rule::Tell, note, true)
             }
             FaultAction::Degrade(v) => {
@@ -463,11 +463,11 @@ impl<S: Residuated> FaultAction<S> {
             FaultAction::Unconstrain(c) => match store.retract(c) {
                 Ok(next) => {
                     *store = next;
-                    let note = format!("fault: unconstrain({})", label(c));
+                    let note = ["fault: unconstrain(", label(c), ")"].concat();
                     (Applied, Rule::Retract, note, true)
                 }
                 Err(StoreError::NotEntailed) => {
-                    let note = format!("fault: unconstrain({}) skipped", label(c));
+                    let note = ["fault: unconstrain(", label(c), ") skipped"].concat();
                     (SkippedNotEntailed, Rule::Retract, note, false)
                 }
                 Err(e) => return Err(e.into()),
@@ -683,8 +683,8 @@ fn crash_leaf<S: Semiring>(agent: Agent<S>, target: usize) -> Agent<S> {
     fn go<S: Semiring>(agent: Agent<S>, target: usize, counter: &mut usize) -> Agent<S> {
         match agent {
             Agent::Par(l, r) => {
-                let l = go(*l, target, counter);
-                let r = go(*r, target, counter);
+                let l = go(unshared(l), target, counter);
+                let r = go(unshared(r), target, counter);
                 Agent::par(l, r)
             }
             other => {

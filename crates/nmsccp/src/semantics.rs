@@ -12,10 +12,12 @@
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::fmt;
+use std::sync::Arc;
 
 use softsoa_core::{Constraint, Var};
 use softsoa_semiring::{Residuated, Semiring};
 
+use crate::agent::unshared;
 use crate::{Agent, GuardKind, Program, Store, StoreError};
 
 /// The transition rules of Fig. 4.
@@ -31,6 +33,19 @@ pub enum Rule {
     Retract,
     /// R8: `update_X(c) ▷ A`.
     Update,
+}
+
+impl Rule {
+    /// The action a move by this rule performs, as its note names it.
+    fn op(self) -> &'static str {
+        match self {
+            Rule::Tell => "tell",
+            Rule::Ask => "ask",
+            Rule::Nask => "nask",
+            Rule::Retract => "retract",
+            Rule::Update => "update",
+        }
+    }
 }
 
 impl fmt::Display for Rule {
@@ -190,7 +205,9 @@ pub fn moves<'a, S: Residuated>(
     store: &Store<S>,
     fresh: &mut FreshGen,
 ) -> Result<Vec<Move<'a, S>>, SemanticsError> {
-    moves_rec(program, agent, store, fresh, 0)
+    let mut out = Vec::new();
+    moves_rec(program, agent, store, fresh, 0, &mut out)?;
+    Ok(out)
 }
 
 /// What a [`Move`] does to the store, decided but not yet done.
@@ -230,10 +247,10 @@ pub struct Move<'a, S: Semiring> {
     rule: Rule,
     label: Cow<'a, str>,
     /// The continuation of the acting action.
-    then: Cow<'a, Agent<S>>,
+    then: Arc<Agent<S>>,
     /// The parallel contexts around the acting branch, innermost first:
     /// the sibling, and whether the acting branch is the left one.
-    frames: Vec<(&'a Agent<S>, bool)>,
+    frames: Vec<(&'a Arc<Agent<S>>, bool)>,
     /// The store the effect applies to when hiding declared a fresh
     /// variable; `None` for the store the moves were computed on.
     base: Option<Store<S>>,
@@ -244,13 +261,13 @@ impl<'a, S: Semiring> Move<'a, S> {
     fn new(
         rule: Rule,
         constraint: &'a Constraint<S>,
-        then: &'a Agent<S>,
+        then: &Arc<Agent<S>>,
         effect: Effect<'a, S>,
     ) -> Move<'a, S> {
         Move {
             rule,
             label: Cow::Borrowed(constraint.label().unwrap_or("c")),
-            then: Cow::Borrowed(then),
+            then: Arc::clone(then),
             frames: Vec::new(),
             base: None,
             effect,
@@ -262,18 +279,31 @@ impl<'a, S: Semiring> Move<'a, S> {
         self.rule
     }
 
+    /// The note of the move, after `prefix`: `op(label)`.
+    pub(crate) fn note(&self, prefix: &str) -> String {
+        [prefix, self.rule.op(), "(", &self.label, ")"].concat()
+    }
+
     /// The agent after the step: the continuation placed back into its
     /// parallel contexts, a branch that reached `success` dissolving.
-    fn agent(then: Cow<'a, Agent<S>>, frames: &[(&'a Agent<S>, bool)]) -> Agent<S> {
-        let mut agent = then.into_owned();
-        for &(sibling, left) in frames {
-            agent = match (agent.is_success(), left) {
-                (true, _) => sibling.clone(),
-                (false, true) => Agent::par(agent, sibling.clone()),
-                (false, false) => Agent::par(sibling.clone(), agent),
+    /// Every subterm is shared with the agent the move was listed on.
+    fn agent(then: Arc<Agent<S>>, frames: &[(&'a Arc<Agent<S>>, bool)]) -> Agent<S> {
+        let mut agent = then;
+        for (depth, &(sibling, left)) in frames.iter().enumerate() {
+            let joined = match (agent.is_success(), left) {
+                (true, _) => {
+                    agent = Arc::clone(sibling);
+                    continue;
+                }
+                (false, true) => Agent::Par(agent, Arc::clone(sibling)),
+                (false, false) => Agent::Par(Arc::clone(sibling), agent),
             };
+            if depth + 1 == frames.len() {
+                return joined;
+            }
+            agent = Arc::new(joined);
         }
-        agent
+        unshared(agent)
     }
 
     /// The move with its agent built and every borrow of the
@@ -281,7 +311,7 @@ impl<'a, S: Semiring> Move<'a, S> {
     /// `base` unless it already carries a store of its own.
     fn detach<'b>(self, base: Option<&Store<S>>) -> Move<'b, S> {
         Move {
-            then: Cow::Owned(Move::agent(self.then, &self.frames)),
+            then: Arc::new(Move::agent(self.then, &self.frames)),
             rule: self.rule,
             label: Cow::Owned(self.label.into_owned()),
             frames: Vec::new(),
@@ -301,7 +331,7 @@ impl<S: Residuated> Move<'_, S> {
     /// Returns [`SemanticsError`] if a store operation fails (not for
     /// a move [`moves`] returned on the same store).
     pub fn build(self, store: &Store<S>) -> Result<Transition<S>, SemanticsError> {
-        let note = self.to_string();
+        let note = self.note("");
         let agent = Move::agent(self.then, &self.frames);
         let base = self.base.as_ref().unwrap_or(store);
         let store = match self.effect {
@@ -322,31 +352,27 @@ impl<S: Residuated> Move<'_, S> {
 
 impl<S: Semiring> fmt::Display for Move<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let op = match self.rule {
-            Rule::Tell => "tell",
-            Rule::Ask => "ask",
-            Rule::Nask => "nask",
-            Rule::Retract => "retract",
-            Rule::Update => "update",
-        };
-        write!(f, "{op}({})", self.label)
+        write!(f, "{}({})", self.rule.op(), self.label)
     }
 }
 
+/// Appends the moves of `⟨agent, store⟩` to `out`, in [`enabled`]'s
+/// order.
 fn moves_rec<'a, S: Residuated>(
     program: &Program<S>,
     agent: &'a Agent<S>,
     store: &Store<S>,
     fresh: &mut FreshGen,
     depth: usize,
-) -> Result<Vec<Move<'a, S>>, SemanticsError> {
+    out: &mut Vec<Move<'a, S>>,
+) -> Result<(), SemanticsError> {
     if depth > CALL_UNFOLD_LIMIT {
         return Err(SemanticsError::RecursionLimit);
     }
     let semiring = store.semiring();
     let domains = store.domains();
     match agent {
-        Agent::Success => Ok(Vec::new()),
+        Agent::Success => {}
 
         // R1: the check is evaluated on the prospective store σ ⊗ c.
         Agent::Tell(action) => {
@@ -359,19 +385,17 @@ fn moves_rec<'a, S: Residuated>(
                 || Ok(next().consistency(domains)?),
                 || Ok(next()),
             )?;
-            Ok(if holds {
+            if holds {
                 let effect = Effect::Tell(Cow::Borrowed(c));
-                vec![Move::new(Rule::Tell, c, action.then(), effect)]
-            } else {
-                Vec::new()
-            })
+                out.push(Move::new(Rule::Tell, c, &action.then, effect));
+            }
         }
 
         // R7: requires σ ⊑ c; the check is evaluated on σ ÷ c.
         Agent::Retract(action) => {
             let c = action.constraint();
             if !store.entails(c)? {
-                return Ok(Vec::new());
+                return Ok(());
             }
             let next = || store.sigma().divide(c);
             let holds = action.check().decide(
@@ -380,12 +404,10 @@ fn moves_rec<'a, S: Residuated>(
                 || Ok(next().consistency(domains)?),
                 || Ok(next()),
             )?;
-            Ok(if holds {
+            if holds {
                 let effect = Effect::Retract(Cow::Borrowed(c));
-                vec![Move::new(Rule::Retract, c, action.then(), effect)]
-            } else {
-                Vec::new()
-            })
+                out.push(Move::new(Rule::Retract, c, &action.then, effect));
+            }
         }
 
         // R8: transactional removal of X plus tell; check on the result,
@@ -406,21 +428,18 @@ fn moves_rec<'a, S: Residuated>(
                 || built()?.consistency(),
                 || Ok(built()?.sigma().clone()),
             )?;
-            Ok(if holds {
+            if holds {
                 let effect = match next.into_inner() {
                     Some(store) => Effect::Built(store),
                     None => Effect::Update(Cow::Borrowed(vars), Cow::Borrowed(c)),
                 };
-                vec![Move::new(Rule::Update, c, action.then(), effect)]
-            } else {
-                Vec::new()
-            })
+                out.push(Move::new(Rule::Update, c, &action.then, effect));
+            }
         }
 
         // R2/R5/R6: every enabled guard is one nondeterministic branch,
         // on the unchanged store.
         Agent::Sum(guards) => {
-            let mut out = Vec::new();
             for guard in guards {
                 let entailed = store.entails(&guard.constraint)?;
                 let (wanted, rule) = match guard.kind {
@@ -436,20 +455,20 @@ fn moves_rec<'a, S: Residuated>(
                     ));
                 }
             }
-            Ok(out)
         }
 
         // R3/R4: interleaving; a branch stepping to success dissolves.
         Agent::Par(a, b) => {
-            let mut out = moves_rec(program, a, store, fresh, depth)?;
-            for m in &mut out {
+            let start = out.len();
+            moves_rec(program, a, store, fresh, depth, out)?;
+            let middle = out.len();
+            moves_rec(program, b, store, fresh, depth, out)?;
+            for m in &mut out[start..middle] {
                 m.frames.push((b, true));
             }
-            for mut m in moves_rec(program, b, store, fresh, depth)? {
+            for m in &mut out[middle..] {
                 m.frames.push((a, false));
-                out.push(m);
             }
-            Ok(out)
         }
 
         // R9: rename the bound variable to a fresh one (with the same
@@ -460,11 +479,9 @@ fn moves_rec<'a, S: Residuated>(
             let mut next_store = store.clone();
             next_store.declare(y.clone(), domain);
             let renamed = body.rename_var(var, &y);
-            let inner = moves_rec(program, &renamed, &next_store, fresh, depth + 1)?;
-            Ok(inner
-                .into_iter()
-                .map(|m| m.detach(Some(&next_store)))
-                .collect())
+            let mut inner = Vec::new();
+            moves_rec(program, &renamed, &next_store, fresh, depth + 1, &mut inner)?;
+            out.extend(inner.into_iter().map(|m| m.detach(Some(&next_store))));
         }
 
         // R10: unfold the declaration with parameter passing.
@@ -490,28 +507,55 @@ fn moves_rec<'a, S: Residuated>(
             for (temp, actual) in temps.iter().zip(args) {
                 body = body.rename_var(temp, actual);
             }
-            let inner = moves_rec(program, &body, store, fresh, depth + 1)?;
-            Ok(inner.into_iter().map(|m| m.detach(None)).collect())
+            let mut inner = Vec::new();
+            moves_rec(program, &body, store, fresh, depth + 1, &mut inner)?;
+            out.extend(inner.into_iter().map(|m| m.detach(None)));
         }
     }
+    Ok(())
 }
 
 impl<S: Semiring> Agent<S> {
     /// Structurally simplifies the agent by dissolving terminated
-    /// parallel branches: `success ‖ A ≡ A`.
+    /// parallel branches: `success ‖ A ≡ A`. An agent with nothing to
+    /// dissolve is returned as is, its subterms untouched.
     pub fn normalize(self) -> Agent<S> {
+        if !self.dissolves() {
+            return self;
+        }
         match self {
             Agent::Par(a, b) => {
-                let a = a.normalize();
-                let b = b.normalize();
+                let a = normalized(a);
+                let b = normalized(b);
                 match (a.is_success(), b.is_success()) {
-                    (true, _) => b,
-                    (_, true) => a,
-                    _ => Agent::par(a, b),
+                    (true, _) => unshared(b),
+                    (_, true) => unshared(a),
+                    _ => Agent::Par(a, b),
                 }
             }
             other => other,
         }
+    }
+
+    /// Whether [`Agent::normalize`] changes the agent: some parallel
+    /// branch, at any depth, is `success`.
+    fn dissolves(&self) -> bool {
+        match self {
+            Agent::Par(a, b) => [a, b]
+                .iter()
+                .any(|branch| branch.is_success() || branch.dissolves()),
+            _ => false,
+        }
+    }
+}
+
+/// [`Agent::normalize`] on a shared branch, which stays shared when it
+/// has nothing to dissolve.
+fn normalized<S: Semiring>(agent: Arc<Agent<S>>) -> Arc<Agent<S>> {
+    if agent.dissolves() {
+        Arc::new(unshared(agent).normalize())
+    } else {
+        agent
     }
 }
 

@@ -117,12 +117,13 @@ impl<S: Semiring> fmt::Debug for Store<S> {
 }
 
 impl<S: Semiring> Store<S> {
-    /// Creates the empty store (`σ = 1̄`) over the given domains.
-    pub fn empty(semiring: S, domains: Domains) -> Store<S> {
+    /// Creates the empty store (`σ = 1̄`) over the given domains, which
+    /// stores of one negotiation may share.
+    pub fn empty(semiring: S, domains: impl Into<Arc<Domains>>) -> Store<S> {
         Store {
             sigma: Constraint::always(semiring.clone()),
             semiring,
-            domains: Arc::new(domains),
+            domains: domains.into(),
             memo: Mutex::new(None),
         }
     }

@@ -174,16 +174,22 @@ impl<S: Residuated> TimedAction<S> {
         let (status, note) = match self {
             TimedAction::Tell(c) => {
                 *store = store.tell(c)?;
-                (FaultStatus::Applied, format!("timed tell({})", label(c)))
+                (
+                    FaultStatus::Applied,
+                    ["timed tell(", label(c), ")"].concat(),
+                )
             }
             TimedAction::Retract(c) => match store.retract(c) {
                 Ok(next) => {
                     *store = next;
-                    (FaultStatus::Applied, format!("timed retract({})", label(c)))
+                    (
+                        FaultStatus::Applied,
+                        ["timed retract(", label(c), ")"].concat(),
+                    )
                 }
                 Err(StoreError::NotEntailed) => (
                     FaultStatus::SkippedNotEntailed,
-                    format!("timed retract({}) skipped", label(c)),
+                    ["timed retract(", label(c), ") skipped"].concat(),
                 ),
                 Err(e) => return Err(e.into()),
             },

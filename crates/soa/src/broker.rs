@@ -18,8 +18,8 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use softsoa_core::solve::{non_dominated, SolverStats};
-use softsoa_core::{Assignment, Constraint, Domain, Domains, Val, Var};
+use softsoa_core::solve::SolverStats;
+use softsoa_core::{Assignment, Constraint, Domain, Domains, Var};
 use softsoa_nmsccp::{
     Agent, Interpreter, Interval, Outcome, Program, RunReport, SemanticsError, Store,
 };
@@ -496,7 +496,8 @@ impl<S: Residuated> Broker<S> {
         }
         // Reject contradictory acceptance intervals up front (Fig. 3's
         // side conditions): they would silently suspend every session.
-        let domains = Domains::new().with(request.variable.clone(), request.domain.clone());
+        let domains =
+            Arc::new(Domains::new().with(request.variable.clone(), request.domain.clone()));
         if matches!(
             request.acceptance.validate(&self.semiring, &domains),
             Err(softsoa_nmsccp::ValidationError::Invalid(_))
@@ -506,9 +507,9 @@ impl<S: Residuated> Broker<S> {
             ));
         }
         // The client side of the session is provider-independent: build
-        // its agent once. It publishes its policy and then checks the
-        // agreement interval.
-        let client = Agent::tell(
+        // its agent once and share it with every session. It publishes
+        // its policy and then checks the agreement interval.
+        let client = Arc::new(Agent::tell(
             request.constraint.clone(),
             Interval::any(&self.semiring),
             Agent::ask(
@@ -516,7 +517,7 @@ impl<S: Residuated> Broker<S> {
                 request.acceptance.clone(),
                 Agent::success(),
             ),
-        );
+        ));
         let mut agreements = Vec::new();
         let mut reports = Vec::new();
         for service in candidates {
@@ -530,14 +531,14 @@ impl<S: Residuated> Broker<S> {
                 Interval::any(&self.semiring),
                 Agent::success(),
             );
-            let store = Store::empty(self.semiring.clone(), domains.clone());
+            let store = Store::empty(self.semiring.clone(), Arc::clone(&domains));
             let id = service.id.as_str();
             let session_start = t.enabled().then(Instant::now);
             t.incr("broker.sessions");
             let report = run(
                 &service.id,
                 &policy,
-                Agent::par(provider, client.clone()),
+                Agent::Par(Arc::new(provider), Arc::clone(&client)),
                 store,
             )?;
             if let Some(start) = session_start {
@@ -646,7 +647,7 @@ impl<S: Residuated> Broker<S> {
             [v] if v == variable => true,
             scope => panic!("cannot bind `{variable}` under a store over {scope:?}"),
         };
-        let entries: Vec<(Vec<Val>, S::Value)> = domain
+        let mut levels: Vec<S::Value> = domain
             .values()
             .iter()
             .map(|value| {
@@ -655,25 +656,32 @@ impl<S: Residuated> Broker<S> {
                 } else {
                     &[]
                 };
-                (vec![value.clone()], sigma.eval_tuple(tuple))
+                sigma.eval_tuple(tuple)
             })
             .collect();
         if let Some(start) = start {
             let stats = SolverStats {
-                nodes: entries.len() as u64,
+                nodes: levels.len() as u64,
                 threads: 1,
                 solve_time: start.elapsed(),
                 ..SolverStats::default()
             };
             stats.emit(&self.telemetry, "binding");
         }
-        non_dominated(&self.semiring, &entries)
-            .into_iter()
-            .find(|(_, level)| !self.semiring.is_zero(level))
-            .map(|(tuple, level)| {
-                let eta = Assignment::from_tuple(std::slice::from_ref(variable), &tuple);
-                (eta, level)
-            })
+        // Core's `non_dominated`, then the first non-zero entry: on a
+        // total order the levels equal to the `+`-sum of all, else the
+        // levels no other level is strictly better than.
+        let s = &self.semiring;
+        let best = if s.is_total() {
+            let max = levels.iter().fold(s.zero(), |acc, v| s.plus(&acc, v));
+            levels.iter().position(|v| *v == max && !s.is_zero(v))
+        } else {
+            levels
+                .iter()
+                .position(|v| !s.is_zero(v) && !levels.iter().any(|w| s.lt(v, w)))
+        }?;
+        let eta = Assignment::new().bind(variable.clone(), domain.values()[best].clone());
+        Some((eta, levels.swap_remove(best)))
     }
 }
 
@@ -706,6 +714,7 @@ pub(crate) type Sessions<S, R> = (Vec<Sla<S>>, Vec<(ServiceId, R)>);
 mod tests {
     use super::*;
     use crate::{OfferShape, QosDocument};
+    use softsoa_core::Val;
     use softsoa_dependability::Attribute;
     use softsoa_semiring::{Fuzzy, Unit, Weight, Weighted};
 

@@ -1,7 +1,7 @@
 //! The service registry (the paper's UDDI stand-in).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
@@ -115,6 +115,10 @@ impl ServiceDescription {
 /// `2 * SHARDS` pointers.
 const SHARDS: usize = 64;
 
+/// One capability-index shard: capability → the ids advertising it,
+/// each set shared until a write changes it.
+type IndexShard = BTreeMap<Arc<str>, Arc<BTreeSet<ServiceId>>>;
+
 /// The shard a key (service id or capability) lives in.
 fn shard_of(key: &str) -> usize {
     (BuildHasherDefault::<DefaultHasher>::default().hash_one(key) % SHARDS as u64) as usize
@@ -124,12 +128,15 @@ fn shard_of(key: &str) -> usize {
 /// discovers them (step 2 of the negotiation protocol).
 ///
 /// Storage is a fixed set of copy-on-write shards: descriptions are
-/// sharded by a hash of their id, and a capability index (capability →
+/// sharded by a hash of their id (a shard is a hash table, so copying
+/// one is one allocation), and a capability index (capability →
 /// the ids advertising it) by a hash of the capability. Cloning copies
 /// only the shard pointers; a publish or deregister on a clone copies
 /// the one entry shard and the one or two index shards it touches, so
-/// every other shard stays shared with the original. Discovery reads
-/// one index shard instead of scanning every service.
+/// every other shard stays shared with the original. An index shard's
+/// keys and id sets are shared too: copying one copies pointers, and a
+/// write copies only the one id set it changes. Discovery reads one
+/// index shard instead of scanning every service.
 ///
 /// # Examples
 ///
@@ -145,10 +152,10 @@ fn shard_of(key: &str) -> usize {
 #[derive(Clone)]
 pub struct Registry {
     /// `ServiceId → description`, sharded by a hash of the id.
-    services: [Arc<BTreeMap<ServiceId, Arc<ServiceDescription>>>; SHARDS],
+    services: [Arc<HashMap<ServiceId, Arc<ServiceDescription>>>; SHARDS],
     /// Capability → the ids advertising it, sharded by a hash of the
     /// capability.
-    capabilities: [Arc<BTreeMap<String, BTreeSet<ServiceId>>>; SHARDS],
+    capabilities: [Arc<IndexShard>; SHARDS],
 }
 
 impl Default for Registry {
@@ -187,10 +194,18 @@ impl Registry {
             .get(&id)
             .map_or(true, |old| old.capability != description.capability);
         if reindex {
-            Arc::make_mut(&mut self.capabilities[shard_of(&description.capability)])
-                .entry(description.capability.clone())
-                .or_default()
-                .insert(id.clone());
+            let capability = description.capability.as_str();
+            let index = Arc::make_mut(&mut self.capabilities[shard_of(capability)]);
+            match index.get_mut(capability) {
+                Some(ids) => {
+                    Arc::make_mut(ids).insert(id.clone());
+                }
+                None => {
+                    let mut ids = BTreeSet::new();
+                    ids.insert(id.clone());
+                    index.insert(capability.into(), Arc::new(ids));
+                }
+            }
         }
         let previous =
             Arc::make_mut(&mut self.services[shard]).insert(id, Arc::new(description))?;
@@ -217,9 +232,10 @@ impl Registry {
         let capability = description.capability.as_str();
         let index = Arc::make_mut(&mut self.capabilities[shard_of(capability)]);
         if let Some(ids) = index.get_mut(capability) {
-            ids.remove(&description.id);
-            if ids.is_empty() {
+            if ids.len() == 1 && ids.contains(&description.id) {
                 index.remove(capability);
+            } else {
+                Arc::make_mut(ids).remove(&description.id);
             }
         }
     }
@@ -236,7 +252,7 @@ impl Registry {
         self.capabilities[shard_of(capability)]
             .get(capability)
             .into_iter()
-            .flatten()
+            .flat_map(|ids| ids.iter())
             .filter_map(|id| self.get(id))
             .collect()
     }

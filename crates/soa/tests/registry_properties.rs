@@ -6,9 +6,12 @@
 //! order), `get`, `iter` (in id order), `len` and `is_empty` must agree
 //! with the model, and so must every clone taken earlier in the script:
 //! a clone keeps answering as the model did when it was taken, however
-//! many writes land on the other side afterwards. That last check
-//! guards the copy-on-write shards — a write must copy a shard that a
-//! live clone still shares, never mutate it in place.
+//! many writes land on the other side afterwards. A clone is also
+//! taken before every step, and after the step it must still answer
+//! as the model did before it. Those checks guard the copy-on-write
+//! shards and the capability index's shared id sets — a write must
+//! copy a shard or an id set that a live clone still shares, never
+//! mutate it in place.
 
 use std::collections::BTreeMap;
 
@@ -99,6 +102,7 @@ fn replay(script: &[Op]) {
     let mut model = Model::new();
     let mut frozen: Vec<(Registry, Model)> = Vec::new();
     for op in script {
+        let before = (registry.clone(), model.clone());
         match *op {
             Op::Publish {
                 id,
@@ -126,6 +130,7 @@ fn replay(script: &[Op]) {
             }
         }
         check(&registry, &model);
+        check(&before.0, &before.1);
         for (clone, at) in &frozen {
             check(clone, at);
         }
