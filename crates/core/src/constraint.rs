@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use softsoa_semiring::Semiring;
 
@@ -201,11 +201,13 @@ fn sorted_scope(vars: &[Var]) -> Vec<Var> {
 
 impl<S: Semiring> Constraint<S> {
     /// The constant constraint `ā`, associating `value` to every
-    /// assignment. Its support is empty.
+    /// assignment. Its support is empty; every constant shares one
+    /// empty scope.
     pub fn constant(semiring: S, value: S::Value) -> Constraint<S> {
+        static EMPTY: OnceLock<Arc<[Var]>> = OnceLock::new();
         Constraint {
             semiring,
-            scope: Arc::from([]),
+            scope: EMPTY.get_or_init(|| Arc::from([])).clone(),
             def: Def::Const(value),
             label: None,
         }

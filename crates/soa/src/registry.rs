@@ -186,8 +186,9 @@ impl Registry {
     }
 
     /// Publishes (or republishes) a service, returning any previous
-    /// description under the same id.
-    pub fn publish(&mut self, description: ServiceDescription) -> Option<ServiceDescription> {
+    /// description under the same id (shared, not copied: a clone of
+    /// the registry may still hold it).
+    pub fn publish(&mut self, description: ServiceDescription) -> Option<Arc<ServiceDescription>> {
         let id = description.id.clone();
         let shard = shard_of(id.as_str());
         let reindex = self.services[shard]
@@ -212,11 +213,11 @@ impl Registry {
         if reindex {
             self.unindex(&previous);
         }
-        Some(Arc::try_unwrap(previous).unwrap_or_else(|shared| (*shared).clone()))
+        Some(previous)
     }
 
-    /// Removes a service from the registry.
-    pub fn deregister(&mut self, id: &ServiceId) -> Option<ServiceDescription> {
+    /// Removes a service from the registry, returning its description.
+    pub fn deregister(&mut self, id: &ServiceId) -> Option<Arc<ServiceDescription>> {
         let shard = &mut self.services[shard_of(id.as_str())];
         if !shard.contains_key(id) {
             // Leave the shard shared: there is nothing to copy it for.
@@ -224,7 +225,7 @@ impl Registry {
         }
         let previous = Arc::make_mut(shard).remove(id)?;
         self.unindex(&previous);
-        Some(Arc::try_unwrap(previous).unwrap_or_else(|shared| (*shared).clone()))
+        Some(previous)
     }
 
     /// Drops a description's id from its capability's index entry.

@@ -33,6 +33,7 @@
 
 pub(crate) mod admission;
 mod batch;
+mod codec;
 pub mod loadgen;
 pub mod protocol;
 mod session;
@@ -326,7 +327,7 @@ fn shed<W: SetWriteTimeout>(stream: W, reason: ShedReason, telemetry: &Telemetry
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     telemetry.count_labeled("server.sessions.shed", reason.as_str(), 1);
     let mut writer = FrameWriter::new(stream);
-    let _ = writer.write_frame(&Reply::Shed { reason }.to_json());
+    let _ = writer.write_encoded(Reply::Shed { reason }.to_frame().as_bytes());
 }
 
 /// The one socket capability `shed` needs, factored out so tests can

@@ -15,11 +15,11 @@
 //! semirings the broker negotiates over, so one server implementation
 //! serves fuzzy, weighted and probabilistic deployments.
 
-use serde::{Deserialize, Serialize, Value};
 use softsoa_core::Constraint;
 use softsoa_semiring::{Fuzzy, Probabilistic, Residuated, Unit, Weight, Weighted};
 
 use crate::qos::{OfferShape, QosOffer};
+use crate::server::codec::{self, fields, ObjWriter};
 
 /// A semiring the server can speak on the wire: levels parse from and
 /// render to plain JSON numbers, and QoS offers translate to provider
@@ -204,37 +204,70 @@ impl Request {
     /// A human-readable reason (surfaced to the client as a
     /// `bad-request` reply).
     pub fn parse(frame: &str) -> Result<Request, String> {
-        let value: Value = serde_json::from_str(frame).map_err(|e| e.to_string())?;
-        let op = str_field(&value, "op")?;
-        match op {
+        // The request fields read as plain values; `domain`, `policy`
+        // and `offer` have their own readers.
+        let mut fields = fields!(
+            "op",
+            "capability",
+            "variable",
+            "accept_lo",
+            "accept_hi",
+            "client",
+            "service",
+            "provider",
+            "capacity",
+        );
+        let mut domain = None;
+        let mut policy = None;
+        let mut offer = None;
+        serde_json::read(frame, |r| {
+            r.object(|r, key| match key {
+                "domain" if domain.is_none() => {
+                    let mut bounds = fields!("min", "max");
+                    r.object(|r, key| bounds.read(r, key))?;
+                    domain = Some(bounds);
+                    Ok(())
+                }
+                "policy" if policy.is_none() => {
+                    policy = Some(codec::read_shape(r)?);
+                    Ok(())
+                }
+                "offer" if offer.is_none() => {
+                    offer = Some(codec::read_offer(r)?);
+                    Ok(())
+                }
+                _ => fields.read(r, key),
+            })
+            .map(drop)
+        })
+        .map_err(|e| e.to_string())?;
+        let op = fields.str("op")?;
+        match &*op {
             "ping" => Ok(Request::Ping),
             "negotiate" => {
-                let domain = value.get("domain").ok_or("missing field `domain`")?;
-                let policy = value.get("policy").ok_or("missing field `policy`")?;
+                let mut domain = domain.ok_or("missing field `domain`")?;
+                let policy = policy.ok_or("missing field `policy`")?;
                 Ok(Request::Negotiate(NegotiateRequest {
-                    capability: str_field(&value, "capability")?.to_string(),
-                    variable: str_field(&value, "variable")?.to_string(),
-                    domain: [i64_field(domain, "min")?, i64_field(domain, "max")?],
-                    policy: OfferShape::from_value(policy).map_err(|e| e.to_string())?,
-                    accept: [
-                        f64_field(&value, "accept_lo")?,
-                        f64_field(&value, "accept_hi")?,
-                    ],
-                    client: opt_str_field(&value, "client")?,
+                    capability: fields.string("capability")?,
+                    variable: fields.string("variable")?,
+                    domain: [domain.i64("min")?, domain.i64("max")?],
+                    policy: policy?,
+                    accept: [fields.f64("accept_lo")?, fields.f64("accept_hi")?],
+                    client: fields.opt_string("client")?,
                 }))
             }
             "publish" => {
-                let offer = value.get("offer").ok_or("missing field `offer`")?;
+                let offer = offer.ok_or("missing field `offer`")?;
                 Ok(Request::Publish(PublishRequest {
-                    service: str_field(&value, "service")?.to_string(),
-                    provider: str_field(&value, "provider")?.to_string(),
-                    capability: str_field(&value, "capability")?.to_string(),
-                    offer: QosOffer::from_value(offer).map_err(|e| e.to_string())?,
-                    capacity: opt_u32_field(&value, "capacity")?,
+                    service: fields.string("service")?,
+                    provider: fields.string("provider")?,
+                    capability: fields.string("capability")?,
+                    offer: offer?,
+                    capacity: fields.opt_u32("capacity")?,
                 }))
             }
             "deregister" => Ok(Request::Deregister {
-                service: str_field(&value, "service")?.to_string(),
+                service: fields.string("service")?,
             }),
             other => Err(format!("unknown op `{other}`")),
         }
@@ -242,47 +275,34 @@ impl Request {
 
     /// Renders the request as one JSON frame payload.
     pub fn to_json(&self) -> String {
-        let value = match self {
-            Request::Ping => obj(vec![("op", Value::Str("ping".into()))]),
-            Request::Negotiate(n) => obj(vec![
-                ("op", Value::Str("negotiate".into())),
-                ("capability", Value::Str(n.capability.clone())),
-                ("variable", Value::Str(n.variable.clone())),
-                (
-                    "domain",
-                    obj(vec![
-                        ("min", Value::Int(n.domain[0])),
-                        ("max", Value::Int(n.domain[1])),
-                    ]),
-                ),
-                ("policy", n.policy.to_value()),
-                ("accept_lo", Value::Float(n.accept[0])),
-                ("accept_hi", Value::Float(n.accept[1])),
-                (
-                    "client",
-                    n.client
-                        .as_ref()
-                        .map_or(Value::Null, |c| Value::Str(c.clone())),
-                ),
-            ]),
-            Request::Publish(p) => obj(vec![
-                ("op", Value::Str("publish".into())),
-                ("service", Value::Str(p.service.clone())),
-                ("provider", Value::Str(p.provider.clone())),
-                ("capability", Value::Str(p.capability.clone())),
-                ("offer", p.offer.to_value()),
-                (
-                    "capacity",
-                    p.capacity
-                        .map_or(Value::Null, |c| Value::UInt(u64::from(c))),
-                ),
-            ]),
-            Request::Deregister { service } => obj(vec![
-                ("op", Value::Str("deregister".into())),
-                ("service", Value::Str(service.clone())),
-            ]),
-        };
-        serde_json::to_string(&value).expect("request values always serialize")
+        codec::render(|obj| match self {
+            Request::Ping => {
+                obj.field("op", "ping");
+            }
+            Request::Negotiate(n) => {
+                obj.field("op", "negotiate")
+                    .field("capability", &n.capability)
+                    .field("variable", &n.variable);
+                let mut domain = ObjWriter::open(obj.key("domain"));
+                domain.field("min", &n.domain[0]).field("max", &n.domain[1]);
+                domain.close();
+                obj.field("policy", &n.policy)
+                    .field("accept_lo", &n.accept[0])
+                    .field("accept_hi", &n.accept[1])
+                    .field("client", &n.client);
+            }
+            Request::Publish(p) => {
+                obj.field("op", "publish")
+                    .field("service", &p.service)
+                    .field("provider", &p.provider)
+                    .field("capability", &p.capability)
+                    .field("offer", &p.offer)
+                    .field("capacity", &p.capacity);
+            }
+            Request::Deregister { service } => {
+                obj.field("op", "deregister").field("service", service);
+            }
+        })
     }
 }
 
@@ -489,75 +509,75 @@ impl Reply {
 
     /// Renders the reply as one JSON frame payload.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![("outcome", Value::Str(self.outcome_label().into()))];
-        match self {
-            Reply::Bound {
-                service,
-                provider,
-                level,
-                binding,
-                epoch,
-            } => {
-                fields.push(("service", Value::Str(service.clone())));
-                fields.push(("provider", Value::Str(provider.clone())));
-                fields.push(("level", Value::Float(*level)));
-                fields.push(("binding", binding.map_or(Value::Null, Value::Int)));
-                fields.push(("epoch", Value::UInt(*epoch)));
+        codec::render(|obj| {
+            obj.field("outcome", self.outcome_label());
+            match self {
+                Reply::Bound {
+                    service,
+                    provider,
+                    level,
+                    binding,
+                    epoch,
+                } => {
+                    obj.field("service", service)
+                        .field("provider", provider)
+                        .field("level", level)
+                        .field("binding", binding)
+                        .field("epoch", epoch);
+                }
+                Reply::Degraded {
+                    service,
+                    provider,
+                    level,
+                    binding,
+                    epoch,
+                    retries,
+                    relaxations,
+                } => {
+                    obj.field("service", service)
+                        .field("provider", provider)
+                        .field("level", level)
+                        .field("binding", binding)
+                        .field("epoch", epoch)
+                        .field("retries", retries)
+                        .field("relaxations", relaxations);
+                }
+                Reply::Shed { reason } => {
+                    obj.field("reason", reason.as_str());
+                }
+                Reply::TimedOut {
+                    phase,
+                    partial_level,
+                } => {
+                    obj.field("phase", phase.as_str())
+                        .field("partial_level", partial_level);
+                }
+                Reply::Error { code, detail } => {
+                    obj.field("code", code.as_str()).field("detail", detail);
+                }
+                Reply::Pong { epoch } | Reply::Published { epoch } => {
+                    obj.field("epoch", epoch);
+                }
+                Reply::Deregistered { epoch, existed } => {
+                    obj.field("epoch", epoch).field("existed", existed);
+                }
+                Reply::Preempted { epoch, objective } => {
+                    obj.field("epoch", epoch).field("objective", objective);
+                }
+                Reply::Waitlisted { epoch, age } => {
+                    obj.field("epoch", epoch).field("age", age);
+                }
             }
-            Reply::Degraded {
-                service,
-                provider,
-                level,
-                binding,
-                epoch,
-                retries,
-                relaxations,
-            } => {
-                fields.push(("service", Value::Str(service.clone())));
-                fields.push(("provider", Value::Str(provider.clone())));
-                fields.push(("level", Value::Float(*level)));
-                fields.push(("binding", binding.map_or(Value::Null, Value::Int)));
-                fields.push(("epoch", Value::UInt(*epoch)));
-                fields.push(("retries", Value::UInt(*retries)));
-                fields.push(("relaxations", Value::UInt(*relaxations)));
-            }
-            Reply::Shed { reason } => {
-                fields.push(("reason", Value::Str(reason.as_str().into())));
-            }
-            Reply::TimedOut {
-                phase,
-                partial_level,
-            } => {
-                fields.push(("phase", Value::Str(phase.as_str().into())));
-                fields.push((
-                    "partial_level",
-                    partial_level.map_or(Value::Null, Value::Float),
-                ));
-            }
-            Reply::Error { code, detail } => {
-                fields.push(("code", Value::Str(code.as_str().into())));
-                fields.push(("detail", Value::Str(detail.clone())));
-            }
-            Reply::Pong { epoch } => {
-                fields.push(("epoch", Value::UInt(*epoch)));
-            }
-            Reply::Published { epoch } => {
-                fields.push(("epoch", Value::UInt(*epoch)));
-            }
-            Reply::Deregistered { epoch, existed } => {
-                fields.push(("epoch", Value::UInt(*epoch)));
-                fields.push(("existed", Value::Bool(*existed)));
-            }
-            Reply::Preempted { epoch, objective } => {
-                fields.push(("epoch", Value::UInt(*epoch)));
-                fields.push(("objective", Value::Str(objective.clone())));
-            }
-            Reply::Waitlisted { epoch, age } => {
-                fields.push(("epoch", Value::UInt(*epoch)));
-                fields.push(("age", Value::UInt(*age)));
-            }
-        }
-        serde_json::to_string(&obj(fields)).expect("reply values always serialize")
+        })
+    }
+
+    /// Renders the reply as one whole wire frame: the
+    /// [`Reply::to_json`] payload and its `\n` terminator, in the one
+    /// buffer the payload was rendered into.
+    pub fn to_frame(&self) -> String {
+        let mut frame = self.to_json();
+        frame.push('\n');
+        frame
     }
 
     /// Parses a reply frame (the load generator's half of the
@@ -567,177 +587,85 @@ impl Reply {
     ///
     /// A human-readable reason for malformed frames.
     pub fn parse(frame: &str) -> Result<Reply, String> {
-        let value: Value = serde_json::from_str(frame).map_err(|e| e.to_string())?;
-        let outcome = str_field(&value, "outcome")?;
-        match outcome {
+        let mut f = fields!(
+            "outcome",
+            "service",
+            "provider",
+            "level",
+            "binding",
+            "epoch",
+            "retries",
+            "relaxations",
+            "reason",
+            "phase",
+            "partial_level",
+            "code",
+            "detail",
+            "existed",
+            "objective",
+            "age",
+        );
+        serde_json::read(frame, |r| r.object(|r, key| f.read(r, key)).map(drop))
+            .map_err(|e| e.to_string())?;
+        let outcome = f.str("outcome")?;
+        match &*outcome {
             "bound" => Ok(Reply::Bound {
-                service: str_field(&value, "service")?.to_string(),
-                provider: str_field(&value, "provider")?.to_string(),
-                level: f64_field(&value, "level")?,
-                binding: opt_i64_field(&value, "binding")?,
-                epoch: u64_field(&value, "epoch")?,
+                service: f.string("service")?,
+                provider: f.string("provider")?,
+                level: f.f64("level")?,
+                binding: f.opt_i64("binding")?,
+                epoch: f.u64("epoch")?,
             }),
             "degraded" => Ok(Reply::Degraded {
-                service: str_field(&value, "service")?.to_string(),
-                provider: str_field(&value, "provider")?.to_string(),
-                level: f64_field(&value, "level")?,
-                binding: opt_i64_field(&value, "binding")?,
-                epoch: u64_field(&value, "epoch")?,
-                retries: u64_field(&value, "retries")?,
-                relaxations: u64_field(&value, "relaxations")?,
+                service: f.string("service")?,
+                provider: f.string("provider")?,
+                level: f.f64("level")?,
+                binding: f.opt_i64("binding")?,
+                epoch: f.u64("epoch")?,
+                retries: f.u64("retries")?,
+                relaxations: f.u64("relaxations")?,
             }),
             "shed" => Ok(Reply::Shed {
-                reason: match str_field(&value, "reason")? {
+                reason: match &*f.str("reason")? {
                     "overloaded" => ShedReason::Overloaded,
                     "draining" => ShedReason::Draining,
                     other => return Err(format!("unknown shed reason `{other}`")),
                 },
             }),
             "timed-out" => Ok(Reply::TimedOut {
-                phase: match str_field(&value, "phase")? {
+                phase: match &*f.str("phase")? {
                     "read" => Phase::Read,
                     "negotiate" => Phase::Negotiate,
                     "write" => Phase::Write,
                     "session" => Phase::Session,
                     other => return Err(format!("unknown phase `{other}`")),
                 },
-                partial_level: opt_f64_field(&value, "partial_level")?,
+                partial_level: f.opt_f64("partial_level")?,
             }),
             "error" => Ok(Reply::Error {
-                code: ErrorCode::parse(str_field(&value, "code")?).ok_or("unknown error code")?,
-                detail: str_field(&value, "detail")?.to_string(),
+                code: ErrorCode::parse(&f.str("code")?).ok_or("unknown error code")?,
+                detail: f.string("detail")?,
             }),
             "pong" => Ok(Reply::Pong {
-                epoch: u64_field(&value, "epoch")?,
+                epoch: f.u64("epoch")?,
             }),
             "published" => Ok(Reply::Published {
-                epoch: u64_field(&value, "epoch")?,
+                epoch: f.u64("epoch")?,
             }),
             "deregistered" => Ok(Reply::Deregistered {
-                epoch: u64_field(&value, "epoch")?,
-                existed: bool_field(&value, "existed")?,
+                epoch: f.u64("epoch")?,
+                existed: f.bool("existed")?,
             }),
             "preempted" => Ok(Reply::Preempted {
-                epoch: u64_field(&value, "epoch")?,
-                objective: str_field(&value, "objective")?.to_string(),
+                epoch: f.u64("epoch")?,
+                objective: f.string("objective")?,
             }),
             "waitlisted" => Ok(Reply::Waitlisted {
-                epoch: u64_field(&value, "epoch")?,
-                age: u64_field(&value, "age")?,
+                epoch: f.u64("epoch")?,
+                age: f.u64("age")?,
             }),
             other => Err(format!("unknown outcome `{other}`")),
         }
-    }
-}
-
-// ---- value helpers ---------------------------------------------------
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn str_field<'v>(value: &'v Value, key: &str) -> Result<&'v str, String> {
-    match value.get(key) {
-        Some(Value::Str(s)) => Ok(s),
-        Some(other) => Err(format!(
-            "field `{key}`: expected string, got {}",
-            other.kind()
-        )),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-fn opt_str_field(value: &Value, key: &str) -> Result<Option<String>, String> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(format!(
-            "field `{key}`: expected string or null, got {}",
-            other.kind()
-        )),
-    }
-}
-
-fn opt_u32_field(value: &Value, key: &str) -> Result<Option<u32>, String> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Int(i)) => u32::try_from(*i)
-            .map(Some)
-            .map_err(|_| format!("field `{key}`: out of range")),
-        Some(Value::UInt(u)) => u32::try_from(*u)
-            .map(Some)
-            .map_err(|_| format!("field `{key}`: out of range")),
-        Some(other) => Err(format!(
-            "field `{key}`: expected unsigned integer or null, got {}",
-            other.kind()
-        )),
-    }
-}
-
-fn number(value: &Value) -> Option<f64> {
-    match value {
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(number)
-        .ok_or_else(|| format!("field `{key}`: expected number"))
-}
-
-fn opt_f64_field(value: &Value, key: &str) -> Result<Option<f64>, String> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => number(v)
-            .map(Some)
-            .ok_or_else(|| format!("field `{key}`: expected number or null")),
-    }
-}
-
-fn i64_field(value: &Value, key: &str) -> Result<i64, String> {
-    match value.get(key) {
-        Some(Value::Int(i)) => Ok(*i),
-        Some(Value::UInt(u)) => i64::try_from(*u).map_err(|_| format!("field `{key}`: overflow")),
-        _ => Err(format!("field `{key}`: expected integer")),
-    }
-}
-
-fn opt_i64_field(value: &Value, key: &str) -> Result<Option<i64>, String> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Int(i)) => Ok(Some(*i)),
-        Some(Value::UInt(u)) => i64::try_from(*u)
-            .map(Some)
-            .map_err(|_| format!("field `{key}`: overflow")),
-        Some(other) => Err(format!(
-            "field `{key}`: expected integer or null, got {}",
-            other.kind()
-        )),
-    }
-}
-
-fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    match value.get(key) {
-        Some(Value::Int(i)) => u64::try_from(*i).map_err(|_| format!("field `{key}`: negative")),
-        Some(Value::UInt(u)) => Ok(*u),
-        _ => Err(format!("field `{key}`: expected unsigned integer")),
-    }
-}
-
-fn bool_field(value: &Value, key: &str) -> Result<bool, String> {
-    match value.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("field `{key}`: expected boolean")),
     }
 }
 

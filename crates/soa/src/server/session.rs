@@ -229,7 +229,7 @@ fn reply<W: Write>(
     reply: Reply,
 ) -> bool {
     let start = Instant::now();
-    let ok = writer.write_frame(&reply.to_json()).is_ok();
+    let ok = writer.write_encoded(reply.to_frame().as_bytes()).is_ok();
     t.timing("server.phase.write", start.elapsed());
     t.count_labeled("server.replies", reply.outcome_label(), 1);
     if !ok {

@@ -209,7 +209,19 @@ impl<W: Write> FrameWriter<W> {
     ///
     /// Propagates the underlying write/flush error.
     pub fn write_frame(&mut self, payload: &str) -> io::Result<()> {
-        self.stream.write_all(&encode_frame(payload))?;
+        self.write_encoded(&encode_frame(payload))
+    }
+
+    /// Writes one frame that already ends in its `\n` terminator (such
+    /// as [`Reply::to_frame`](crate::server::protocol::Reply::to_frame))
+    /// in one write, and flushes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying write/flush error.
+    pub fn write_encoded(&mut self, frame: &[u8]) -> io::Result<()> {
+        debug_assert_eq!(frame.last(), Some(&b'\n'), "a frame ends in its terminator");
+        self.stream.write_all(frame)?;
         self.stream.flush()
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! The budgets are this code's counts. A change that allocates more on
 //! one of these paths fails here; one that allocates less should lower
-//! the budget. EXPERIMENTS.md (E32) records the counts before the
-//! allocation-lean negotiation path beside them.
+//! the budget (the wire codec's rows are exact). EXPERIMENTS.md (E32,
+//! E33) records the earlier counts beside them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,19 +18,27 @@ use softsoa_core::Domain;
 use softsoa_dependability::Attribute;
 use softsoa_nmsccp::Interval;
 use softsoa_semiring::{Fuzzy, Unit};
-use softsoa_soa::server::protocol::WireSemiring;
+use softsoa_soa::server::protocol::{NegotiateRequest, Reply, Request, WireSemiring};
 use softsoa_soa::{
     Broker, ChaosConfig, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry,
     ServerConfig, ServiceDescription, ServiceId,
 };
 
-/// One store-chaos negotiation (321 before the allocation-lean path).
-const CHAOS_NEGOTIATION: u64 = 125;
-/// One plain one-provider negotiation (101 before).
-const PLAIN_NEGOTIATION: u64 = 43;
-/// One publish plus one deregister, the description clone included
-/// (184 before).
-const REGISTRY_WRITE: u64 = 33;
+/// One store-chaos negotiation (321 before the allocation-lean path,
+/// 125 before constants shared one empty scope).
+const CHAOS_NEGOTIATION: u64 = 122;
+/// One plain one-provider negotiation (101, then 43).
+const PLAIN_NEGOTIATION: u64 = 41;
+/// One publish plus one deregister (184, then 33 while the removed
+/// description was deep-copied).
+const REGISTRY_WRITE: u64 = 29;
+/// `Request::parse` of a negotiate frame (@REQ@ through a `Value` tree).
+const REQUEST_PARSE: u64 = 2;
+/// `Reply::to_json` (and `Reply::to_frame`) of a `degraded` reply
+/// (@REN@ through a `Value` tree).
+const REPLY_RENDER: u64 = 1;
+/// `Reply::parse` of a `bound` frame (@PAR@ through a `Value` tree).
+const REPLY_PARSE: u64 = 2;
 
 struct Counting;
 
@@ -181,4 +189,64 @@ fn registry_write_budget() {
     assert_eq!(broker.registry().len(), 4096);
     println!("registry publish + deregister: {count} allocations");
     assert!(count <= REGISTRY_WRITE, "{count} > {REGISTRY_WRITE}");
+}
+
+/// A negotiate request frame shaped like a `wire_light` request.
+fn negotiate_frame() -> String {
+    Request::Negotiate(NegotiateRequest {
+        capability: "compute".into(),
+        variable: "x".into(),
+        domain: [0, 6],
+        policy: OfferShape::Linear {
+            slope: -0.0125,
+            intercept: 0.875,
+        },
+        accept: [0.25, 1.0],
+        client: None,
+    })
+    .to_json()
+}
+
+/// Parsing a negotiate frame allocates only the two strings the request
+/// keeps.
+#[test]
+fn request_parse_budget() {
+    let frame = negotiate_frame();
+    let count = allocations(|| drop(Request::parse(&frame).expect("a well-formed request")));
+    println!("negotiate request parse: {count} allocations");
+    assert_eq!(count, REQUEST_PARSE);
+}
+
+/// Rendering a `degraded` reply writes into one pre-sized buffer.
+#[test]
+fn reply_render_budget() {
+    let reply = Reply::Degraded {
+        service: "svc-0042-1".into(),
+        provider: "provider".into(),
+        level: 0.6699999999999999,
+        binding: Some(15),
+        epoch: 18_446_744_073_709_551_615,
+        retries: 3,
+        relaxations: 1,
+    };
+    let count = allocations(|| drop(reply.to_json()));
+    println!("degraded reply render: {count} allocations");
+    assert_eq!(count, REPLY_RENDER);
+    assert_eq!(allocations(|| drop(reply.to_frame())), REPLY_RENDER);
+}
+
+/// Parsing a `bound` reply allocates only its two strings.
+#[test]
+fn reply_parse_budget() {
+    let frame = Reply::Bound {
+        service: "svc-a".into(),
+        provider: "provider".into(),
+        level: 0.78,
+        binding: Some(4),
+        epoch: 0,
+    }
+    .to_json();
+    let count = allocations(|| drop(Reply::parse(&frame).expect("a well-formed reply")));
+    println!("bound reply parse: {count} allocations");
+    assert_eq!(count, REPLY_PARSE);
 }

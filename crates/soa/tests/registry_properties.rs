@@ -111,13 +111,17 @@ fn replay(script: &[Op]) {
             } => {
                 let description = description(id, capability, tag);
                 let expected = model.insert(description.id.clone(), description.clone());
-                assert_eq!(registry.publish(description), expected, "publish returns");
+                assert_eq!(
+                    registry.publish(description).as_deref(),
+                    expected.as_ref(),
+                    "publish returns"
+                );
             }
             Op::Deregister(id) => {
                 let id = service_id(id);
                 assert_eq!(
-                    registry.deregister(&id),
-                    model.remove(&id),
+                    registry.deregister(&id).as_deref(),
+                    model.remove(&id).as_ref(),
                     "deregister returns"
                 );
             }

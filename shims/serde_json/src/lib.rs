@@ -7,8 +7,14 @@
 //! indented JSON. A [`Value`] is written and parsed in place, never
 //! copied, and a string is copied run by run, so parsing is linear in
 //! the input.
+//!
+//! For codecs that skip the tree, [`read`] hands a one-pass
+//! [`Reader`] over the text (strings borrowed unless escaped, unread
+//! values validated and skipped), and [`write_string`] /
+//! [`write_float`] are the writer's own escaping and number format.
 
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser.
@@ -137,16 +143,19 @@ fn write_seq<I, F>(
     out.push(brackets.1);
 }
 
-fn write_float(f: f64, out: &mut String) {
+/// Writes `f` as a JSON number; JSON has no NaN or infinity, so a
+/// non-finite float is written as `null`.
+pub fn write_float(f: f64, out: &mut String) {
     if f.is_finite() {
         let _ = write!(out, "{f}");
     } else {
-        // JSON has no NaN/Infinity; mirror serde_json's lossy `null`.
         out.push_str("null");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal: quoted, with `"`, `\` and
+/// control characters escaped.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -166,44 +175,211 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-// ---- parser ----------------------------------------------------------
+// ---- reader ----------------------------------------------------------
 
-struct Parser<'a> {
+/// One JSON value as [`Reader::value`] reads it: a scalar decoded in
+/// place, a string borrowed from the text unless it holds an escape,
+/// and an array or object known by its kind only (the reader has
+/// validated and skipped it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// JSON `null`.
+    Null,
+    /// JSON booleans.
+    Bool(bool),
+    /// Integers representable as `i64`.
+    Int(i64),
+    /// Integers above `i64::MAX`.
+    UInt(u64),
+    /// All other JSON numbers.
+    Float(f64),
+    /// JSON strings.
+    Str(Cow<'a, str>),
+    /// An array, skipped.
+    Arr,
+    /// An object, skipped.
+    Obj,
+}
+
+impl Scalar<'_> {
+    /// A short human-readable name of the value's kind, as
+    /// [`Value::kind`] names it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Scalar::Null => "null",
+            Scalar::Bool(_) => "boolean",
+            Scalar::Int(_) | Scalar::UInt(_) | Scalar::Float(_) => "number",
+            Scalar::Str(_) => "string",
+            Scalar::Arr => "array",
+            Scalar::Obj => "object",
+        }
+    }
+
+    fn into_value(self) -> Value {
+        match self {
+            Scalar::Null => Value::Null,
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Int(n) => Value::Int(n),
+            Scalar::UInt(n) => Value::UInt(n),
+            Scalar::Float(f) => Value::Float(f),
+            Scalar::Str(s) => Value::Str(s.into_owned()),
+            Scalar::Arr | Scalar::Obj => unreachable!("composites are read, not tokens"),
+        }
+    }
+}
+
+/// A one-pass JSON reader over borrowed text: the caller pulls the
+/// values it keeps straight out of the frame, and everything else is
+/// validated and skipped without building a [`Value`]. It accepts
+/// and rejects exactly what [`from_str`] does, with the same error
+/// messages, since the tree parser is built on it.
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The nesting depth of the next value the public API reads.
+    depth: usize,
 }
 
-fn parse_value_complete(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing characters after JSON value"));
+/// Reads `text` as one JSON document: `read` reads (at most) the one
+/// top-level value, which is skipped if `read` leaves it, and only
+/// whitespace may follow it.
+pub fn read<'a, T>(
+    text: &'a str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, Error>,
+) -> Result<T, Error> {
+    let mut reader = Reader::new(text);
+    reader.skip_ws();
+    let value = reader.visit(read)?;
+    reader.skip_ws();
+    if reader.pos != reader.bytes.len() {
+        return Err(reader.error("trailing characters after JSON value"));
     }
     Ok(value)
 }
 
-impl<'a> Parser<'a> {
+fn parse_value_complete(text: &str) -> Result<Value, Error> {
+    read(text, |reader| reader.parse_value(0))
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Reads the next value; an array or object is skipped and
+    /// reported by its kind.
+    ///
+    /// # Errors
+    ///
+    /// The syntax error [`from_str`] reports for the same text.
+    pub fn value(&mut self) -> Result<Scalar<'a>, Error> {
+        let depth = self.depth;
+        match self.open(depth)? {
+            Scalar::Arr => self.items(|r| r.skip(depth + 1)).map(|()| Scalar::Arr),
+            Scalar::Obj => self.pairs(|r, _| r.skip(depth + 1)).map(|()| Scalar::Obj),
+            scalar => Ok(scalar),
+        }
+    }
+
+    /// Reads the next value, handing each key of an object to `field`
+    /// with the reader at that key's value. `field` reads at most that
+    /// one value (through [`Reader::value`], [`Reader::object`] or
+    /// [`Reader::array`]); a value it leaves is skipped. Returns
+    /// `None` for an object, and any other value as
+    /// [`Reader::value`] reads it.
+    ///
+    /// # Errors
+    ///
+    /// The syntax error [`from_str`] reports, or `field`'s error.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Reader<'a>, &str) -> Result<(), Error>,
+    ) -> Result<Option<Scalar<'a>>, Error> {
+        let depth = self.depth;
+        match self.open(depth)? {
+            Scalar::Obj => self
+                .pairs(|r, key| r.nested(depth, |r| field(r, &key)))
+                .map(|()| None),
+            Scalar::Arr => self
+                .items(|r| r.skip(depth + 1))
+                .map(|()| Some(Scalar::Arr)),
+            scalar => Ok(Some(scalar)),
+        }
+    }
+
+    /// Reads the next value, handing each element of an array to
+    /// `item` as [`Reader::object`] hands it each field. Returns
+    /// `None` for an array, and any other value as [`Reader::value`]
+    /// reads it.
+    ///
+    /// # Errors
+    ///
+    /// The syntax error [`from_str`] reports, or `item`'s error.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<(), Error>,
+    ) -> Result<Option<Scalar<'a>>, Error> {
+        let depth = self.depth;
+        match self.open(depth)? {
+            Scalar::Arr => self.items(|r| r.nested(depth, &mut item)).map(|()| None),
+            Scalar::Obj => self
+                .pairs(|r, _| r.skip(depth + 1))
+                .map(|()| Some(Scalar::Obj)),
+            scalar => Ok(Some(scalar)),
+        }
+    }
+
+    /// Runs `visit` on the value at `depth + 1`, skipping it if
+    /// `visit` reads nothing.
+    fn nested(
+        &mut self,
+        depth: usize,
+        visit: impl FnOnce(&mut Reader<'a>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.depth = depth + 1;
+        let value = self.visit(visit);
+        self.depth = depth;
+        value
+    }
+
+    /// Runs `visit` on the value at the current depth, skipping it if
+    /// `visit` reads nothing (a value is never empty, so a read always
+    /// moves the position).
+    fn visit<T>(
+        &mut self,
+        visit: impl FnOnce(&mut Reader<'a>) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        let start = self.pos;
+        let value = visit(self)?;
+        if self.pos == start {
+            self.skip(self.depth)?;
+        }
+        Ok(value)
+    }
+
     fn error(&self, message: impl fmt::Display) -> Error {
         Error::new(format!("{} at byte {}", message, self.pos))
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), Error> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -213,6 +389,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn eat_keyword(&mut self, word: &str) -> bool {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -222,66 +399,26 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
+    /// Reads a scalar, or the opening bracket of an array or object
+    /// (returned as [`Scalar::Arr`] / [`Scalar::Obj`]).
+    #[inline]
+    fn open(&mut self, depth: usize) -> Result<Scalar<'a>, Error> {
         if depth > MAX_DEPTH {
             return Err(self.error("maximum nesting depth exceeded"));
         }
         self.skip_ws();
         match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::Str),
+            Some(b'n') if self.eat_keyword("null") => Ok(Scalar::Null),
+            Some(b't') if self.eat_keyword("true") => Ok(Scalar::Bool(true)),
+            Some(b'f') if self.eat_keyword("false") => Ok(Scalar::Bool(false)),
+            Some(b'"') => self.parse_string().map(Scalar::Str),
             Some(b'[') => {
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(self.error("expected `,` or `]` in array")),
-                    }
-                }
+                Ok(Scalar::Arr)
             }
             Some(b'{') => {
                 self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value(depth + 1)?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(self.error("expected `,` or `}` in object")),
-                    }
-                }
+                Ok(Scalar::Obj)
             }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(self.error(format!("unexpected character `{}`", other as char))),
@@ -289,8 +426,109 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// Reads the elements of an opened array, each through `item`.
+    fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error("expected `,` or `]` in array")),
+            }
+        }
+    }
+
+    /// Reads the pairs of an opened object, each value through `field`.
+    fn pairs(
+        &mut self,
+        mut field: impl FnMut(&mut Reader<'a>, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            field(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error("expected `,` or `}` in object")),
+            }
+        }
+    }
+
+    /// Validates and skips one value at `depth`.
+    fn skip(&mut self, depth: usize) -> Result<(), Error> {
+        match self.open(depth)? {
+            Scalar::Arr => self.items(|r| r.skip(depth + 1)),
+            Scalar::Obj => self.pairs(|r, _| r.skip(depth + 1)),
+            _ => Ok(()),
+        }
+    }
+
+    /// Builds the [`Value`] tree of one value at `depth`.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
+        match self.open(depth)? {
+            Scalar::Arr => {
+                let mut items = Vec::new();
+                self.items(|r| {
+                    items.push(r.parse_value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            Scalar::Obj => {
+                let mut pairs = Vec::new();
+                self.pairs(|r, key| {
+                    pairs.push((key.into_owned(), r.parse_value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(pairs))
+            }
+            scalar => Ok(scalar.into_value()),
+        }
+    }
+
+    /// Reads a string, borrowing it from the text when it holds no
+    /// escape.
+    #[inline]
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
+        // Both delimiters are ASCII, so every run ends on a character
+        // boundary of the input `&str`.
+        let run_end = |from: usize, bytes: &[u8]| {
+            bytes[from..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(bytes.len(), |run| from + run)
+        };
+        let end = run_end(self.pos, self.bytes);
+        if self.bytes.get(end) == Some(&b'"') {
+            let text = &self.text[self.pos..end];
+            self.pos = end + 1;
+            return Ok(Cow::Borrowed(text));
+        }
         let mut out = String::new();
         loop {
             let Some(byte) = self.peek() else {
@@ -299,7 +537,7 @@ impl<'a> Parser<'a> {
             match byte {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 b'\\' => {
                     self.pos += 1;
@@ -344,14 +582,9 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     // Copy the run up to the next quote or backslash.
-                    // Both are ASCII, so the run ends on a character
-                    // boundary of the input `&str`.
-                    let run = self.bytes[self.pos..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(self.bytes.len() - self.pos);
-                    out.push_str(&self.text[self.pos..self.pos + run]);
-                    self.pos += run;
+                    let end = run_end(self.pos, self.bytes);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -369,7 +602,8 @@ impl<'a> Parser<'a> {
         Ok(unit)
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    #[inline]
+    fn parse_number(&mut self) -> Result<Scalar<'a>, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -395,18 +629,17 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
-                return Ok(Value::Int(n));
+                return Ok(Scalar::Int(n));
             }
             if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::UInt(n));
+                return Ok(Scalar::UInt(n));
             }
         }
         text.parse::<f64>()
-            .map(Value::Float)
+            .map(Scalar::Float)
             .map_err(|_| self.error(format!("invalid number `{text}`")))
     }
 }
