@@ -237,12 +237,6 @@ pub struct SolveOptions {
     /// Variable order for branch-and-bound (`--order`); `None` keeps
     /// the default most-constrained-first heuristic.
     pub order: Option<VarOrder>,
-    /// Mini-bucket joint-scope cap (`--ibound`): precompute per-depth
-    /// admissible completion bounds and prune against them.
-    pub ibound: Option<usize>,
-    /// Seed the branch-and-bound incumbent from a greedy probe of the
-    /// first full assignment (`--warm-start`).
-    pub warm_start: bool,
     /// Propagation and decomposition overrides (`--propagate`,
     /// `--decompose`, `--no-decompose`).
     pub engine: EngineOptions,
@@ -254,11 +248,8 @@ impl SolveOptions {
             Some(n) => Parallelism::Threads(n.max(1)),
             None => Parallelism::Auto,
         };
-        self.engine.apply(
-            SolverConfig::default()
-                .with_parallelism(parallelism)
-                .with_ibound(self.ibound),
-        )
+        self.engine
+            .apply(SolverConfig::default().with_parallelism(parallelism))
     }
 }
 
@@ -279,25 +270,6 @@ pub fn parse_var_order(name: &str) -> Result<VarOrder, String> {
     }
 }
 
-/// An achievable seed level for `--warm-start`: the combined level of
-/// the lexicographically first complete assignment. Any complete
-/// assignment's level is a sound incumbent seed (the search only cuts
-/// branches strictly below it), and this one costs a single sweep over
-/// the constraints.
-fn greedy_probe_level<S: Semiring>(problem: &Scsp<S>) -> Option<S::Value> {
-    let semiring = problem.semiring().clone();
-    let mut eta = softsoa_core::Assignment::new();
-    for v in problem.problem_vars() {
-        let first = problem.domains().get(&v).ok()?.values().first()?.clone();
-        eta = eta.bind(v, first);
-    }
-    let mut level = semiring.one();
-    for c in problem.constraints() {
-        level = semiring.times(&level, &c.eval(&eta));
-    }
-    Some(level)
-}
-
 fn solve_generic<S: Semiring>(
     problem: &Scsp<S>,
     solver: SolverChoice,
@@ -309,15 +281,7 @@ fn solve_generic<S: Semiring>(
         SolverChoice::Enumeration => EnumerationSolver::with_config(config).solve(problem),
         SolverChoice::BranchAndBound => {
             let order = options.order.unwrap_or(VarOrder::MostConstrained);
-            let bnb = BranchAndBound::with_config(order, config);
-            match options
-                .warm_start
-                .then(|| greedy_probe_level(problem))
-                .flatten()
-            {
-                Some(seed) => bnb.solve_seeded(problem, seed),
-                None => bnb.solve(problem),
-            }
+            BranchAndBound::with_config(order, config).solve(problem)
         }
         SolverChoice::Bucket => BucketElimination::with_config(config).solve(problem),
     }
@@ -1734,48 +1698,20 @@ mod tests {
     }
 
     #[test]
-    fn bounded_warm_dynamic_solves_agree_with_blind() {
-        // Every combination of variable order, mini-bucket bound and
-        // warm start reports the same blevel and witness as the plain
-        // branch-and-bound run.
-        let blind = solve(FIG1, SolverChoice::BranchAndBound).unwrap();
+    fn variable_orders_agree_with_the_default_order() {
+        // Every variable order reports the same blevel and witness as
+        // the default (most-constrained) branch-and-bound run.
+        let default = solve(FIG1, SolverChoice::BranchAndBound).unwrap();
         for order in ["input", "most-constrained", "dynamic"] {
-            for ibound in [None, Some(1), Some(2)] {
-                for warm_start in [false, true] {
-                    let options = SolveOptions {
-                        order: Some(parse_var_order(order).unwrap()),
-                        ibound,
-                        warm_start,
-                        ..SolveOptions::default()
-                    };
-                    let report = solve_with(FIG1, SolverChoice::BranchAndBound, options).unwrap();
-                    assert!(
-                        report.contains("blevel: 7"),
-                        "{order}/{ibound:?}/{warm_start}: {report}"
-                    );
-                    assert!(
-                        report.contains("[x:=a]"),
-                        "{order}/{ibound:?}/{warm_start}: {report}"
-                    );
-                    assert_eq!(
-                        report, blind,
-                        "{order}/{ibound:?}/{warm_start} diverged from the blind run"
-                    );
-                }
-            }
-        }
-        // Bound statistics surface in the engine line when requested.
-        let stats = solve_with(
-            FIG1,
-            SolverChoice::BranchAndBound,
-            SolveOptions {
-                ibound: Some(2),
-                stats: true,
+            let options = SolveOptions {
+                order: Some(parse_var_order(order).unwrap()),
                 ..SolveOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(stats.contains("bound)"), "{stats}");
+            };
+            let report = solve_with(FIG1, SolverChoice::BranchAndBound, options).unwrap();
+            assert!(report.contains("blevel: 7"), "{order}: {report}");
+            assert!(report.contains("[x:=a]"), "{order}: {report}");
+            assert_eq!(report, default, "{order} diverged from the default run");
+        }
     }
 
     #[test]

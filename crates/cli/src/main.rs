@@ -15,7 +15,6 @@ USAGE:
     softsoa solve <problem.json> [--solver enum|bnb|bucket]
                   [--jobs <n>] [--stats] [--metrics[=json|pretty]]
                   [--order input|most-constrained|dynamic|estimate]
-                  [--ibound <n>] [--warm-start]
                   [--propagate[=off|root]] [--decompose|--no-decompose]
                   [--engine auto|bnb|treedec]
     softsoa negotiate <scenario.json> [--metrics[=json|pretty]]
@@ -42,11 +41,8 @@ USAGE:
 default) is a deterministic final line without wall-clock data; pretty
 is a human-readable table with timings.
 
---order, --ibound and --warm-start steer the bnb solver (other solvers
-ignore them): --order picks the variable-ordering heuristic, --ibound
-enables mini-bucket completion bounds with the given joint-scope cap,
-and --warm-start seeds the incumbent from a greedy probe. All three
-leave the reported blevel and witness unchanged.
+--order picks the bnb solver's variable-ordering heuristic (other
+solvers ignore it); it leaves the reported blevel unchanged.
 
 --propagate sets the soft arc-consistency mode (default root: one
 bounds-propagation pass before search; off disables it) and
@@ -245,14 +241,6 @@ fn run() -> Result<String, String> {
                         options.order =
                             Some(parse_var_order(name).map_err(|e| format!("--order: {e}"))?);
                     }
-                    "--ibound" => {
-                        let value = it.next().ok_or("--ibound: missing value")?;
-                        let ibound: usize = value
-                            .parse()
-                            .map_err(|e| format!("--ibound: not an integer: {e}"))?;
-                        options.ibound = Some(ibound);
-                    }
-                    "--warm-start" => options.warm_start = true,
                     other => match parse_metrics_flag(other) {
                         Some(format) => options.metrics = Some(format?),
                         None => match parse_engine_flag(other, &mut it, &mut options.engine) {

@@ -7,7 +7,6 @@ use softsoa_semiring::Semiring;
 
 use crate::compile::CompiledProblem;
 use crate::solve::decompose::Decomposition;
-use crate::solve::minibucket::MiniBucketBound;
 use crate::solve::parallel::fan_out;
 use crate::solve::propagate::Propagator;
 use crate::solve::treedec::{self, TreeAttempt};
@@ -231,6 +230,12 @@ impl BranchAndBound {
     /// prunes: a domain value is removed only when its best bound is
     /// `0` or strictly below an achievable floor, which keeps the
     /// first optimal assignment intact.
+    ///
+    /// `seed` must be **achievable** on `problem` (the level of some
+    /// complete assignment, as the tree fallback's greedy seed is): it
+    /// raises that floor from the first node on and leaves `blevel`
+    /// and witness identical to the unseeded search (unit-tested
+    /// below). An unachievable seed can prune every witness.
     fn search<S: Semiring>(
         &self,
         problem: &Scsp<S>,
@@ -275,7 +280,7 @@ impl BranchAndBound {
         };
 
         // Root propagation: prune values that cannot reach the floor
-        // (the warm seed when present, `0` otherwise). `Estimate`
+        // (the seed when present, `0` otherwise). `Estimate`
         // carries its pre-pass fixpoint over, which it needs for its
         // value orders even when the config says `Off`.
         let carried = pre_prop.map(|prop| prop.reorder(&compiled));
@@ -306,10 +311,6 @@ impl BranchAndBound {
         let val_order: Option<Vec<Vec<usize>>> = (self.order == VarOrder::Estimate)
             .then(|| value_orders(&compiled, root_prop.as_ref().expect("estimate propagated")));
 
-        let bound = self
-            .config
-            .ibound
-            .map(|ibound| MiniBucketBound::new(&compiled, ibound));
         // An achievable seed enters the search as a pre-published
         // foreign bound: workers cut branches *strictly* below it, which
         // never touches the first assignment attaining the optimum.
@@ -320,7 +321,6 @@ impl BranchAndBound {
             let mut worker = BnbWorker {
                 semiring: &semiring,
                 compiled: &compiled,
-                bounds: bound.as_ref().map(|b| b.bounds()),
                 pruner: root_prop.as_ref(),
                 val_order: val_order.as_deref(),
                 shared: &shared,
@@ -334,7 +334,6 @@ impl BranchAndBound {
                 budget: self.config.node_budget,
                 exhausted: false,
                 prunings: 0,
-                bound_prunes: 0,
                 evals: vec![0; compiled.num_operands()],
             };
             worker.run(range);
@@ -343,7 +342,6 @@ impl BranchAndBound {
                 worker.witness,
                 worker.nodes,
                 worker.prunings,
-                worker.bound_prunes,
                 worker.evals,
                 worker.exhausted,
             )
@@ -361,11 +359,10 @@ impl BranchAndBound {
         };
         let mut evals = vec![0u64; compiled.num_operands()];
         let mut exhausted = false;
-        for (value, wit, nodes, prunings, bound_prunes, worker_evals, worker_exhausted) in workers {
+        for (value, wit, nodes, prunings, worker_evals, worker_exhausted) in workers {
             exhausted |= worker_exhausted;
             stats.nodes += nodes;
             stats.prunings += prunings;
-            stats.bound_prunes += bound_prunes;
             stats.thread_nodes.push(nodes);
             for (acc, e) in evals.iter_mut().zip(&worker_evals) {
                 *acc += e;
@@ -440,7 +437,6 @@ impl BranchAndBound {
             if let Some(part_stats) = solution.stats() {
                 stats.nodes += part_stats.nodes;
                 stats.prunings += part_stats.prunings;
-                stats.bound_prunes += part_stats.bound_prunes;
                 stats.thread_nodes.push(part_stats.nodes);
                 stats.compile_time += part_stats.compile_time;
                 stats
@@ -470,29 +466,15 @@ impl BranchAndBound {
 
     /// Solves one (non-decomposable) problem under the configured
     /// [`Engine`](crate::solve::Engine): offers it to the tree engine
-    /// first, then falls through to the search paths. A tree fallback's
-    /// greedy bound joins any caller seed via `+` (the lub keeps the
-    /// stronger incumbent), and its planning stats ride on the search
-    /// solution.
-    fn solve_single<S: Semiring>(
-        &self,
-        problem: &Scsp<S>,
-        mut seed: Option<S::Value>,
-    ) -> Result<Solution<S>, SolveError> {
-        let mut tree_stats = None;
-        match treedec::attempt(problem, &self.config)? {
+    /// first, then falls through to the search. A tree fallback's
+    /// greedy bound seeds the search, and its planning stats ride on
+    /// the search solution.
+    fn solve_single<S: Semiring>(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
+        let (seed, tree_stats) = match treedec::attempt(problem, &self.config)? {
             TreeAttempt::Solved(solution) => return Ok(*solution),
-            TreeAttempt::Fallback { seed: bound, stats } => {
-                tree_stats = Some(stats);
-                if let Some(bound) = bound {
-                    seed = Some(match seed {
-                        Some(s) => problem.semiring().plus(&s, &bound),
-                        None => bound,
-                    });
-                }
-            }
-            TreeAttempt::Declined => {}
-        }
+            TreeAttempt::Fallback { seed, stats } => (seed, Some(stats)),
+            TreeAttempt::Declined => (None, None),
+        };
         let mut solution = self.search(problem, seed)?;
         if let Some(tree) = tree_stats {
             match &mut solution.stats {
@@ -509,42 +491,6 @@ impl BranchAndBound {
     }
 }
 
-impl BranchAndBound {
-    /// Solves with the incumbent floor seeded at `seed` — a level that
-    /// is **achievable** on `problem`, i.e. the combined level of some
-    /// complete assignment (typically a previous round's witness
-    /// re-evaluated on the current constraints).
-    ///
-    /// The seed is pre-published as a foreign bound, so the search cuts
-    /// every branch strictly below it from the first node on instead of
-    /// discovering the level itself; `blevel` and witness are identical
-    /// to a cold [`solve`](Solver::solve) (property-tested). Seeding an
-    /// *unachievable* level is unsound: it can prune every witness.
-    /// A multi-component problem under [`SolverConfig::decompose`]
-    /// ignores the seed (a scalar cannot be split across components)
-    /// and solves cold — same result, the warm speed-up just does not
-    /// apply.
-    ///
-    /// # Errors
-    ///
-    /// As [`solve`](Solver::solve).
-    pub fn solve_seeded<S: Semiring>(
-        &self,
-        problem: &Scsp<S>,
-        seed: S::Value,
-    ) -> Result<Solution<S>, SolveError> {
-        if !problem.semiring().is_total() {
-            return Err(SolveError::RequiresTotalOrder);
-        }
-        if self.config.decompose {
-            if let Some(solution) = self.solve_decomposed(problem)? {
-                return Ok(solution);
-            }
-        }
-        self.solve_single(problem, Some(seed))
-    }
-}
-
 impl<S: Semiring> Solver<S> for BranchAndBound {
     fn solve(&self, problem: &Scsp<S>) -> Result<Solution<S>, SolveError> {
         if !problem.semiring().is_total() {
@@ -555,7 +501,7 @@ impl<S: Semiring> Solver<S> for BranchAndBound {
                 return Ok(solution);
             }
         }
-        self.solve_single(problem, None)
+        self.solve_single(problem)
     }
 }
 
@@ -566,9 +512,6 @@ const REFRESH_INTERVAL: u32 = 256;
 struct BnbWorker<'a, S: Semiring> {
     semiring: &'a S,
     compiled: &'a CompiledProblem<S>,
-    /// Per-depth admissible completion bounds (mini-bucket pass), when
-    /// the engine was configured with an `ibound`.
-    bounds: Option<&'a [S::Value]>,
     /// The root propagation pass, whose live masks every worker reads;
     /// `None` for blind search ([`PropagationMode::Off`]).
     pruner: Option<&'a Propagator<'a, S>>,
@@ -589,7 +532,6 @@ struct BnbWorker<'a, S: Semiring> {
     budget: Option<u64>,
     exhausted: bool,
     prunings: u64,
-    bound_prunes: u64,
     evals: Vec<u64>,
 }
 
@@ -673,23 +615,6 @@ impl<'a, S: Semiring> BnbWorker<'a, S> {
             self.prunings += 1;
             return;
         }
-        // Bound prune: even the *best possible* completion of this
-        // prefix (mini-bucket estimate) cannot beat what is already
-        // known. The same strictness discipline as above keeps the
-        // witness identical to the blind sequential run.
-        if let Some(bounds) = self.bounds {
-            if depth < self.compiled.vars().len() {
-                let reachable = self.semiring.times(&value, &bounds[depth]);
-                if (self.semiring.leq(&reachable, &self.best_value)
-                    && (self.witness.is_some() || self.semiring.is_zero(&reachable)))
-                    || self.semiring.lt(&reachable, &self.foreign)
-                {
-                    self.prunings += 1;
-                    self.bound_prunes += 1;
-                    return;
-                }
-            }
-        }
         if depth == self.compiled.vars().len() {
             self.best_value = value;
             self.witness = Some(self.idx.clone());
@@ -709,6 +634,7 @@ impl<'a, S: Semiring> BnbWorker<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::{random_fuzzy, random_probabilistic, random_weighted, RandomScsp};
     use crate::solve::EnumerationSolver;
     use crate::testutil::fig1_problem;
     use crate::{Constraint, Domain};
@@ -832,65 +758,7 @@ mod tests {
     }
 
     #[test]
-    fn mini_bucket_pruning_matches_blind_search() {
-        use crate::solve::{Parallelism, SolverConfig};
-        for seed in 0..6 {
-            let p = crate::generate::random_weighted(&crate::generate::RandomScsp {
-                vars: 6,
-                domain_size: 3,
-                constraints: 9,
-                arity: 2,
-                seed,
-            });
-            let blind = BranchAndBound::default().solve(&p).unwrap();
-            for ibound in [1, 2, 3] {
-                let cfg = SolverConfig::default()
-                    .with_parallelism(Parallelism::Sequential)
-                    .with_ibound(Some(ibound));
-                let bounded = BranchAndBound::with_config(VarOrder::Input, cfg)
-                    .solve(&p)
-                    .unwrap();
-                assert_eq!(bounded.blevel(), blind.blevel(), "seed {seed} i{ibound}");
-                assert_eq!(
-                    bounded.best_assignment(),
-                    blind.best_assignment(),
-                    "bounded search must keep the blind witness (seed {seed}, ibound {ibound})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mini_bucket_bound_reduces_explored_nodes() {
-        use crate::solve::{Parallelism, SolverConfig};
-        let p = crate::generate::random_weighted(&crate::generate::RandomScsp {
-            vars: 8,
-            domain_size: 3,
-            constraints: 12,
-            arity: 2,
-            seed: 1,
-        });
-        let seq = SolverConfig::default().with_parallelism(Parallelism::Sequential);
-        let blind = BranchAndBound::with_config(VarOrder::Input, seq)
-            .solve(&p)
-            .unwrap();
-        let bounded = BranchAndBound::with_config(VarOrder::Input, seq.with_ibound(Some(2)))
-            .solve(&p)
-            .unwrap();
-        let (blind_stats, bounded_stats) = (blind.stats().unwrap(), bounded.stats().unwrap());
-        assert!(bounded_stats.bound_prunes > 0);
-        assert!(
-            bounded_stats.nodes < blind_stats.nodes,
-            "bound must cut nodes: {} vs {}",
-            bounded_stats.nodes,
-            blind_stats.nodes
-        );
-        assert_eq!(blind_stats.bound_prunes, 0);
-    }
-
-    #[test]
     fn warm_seed_preserves_blevel_and_witness() {
-        use crate::solve::{Parallelism, SolverConfig};
         for seed in 0..6 {
             let p = crate::generate::random_weighted(&crate::generate::RandomScsp {
                 vars: 5,
@@ -904,7 +772,7 @@ mod tests {
             for threads in [1, 3] {
                 let cfg = SolverConfig::default().with_parallelism(Parallelism::Threads(threads));
                 let warm = BranchAndBound::with_config(VarOrder::Input, cfg)
-                    .solve_seeded(&p, *cold.blevel())
+                    .search(&p, Some(*cold.blevel()))
                     .unwrap();
                 assert_eq!(warm.blevel(), cold.blevel(), "seed {seed} x{threads}");
                 assert_eq!(
@@ -913,6 +781,108 @@ mod tests {
                     "warm start must keep the cold witness (seed {seed}, {threads} threads)"
                 );
             }
+        }
+    }
+
+    /// Cold vs seeded search: seeding the incumbent with the cold
+    /// optimum — the hardest valid seed — must leave `blevel` and
+    /// witness untouched, on one thread and on three. The seed only
+    /// raises the pruning floor, and the prefix of the first optimal
+    /// assignment always evaluates at or above it, so it is never cut.
+    fn assert_seed_is_pure_acceleration<S: Semiring>(p: &Scsp<S>) {
+        let sequential = SolverConfig::default().with_parallelism(Parallelism::Sequential);
+        let cold = BranchAndBound::with_config(VarOrder::Input, sequential)
+            .search(p, None)
+            .unwrap();
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(3)] {
+            let warm = BranchAndBound::with_config(
+                VarOrder::Input,
+                sequential.with_parallelism(parallelism),
+            )
+            .search(p, Some(cold.blevel().clone()))
+            .unwrap();
+            assert_eq!(warm.blevel(), cold.blevel(), "{parallelism:?}");
+            assert_eq!(
+                warm.best_assignment(),
+                cold.best_assignment(),
+                "{parallelism:?}"
+            );
+        }
+    }
+
+    fn cfg_strategy() -> impl proptest::strategy::Strategy<Value = RandomScsp> {
+        use proptest::prelude::*;
+        (3usize..=5, 2usize..=3, 4usize..=9, any::<u64>()).prop_map(
+            |(vars, domain_size, constraints, seed)| RandomScsp {
+                vars,
+                domain_size,
+                constraints,
+                arity: 2,
+                seed,
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn warm_start_matches_cold_on_weighted(cfg in cfg_strategy()) {
+            assert_seed_is_pure_acceleration(&random_weighted(&cfg));
+        }
+
+        #[test]
+        fn warm_start_matches_cold_on_fuzzy(cfg in cfg_strategy()) {
+            assert_seed_is_pure_acceleration(&random_fuzzy(&cfg));
+        }
+
+        #[test]
+        fn warm_start_matches_cold_on_probabilistic(cfg in cfg_strategy()) {
+            assert_seed_is_pure_acceleration(&random_probabilistic(&cfg));
+        }
+    }
+
+    /// Pinned regression: seeding an inexact-`×` solve with the exact
+    /// optimum used to wipe the root out — re-associated float products
+    /// put the support bound an ulp below the floor. Inexact semirings
+    /// keep only the zero-prune, so the hardest valid seed is
+    /// survivable. The last problem is one on which a root pass that
+    /// compares against the seed does wipe out.
+    #[test]
+    fn inexact_semirings_survive_an_exact_seed() {
+        let sequential = SolverConfig::default().with_parallelism(Parallelism::Sequential);
+        let blind = sequential
+            .with_propagation(PropagationMode::Off)
+            .with_decompose(false);
+        let fixed = (0..8).map(|seed| RandomScsp {
+            vars: 4,
+            domain_size: 3,
+            constraints: 6,
+            arity: 2,
+            seed,
+        });
+        let wiped = RandomScsp {
+            vars: 3,
+            domain_size: 2,
+            constraints: 6,
+            arity: 2,
+            seed: 17_356_348_314_173_289_509,
+        };
+        for cfg in fixed.chain([wiped]) {
+            let (seed, p) = (cfg.seed, random_probabilistic(&cfg));
+            let cold = BranchAndBound::with_config(VarOrder::Input, blind)
+                .solve(&p)
+                .unwrap();
+            let warm =
+                BranchAndBound::with_config(VarOrder::Input, sequential.with_decompose(false))
+                    .search(&p, Some(*cold.blevel()))
+                    .unwrap();
+            assert_eq!(warm.blevel(), cold.blevel(), "seed {seed}");
+            assert_eq!(
+                warm.best_assignment(),
+                cold.best_assignment(),
+                "seed {seed}"
+            );
         }
     }
 

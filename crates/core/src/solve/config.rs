@@ -83,18 +83,9 @@ pub enum Parallelism {
 pub struct SolverConfig {
     /// Worker-thread policy.
     pub parallelism: Parallelism,
-    /// Joint-scope cap for the mini-bucket bound pass
-    /// ([`MiniBucketBound`](crate::solve::MiniBucketBound)). `None`
-    /// searches blind (incumbent pruning only); `Some(i)` precomputes
-    /// per-depth admissible completion bounds with mini-buckets of at
-    /// most `i` variables and additionally prunes branches whose
-    /// `partial ⊗ bound(depth)` cannot beat the incumbent. Only
-    /// [`BranchAndBound`](crate::solve::BranchAndBound) consumes this
-    /// knob.
-    pub ibound: Option<usize>,
     /// Soft arc-consistency level for
     /// [`BranchAndBound`](crate::solve::BranchAndBound); the other
-    /// solvers ignore it (like [`ibound`](SolverConfig::ibound)).
+    /// solvers ignore it.
     pub propagate: PropagationMode,
     /// Whether [`BranchAndBound`](crate::solve::BranchAndBound)
     /// splits the constraint graph into its connected components and
@@ -133,7 +124,6 @@ impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
             parallelism: Parallelism::Auto,
-            ibound: None,
             propagate: PropagationMode::Root,
             decompose: true,
             engine: Engine::BranchBound,
@@ -147,13 +137,6 @@ impl SolverConfig {
     /// Sets the parallelism policy (builder style).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> SolverConfig {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the mini-bucket joint-scope cap (builder style). `None`
-    /// disables bound-driven pruning.
-    pub fn with_ibound(mut self, ibound: Option<usize>) -> SolverConfig {
-        self.ibound = ibound;
         self
     }
 

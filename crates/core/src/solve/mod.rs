@@ -12,13 +12,11 @@
 //!   engine.
 //! - [`BranchAndBound`] — depth-first search with `×`-monotonicity
 //!   pruning; finds a best assignment and `blevel` for *totally
-//!   ordered* semirings without building the solution table.
-//!   Optionally bound-driven: a [`MiniBucketBound`] pass
-//!   ([`SolverConfig::ibound`]) precomputes admissible per-depth
-//!   completion estimates, and
-//!   [`solve_seeded`](BranchAndBound::solve_seeded) warm-starts the
-//!   incumbent from a known-achievable level — both preserve the blind
-//!   search's `blevel` and witness exactly.
+//!   ordered* semirings without building the solution table. The
+//!   incumbent is its only bound (a width-cap fallback of
+//!   [`Engine::TreeDecompose`] seeds it with the tree's greedy level);
+//!   where the width fits, [`Engine::Auto`] beats every search knob
+//!   (EXPERIMENTS.md, E34).
 //! - [`BucketElimination`] — variable elimination computing `Sol(P)` on
 //!   the [`treedec`] bucket tree with `con` kept as its final cluster;
 //!   cost is exponential only in the induced width of the elimination
@@ -43,7 +41,6 @@ mod config;
 mod decompose;
 mod enumeration;
 mod incremental;
-mod minibucket;
 pub mod parallel;
 mod pareto;
 mod propagate;
@@ -56,7 +53,6 @@ pub use config::{Engine, Parallelism, PropagationMode, SolverConfig, DEFAULT_WID
 pub use decompose::constraint_components;
 pub use enumeration::EnumerationSolver;
 pub use incremental::{ConstraintId, IncrementalSolver};
-pub use minibucket::MiniBucketBound;
 pub use pareto::ParetoBranchAndBound;
 pub use propagate::{PerConstraintStats, PropagationStats};
 pub use stats::{ConstraintEvalStats, SolverStats, TreeStats};

@@ -66,13 +66,6 @@ pub struct SolverStats {
     pub nodes: u64,
     /// Subtrees pruned (bound, domination or zero-absorption cuts).
     pub prunings: u64,
-    /// The subset of [`prunings`](SolverStats::prunings) cut by the
-    /// mini-bucket completion bound
-    /// ([`MiniBucketBound`](crate::solve::MiniBucketBound)) rather
-    /// than by the incumbent alone; zero when
-    /// [`SolverConfig::ibound`](crate::solve::SolverConfig::ibound)
-    /// is `None`.
-    pub bound_prunes: u64,
     /// Worker threads used: the most chunks any
     /// [`fan_out`](crate::solve::parallel::fan_out) of the solve ran
     /// (`1` when everything ran inline).
@@ -108,8 +101,7 @@ impl SolverStats {
     ///
     /// Deterministic families (safe for [`Snapshot::to_json`]
     /// comparison across fixed-seed runs): `solve.runs`,
-    /// `solve.nodes`, `solve.prunings`, `solver.bound_prunes`, the
-    /// per-operand
+    /// `solve.nodes`, `solve.prunings`, the per-operand
     /// `solve.constraint_evals{..}` counters, the `solve.threads`
     /// gauge, and the `solve.thread_nodes` balance observations. The
     /// compile/search time split is recorded as timings, which the
@@ -124,7 +116,6 @@ impl SolverStats {
         telemetry.count_labeled("solve.runs", solver, 1);
         telemetry.count("solve.nodes", self.nodes);
         telemetry.count("solve.prunings", self.prunings);
-        telemetry.count("solver.bound_prunes", self.bound_prunes);
         telemetry.gauge("solve.threads", self.threads as i64);
         for &nodes in &self.thread_nodes {
             telemetry.observe("solve.thread_nodes", nodes);
@@ -167,13 +158,8 @@ impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "nodes: {}, prunings: {} ({} bound), threads: {}, compile: {:?}, solve: {:?}",
-            self.nodes,
-            self.prunings,
-            self.bound_prunes,
-            self.threads,
-            self.compile_time,
-            self.solve_time
+            "nodes: {}, prunings: {}, threads: {}, compile: {:?}, solve: {:?}",
+            self.nodes, self.prunings, self.threads, self.compile_time, self.solve_time
         )?;
         if self.components > 1 {
             write!(f, "\n  components: {}", self.components)?;

@@ -190,36 +190,6 @@ proptest! {
     }
 }
 
-/// Pinned regression: seeding an inexact-`×` solve with the exact
-/// optimum used to wipe the root out — re-associated float products
-/// put the support bound an ulp below the floor. Inexact semirings now
-/// keep only the zero-prune, so the hardest valid seed is survivable.
-#[test]
-fn inexact_semirings_survive_an_exact_seed() {
-    for seed in 0..8 {
-        let cfg = RandomScsp {
-            vars: 4,
-            domain_size: 3,
-            constraints: 6,
-            arity: 2,
-            seed,
-        };
-        let p = random_probabilistic(&cfg);
-        let cold = BranchAndBound::with_config(VarOrder::Input, blind())
-            .solve(&p)
-            .unwrap();
-        let warm = BranchAndBound::with_config(VarOrder::Input, sequential().with_decompose(false))
-            .solve_seeded(&p, *cold.blevel())
-            .unwrap();
-        assert_eq!(warm.blevel(), cold.blevel(), "seed {seed}");
-        assert_eq!(
-            warm.best_assignment(),
-            cold.best_assignment(),
-            "seed {seed}"
-        );
-    }
-}
-
 /// The deterministic CI smoke check: on the structured k-component
 /// union family, root propagation alone explores strictly fewer nodes
 /// than the blind solver while reporting the identical `blevel` and

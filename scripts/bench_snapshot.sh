@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Snapshot the bounds-driven-search benchmark groups into a
+# Snapshot the search-engine benchmark groups into a
 # machine-readable JSON file (nanoseconds per iteration, one entry per
 # benchmark id). Usage:
 #
 #   scripts/bench_snapshot.sh [out.json] [group ...]
 #
-# Runs the `bounded_vs_blind`, `bell_vs_dp`, `propagation_vs_blind`,
+# Runs the `auto_vs_blind`, `bell_vs_dp`, `propagation_vs_blind`,
 # `treedec_vs_blind` and `store_ops` criterion groups — or just the
 # groups named on the command line, merging their fresh numbers into an existing
 # out.json so one group can be re-measured without re-running the
@@ -26,7 +26,7 @@ out="${1:-BENCH_10.json}"
 shift $(($# > 0 ? 1 : 0))
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
-    benches=(bounded_vs_blind bell_vs_dp propagation_vs_blind treedec_vs_blind store_ops)
+    benches=(auto_vs_blind bell_vs_dp propagation_vs_blind treedec_vs_blind store_ops)
 fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
