@@ -178,10 +178,11 @@ pub struct BrokerConfig;
 /// behind an [`Arc`] that every write replaces, so readers take a cheap
 /// [`RegistrySnapshot`] (an `Arc` clone under a momentary lock) and
 /// never block on — or observe a partial state from — a writer. The
-/// replacement is cheap because [`Registry`] is copy-on-write by shard:
-/// a writer stages a clone that shares every shard with the published
-/// registry, and its publish or deregister copies only the shards it
-/// touches. Each write bumps the epoch.
+/// replacement is cheap because [`Registry`] is copy-on-write: a writer
+/// stages a clone (two pointers) that shares every node with the
+/// published registry, and its publish or deregister copies only the
+/// top array, middle node and leaf on the path of each key it touches.
+/// Each write bumps the epoch.
 ///
 /// Writers *serialize*: [`RegistryWriter`] holds the `write` mutex for
 /// its whole lifetime, so a second writer (on this broker or a clone)
@@ -246,7 +247,7 @@ impl Deref for RegistrySnapshot {
 }
 
 /// A write guard over the registry: mutations stage on a private clone
-/// — which shares every shard it has not yet written with the published
+/// — which shares every node it has not yet written with the published
 /// registry — and are published atomically, with an epoch bump, when
 /// the guard drops. Readers holding a [`RegistrySnapshot`] are
 /// unaffected.
@@ -361,8 +362,8 @@ impl<S: Residuated> Broker<S> {
 
     /// Write access to the registry (to publish or deregister).
     /// Mutations stage on a clone of the registry that shares its
-    /// shards, so a write copies only the shards it touches, and
-    /// publish atomically — bumping the registry epoch to
+    /// nodes, so a write copies only the path to each key it touches,
+    /// and publish atomically — bumping the registry epoch to
     /// [`RegistryWriter::epoch`] — when the returned guard drops.
     /// Writers serialize: while one guard is alive, `registry_mut` on a
     /// clone of this broker blocks, so no concurrent write is ever lost.

@@ -1,10 +1,8 @@
 //! The service registry (the paper's UDDI stand-in).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault};
-use std::sync::Arc;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 use crate::QosDocument;
 
@@ -110,33 +108,163 @@ impl ServiceDescription {
     }
 }
 
-/// Entry shards and capability-index shards per registry. A write
-/// copies one entry shard and at most two index shards; a clone copies
-/// `2 * SHARDS` pointers.
-const SHARDS: usize = 64;
+/// Middle nodes per table, and leaves per middle node: a table has
+/// `FAN * FAN` leaves.
+const FAN: usize = 16;
 
-/// One capability-index shard: capability → the ids advertising it,
-/// each set shared until a write changes it.
-type IndexShard = BTreeMap<Arc<str>, Arc<BTreeSet<ServiceId>>>;
+/// The leaf a key (service id or capability) lives in, as a
+/// `(middle node, leaf)` path. The hash is keyed once per process at
+/// random: ids and capabilities come from clients, and a fixed hash
+/// would let them pile every service into one leaf.
+fn leaf_of(key: &str) -> (usize, usize) {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    let hash = KEYS.get_or_init(RandomState::new).hash_one(key) as usize;
+    (hash % FAN, hash / FAN % FAN)
+}
 
-/// The shard a key (service id or capability) lives in.
-fn shard_of(key: &str) -> usize {
-    (BuildHasherDefault::<DefaultHasher>::default().hash_one(key) % SHARDS as u64) as usize
+/// An entry of a [`Table`], found by its key.
+trait Keyed: Clone {
+    fn key(&self) -> &str;
+}
+
+impl Keyed for Arc<ServiceDescription> {
+    fn key(&self) -> &str {
+        self.id.as_str()
+    }
+}
+
+/// The services advertising one capability, in id order. Never empty,
+/// so its first service names the capability.
+type Providers = Arc<[Arc<ServiceDescription>]>;
+
+impl Keyed for Providers {
+    fn key(&self) -> &str {
+        &self[0].capability
+    }
+}
+
+/// A copy-on-write hash table of two levels: a top array of `FAN`
+/// middle nodes, each an array of `FAN` leaves, each leaf a slice of
+/// entries sorted by key. Cloning copies one pointer. A write copies
+/// the top array, the middle node and the leaf on its key's path only
+/// while a clone still shares them, so every other node stays shared;
+/// on a table it owns alone, it edits the leaf in place.
+///
+/// A middle node is made, with all its leaves, by the first write
+/// under it; until then its slot is empty, so an empty table is one
+/// allocation. Its leaves are separate allocations from the start, so
+/// once every middle node holds an entry (a few hundred keys), the
+/// table's footprint depends on what it holds, not on where the
+/// per-process hash puts it.
+#[derive(Clone)]
+struct Table<T>(Arc<[Option<Middle<T>>; FAN]>);
+
+type Middle<T> = Arc<[Leaf<T>; FAN]>;
+
+/// A leaf's entries, sorted by key and sized exactly.
+type Leaf<T> = Arc<Box<[T]>>;
+
+impl<T: Keyed> Table<T> {
+    fn new() -> Table<T> {
+        Table(Arc::default())
+    }
+
+    /// The leaf at a `(middle node, leaf)` path.
+    fn leaf(&self, (middle, leaf): (usize, usize)) -> &[T] {
+        self.0[middle].as_ref().map_or(&[], |middle| &middle[leaf])
+    }
+
+    /// The path of the leaf `key` lives in, and where `key` is (`Ok`)
+    /// or would go (`Err`) in that leaf.
+    fn find(&self, key: &str) -> ((usize, usize), Result<usize, usize>) {
+        let path = leaf_of(key);
+        let at = self
+            .leaf(path)
+            .binary_search_by(|entry| entry.key().cmp(key));
+        (path, at)
+    }
+
+    fn get(&self, key: &str) -> Option<&T> {
+        let (path, at) = self.find(key);
+        at.ok().map(|i| &self.leaf(path)[i])
+    }
+
+    /// Sets the entry under `key` to `f` of the current one: `Some`
+    /// inserts or replaces it, `None` removes it. Returns the entry it
+    /// replaced or removed. Removing an absent key copies nothing.
+    fn update(&mut self, key: &str, f: impl FnOnce(Option<&T>) -> Option<T>) -> Option<T> {
+        let (path, at) = self.find(key);
+        let entry = f(at.ok().map(|i| &self.leaf(path)[i]));
+        if at.is_err() && entry.is_none() {
+            return None;
+        }
+        let (middle, slot) = path;
+        let middle = Arc::make_mut(&mut self.0)[middle]
+            .get_or_insert_with(|| Arc::new(std::array::from_fn(|_| Arc::default())));
+        let leaf = &mut Arc::make_mut(middle)[slot];
+        let Some(entries) = Arc::get_mut(leaf) else {
+            // A clone shares the leaf: write a copy.
+            let previous = at.ok().map(|i| leaf[i].clone());
+            *leaf = Arc::new(splice(leaf, at, entry));
+            return previous;
+        };
+        // Sole owner: move the entries rather than clone them.
+        let mut items = std::mem::take(entries).into_vec();
+        let previous = match (at, entry) {
+            (Ok(i), Some(entry)) => Some(std::mem::replace(&mut items[i], entry)),
+            (Ok(i), None) => Some(items.remove(i)),
+            (Err(i), Some(entry)) => {
+                items.reserve_exact(1);
+                items.insert(i, entry);
+                None
+            }
+            (Err(_), None) => None,
+        };
+        *entries = items.into_boxed_slice();
+        previous
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0
+            .iter()
+            .flatten()
+            .flat_map(|middle| middle.iter().flat_map(|leaf| leaf.iter()))
+    }
+}
+
+/// `items` with an entry spliced in at a binary search's result:
+/// `Ok(i)` replaces (or, with no entry, removes) item `i`, `Err(i)`
+/// inserts before it. One allocation.
+fn splice<T: Clone, C: FromIterator<T>>(
+    items: &[T],
+    at: Result<usize, usize>,
+    entry: Option<T>,
+) -> C {
+    let (before, after) = match at {
+        Ok(i) => (&items[..i], &items[i + 1..]),
+        Err(i) => items.split_at(i),
+    };
+    before
+        .iter()
+        .cloned()
+        .chain(entry)
+        .chain(after.iter().cloned())
+        .collect()
 }
 
 /// The registry where providers publish services and the broker
 /// discovers them (step 2 of the negotiation protocol).
 ///
-/// Storage is a fixed set of copy-on-write shards: descriptions are
-/// sharded by a hash of their id (a shard is a hash table, so copying
-/// one is one allocation), and a capability index (capability →
-/// the ids advertising it) by a hash of the capability. Cloning copies
-/// only the shard pointers; a publish or deregister on a clone copies
-/// the one entry shard and the one or two index shards it touches, so
-/// every other shard stays shared with the original. An index shard's
-/// keys and id sets are shared too: copying one copies pointers, and a
-/// write copies only the one id set it changes. Discovery reads one
-/// index shard instead of scanning every service.
+/// Storage is two copy-on-write tables of one shape — a top array
+/// of 16 middle nodes of 16 sorted leaves, the leaf chosen by a
+/// randomly keyed hash: the descriptions by id, and a capability index
+/// that holds each capability's descriptions, in id order. Cloning
+/// copies two pointers. A publish or deregister on a clone copies at
+/// most the top array, one middle node and one leaf in each table it
+/// touches (and the capability's description slice), so everything
+/// else stays shared with the original; a deregister of an absent id
+/// copies nothing. Discovery is one hash, one binary search and one
+/// slice read.
 ///
 /// # Examples
 ///
@@ -151,22 +279,20 @@ fn shard_of(key: &str) -> usize {
 /// ```
 #[derive(Clone)]
 pub struct Registry {
-    /// `ServiceId → description`, sharded by a hash of the id.
-    services: [Arc<HashMap<ServiceId, Arc<ServiceDescription>>>; SHARDS],
-    /// Capability → the ids advertising it, sharded by a hash of the
-    /// capability.
-    capabilities: [Arc<IndexShard>; SHARDS],
+    /// The descriptions, by id.
+    services: Table<Arc<ServiceDescription>>,
+    /// Each capability's descriptions, by capability.
+    capabilities: Table<Providers>,
+    /// The number of published services.
+    len: usize,
 }
 
 impl Default for Registry {
     fn default() -> Registry {
-        // Every slot starts on one shared empty shard; the first write
-        // to a slot gives it its own.
-        let services = Arc::default();
-        let capabilities = Arc::default();
         Registry {
-            services: std::array::from_fn(|_| Arc::clone(&services)),
-            capabilities: std::array::from_fn(|_| Arc::clone(&capabilities)),
+            services: Table::new(),
+            capabilities: Table::new(),
+            len: 0,
         }
     }
 }
@@ -189,99 +315,81 @@ impl Registry {
     /// description under the same id (shared, not copied: a clone of
     /// the registry may still hold it).
     pub fn publish(&mut self, description: ServiceDescription) -> Option<Arc<ServiceDescription>> {
-        let id = description.id.clone();
-        let shard = shard_of(id.as_str());
-        let reindex = self.services[shard]
-            .get(&id)
-            .map_or(true, |old| old.capability != description.capability);
-        if reindex {
-            let capability = description.capability.as_str();
-            let index = Arc::make_mut(&mut self.capabilities[shard_of(capability)]);
-            match index.get_mut(capability) {
-                Some(ids) => {
-                    Arc::make_mut(ids).insert(id.clone());
-                }
-                None => {
-                    let mut ids = BTreeSet::new();
-                    ids.insert(id.clone());
-                    index.insert(capability.into(), Arc::new(ids));
-                }
-            }
+        let description = Arc::new(description);
+        let previous = self
+            .services
+            .update(description.id.as_str(), |_| Some(Arc::clone(&description)));
+        match &previous {
+            None => self.len += 1,
+            Some(old) if old.capability != description.capability => self.unindex(old),
+            Some(_) => {}
         }
-        let previous =
-            Arc::make_mut(&mut self.services[shard]).insert(id, Arc::new(description))?;
-        if reindex {
-            self.unindex(&previous);
-        }
-        Some(previous)
+        // Insert the description into its capability's slice, or
+        // replace the one it republishes there.
+        self.capabilities
+            .update(&description.capability, |providers| {
+                let providers = providers.map_or(&[][..], |providers| &providers[..]);
+                let at = providers.binary_search_by(|p| p.id.cmp(&description.id));
+                Some(splice(providers, at, Some(Arc::clone(&description))))
+            });
+        previous
     }
 
     /// Removes a service from the registry, returning its description.
     pub fn deregister(&mut self, id: &ServiceId) -> Option<Arc<ServiceDescription>> {
-        let shard = &mut self.services[shard_of(id.as_str())];
-        if !shard.contains_key(id) {
-            // Leave the shard shared: there is nothing to copy it for.
-            return None;
-        }
-        let previous = Arc::make_mut(shard).remove(id)?;
+        let previous = self.services.update(id.as_str(), |_| None)?;
+        self.len -= 1;
         self.unindex(&previous);
         Some(previous)
     }
 
-    /// Drops a description's id from its capability's index entry.
+    /// Drops a published description from its capability's slice, and
+    /// the capability with its last description.
     fn unindex(&mut self, description: &ServiceDescription) {
-        let capability = description.capability.as_str();
-        let index = Arc::make_mut(&mut self.capabilities[shard_of(capability)]);
-        if let Some(ids) = index.get_mut(capability) {
-            if ids.len() == 1 && ids.contains(&description.id) {
-                index.remove(capability);
-            } else {
-                Arc::make_mut(ids).remove(&description.id);
-            }
-        }
+        self.capabilities
+            .update(&description.capability, |providers| {
+                let providers = providers.expect("a published capability is indexed");
+                let at = providers.binary_search_by(|p| p.id.cmp(&description.id));
+                (providers.len() > 1).then(|| splice(providers, at, None))
+            });
     }
 
     /// Looks up a service by id.
     pub fn get(&self, id: &ServiceId) -> Option<&ServiceDescription> {
-        self.services[shard_of(id.as_str())]
-            .get(id)
-            .map(Arc::as_ref)
+        self.services.get(id.as_str()).map(Arc::as_ref)
     }
 
     /// All services advertising the given capability, in id order.
     pub fn discover(&self, capability: &str) -> Vec<&ServiceDescription> {
-        self.capabilities[shard_of(capability)]
+        self.capabilities
             .get(capability)
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .filter_map(|id| self.get(id))
-            .collect()
+            .map_or_else(Vec::new, |providers| {
+                providers.iter().map(Arc::as_ref).collect()
+            })
     }
 
     /// Iterates over all published services in id order.
     pub fn iter(&self) -> impl Iterator<Item = &ServiceDescription> {
-        let mut all: Vec<&ServiceDescription> = self
-            .services
-            .iter()
-            .flat_map(|shard| shard.values().map(Arc::as_ref))
-            .collect();
+        let mut all: Vec<&ServiceDescription> = self.services.iter().map(Arc::as_ref).collect();
         all.sort_unstable_by(|a, b| a.id.cmp(&b.id));
         all.into_iter()
     }
 
     /// The number of published services.
     pub fn len(&self) -> usize {
-        self.services.iter().map(|shard| shard.len()).sum()
+        self.len
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.services.iter().all(|shard| shard.is_empty())
+        self.len == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn desc(id: &str, capability: &str) -> ServiceDescription {
@@ -311,6 +419,19 @@ mod tests {
     }
 
     #[test]
+    fn republish_under_the_same_capability_replaces_the_discovered_description() {
+        let mut r = Registry::new();
+        r.publish(desc("a", "filter"));
+        r.publish(desc("b", "filter"));
+        r.publish(desc("a", "filter").with_capacity(3));
+        assert_eq!(r.len(), 2);
+        let filters = r.discover("filter");
+        assert_eq!(filters.len(), 2);
+        assert_eq!(filters[0].capacity, Some(3));
+        assert_eq!(filters[1].id, ServiceId::new("b"));
+    }
+
+    #[test]
     fn deregister() {
         let mut r = Registry::new();
         r.publish(desc("a", "filter"));
@@ -319,29 +440,92 @@ mod tests {
         assert!(r.deregister(&ServiceId::new("a")).is_none());
     }
 
-    /// How many slots two shard arrays share by pointer.
-    fn shared<T>(a: &[Arc<T>], b: &[Arc<T>]) -> usize {
-        a.iter().zip(b).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    /// A node of a table: the top array `(None, None)`, middle node
+    /// `(Some(m), None)` or leaf `(Some(m), Some(l))`.
+    type Path = (Option<usize>, Option<usize>);
+
+    /// The nodes of `b` that `a` does not share by pointer (every
+    /// middle node of both tables must exist).
+    fn copied<T>(a: &Table<T>, b: &Table<T>) -> BTreeSet<Path> {
+        let mut paths = BTreeSet::new();
+        if !Arc::ptr_eq(&a.0, &b.0) {
+            paths.insert((None, None));
+        }
+        for m in 0..FAN {
+            let (a, b) = (a.0[m].as_ref().unwrap(), b.0[m].as_ref().unwrap());
+            if !Arc::ptr_eq(a, b) {
+                paths.insert((Some(m), None));
+            }
+            for l in 0..FAN {
+                if !Arc::ptr_eq(&a[l], &b[l]) {
+                    paths.insert((Some(m), Some(l)));
+                }
+            }
+        }
+        paths
+    }
+
+    /// The top-to-leaf paths of `keys`.
+    fn paths_of(keys: &[&str]) -> BTreeSet<Path> {
+        keys.iter()
+            .flat_map(|key| {
+                let (m, l) = leaf_of(key);
+                [(None, None), (Some(m), None), (Some(m), Some(l))]
+            })
+            .collect()
     }
 
     #[test]
-    fn a_write_on_a_clone_copies_only_the_shards_it_touches() {
+    fn a_write_on_a_clone_copies_only_the_paths_it_touches() {
+        // The 4,096-service registry of a `churn_chaos` daemon.
         let mut original = Registry::new();
-        for i in 0..512 {
-            original.publish(desc(&format!("svc-{i}"), &format!("cap-{}", i % 97)));
+        for c in 0..2048 {
+            for k in 0..2 {
+                original.publish(desc(&format!("svc-{c:04}-{k}"), &format!("cap-{c:04}")));
+            }
         }
+        // A clone copies no node.
         let mut clone = original.clone();
-        // A republish that changes capability: one entry shard, and the
-        // index shards of the old and the new capability.
-        clone.publish(desc("svc-7", "cap-new"));
-        assert_eq!(shared(&original.services, &clone.services), SHARDS - 1);
-        assert!(shared(&original.capabilities, &clone.capabilities) >= SHARDS - 2);
+        assert!(copied(&original.services, &clone.services).is_empty());
+        assert!(copied(&original.capabilities, &clone.capabilities).is_empty());
+        // A deregister of an absent id copies nothing either.
+        assert!(clone.deregister(&ServiceId::new("svc-absent")).is_none());
+        assert!(copied(&original.services, &clone.services).is_empty());
+        assert!(copied(&original.capabilities, &clone.capabilities).is_empty());
+        // A republish that changes capability copies one path per key
+        // it touches: the id's, and the old and the new capability's.
+        clone.publish(desc("svc-0007-1", "cap-new"));
+        assert_eq!(
+            copied(&original.services, &clone.services),
+            paths_of(&["svc-0007-1"])
+        );
+        assert_eq!(
+            copied(&original.capabilities, &clone.capabilities),
+            paths_of(&["cap-0007", "cap-new"])
+        );
+        // A copied leaf still shares every entry the write left alone.
+        let shared = |a: &Registry, b: &Registry, capability: &str| {
+            Arc::ptr_eq(
+                a.capabilities.get(capability).unwrap(),
+                b.capabilities.get(capability).unwrap(),
+            )
+        };
+        for c in (0..2048).filter(|&c| c != 7) {
+            assert!(shared(&original, &clone, &format!("cap-{c:04}")));
+        }
+        assert!(!shared(&original, &clone, "cap-0007"));
         // The original still answers as before the write.
         assert_eq!(
-            original.get(&ServiceId::new("svc-7")).unwrap().capability,
-            "cap-7"
+            original
+                .get(&ServiceId::new("svc-0007-1"))
+                .unwrap()
+                .capability,
+            "cap-0007"
         );
+        assert_eq!(original.discover("cap-0007").len(), 2);
+        assert_eq!(clone.discover("cap-0007").len(), 1);
         assert_eq!(clone.discover("cap-new").len(), 1);
+        assert_eq!((original.len(), clone.len()), (4096, 4096));
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Allocation budget of the daemon's request path.
 //!
 //! A thread-local counting allocator counts the heap allocations
-//! (`alloc`, `alloc_zeroed` and `realloc` calls) of one call on the
-//! calling thread only, so tests running in parallel do not pollute
-//! each other's counts. Each call runs once to warm lazily initialised
-//! state, then once counted; the counts repeat exactly run to run.
+//! (`alloc`, `alloc_zeroed` and `realloc` calls) of one call, and the
+//! bytes live on the heap, on the calling thread only, so tests running
+//! in parallel do not pollute each other's counts. Each call runs once
+//! to warm lazily initialised state, then once counted; the counts
+//! repeat exactly run to run.
 //!
 //! The budgets are this code's counts. A change that allocates more on
 //! one of these paths fails here; one that allocates less should lower
-//! the budget (the wire codec's rows are exact). EXPERIMENTS.md (E32,
-//! E33) records the earlier counts beside them.
+//! the budget (the wire codec's rows and the registry's bytes row are
+//! exact). EXPERIMENTS.md (E32, E33, E35) records the earlier counts
+//! beside them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use softsoa_core::Domain;
 use softsoa_dependability::Attribute;
@@ -30,8 +33,12 @@ const CHAOS_NEGOTIATION: u64 = 122;
 /// One plain one-provider negotiation (101, then 43).
 const PLAIN_NEGOTIATION: u64 = 41;
 /// One publish plus one deregister (184, then 33 while the removed
-/// description was deep-copied).
-const REGISTRY_WRITE: u64 = 29;
+/// description was deep-copied, then 29 on sharded hash and B-tree
+/// maps).
+const REGISTRY_WRITE: u64 = 25;
+/// The heap bytes a 4,096-service `churn_chaos` registry holds beyond
+/// its descriptions (820,392 on sharded hash and B-tree maps).
+const REGISTRY_STRUCTURE_BYTES: i64 = 152_352;
 /// `Request::parse` of a negotiate frame (@REQ@ through a `Value` tree).
 const REQUEST_PARSE: u64 = 2;
 /// `Reply::to_json` (and `Reply::to_frame`) of a `degraded` reply
@@ -44,31 +51,36 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Counts an allocation call that changes the live bytes by `bytes`.
+fn bump(bytes: i64) {
     // `try_with`: the allocator also runs while thread locals are torn
     // down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -82,6 +94,13 @@ fn allocations(mut f: impl FnMut()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// What `f` returns, and the heap bytes it leaves live on this thread.
+fn held<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let value = f();
+    (value, LIVE_BYTES.with(Cell::get) - before)
 }
 
 fn offer(slope: f64, intercept: f64) -> QosOffer {
@@ -165,19 +184,47 @@ fn plain_negotiation_budget() {
     assert!(count <= PLAIN_NEGOTIATION, "{count} > {PLAIN_NEGOTIATION}");
 }
 
+/// The `(capability, service)` indices of a `churn_chaos` registry:
+/// 2,048 capabilities with two services each.
+fn churn_chaos_slots() -> impl Iterator<Item = (usize, usize)> {
+    (0..2048).flat_map(|c| (0..2).map(move |k| (c, k)))
+}
+
+fn churn_chaos_service((c, k): (usize, usize)) -> ServiceDescription {
+    let id = format!("svc-{c:04}-{k}");
+    service(&id, &format!("cap-{c:04}"), offer(0.03, 0.5))
+}
+
+fn churn_chaos_registry() -> Registry {
+    let mut registry = Registry::new();
+    for slot in churn_chaos_slots() {
+        registry.publish(churn_chaos_service(slot));
+    }
+    registry
+}
+
+/// The heap bytes the 4,096-service `churn_chaos` registry holds beyond
+/// its descriptions: its two tables and the capability slices.
+#[test]
+fn registry_structure_bytes() {
+    drop(churn_chaos_registry());
+    // Each description as the registry holds it, behind an `Arc`.
+    let descriptions: i64 = churn_chaos_slots()
+        .map(|slot| held(|| Arc::new(churn_chaos_service(slot))).1)
+        .sum();
+    let (registry, total) = held(churn_chaos_registry);
+    assert_eq!(registry.len(), 4096);
+    let structure = total - descriptions;
+    println!("registry: {total} bytes, {descriptions} of them descriptions");
+    assert_eq!(structure, REGISTRY_STRUCTURE_BYTES);
+}
+
 /// One publish and one deregister through `registry_mut` on a
 /// 4,096-service registry (2,048 capabilities with two services each),
 /// the registry writes of a `churn_chaos` session.
 #[test]
 fn registry_write_budget() {
-    let mut registry = Registry::new();
-    for c in 0..2048 {
-        for k in 0..2 {
-            let id = format!("svc-{c:04}-{k}");
-            registry.publish(service(&id, &format!("cap-{c:04}"), offer(0.03, 0.5)));
-        }
-    }
-    let mut broker = Broker::new(Fuzzy, registry);
+    let mut broker = Broker::new(Fuzzy, churn_chaos_registry());
     let churn = service("churn-000", "cap-0042", offer(0.02, 0.6));
     let id = ServiceId::new("churn-000");
     let mut write = || {

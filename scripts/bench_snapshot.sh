@@ -6,7 +6,7 @@
 #   scripts/bench_snapshot.sh [out.json] [group ...]
 #
 # Runs the `auto_vs_blind`, `bell_vs_dp`, `propagation_vs_blind`,
-# `treedec_vs_blind` and `store_ops` criterion groups — or just the
+# `treedec_vs_blind`, `store_ops` and `registry_ops` criterion groups — or just the
 # groups named on the command line, merging their fresh numbers into an existing
 # out.json so one group can be re-measured without re-running the
 # multi-minute full sweep — and parses the harness report lines, e.g.
@@ -26,7 +26,7 @@ out="${1:-BENCH_10.json}"
 shift $(($# > 0 ? 1 : 0))
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
-    benches=(auto_vs_blind bell_vs_dp propagation_vs_blind treedec_vs_blind store_ops)
+    benches=(auto_vs_blind bell_vs_dp propagation_vs_blind treedec_vs_blind store_ops registry_ops)
 fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
