@@ -9,8 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softsoa_coalition::{
-    exact_formation_enumerated, exact_formation_with, FormationConfig, TrustComposition,
-    TrustNetwork,
+    exact_formation, exact_formation_enumerated, FormationConfig, TrustComposition, TrustNetwork,
 };
 use softsoa_core::solve::Parallelism;
 use std::hint::black_box;
@@ -35,9 +34,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("subset_dp", n), &net, |b, net| {
-            b.iter(|| {
-                exact_formation_with(black_box(net), config(), Parallelism::Sequential).unwrap()
-            })
+            b.iter(|| exact_formation(black_box(net), config()).unwrap())
         });
     }
     // Beyond the Bell ceiling: the DP alone, up to the new n = 18
@@ -45,9 +42,7 @@ fn bench(c: &mut Criterion) {
     for n in [14u32, 16] {
         let net = TrustNetwork::clustered(n, 3, 0.85, 0.15, u64::from(n));
         group.bench_with_input(BenchmarkId::new("subset_dp", n), &net, |b, net| {
-            b.iter(|| {
-                exact_formation_with(black_box(net), config(), Parallelism::Sequential).unwrap()
-            })
+            b.iter(|| exact_formation(black_box(net), config()).unwrap())
         });
     }
     group.finish();

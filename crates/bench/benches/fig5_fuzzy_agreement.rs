@@ -13,6 +13,7 @@ use softsoa_nmsccp::Interval;
 use softsoa_semiring::{Fuzzy, Unit};
 use softsoa_soa::{
     Broker, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry, ServiceDescription,
+    WireSemiring,
 };
 use std::hint::black_box;
 
@@ -65,7 +66,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("broker_negotiate", |b| {
         b.iter(|| {
             broker
-                .negotiate(black_box(&request), QosOffer::to_fuzzy)
+                .negotiate(black_box(&request), Fuzzy::translate)
                 .unwrap()
         })
     });

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use softsoa_coalition::{
-    exact_formation_instrumented, individually_oriented, local_search, scsp_formation_with,
+    exact_formation_with, individually_oriented, local_search, scsp_formation_with,
     socially_oriented, FormationConfig, MAX_EXACT_AGENTS,
 };
 use softsoa_core::solve::{
@@ -23,18 +23,17 @@ use softsoa_nmsccp::{
 };
 use softsoa_semiring::{Boolean, Fuzzy, Probabilistic, Semiring, Weighted};
 use softsoa_soa::server::loadgen::{self, ContentionConfig, LoadConfig};
-use softsoa_soa::server::protocol::WireSemiring;
 use softsoa_soa::server::transport::TransportChaos;
 use softsoa_soa::{
     Broker, ChaosConfig, ContendedRequest, ContentionOutcome, Fairness, NegotiationError,
-    NegotiationRequest, NegotiationServer, QosDocument, QosOffer, Registry, ServerConfig,
-    ServiceDescription, StoreChaos,
+    NegotiationRequest, NegotiationServer, QosDocument, Registry, ServerConfig, ServiceDescription,
+    StoreChaos, WireSemiring,
 };
 use softsoa_telemetry::{MemorySink, Telemetry};
 
 use crate::format::{
-    bool_level, unit_level, weight_level, BrokerSpec, CoalitionSpec, ConstraintSpec, FormatError,
-    NegotiationSpec, PolicySpec, ProblemSpec, SemiringKind,
+    parse_level, BrokerSpec, CoalitionSpec, ConstraintSpec, FormatError, NegotiationSpec,
+    PolicySpec, ProblemSpec, SemiringKind,
 };
 
 /// An error from a command.
@@ -274,8 +273,10 @@ fn solve_generic<S: Semiring>(
     problem: &Scsp<S>,
     solver: SolverChoice,
     options: SolveOptions,
-    fmt_level: impl Fn(&S::Value) -> String,
-) -> Result<String, CommandError> {
+) -> Result<String, CommandError>
+where
+    S::Value: std::fmt::Display,
+{
     let config = options.config();
     let solution = match solver {
         SolverChoice::Enumeration => EnumerationSolver::with_config(config).solve(problem),
@@ -292,12 +293,12 @@ fn solve_generic<S: Semiring>(
     }
 
     let mut out = String::new();
-    let _ = writeln!(out, "blevel: {}", fmt_level(solution.blevel()));
+    let _ = writeln!(out, "blevel: {}", solution.blevel());
     if solution.best().is_empty() {
         let _ = writeln!(out, "no solution above the semiring zero");
     }
     for (eta, level) in solution.best() {
-        let _ = writeln!(out, "best: {eta} at {}", fmt_level(level));
+        let _ = writeln!(out, "best: {eta} at {level}");
     }
     if let Some(table) = solution.solution_constraint() {
         let _ = writeln!(out, "solution table over {:?}:", table.scope());
@@ -306,7 +307,7 @@ fn solve_generic<S: Semiring>(
             for tuple in tuples {
                 let level = table.eval_tuple(&tuple);
                 let row: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                let _ = writeln!(out, "  ⟨{}⟩ → {}", row.join(", "), fmt_level(&level));
+                let _ = writeln!(out, "  ⟨{}⟩ → {level}", row.join(", "));
             }
         }
     }
@@ -343,39 +344,22 @@ pub fn solve_with(
 ) -> Result<String, CommandError> {
     let spec = ProblemSpec::from_json(text)?;
     match spec.semiring {
-        SemiringKind::Weighted => {
-            let p = spec.build(Weighted, weight_level)?;
-            solve_generic(&p, solver, options, ToString::to_string)
-        }
-        SemiringKind::Fuzzy => {
-            let p = spec.build(Fuzzy, unit_level)?;
-            solve_generic(&p, solver, options, ToString::to_string)
-        }
-        SemiringKind::Probabilistic => {
-            let p = spec.build(Probabilistic, unit_level)?;
-            solve_generic(&p, solver, options, ToString::to_string)
-        }
-        SemiringKind::Boolean => {
-            let p = spec.build(Boolean, bool_level)?;
-            solve_generic(&p, solver, options, ToString::to_string)
-        }
+        SemiringKind::Weighted => solve_generic(&spec.build(Weighted)?, solver, options),
+        SemiringKind::Fuzzy => solve_generic(&spec.build(Fuzzy)?, solver, options),
+        SemiringKind::Probabilistic => solve_generic(&spec.build(Probabilistic)?, solver, options),
+        SemiringKind::Boolean => solve_generic(&spec.build(Boolean)?, solver, options),
     }
 }
 
 /// Builds the document's constraint `name`, labelled with its name
 /// unless the document gives a label: fault and recovery trace notes
 /// name constraints by label.
-fn labelled<S, L>(
+fn labelled<S: WireSemiring>(
     name: &str,
     cspec: &ConstraintSpec,
     semiring: &S,
-    level: &L,
-) -> Result<Constraint<S>, CommandError>
-where
-    S: Semiring,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-{
-    let c = cspec.to_constraint(semiring.clone(), level.clone())?;
+) -> Result<Constraint<S>, CommandError> {
+    let c = cspec.to_constraint(semiring.clone())?;
     Ok(if c.label().is_none() {
         c.with_label(name)
     } else {
@@ -384,22 +368,17 @@ where
 }
 
 /// The document's relaxation ladder for chaos mode, in declared order.
-fn relaxations<S, L>(
+fn relaxations<S: WireSemiring>(
     spec: &NegotiationSpec,
     semiring: &S,
-    level: &L,
-) -> Result<Vec<Constraint<S>>, CommandError>
-where
-    S: Semiring,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-{
+) -> Result<Vec<Constraint<S>>, CommandError> {
     spec.relaxations
         .iter()
         .map(|name| {
             let cspec = spec.constraints.get(name).ok_or_else(|| {
                 CommandError::Usage(format!("relaxation `{name}` names no constraint"))
             })?;
-            labelled(name, cspec, semiring, level)
+            labelled(name, cspec, semiring)
         })
         .collect()
 }
@@ -408,27 +387,25 @@ where
 /// `nmsccp` scenario and runs it on the plain interpreter, or — under
 /// `--chaos-*` options — on the resilient one with a seeded fault plan
 /// and the document's relaxations and invariant.
-fn scenario_generic<S, L>(
+fn scenario_generic<S>(
     spec: &NegotiationSpec,
     chaos: Option<ChaosOptions>,
     semiring: S,
-    level: L,
     metrics: Option<MetricsFormat>,
 ) -> Result<String, CommandError>
 where
-    S: softsoa_semiring::Residuated,
+    S: WireSemiring,
     S::Value: std::fmt::Display,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
 {
     let mut env = ParseEnv::new(semiring.clone());
     let mut named = Vec::new();
     for (name, cspec) in &spec.constraints {
-        let c = labelled(name, cspec, &semiring, &level)?;
+        let c = labelled(name, cspec, &semiring)?;
         env = env.with_constraint(name, c.clone());
         named.push(c);
     }
     for (name, raw) in &spec.levels {
-        env = env.with_level(name, level(*raw)?);
+        env = env.with_level(name, parse_level::<S>(*raw)?);
     }
     let (program, agent) = parse_program(&spec.agent, &env)
         .map_err(|e| CommandError::Engine(format!("agent syntax: {e}")))?;
@@ -480,13 +457,18 @@ where
             let plan = FaultPlan::seeded(options.seed, options.horizon, options.rate, &palette);
             let invariant = spec
                 .invariant
-                .map(|[lo, hi]| Ok::<_, FormatError>(Interval::levels(level(lo)?, level(hi)?)))
+                .map(|[lo, hi]| {
+                    Ok::<_, FormatError>(Interval::levels(
+                        parse_level::<S>(lo)?,
+                        parse_level::<S>(hi)?,
+                    ))
+                })
                 .transpose()?;
             let recovery = RecoveryPolicy {
                 guard_deadline: options.deadline,
                 max_retries: options.retries,
                 backoff_base: options.backoff,
-                relaxations: relaxations(spec, &semiring, &level)?,
+                relaxations: relaxations(spec, &semiring)?,
                 invariant,
                 deadline: None,
             };
@@ -616,61 +598,26 @@ fn negotiate_document(
 ) -> Result<String, CommandError> {
     let spec = NegotiationSpec::from_json(text)?;
     match spec.semiring {
-        SemiringKind::Weighted => negotiate_generic(
-            &spec,
-            chaos,
-            metrics,
-            Weighted,
-            weight_level,
-            QosOffer::to_weighted,
-        ),
-        SemiringKind::Fuzzy => {
-            negotiate_generic(&spec, chaos, metrics, Fuzzy, unit_level, QosOffer::to_fuzzy)
-        }
-        SemiringKind::Probabilistic => negotiate_generic(
-            &spec,
-            chaos,
-            metrics,
-            Probabilistic,
-            unit_level,
-            QosOffer::to_probabilistic,
-        ),
-        SemiringKind::Boolean => negotiate_generic(
-            &spec,
-            chaos,
-            metrics,
-            Boolean,
-            bool_level,
-            QosOffer::to_crisp,
-        ),
+        SemiringKind::Weighted => negotiate_generic(&spec, chaos, metrics, Weighted),
+        SemiringKind::Fuzzy => negotiate_generic(&spec, chaos, metrics, Fuzzy),
+        SemiringKind::Probabilistic => negotiate_generic(&spec, chaos, metrics, Probabilistic),
+        SemiringKind::Boolean => negotiate_generic(&spec, chaos, metrics, Boolean),
     }
 }
 
-fn negotiate_generic<S, L, F>(
+fn negotiate_generic<S>(
     spec: &NegotiationSpec,
     chaos: Option<ChaosOptions>,
     metrics: Option<MetricsFormat>,
     semiring: S,
-    level: L,
-    translate: F,
 ) -> Result<String, CommandError>
 where
-    S: softsoa_semiring::Residuated,
+    S: WireSemiring,
     S::Value: std::fmt::Display,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-    F: Fn(&QosOffer) -> Constraint<S>,
 {
     match &spec.broker {
-        Some(broker_spec) => broker_generic(
-            spec,
-            broker_spec,
-            chaos,
-            semiring,
-            level,
-            translate,
-            metrics,
-        ),
-        None => scenario_generic(spec, chaos, semiring, level, metrics),
+        Some(broker_spec) => broker_generic(spec, broker_spec, chaos, semiring, metrics),
+        None => scenario_generic(spec, chaos, semiring, metrics),
     }
 }
 
@@ -699,16 +646,11 @@ fn broker_registry(broker_spec: &BrokerSpec) -> Registry {
 
 /// Builds the client-side negotiation request a broker section
 /// describes (variable domain, policy constraint, acceptance band).
-fn broker_request<S, L>(
+fn broker_request<S: WireSemiring>(
     spec: &NegotiationSpec,
     broker_spec: &BrokerSpec,
     semiring: &S,
-    level: &L,
-) -> Result<NegotiationRequest<S>, CommandError>
-where
-    S: softsoa_semiring::Residuated,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-{
+) -> Result<NegotiationRequest<S>, CommandError> {
     let domain = spec
         .domains
         .get(&broker_spec.variable)
@@ -728,37 +670,33 @@ where
                 broker_spec.client
             ))
         })?
-        .to_constraint(semiring.clone(), level.clone())?;
+        .to_constraint(semiring.clone())?;
     let [lo, hi] = broker_spec.acceptance;
     Ok(NegotiationRequest {
         capability: broker_spec.capability.clone(),
         variable: Var::new(&broker_spec.variable),
         domain,
         constraint: client,
-        acceptance: Interval::levels(level(lo)?, level(hi)?),
+        acceptance: Interval::levels(parse_level::<S>(lo)?, parse_level::<S>(hi)?),
     })
 }
 
 /// Runs the broker section of a negotiation document: publishes the
 /// declared providers, builds the client request and negotiates —
 /// plainly, or resiliently under `--chaos-*` options.
-fn broker_generic<S, L, F>(
+fn broker_generic<S>(
     spec: &NegotiationSpec,
     broker_spec: &BrokerSpec,
     chaos: Option<ChaosOptions>,
     semiring: S,
-    level: L,
-    translate: F,
     metrics: Option<MetricsFormat>,
 ) -> Result<String, CommandError>
 where
-    S: softsoa_semiring::Residuated,
+    S: WireSemiring,
     S::Value: std::fmt::Display,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-    F: Fn(&QosOffer) -> Constraint<S>,
 {
     let registry = broker_registry(broker_spec);
-    let request = broker_request(spec, broker_spec, &semiring, &level)?;
+    let request = broker_request(spec, broker_spec, &semiring)?;
 
     let (telemetry, recorder) = metrics_recorder(metrics);
     let broker = Broker::new(semiring.clone(), registry).with_telemetry(telemetry);
@@ -766,7 +704,7 @@ where
     let mut out = String::new();
     match chaos {
         None => {
-            let sla = broker.negotiate(&request, &translate).map_err(engine)?;
+            let sla = broker.negotiate(&request, S::translate).map_err(engine)?;
             write_sla(&mut out, &sla);
         }
         Some(options) => {
@@ -779,9 +717,9 @@ where
                 backoff_base: options.backoff,
                 ..ChaosConfig::default()
             };
-            let relaxations = relaxations(spec, &semiring, &level)?;
+            let relaxations = relaxations(spec, &semiring)?;
             let report = broker
-                .negotiate_resilient(&request, &relaxations, &config, &translate)
+                .negotiate_resilient(&request, &relaxations, &config, S::translate)
                 .map_err(engine)?;
             for (service, session) in &report.sessions {
                 let _ = writeln!(
@@ -874,33 +812,9 @@ pub fn negotiate_contend(text: &str, options: &ContendOptions) -> Result<String,
         CommandError::Usage("--contend: the document has no `broker` section".into())
     })?;
     match spec.semiring {
-        SemiringKind::Weighted => contend_generic(
-            &spec,
-            &broker_spec,
-            options,
-            Weighted,
-            weight_level,
-            QosOffer::to_weighted,
-            ToString::to_string,
-        ),
-        SemiringKind::Fuzzy => contend_generic(
-            &spec,
-            &broker_spec,
-            options,
-            Fuzzy,
-            unit_level,
-            QosOffer::to_fuzzy,
-            ToString::to_string,
-        ),
-        SemiringKind::Probabilistic => contend_generic(
-            &spec,
-            &broker_spec,
-            options,
-            Probabilistic,
-            unit_level,
-            QosOffer::to_probabilistic,
-            ToString::to_string,
-        ),
+        SemiringKind::Weighted => contend_generic(&spec, &broker_spec, options, Weighted),
+        SemiringKind::Fuzzy => contend_generic(&spec, &broker_spec, options, Fuzzy),
+        SemiringKind::Probabilistic => contend_generic(&spec, &broker_spec, options, Probabilistic),
         SemiringKind::Boolean => Err(CommandError::Usage(
             "--contend: contention ranks agreements by graded softness — \
              use weighted, fuzzy or probabilistic"
@@ -909,22 +823,18 @@ pub fn negotiate_contend(text: &str, options: &ContendOptions) -> Result<String,
     }
 }
 
-fn contend_generic<S, L, F>(
+fn contend_generic<S>(
     spec: &NegotiationSpec,
     broker_spec: &BrokerSpec,
     options: &ContendOptions,
     semiring: S,
-    level: L,
-    translate: F,
-    fmt_level: impl Fn(&S::Value) -> String,
 ) -> Result<String, CommandError>
 where
     S: WireSemiring,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-    F: Fn(&QosOffer) -> Constraint<S>,
+    S::Value: std::fmt::Display,
 {
     let registry = broker_registry(broker_spec);
-    let request = broker_request(spec, broker_spec, &semiring, &level)?;
+    let request = broker_request(spec, broker_spec, &semiring)?;
     let (telemetry, recorder) = metrics_recorder(options.metrics);
     let broker = Broker::new(semiring, registry).with_telemetry(telemetry);
     let contended: Vec<ContendedRequest<S>> = (0..options.contenders.max(1))
@@ -933,7 +843,7 @@ where
             request: request.clone(),
         })
         .collect();
-    let allocation = broker.negotiate_contended(&contended, options.fairness, &translate);
+    let allocation = broker.negotiate_contended(&contended, options.fairness, S::translate);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -952,7 +862,7 @@ where
                     "{client:12} granted     {} from {} at {}",
                     sla.service.as_str(),
                     sla.provider.as_str(),
-                    fmt_level(&sla.agreed_level)
+                    sla.agreed_level
                 );
             }
             ContentionOutcome::Preempted => {
@@ -981,21 +891,16 @@ where
     Ok(out)
 }
 
-fn explore_generic<S, L>(
+fn explore_generic<S: WireSemiring>(
     spec: &NegotiationSpec,
     semiring: S,
-    level: L,
-) -> Result<String, CommandError>
-where
-    S: softsoa_semiring::Residuated,
-    L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-{
+) -> Result<String, CommandError> {
     let mut env = ParseEnv::new(semiring.clone());
     for (name, cspec) in &spec.constraints {
-        env = env.with_constraint(name, cspec.to_constraint(semiring.clone(), level.clone())?);
+        env = env.with_constraint(name, cspec.to_constraint(semiring.clone())?);
     }
     for (name, raw) in &spec.levels {
-        env = env.with_level(name, level(*raw)?);
+        env = env.with_level(name, parse_level::<S>(*raw)?);
     }
     let (program, agent) = parse_program(&spec.agent, &env)
         .map_err(|e| CommandError::Engine(format!("agent syntax: {e}")))?;
@@ -1055,10 +960,10 @@ where
 pub fn explore(text: &str) -> Result<String, CommandError> {
     let spec = NegotiationSpec::from_json(text)?;
     match spec.semiring {
-        SemiringKind::Weighted => explore_generic(&spec, Weighted, weight_level),
-        SemiringKind::Fuzzy => explore_generic(&spec, Fuzzy, unit_level),
-        SemiringKind::Probabilistic => explore_generic(&spec, Probabilistic, unit_level),
-        SemiringKind::Boolean => explore_generic(&spec, Boolean, bool_level),
+        SemiringKind::Weighted => explore_generic(&spec, Weighted),
+        SemiringKind::Fuzzy => explore_generic(&spec, Fuzzy),
+        SemiringKind::Probabilistic => explore_generic(&spec, Probabilistic),
+        SemiringKind::Boolean => explore_generic(&spec, Boolean),
     }
 }
 
@@ -1119,7 +1024,7 @@ pub fn coalitions_with_options(
                     network.len()
                 )));
             }
-            exact_formation_instrumented(&network, cfg, Parallelism::Sequential, &telemetry)
+            exact_formation_with(&network, cfg, Parallelism::Sequential, &telemetry)
                 .ok_or_else(|| CommandError::Engine("no feasible partition".into()))?
         }
         "individual" => individually_oriented(&network, compose),
@@ -2019,7 +1924,7 @@ mod tests {
 
     fn broker_doc() -> String {
         use softsoa_dependability::Attribute;
-        use softsoa_soa::OfferShape;
+        use softsoa_soa::{OfferShape, QosOffer};
         let offer = QosOffer {
             attribute: Attribute::Reliability,
             variable: "x".into(),

@@ -12,8 +12,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use softsoa_core::{Constraint, Domain, Scsp, Val, Var};
-use softsoa_semiring::{Semiring, Unit, Weight};
-use softsoa_soa::QosOffer;
+use softsoa_semiring::{Fuzzy, Unit};
+use softsoa_soa::{QosOffer, WireSemiring};
 
 /// An error while reading or interpreting a specification.
 #[derive(Debug)]
@@ -184,18 +184,18 @@ pub enum ConstraintSpec {
 }
 
 impl ConstraintSpec {
-    /// Builds the constraint over a concrete semiring, converting raw
-    /// `f64` levels through `level`.
+    /// Builds the constraint over a concrete semiring, reading table
+    /// levels strictly through [`WireSemiring::parse_level`]; a linear
+    /// policy's levels outside the carrier read as the semiring zero.
     ///
     /// # Errors
     ///
     /// Returns [`FormatError::Invalid`] when a level is outside the
     /// semiring carrier or a table row is malformed.
-    pub fn to_constraint<S, L>(&self, semiring: S, level: L) -> Result<Constraint<S>, FormatError>
-    where
-        S: Semiring,
-        L: Fn(f64) -> Result<S::Value, FormatError> + Send + Sync + 'static,
-    {
+    pub fn to_constraint<S: WireSemiring>(
+        &self,
+        semiring: S,
+    ) -> Result<Constraint<S>, FormatError> {
         match self {
             ConstraintSpec::Table {
                 scope,
@@ -214,10 +214,10 @@ impl ConstraintSpec {
                         )));
                     }
                     let vals: Vec<Val> = tuple.iter().map(ValSpec::to_val).collect();
-                    rows.push((vals, level(*raw)?));
+                    rows.push((vals, parse_level::<S>(*raw)?));
                 }
                 let default_level = match default {
-                    Some(raw) => level(*raw)?,
+                    Some(raw) => parse_level::<S>(*raw)?,
                     None => semiring.zero(),
                 };
                 let mut c = Constraint::table(semiring, &vars, rows, default_level);
@@ -238,7 +238,7 @@ impl ConstraintSpec {
                     let Some(x) = v.as_int() else {
                         return zero.clone();
                     };
-                    level(slope * x as f64 + intercept).unwrap_or_else(|_| zero.clone())
+                    S::parse_level(slope * x as f64 + intercept).unwrap_or_else(|_| zero.clone())
                 });
                 Ok(match label {
                     Some(label) => c.with_label(label),
@@ -277,51 +277,26 @@ impl ProblemSpec {
     /// # Errors
     ///
     /// Returns [`FormatError::Invalid`] on bad domains or levels.
-    pub fn build<S, L>(&self, semiring: S, level: L) -> Result<Scsp<S>, FormatError>
-    where
-        S: Semiring,
-        L: Fn(f64) -> Result<S::Value, FormatError> + Clone + Send + Sync + 'static,
-    {
+    pub fn build<S: WireSemiring>(&self, semiring: S) -> Result<Scsp<S>, FormatError> {
         let mut problem = Scsp::new(semiring.clone());
         for (name, spec) in &self.domains {
             problem.add_domain(Var::new(name), spec.to_domain()?);
         }
         for spec in &self.constraints {
-            problem.add_constraint(spec.to_constraint(semiring.clone(), level.clone())?);
+            problem.add_constraint(spec.to_constraint(semiring.clone())?);
         }
         Ok(problem.of_interest(self.con.iter().map(Var::new)))
     }
 }
 
-/// Level conversion for the weighted semiring.
+/// Reads an explicit document level strictly (see
+/// [`WireSemiring::parse_level`]).
 ///
 /// # Errors
 ///
-/// Returns [`FormatError::Invalid`] for NaN or negative levels.
-pub fn weight_level(raw: f64) -> Result<Weight, FormatError> {
-    Weight::new(raw).map_err(|_| invalid(format!("{raw} is not a valid weight")))
-}
-
-/// Level conversion for the `[0, 1]` semirings.
-///
-/// # Errors
-///
-/// Returns [`FormatError::Invalid`] for levels outside `[0, 1]`.
-pub fn unit_level(raw: f64) -> Result<Unit, FormatError> {
-    Unit::new(raw).map_err(|_| invalid(format!("{raw} is not in [0, 1]")))
-}
-
-/// Level conversion for the classical semiring (`0.0` or `1.0`).
-///
-/// # Errors
-///
-/// Returns [`FormatError::Invalid`] for anything but 0 and 1.
-pub fn bool_level(raw: f64) -> Result<bool, FormatError> {
-    match raw {
-        0.0 => Ok(false),
-        1.0 => Ok(true),
-        other => Err(invalid(format!("{other} is not a crisp level (0 or 1)"))),
-    }
+/// Returns [`FormatError::Invalid`] for a level outside the carrier.
+pub(crate) fn parse_level<S: WireSemiring>(raw: f64) -> Result<S::Value, FormatError> {
+    S::parse_level(raw).map_err(FormatError::Invalid)
 }
 
 /// Scheduling policy for a negotiation run.
@@ -492,7 +467,7 @@ impl CoalitionSpec {
                 )));
             }
             for (j, raw) in row.iter().enumerate() {
-                net.set(i as u32, j as u32, unit_level(*raw)?);
+                net.set(i as u32, j as u32, parse_level::<Fuzzy>(*raw)?);
             }
         }
         Ok(net)
@@ -516,7 +491,7 @@ impl CoalitionSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softsoa_semiring::WeightedInt;
+    use softsoa_semiring::{Boolean, Weight, Weighted};
 
     #[test]
     fn problem_roundtrip_and_build() {
@@ -534,9 +509,7 @@ mod tests {
         }"#;
         let spec = ProblemSpec::from_json(text).unwrap();
         assert_eq!(spec.semiring, SemiringKind::Weighted);
-        let p = spec
-            .build(softsoa_semiring::Weighted, weight_level)
-            .unwrap();
+        let p = spec.build(Weighted).unwrap();
         assert_eq!(p.blevel().unwrap(), Weight::new(7.0).unwrap());
     }
 
@@ -548,9 +521,7 @@ mod tests {
             intercept: 3.0,
             label: Some("c".into()),
         };
-        let c = spec
-            .to_constraint(softsoa_semiring::Weighted, weight_level)
-            .unwrap();
+        let c = spec.to_constraint(Weighted).unwrap();
         let eta = softsoa_core::Assignment::new().bind("x", 4);
         assert_eq!(c.eval(&eta), Weight::new(11.0).unwrap());
         assert_eq!(c.label(), Some("c"));
@@ -558,10 +529,10 @@ mod tests {
 
     #[test]
     fn bad_levels_are_rejected() {
-        assert!(weight_level(-1.0).is_err());
-        assert!(unit_level(1.5).is_err());
-        assert!(bool_level(0.5).is_err());
-        assert!(bool_level(1.0).unwrap());
+        assert!(parse_level::<Weighted>(-1.0).is_err());
+        assert!(parse_level::<Fuzzy>(1.5).is_err());
+        assert!(parse_level::<Boolean>(0.5).is_err());
+        assert!(parse_level::<Boolean>(1.0).unwrap());
     }
 
     #[test]
@@ -572,9 +543,7 @@ mod tests {
             default: None,
             label: None,
         };
-        let err = spec
-            .to_constraint(WeightedInt, |v| Ok(v as u64))
-            .unwrap_err();
+        let err = spec.to_constraint(Weighted).unwrap_err();
         assert!(err.to_string().contains("arity"));
     }
 

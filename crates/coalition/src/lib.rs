@@ -63,8 +63,8 @@ pub use network::{AgentId, TrustNetwork};
 pub use propagate::propagate;
 pub use scsp::{formation_scsp, scsp_formation, scsp_formation_with};
 pub use solvers::{
-    exact_formation, exact_formation_enumerated, exact_formation_instrumented,
-    exact_formation_with, individually_oriented, local_search, socially_oriented, stabilize,
-    FormationConfig, FormationResult, MAX_ENUMERATED_AGENTS, MAX_EXACT_AGENTS,
+    exact_formation, exact_formation_enumerated, exact_formation_with, individually_oriented,
+    local_search, socially_oriented, stabilize, FormationConfig, FormationResult,
+    MAX_ENUMERATED_AGENTS, MAX_EXACT_AGENTS,
 };
 pub use stability::{find_blocking, is_stable, BlockingPair};

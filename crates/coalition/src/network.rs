@@ -224,6 +224,7 @@ mod tests {
     fn a_panicking_formation_worker_reraises_its_payload() {
         use crate::{exact_formation_enumerated, exact_formation_with, FormationConfig};
         use softsoa_core::solve::Parallelism;
+        use softsoa_telemetry::Telemetry;
         use std::panic::catch_unwind;
         // A matrix one row long for six agents: every worker's first
         // lookup past row 0 panics with an index error.
@@ -232,7 +233,9 @@ mod tests {
             trust: vec![Unit::MAX; 6],
         };
         let (cfg, threads) = (FormationConfig::default(), Parallelism::Threads(2));
-        let dp = catch_unwind(|| exact_formation_with(&broken, cfg, threads)).unwrap_err();
+        let dp =
+            catch_unwind(|| exact_formation_with(&broken, cfg, threads, &Telemetry::disabled()))
+                .unwrap_err();
         let bell = catch_unwind(|| exact_formation_enumerated(&broken, cfg, threads)).unwrap_err();
         for payload in [dp, bell] {
             let message = payload

@@ -93,25 +93,12 @@ pub struct FormationResult {
 /// assert!(best.score.get() >= 0.8);
 /// ```
 pub fn exact_formation(network: &TrustNetwork, cfg: FormationConfig) -> Option<FormationResult> {
-    exact_formation_with(network, cfg, Parallelism::Sequential)
-}
-
-/// [`exact_formation`] with an explicit parallelism level: the
-/// subset-trust memo table is filled in contiguous mask ranges across
-/// worker threads (every entry is independent, so any split yields an
-/// identical table), and the DP itself is deterministic — the winning
-/// partition, score and work counter are identical at every thread
-/// count.
-///
-/// # Panics
-///
-/// As for [`exact_formation`].
-pub fn exact_formation_with(
-    network: &TrustNetwork,
-    cfg: FormationConfig,
-    parallelism: Parallelism,
-) -> Option<FormationResult> {
-    exact_formation_instrumented(network, cfg, parallelism, &Telemetry::disabled())
+    exact_formation_with(
+        network,
+        cfg,
+        Parallelism::Sequential,
+        &Telemetry::disabled(),
+    )
 }
 
 /// The largest network [`exact_formation`] accepts. The subset DP
@@ -127,15 +114,20 @@ pub const MAX_EXACT_AGENTS: u32 = 18;
 /// partitions is the practical limit.
 pub const MAX_ENUMERATED_AGENTS: u32 = 13;
 
-/// [`exact_formation_with`] reporting through `telemetry`: the DP
-/// transitions examined (`formation.explored`), the per-chunk memo
-/// balance (`formation.chunk_explored` observations), the thread
+/// [`exact_formation`] with an explicit parallelism level, reporting
+/// through `telemetry`. The subset-trust memo table is filled in
+/// contiguous mask ranges across worker threads (every entry is
+/// independent, so any split yields an identical table), and the DP
+/// itself is deterministic — the winning partition, score and work
+/// counter are identical at every thread count. The telemetry records
+/// the DP transitions examined (`formation.explored`), the per-chunk
+/// memo balance (`formation.chunk_explored` observations), the thread
 /// gauge and the winning partition's coalition count.
 ///
 /// # Panics
 ///
 /// As for [`exact_formation`].
-pub fn exact_formation_instrumented(
+pub fn exact_formation_with(
     network: &TrustNetwork,
     cfg: FormationConfig,
     parallelism: Parallelism,
@@ -875,8 +867,13 @@ mod tests {
                 };
                 let sequential = exact_formation(&net, cfg).unwrap();
                 for threads in [1, 2, 5] {
-                    let parallel =
-                        exact_formation_with(&net, cfg, Parallelism::Threads(threads)).unwrap();
+                    let parallel = exact_formation_with(
+                        &net,
+                        cfg,
+                        Parallelism::Threads(threads),
+                        &Telemetry::disabled(),
+                    )
+                    .unwrap();
                     assert_eq!(parallel.partition, sequential.partition, "seed {seed}");
                     assert_eq!(parallel.score, sequential.score, "seed {seed}");
                     assert_eq!(parallel.explored, sequential.explored, "seed {seed}");

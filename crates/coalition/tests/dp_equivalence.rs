@@ -13,6 +13,7 @@ use softsoa_coalition::{
     TrustComposition, TrustNetwork,
 };
 use softsoa_core::solve::Parallelism;
+use softsoa_telemetry::Telemetry;
 
 const COMPOSITIONS: [TrustComposition; 3] = [
     TrustComposition::Min,
@@ -23,7 +24,7 @@ const COMPOSITIONS: [TrustComposition; 3] = [
 fn assert_engines_agree(net: &TrustNetwork, cfg: FormationConfig, context: &str) {
     for parallelism in [Parallelism::Sequential, Parallelism::Threads(3)] {
         let context = format!("{context} {parallelism:?}");
-        let dp = exact_formation_with(net, cfg, parallelism);
+        let dp = exact_formation_with(net, cfg, parallelism, &Telemetry::disabled());
         let bell = exact_formation_enumerated(net, cfg, parallelism);
         assert_results_agree(net, cfg, dp, bell, &context);
     }

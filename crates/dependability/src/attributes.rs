@@ -20,8 +20,9 @@ use std::fmt;
 ///     .recommended_metrics()
 ///     .contains(&MetricClass::Multiplicative));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum Attribute {
     /// The probability that a service is present and ready for use.
     Availability,
@@ -104,8 +105,9 @@ impl fmt::Display for Attribute {
 
 /// A class of QoS/dependability metric and the c-semiring that models
 /// it (the instantiation list of Sec. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum MetricClass {
     /// Counts/quantities to minimise — the Weighted semiring
     /// `⟨ℝ⁺, min, +, ∞, 0⟩`.

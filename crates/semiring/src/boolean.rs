@@ -22,7 +22,6 @@ use crate::{IdempotentTimes, Residuated, Semiring};
 /// assert!(s.leq(&false, &true));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Boolean;
 
 impl Semiring for Boolean {

@@ -35,7 +35,6 @@ use crate::{IdempotentTimes, Residuated, Semiring, Unit, Weight};
 /// # Ok::<(), softsoa_semiring::InvalidWeightError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Capacity;
 
 impl Semiring for Capacity {
@@ -101,7 +100,6 @@ impl Residuated for Capacity {
 /// # Ok::<(), softsoa_semiring::UnitRangeError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lukasiewicz;
 
 impl Semiring for Lukasiewicz {

@@ -24,7 +24,6 @@ use crate::{IdempotentTimes, Residuated, Semiring, Unit, UnitRangeError};
 /// # Ok::<(), softsoa_semiring::UnitRangeError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fuzzy;
 
 impl Fuzzy {

@@ -57,7 +57,6 @@ use crate::{Residuated, Semiring};
 /// # Ok::<(), softsoa_semiring::UnitRangeError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lex<S1, S2> {
     first: S1,
     second: S2,

@@ -31,7 +31,6 @@ use crate::{IdempotentTimes, Residuated, Semiring};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Product<S1, S2> {
     first: S1,
     second: S2,

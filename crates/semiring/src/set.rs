@@ -30,7 +30,6 @@ use crate::{IdempotentTimes, Residuated, Semiring};
 /// # Ok::<(), softsoa_semiring::NotInUniverseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SetSemiring<T: SetElement> {
     universe: BTreeSet<T>,
 }

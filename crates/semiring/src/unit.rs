@@ -38,7 +38,6 @@ impl std::error::Error for UnitRangeError {}
 /// # Ok::<(), softsoa_semiring::UnitRangeError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Unit(f64);
 
 impl Unit {

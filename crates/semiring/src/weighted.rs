@@ -45,7 +45,6 @@ impl std::error::Error for InvalidWeightError {}
 /// # Ok::<(), softsoa_semiring::InvalidWeightError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Weight(f64);
 
 impl Weight {
@@ -173,7 +172,6 @@ impl TryFrom<f64> for Weight {
 /// # Ok::<(), softsoa_semiring::InvalidWeightError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Weighted;
 
 impl Weighted {
@@ -242,7 +240,6 @@ impl Residuated for Weighted {
 /// assert_eq!(s.times(&u64::MAX, &1), u64::MAX); // ∞ absorbs
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeightedInt;
 
 /// The value used as `∞` by [`WeightedInt`].

@@ -128,7 +128,7 @@ impl From<SemanticsError> for NegotiationError {
 /// use softsoa_nmsccp::Interval;
 /// use softsoa_semiring::{Fuzzy, Unit};
 /// use softsoa_soa::{Broker, NegotiationRequest, OfferShape, QosDocument,
-///     QosOffer, Registry, ServiceDescription};
+///     QosOffer, Registry, ServiceDescription, WireSemiring};
 /// use softsoa_dependability::Attribute;
 ///
 /// let mut registry = Registry::new();
@@ -153,7 +153,7 @@ impl From<SemanticsError> for NegotiationError {
 /// };
 ///
 /// let broker = Broker::new(Fuzzy, registry);
-/// let sla = broker.negotiate(&request, QosOffer::to_fuzzy)?;
+/// let sla = broker.negotiate(&request, Fuzzy::translate)?;
 /// assert_eq!(sla.agreed_level, Unit::new(0.5).unwrap());
 /// # Ok::<(), softsoa_soa::NegotiationError>(())
 /// ```
@@ -714,7 +714,7 @@ pub(crate) type Sessions<S, R> = (Vec<Sla<S>>, Vec<(ServiceId, R)>);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OfferShape, QosDocument};
+    use crate::{OfferShape, QosDocument, WireSemiring};
     use softsoa_core::Val;
     use softsoa_dependability::Attribute;
     use softsoa_semiring::{Fuzzy, Unit, Weight, Weighted};
@@ -749,9 +749,7 @@ mod tests {
         let mut registry = Registry::new();
         registry.publish(fuzzy_provider("svc-1", vec![(1, 1.0), (9, 0.0)]));
         let broker = Broker::new(Fuzzy, registry);
-        let sla = broker
-            .negotiate(&fig5_request(), QosOffer::to_fuzzy)
-            .unwrap();
+        let sla = broker.negotiate(&fig5_request(), Fuzzy::translate).unwrap();
         assert_eq!(sla.agreed_level, Unit::new(0.5).unwrap());
         // The agreement is at the intersection x = 5.
         let (eta, level) = sla.binding.unwrap();
@@ -767,9 +765,7 @@ mod tests {
         registry.publish(fuzzy_provider("svc-steep", vec![(1, 1.0), (9, 0.0)]));
         registry.publish(fuzzy_provider("svc-flat", vec![(1, 0.8), (9, 0.8)]));
         let broker = Broker::new(Fuzzy, registry);
-        let sla = broker
-            .negotiate(&fig5_request(), QosOffer::to_fuzzy)
-            .unwrap();
+        let sla = broker.negotiate(&fig5_request(), Fuzzy::translate).unwrap();
         assert_eq!(sla.service, ServiceId::new("svc-flat"));
         assert_eq!(sla.agreed_level, Unit::new(0.8).unwrap());
     }
@@ -801,7 +797,7 @@ mod tests {
         registry.publish(fuzzy_provider("svc-bad", vec![(1, 0.2), (9, 0.2)]));
         let broker = Broker::new(Fuzzy, registry);
         let err = broker
-            .negotiate(&fig5_request(), QosOffer::to_fuzzy)
+            .negotiate(&fig5_request(), Fuzzy::translate)
             .unwrap_err();
         assert!(matches!(err, NegotiationError::NoAgreement(_)));
     }
@@ -814,7 +810,7 @@ mod tests {
         let mut request = fig5_request();
         // Fuzzy: lower 0.9 is better than upper 0.2 → contradictory.
         request.acceptance = Interval::levels(Unit::new(0.9).unwrap(), Unit::new(0.2).unwrap());
-        let err = broker.negotiate(&request, QosOffer::to_fuzzy).unwrap_err();
+        let err = broker.negotiate(&request, Fuzzy::translate).unwrap_err();
         assert!(matches!(err, NegotiationError::InvalidAcceptance(_)));
     }
 
@@ -822,7 +818,7 @@ mod tests {
     fn missing_capability_is_no_provider() {
         let broker = Broker::new(Fuzzy, Registry::new());
         let err = broker
-            .negotiate(&fig5_request(), QosOffer::to_fuzzy)
+            .negotiate(&fig5_request(), Fuzzy::translate)
             .unwrap_err();
         assert!(matches!(err, NegotiationError::NoProvider(_)));
     }
@@ -842,7 +838,7 @@ mod tests {
         ));
         let broker = Broker::new(Fuzzy, registry);
         let err = broker
-            .negotiate(&fig5_request(), QosOffer::to_fuzzy)
+            .negotiate(&fig5_request(), Fuzzy::translate)
             .unwrap_err();
         assert!(matches!(err, NegotiationError::NoAgreement(_)));
     }
@@ -881,7 +877,7 @@ mod tests {
         let broker = Broker::new(Weighted, registry);
         // Without relaxation: no agreement (level 5 ∉ [1, 4]).
         assert!(matches!(
-            broker.negotiate(&request, QosOffer::to_weighted),
+            broker.negotiate(&request, Weighted::translate),
             Err(NegotiationError::NoAgreement(_))
         ));
         // Conceding c1 = x + 3 reaches level 2.
@@ -889,7 +885,7 @@ mod tests {
             Weight::saturating(v.as_int().unwrap() as f64 + 3.0)
         });
         let (sla, concessions) = broker
-            .negotiate_with_relaxation(&request, &[c1], QosOffer::to_weighted)
+            .negotiate_with_relaxation(&request, &[c1], Weighted::translate)
             .unwrap();
         assert_eq!(concessions, 1);
         assert_eq!(sla.agreed_level, Weight::new(2.0).unwrap());
@@ -919,7 +915,7 @@ mod tests {
             acceptance: Interval::levels(Weight::new(4.0).unwrap(), Weight::ZERO),
         };
         let err = broker
-            .negotiate_with_relaxation(&request, &[], QosOffer::to_weighted)
+            .negotiate_with_relaxation(&request, &[], Weighted::translate)
             .unwrap_err();
         assert!(matches!(err, NegotiationError::NoAgreement(_)));
     }
@@ -930,12 +926,8 @@ mod tests {
         registry.publish(fuzzy_provider("svc-1", vec![(1, 1.0), (9, 0.0)]));
         let (telemetry, sink) = Telemetry::recording();
         let broker = Broker::new(Fuzzy, registry).with_telemetry(telemetry);
-        let first = broker
-            .negotiate(&fig5_request(), QosOffer::to_fuzzy)
-            .unwrap();
-        let second = broker
-            .negotiate(&fig5_request(), QosOffer::to_fuzzy)
-            .unwrap();
+        let first = broker.negotiate(&fig5_request(), Fuzzy::translate).unwrap();
+        let second = broker.negotiate(&fig5_request(), Fuzzy::translate).unwrap();
         assert_eq!(first.binding, second.binding);
         let counters = sink.snapshot().counters;
         // Two agreements, each bound by a scan of the 9-value domain.
@@ -981,14 +973,14 @@ mod tests {
             registry.publish(fuzzy_provider(id, points.clone()));
         }
         let all = Broker::new(Fuzzy, registry)
-            .negotiate_all(&fig5_request(), QosOffer::to_fuzzy)
+            .negotiate_all(&fig5_request(), Fuzzy::translate)
             .unwrap();
 
         let mut isolated = Vec::new();
         for (id, points) in &providers {
             let mut registry = Registry::new();
             registry.publish(fuzzy_provider(id, points.clone()));
-            match Broker::new(Fuzzy, registry).negotiate_all(&fig5_request(), QosOffer::to_fuzzy) {
+            match Broker::new(Fuzzy, registry).negotiate_all(&fig5_request(), Fuzzy::translate) {
                 Ok(slas) => isolated.extend(slas),
                 Err(NegotiationError::NoProvider(_)) => {}
                 Err(other) => panic!("unexpected error: {other}"),
@@ -1103,7 +1095,7 @@ mod tests {
             acceptance: Interval::levels(Weight::new(6.0).unwrap(), Weight::new(1.0).unwrap()),
         };
         let broker = Broker::new(Weighted, registry);
-        let sla = broker.negotiate(&request, QosOffer::to_weighted).unwrap();
+        let sla = broker.negotiate(&request, Weighted::translate).unwrap();
         // Best at x = 0: cost 1.
         assert_eq!(sla.agreed_level, Weight::new(1.0).unwrap());
         let (eta, _) = sla.binding.unwrap();

@@ -447,7 +447,7 @@ impl<S: Residuated> Broker<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OfferShape, QosDocument, Registry, ServiceDescription};
+    use crate::{OfferShape, QosDocument, Registry, ServiceDescription, WireSemiring};
     use softsoa_core::{Domain, Var};
     use softsoa_dependability::Attribute;
     use softsoa_semiring::{Weight, Weighted};
@@ -507,7 +507,7 @@ mod tests {
     fn chaos_negotiation_relaxes_where_naive_fails() {
         let broker = Broker::new(Weighted, example2_registry());
         assert!(matches!(
-            broker.negotiate(&example2_request(), QosOffer::to_weighted),
+            broker.negotiate(&example2_request(), Weighted::translate),
             Err(NegotiationError::NoAgreement(_))
         ));
         let chaos = ChaosConfig {
@@ -515,7 +515,7 @@ mod tests {
             ..ChaosConfig::default()
         };
         let report = broker
-            .negotiate_resilient(&example2_request(), &[c1()], &chaos, QosOffer::to_weighted)
+            .negotiate_resilient(&example2_request(), &[c1()], &chaos, Weighted::translate)
             .unwrap();
         let sla = report.sla.expect("relaxed negotiation succeeds");
         assert_eq!(sla.agreed_level, Weight::new(2.0).unwrap());
@@ -533,7 +533,7 @@ mod tests {
                 ..ChaosConfig::default()
             };
             broker
-                .negotiate_resilient(&example2_request(), &[c1()], &chaos, QosOffer::to_weighted)
+                .negotiate_resilient(&example2_request(), &[c1()], &chaos, Weighted::translate)
                 .unwrap()
         };
         let a = run();
@@ -640,7 +640,7 @@ mod tests {
             .query_resilient(
                 &query,
                 &chaos,
-                QosOffer::to_weighted,
+                Weighted::translate,
                 &SolverConfig::default(),
             )
             .unwrap();
@@ -680,7 +680,7 @@ mod tests {
             .query_resilient(
                 &query,
                 &chaos,
-                QosOffer::to_weighted,
+                Weighted::translate,
                 &SolverConfig::default(),
             )
             .unwrap();
@@ -722,7 +722,7 @@ mod tests {
             .query_resilient(
                 &query,
                 &chaos,
-                QosOffer::to_weighted,
+                Weighted::translate,
                 &SolverConfig::default(),
             )
             .unwrap();

@@ -103,7 +103,7 @@ impl<S: Residuated> Broker<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OfferShape, QosDocument, Registry, ServiceDescription};
+    use crate::{OfferShape, QosDocument, Registry, ServiceDescription, WireSemiring};
     use softsoa_core::{Domain, Var};
     use softsoa_dependability::Attribute;
     use softsoa_nmsccp::Interval;
@@ -141,7 +141,7 @@ mod tests {
         let composition = broker
             .compose(
                 &[stage("red-filter", "r"), stage("bw-filter", "b")],
-                QosOffer::to_probabilistic,
+                Probabilistic::translate,
             )
             .unwrap();
         assert_eq!(composition.slas.len(), 2);
@@ -163,7 +163,7 @@ mod tests {
         let err = broker
             .compose(
                 &[stage("red-filter", "r"), stage("bw-filter", "b")],
-                QosOffer::to_probabilistic,
+                Probabilistic::translate,
             )
             .unwrap_err();
         assert!(matches!(err, NegotiationError::NoProvider(_)));
@@ -175,7 +175,7 @@ mod tests {
         registry.publish(provider("red", "red-filter", "r", 0.9));
         let broker = Broker::new(Probabilistic, registry);
         let composition = broker
-            .compose(&[stage("red-filter", "r")], QosOffer::to_probabilistic)
+            .compose(&[stage("red-filter", "r")], Probabilistic::translate)
             .unwrap();
         let iface = composition.interface(&[]).unwrap();
         assert!(iface.scope().is_empty());

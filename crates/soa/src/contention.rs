@@ -48,9 +48,8 @@ use softsoa_core::Constraint;
 use softsoa_semiring::{Lex, Probabilistic, Semiring, Unit};
 
 use crate::broker::{Broker, NegotiationRequest, RegistrySnapshot, Sla};
-use crate::qos::QosOffer;
+use crate::qos::{QosOffer, WireSemiring};
 use crate::registry::ServiceId;
-use crate::server::protocol::WireSemiring;
 
 /// Largest batch solved exactly by the subset-DP; larger batches use
 /// greedy progressive filling. `O(services · 3^n)` states: at 10
@@ -318,7 +317,7 @@ impl<S: WireSemiring> Broker<S> {
     ///     .collect();
     ///
     /// let broker = Broker::new(Fuzzy, registry);
-    /// let allocation = broker.negotiate_contended(&batch, Fairness::Leximin, QosOffer::to_fuzzy);
+    /// let allocation = broker.negotiate_contended(&batch, Fairness::Leximin, Fuzzy::translate);
     /// // One slot, two clients: exactly one is granted.
     /// assert_eq!(allocation.report.granted, 1);
     /// assert_eq!(allocation.report.clients, 2);
@@ -861,7 +860,7 @@ mod tests {
     fn fcfs_serves_arrival_order_and_waitlists_the_tail() {
         let broker = Broker::new(Fuzzy, contended_registry());
         let requests = batch(&["a", "b", "c"]);
-        let allocation = broker.negotiate_contended(&requests, Fairness::Fcfs, QosOffer::to_fuzzy);
+        let allocation = broker.negotiate_contended(&requests, Fairness::Fcfs, Fuzzy::translate);
 
         assert_eq!(allocation.report.granted, 2);
         assert_eq!(allocation.report.waitlisted, 1);
@@ -884,7 +883,7 @@ mod tests {
         let requests = batch(&["a", "b", "c"]);
         for wave in 1..=4u64 {
             let allocation =
-                broker.negotiate_contended(&requests, Fairness::Fcfs, QosOffer::to_fuzzy);
+                broker.negotiate_contended(&requests, Fairness::Fcfs, Fuzzy::translate);
             assert_eq!(granted_clients(&allocation), vec!["a", "b"]);
             assert_eq!(allocation.report.max_starvation_age, wave);
             assert!(matches!(
@@ -901,7 +900,7 @@ mod tests {
         let mut grants: HashMap<String, usize> = HashMap::new();
         for wave in 1..=4u64 {
             let allocation =
-                broker.negotiate_contended(&requests, Fairness::Leximin, QosOffer::to_fuzzy);
+                broker.negotiate_contended(&requests, Fairness::Leximin, Fuzzy::translate);
             assert_eq!(allocation.report.granted, 2, "wave {wave}");
             for client in granted_clients(&allocation) {
                 *grants.entry(client).or_default() += 1;
@@ -928,7 +927,7 @@ mod tests {
         let requests = batch(&["a", "b", "c"]);
         for _ in 0..4 {
             let allocation =
-                broker.negotiate_contended(&requests, Fairness::Nash, QosOffer::to_fuzzy);
+                broker.negotiate_contended(&requests, Fairness::Nash, Fuzzy::translate);
             assert_eq!(allocation.report.granted, 2);
             assert!(allocation.report.max_starvation_age <= 1);
         }
@@ -939,11 +938,10 @@ mod tests {
         let broker = Broker::new(Fuzzy, contended_registry());
         let requests = batch(&["a", "b", "c"]);
         // Wave 1 under FCFS grants a and b, leaving c starving.
-        broker.negotiate_contended(&requests, Fairness::Fcfs, QosOffer::to_fuzzy);
+        broker.negotiate_contended(&requests, Fairness::Fcfs, Fuzzy::translate);
         // Wave 2 under leximin must serve c; one of the FCFS winners
         // loses its slot and is reported preempted, not waitlisted.
-        let allocation =
-            broker.negotiate_contended(&requests, Fairness::Leximin, QosOffer::to_fuzzy);
+        let allocation = broker.negotiate_contended(&requests, Fairness::Leximin, Fuzzy::translate);
         assert!(granted_clients(&allocation).contains(&"c".to_owned()));
         assert_eq!(allocation.report.preempted, 1);
         assert_eq!(allocation.report.waitlisted, 0);
@@ -962,8 +960,7 @@ mod tests {
         let mut requests = batch(&["a", "picky"]);
         // An acceptance floor above every offer: no agreement exists.
         requests[1].request = compute_request(0.95);
-        let allocation =
-            broker.negotiate_contended(&requests, Fairness::Leximin, QosOffer::to_fuzzy);
+        let allocation = broker.negotiate_contended(&requests, Fairness::Leximin, Fuzzy::translate);
         assert!(matches!(
             allocation.outcomes[1].1,
             ContentionOutcome::Unserved
@@ -977,7 +974,7 @@ mod tests {
         let broker = Broker::new(Fuzzy, contended_registry());
         let requests = batch(&["a", "b", "c"]);
         let allocation =
-            broker.negotiate_contended(&requests, Fairness::Utilitarian, QosOffer::to_fuzzy);
+            broker.negotiate_contended(&requests, Fairness::Utilitarian, Fuzzy::translate);
         // Both slots used, sum = 0.9 + 0.6.
         assert_eq!(allocation.report.granted, 2);
         assert!((allocation.report.sum_softness - 1.5).abs() < 1e-9);
@@ -990,8 +987,7 @@ mod tests {
         registry.publish(flat_provider("svc-a", 0.8, 3));
         let broker = Broker::new(Fuzzy, registry);
         let requests = batch(&["a", "b", "c"]);
-        let allocation =
-            broker.negotiate_contended(&requests, Fairness::Leximin, QosOffer::to_fuzzy);
+        let allocation = broker.negotiate_contended(&requests, Fairness::Leximin, Fuzzy::translate);
         assert_eq!(allocation.report.granted, 3);
         assert_eq!(allocation.report.max_starvation_age, 0);
         assert!((allocation.report.jain - 1.0).abs() < 1e-9);
@@ -1002,8 +998,7 @@ mod tests {
     fn batch_shares_one_registry_epoch() {
         let broker = Broker::new(Fuzzy, contended_registry());
         let requests = batch(&["a", "b"]);
-        let allocation =
-            broker.negotiate_contended(&requests, Fairness::Leximin, QosOffer::to_fuzzy);
+        let allocation = broker.negotiate_contended(&requests, Fairness::Leximin, Fuzzy::translate);
         assert_eq!(allocation.epoch, broker.registry().epoch());
     }
 
@@ -1013,7 +1008,7 @@ mod tests {
         let allocation = broker.negotiate_contended(
             &Vec::<ContendedRequest<Fuzzy>>::new(),
             Fairness::Leximin,
-            QosOffer::to_fuzzy,
+            Fuzzy::translate,
         );
         assert!(allocation.outcomes.is_empty());
         assert_eq!(allocation.report.clients, 0);
@@ -1030,8 +1025,7 @@ mod tests {
         for fairness in [Fairness::Leximin, Fairness::Nash, Fairness::Utilitarian] {
             for run in 0..32 {
                 let broker = Broker::new(Fuzzy, contended_registry());
-                let allocation =
-                    broker.negotiate_contended(&requests, fairness, QosOffer::to_fuzzy);
+                let allocation = broker.negotiate_contended(&requests, fairness, Fuzzy::translate);
                 let grants: Vec<Option<&str>> = allocation
                     .outcomes
                     .iter()
@@ -1067,7 +1061,7 @@ mod tests {
         let mut grants: HashMap<String, usize> = HashMap::new();
         for _ in 0..3 {
             let allocation =
-                broker.negotiate_contended(&requests, Fairness::Leximin, QosOffer::to_fuzzy);
+                broker.negotiate_contended(&requests, Fairness::Leximin, Fuzzy::translate);
             assert_eq!(allocation.report.granted, 8);
             assert!(allocation.report.max_starvation_age <= 1);
             for client in granted_clients(&allocation) {

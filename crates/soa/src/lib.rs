@@ -56,7 +56,7 @@
 //!     acceptance: Interval::levels(Unit::new(0.3).unwrap(), Unit::MAX),
 //! };
 //!
-//! let sla = Broker::new(Fuzzy, registry).negotiate(&request, QosOffer::to_fuzzy)?;
+//! let sla = Broker::new(Fuzzy, registry).negotiate(&request, Fuzzy::translate)?;
 //! assert_eq!(sla.agreed_level, Unit::new(0.5).unwrap());
 //! # Ok::<(), NegotiationError>(())
 //! ```
@@ -86,7 +86,7 @@ pub use contention::{
     MAX_EXACT_CLIENTS,
 };
 pub use orchestrator::{Orchestrator, SlaVerdict, StageStats, WorkloadReport};
-pub use qos::{OfferShape, QosDocument, QosOffer};
+pub use qos::{OfferShape, QosDocument, QosOffer, WireSemiring};
 pub use query::{QueryError, QueryPlan, QueryStage, ServiceQuery};
 pub use registry::{ProviderId, Registry, ServiceDescription, ServiceId};
 pub use server::{DrainReport, NegotiationServer, ServerConfig, ServerHandle, StoreChaos};

@@ -7,11 +7,15 @@
 //! that the broker *translates into soft constraints* before adding
 //! them to its store — the paper's "all the XML-translations are
 //! executed inside [the solver component]".
+//!
+//! [`WireSemiring`] is that translation, written once: how a plain
+//! number becomes a level of the semiring being negotiated, for the
+//! broker, the wire protocol and the command-line documents alike.
 
 use serde::{Deserialize, Serialize};
 use softsoa_core::{Constraint, Var};
 use softsoa_dependability::Attribute;
-use softsoa_semiring::{Boolean, Fuzzy, Probabilistic, Unit, Weight, Weighted};
+use softsoa_semiring::{Boolean, Fuzzy, Probabilistic, Residuated, Unit, Weight, Weighted};
 
 /// The shape of a QoS offer: how the offered level depends on the
 /// negotiation variable.
@@ -98,48 +102,6 @@ pub struct QosOffer {
     pub shape: OfferShape,
 }
 
-impl QosOffer {
-    /// Interprets the offer as a *cost* in the weighted semiring
-    /// (levels clamp below at 0; additive metrics).
-    pub fn to_weighted(&self) -> Constraint<Weighted> {
-        let shape = self.shape.clone();
-        Constraint::unary(Weighted, Var::new(&self.variable), move |v| {
-            Weight::saturating(shape.level_at(v.as_int().unwrap_or(0)))
-        })
-        .with_label(format!("{}/{}", self.attribute, self.variable))
-    }
-
-    /// Interprets the offer as a *preference* in the fuzzy semiring
-    /// (levels clamp into `[0, 1]`).
-    pub fn to_fuzzy(&self) -> Constraint<Fuzzy> {
-        let shape = self.shape.clone();
-        Constraint::unary(Fuzzy, Var::new(&self.variable), move |v| {
-            Unit::clamped(shape.level_at(v.as_int().unwrap_or(0)))
-        })
-        .with_label(format!("{}/{}", self.attribute, self.variable))
-    }
-
-    /// Interprets the offer as a *probability* in the probabilistic
-    /// semiring (levels clamp into `[0, 1]`).
-    pub fn to_probabilistic(&self) -> Constraint<Probabilistic> {
-        let shape = self.shape.clone();
-        Constraint::unary(Probabilistic, Var::new(&self.variable), move |v| {
-            Unit::clamped(shape.level_at(v.as_int().unwrap_or(0)))
-        })
-        .with_label(format!("{}/{}", self.attribute, self.variable))
-    }
-
-    /// Interprets the offer crisply: admissible iff the level is
-    /// positive.
-    pub fn to_crisp(&self) -> Constraint<Boolean> {
-        let shape = self.shape.clone();
-        Constraint::unary(Boolean, Var::new(&self.variable), move |v| {
-            shape.level_at(v.as_int().unwrap_or(0)) > 0.0
-        })
-        .with_label(format!("{}/{}", self.attribute, self.variable))
-    }
-}
-
 /// A provider's QoS document: the offers attached to one service.
 ///
 /// # Examples
@@ -206,6 +168,168 @@ impl QosDocument {
     }
 }
 
+/// The one bridge from plain QoS numbers to the levels of a semiring
+/// the broker negotiates over: how a provider's QoS document is
+/// "translated into a soft constraint" (Sec. 4), how a client's policy
+/// shape becomes its constraint, and how a plain number is read as a
+/// level on the wire and in specification documents.
+///
+/// An implementation gives the two readings of a number — the lenient
+/// [`level`](WireSemiring::level) that shapes go through and the strict
+/// [`parse_level`](WireSemiring::parse_level) that explicit levels go
+/// through — and the way back to a number; the constraint builders are
+/// written once on top of them.
+pub trait WireSemiring: Residuated + Default {
+    /// The protocol name of the semiring (`fuzzy`, `weighted`, …).
+    const NAME: &'static str;
+
+    /// Reads a shape's raw level leniently: numbers outside the carrier
+    /// are clamped or saturated into it (weighted: negative → 0 and
+    /// NaN → ∞; fuzzy and probabilistic: into `[0, 1]`, NaN → 0;
+    /// boolean: `x > 0`).
+    fn level(x: f64) -> Self::Value;
+
+    /// Reads an explicit level strictly.
+    ///
+    /// # Errors
+    ///
+    /// A reason that names the rejected number when it is outside the
+    /// carrier (`1.5 is not in [0, 1]`).
+    fn parse_level(x: f64) -> Result<Self::Value, String>;
+
+    /// Renders a semiring value as a plain number.
+    fn render_level(v: &Self::Value) -> f64;
+
+    /// Normalises an agreed level into a *softness* in `[0, 1]`,
+    /// higher-is-better, so fairness objectives can compare clients
+    /// across semirings. Level-valued semirings pass through; cost
+    /// semirings flip orientation (`1 / (1 + cost)`, `∞ → 0`).
+    fn softness(v: &Self::Value) -> f64;
+
+    /// Translates a registry offer into a provider constraint labelled
+    /// `attribute/variable` (the broker's `translate` hook).
+    fn translate(offer: &QosOffer) -> Constraint<Self> {
+        shaped(&offer.variable, offer.shape.clone())
+            .with_label(format!("{}/{}", offer.attribute, offer.variable))
+    }
+
+    /// Builds the client's policy constraint from an [`OfferShape`]
+    /// over the negotiation variable, labelled `client`.
+    fn shape_constraint(variable: &str, shape: OfferShape) -> Constraint<Self> {
+        shaped(variable, shape).with_label("client")
+    }
+}
+
+/// The unary constraint that reads `shape` leniently at each value of
+/// `variable` (a non-integer value reads as 0).
+fn shaped<S: WireSemiring>(variable: &str, shape: OfferShape) -> Constraint<S> {
+    Constraint::unary(S::default(), Var::new(variable), move |v| {
+        S::level(shape.level_at(v.as_int().unwrap_or(0)))
+    })
+}
+
+fn parse_unit(x: f64) -> Result<Unit, String> {
+    Unit::new(x).map_err(|_| format!("{x} is not in [0, 1]"))
+}
+
+impl WireSemiring for Weighted {
+    const NAME: &'static str = "weighted";
+
+    fn level(x: f64) -> Weight {
+        Weight::saturating(x)
+    }
+
+    fn parse_level(x: f64) -> Result<Weight, String> {
+        Weight::new(x).map_err(|_| format!("{x} is not a valid weight"))
+    }
+
+    fn render_level(v: &Weight) -> f64 {
+        // `∞` is not representable in JSON; the largest finite float
+        // is unambiguous on the wire (no agreed level ever reaches it).
+        if v.is_infinite() {
+            f64::MAX
+        } else {
+            v.get()
+        }
+    }
+
+    fn softness(v: &Weight) -> f64 {
+        if v.is_infinite() {
+            0.0
+        } else {
+            1.0 / (1.0 + v.get())
+        }
+    }
+}
+
+impl WireSemiring for Fuzzy {
+    const NAME: &'static str = "fuzzy";
+
+    fn level(x: f64) -> Unit {
+        Unit::clamped(x)
+    }
+
+    fn parse_level(x: f64) -> Result<Unit, String> {
+        parse_unit(x)
+    }
+
+    fn render_level(v: &Unit) -> f64 {
+        v.get()
+    }
+
+    fn softness(v: &Unit) -> f64 {
+        v.get()
+    }
+}
+
+impl WireSemiring for Probabilistic {
+    const NAME: &'static str = "probabilistic";
+
+    fn level(x: f64) -> Unit {
+        Unit::clamped(x)
+    }
+
+    fn parse_level(x: f64) -> Result<Unit, String> {
+        parse_unit(x)
+    }
+
+    fn render_level(v: &Unit) -> f64 {
+        v.get()
+    }
+
+    fn softness(v: &Unit) -> f64 {
+        v.get()
+    }
+}
+
+impl WireSemiring for Boolean {
+    const NAME: &'static str = "boolean";
+
+    fn level(x: f64) -> bool {
+        x > 0.0
+    }
+
+    fn parse_level(x: f64) -> Result<bool, String> {
+        match x {
+            0.0 => Ok(false),
+            1.0 => Ok(true),
+            other => Err(format!("{other} is not a crisp level (0 or 1)")),
+        }
+    }
+
+    fn render_level(v: &bool) -> f64 {
+        if *v {
+            1.0
+        } else {
+            0.0
+        }
+    }
+
+    fn softness(v: &bool) -> f64 {
+        Self::render_level(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,11 +386,11 @@ mod tests {
             intercept: 2.0,
         });
         let eta = Assignment::new().bind("x", 3);
-        assert_eq!(o.to_weighted().eval(&eta).get(), 5.0);
+        assert_eq!(Weighted::translate(&o).eval(&eta).get(), 5.0);
         // Fuzzy/probabilistic clamp 5.0 into [0, 1].
-        assert_eq!(o.to_fuzzy().eval(&eta), Unit::MAX);
-        assert_eq!(o.to_probabilistic().eval(&eta), Unit::MAX);
-        assert!(o.to_crisp().eval(&eta));
+        assert_eq!(Fuzzy::translate(&o).eval(&eta), Unit::MAX);
+        assert_eq!(Probabilistic::translate(&o).eval(&eta), Unit::MAX);
+        assert!(Boolean::translate(&o).eval(&eta));
     }
 
     #[test]
@@ -274,8 +398,72 @@ mod tests {
         let o = offer(OfferShape::Range { min: 0, max: 2 });
         let inside = Assignment::new().bind("x", 1);
         let outside = Assignment::new().bind("x", 3);
-        assert!(o.to_crisp().eval(&inside));
-        assert!(!o.to_crisp().eval(&outside));
+        assert!(Boolean::translate(&o).eval(&inside));
+        assert!(!Boolean::translate(&o).eval(&outside));
+    }
+
+    /// The raw levels the bridge table pins, out-of-range ones included.
+    const RAW: [f64; 6] = [-1.0, 0.0, 0.25, 1.0, 3.0, f64::NAN];
+
+    /// Checks one semiring's bridge at every [`RAW`] level: the lenient
+    /// reading through an offer's and a client's constraint (values and
+    /// labels), and the strict reading (value or error message).
+    fn pin_bridge<S: WireSemiring>(lenient: [S::Value; 6], strict: [Result<S::Value, &str>; 6])
+    where
+        S::Value: std::fmt::Debug,
+    {
+        let eta = Assignment::new().bind("x", 2);
+        for ((raw, lenient), strict) in RAW.into_iter().zip(lenient).zip(strict) {
+            let shape = OfferShape::Constant { level: raw };
+            let provider = S::translate(&offer(shape.clone()));
+            let client = S::shape_constraint("x", shape);
+            assert_eq!(provider.eval(&eta), lenient, "{} offer at {raw}", S::NAME);
+            assert_eq!(client.eval(&eta), lenient, "{} client at {raw}", S::NAME);
+            assert_eq!(S::level(raw), lenient, "{} level {raw}", S::NAME);
+            assert_eq!(provider.label(), Some("reliability/x"));
+            assert_eq!(client.label(), Some("client"));
+            let strict = strict.map_err(str::to_string);
+            assert_eq!(S::parse_level(raw), strict, "{} parse {raw}", S::NAME);
+        }
+    }
+
+    #[test]
+    fn the_bridge_reads_plain_levels_as_before() {
+        let w = |x| Weight::new(x).unwrap();
+        pin_bridge::<Weighted>(
+            [w(0.0), w(0.0), w(0.25), w(1.0), w(3.0), Weight::INFINITY],
+            [
+                Err("-1 is not a valid weight"),
+                Ok(w(0.0)),
+                Ok(w(0.25)),
+                Ok(w(1.0)),
+                Ok(w(3.0)),
+                Err("NaN is not a valid weight"),
+            ],
+        );
+        let u = |x| Unit::new(x).unwrap();
+        let unit_strict = [
+            Err("-1 is not in [0, 1]"),
+            Ok(u(0.0)),
+            Ok(u(0.25)),
+            Ok(u(1.0)),
+            Err("3 is not in [0, 1]"),
+            Err("NaN is not in [0, 1]"),
+        ];
+        let unit_lenient = [u(0.0), u(0.0), u(0.25), u(1.0), u(1.0), u(0.0)];
+        pin_bridge::<Fuzzy>(unit_lenient, unit_strict);
+        pin_bridge::<Probabilistic>(unit_lenient, unit_strict);
+        pin_bridge::<Boolean>(
+            [false, false, true, true, true, false],
+            [
+                Err("-1 is not a crisp level (0 or 1)"),
+                Ok(false),
+                Err("0.25 is not a crisp level (0 or 1)"),
+                Ok(true),
+                Err("3 is not a crisp level (0 or 1)"),
+                Err("NaN is not a crisp level (0 or 1)"),
+            ],
+        );
     }
 
     #[test]

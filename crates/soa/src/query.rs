@@ -234,7 +234,7 @@ impl<S: Residuated> Broker<S> {
     ///     cross_constraints: vec![],
     ///     min_level: None,
     /// };
-    /// let plan = broker.query(&query, QosOffer::to_probabilistic)?;
+    /// let plan = broker.query(&query, Probabilistic::translate)?;
     /// assert_eq!(plan.selections[0].0, ServiceId::new("filter-1"));
     /// # Ok::<(), QueryError>(())
     /// ```
@@ -313,7 +313,7 @@ impl<S: Residuated> Broker<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OfferShape, QosDocument, Registry, ServiceDescription};
+    use crate::{OfferShape, QosDocument, Registry, ServiceDescription, WireSemiring};
     use softsoa_core::solve::{EnumerationSolver, Parallelism};
     use softsoa_dependability::Attribute;
     use softsoa_semiring::{Probabilistic, Unit, Weighted, WeightedInt};
@@ -371,7 +371,7 @@ mod tests {
             cross_constraints: vec![],
             min_level: None,
         };
-        let plan = broker.query(&query, QosOffer::to_probabilistic).unwrap();
+        let plan = broker.query(&query, Probabilistic::translate).unwrap();
         assert_eq!(plan.selections[0].0, ServiceId::new("b"));
         assert_eq!(plan.level, Unit::clamped(0.95));
     }
@@ -427,7 +427,7 @@ mod tests {
             cross_constraints: vec![quality_floor],
             min_level: None,
         };
-        let plan = broker.query(&query, QosOffer::to_weighted).unwrap();
+        let plan = broker.query(&query, Weighted::translate).unwrap();
         // Cheapest feasible: raise quality on the cheaper stage 2:
         // cost = (5·0 + 1) + (3·1 + 1) = 5.
         assert_eq!(plan.level, softsoa_semiring::Weight::new(5.0).unwrap());
@@ -472,7 +472,7 @@ mod tests {
             cross_constraints: vec![],
             min_level: None,
         };
-        let plan = broker.query(&query, QosOffer::to_weighted).unwrap();
+        let plan = broker.query(&query, Weighted::translate).unwrap();
         // At k1 = 2: cheap-low costs 20, cheap-high costs 0.
         assert_eq!(plan.selections[0].0, ServiceId::new("cheap-high"));
         assert_eq!(plan.level, softsoa_semiring::Weight::ZERO);
@@ -531,7 +531,7 @@ mod tests {
                         Var::new(&offer.variable),
                         move |v| {
                             (
-                                Weight::saturating(shape.level_at(v.as_int().unwrap_or(0))),
+                                Weighted::level(shape.level_at(v.as_int().unwrap_or(0))),
                                 Unit::MAX,
                             )
                         },
@@ -545,7 +545,7 @@ mod tests {
                         move |v| {
                             (
                                 Weight::ZERO,
-                                Unit::clamped(shape.level_at(v.as_int().unwrap_or(0))),
+                                Probabilistic::level(shape.level_at(v.as_int().unwrap_or(0))),
                             )
                         },
                     )
@@ -585,14 +585,14 @@ mod tests {
             min_level: None,
         };
         let problem = broker
-            .compile_query(&query, QosOffer::to_probabilistic)
+            .compile_query(&query, Probabilistic::translate)
             .unwrap();
         let oracle = EnumerationSolver::new().solve(&problem).unwrap();
         let sequential = SolverConfig::default().with_parallelism(Parallelism::Sequential);
         for plan in [
-            broker.query(&query, QosOffer::to_probabilistic).unwrap(),
+            broker.query(&query, Probabilistic::translate).unwrap(),
             broker
-                .query_with(&query, QosOffer::to_probabilistic, &sequential)
+                .query_with(&query, Probabilistic::translate, &sequential)
                 .unwrap(),
         ] {
             assert_eq!(&plan.level, oracle.blevel());
@@ -652,7 +652,7 @@ mod tests {
             min_level: Some(Unit::clamped(0.9)),
         };
         assert!(matches!(
-            broker.query(&query, QosOffer::to_probabilistic),
+            broker.query(&query, Probabilistic::translate),
             Err(QueryError::NoPlan)
         ));
     }
@@ -678,7 +678,7 @@ mod tests {
             min_level: None,
         };
         assert!(matches!(
-            broker.query(&query, QosOffer::to_probabilistic),
+            broker.query(&query, Probabilistic::translate),
             Err(QueryError::NoPlan)
         ));
     }

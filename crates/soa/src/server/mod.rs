@@ -56,9 +56,11 @@ use crate::registry::Registry;
 use crate::server::admission::{Admission, AdmissionQueue, Pending, Role};
 use crate::server::batch::Batcher;
 use crate::server::protocol::{Reply, ShedReason, WireSemiring};
-use crate::server::session::{run_session, SessionContext, SessionEnd};
+use crate::server::session::{
+    run_session, SessionContext, SessionEnd, SESSION_TICK, WRITE_TIMEOUT,
+};
 use crate::server::shutdown::Control;
-use crate::server::transport::{FrameWriter, TransportChaos, DEFAULT_MAX_FRAME_BYTES};
+use crate::server::transport::{FrameWriter, TransportChaos};
 
 pub use shutdown::DrainReport;
 
@@ -80,8 +82,10 @@ pub struct StoreChaos {
 }
 
 /// Daemon configuration. [`ServerConfig::default`] is tuned for the
-/// load generator and the test suite: short ticks, a two-second
-/// session budget, chaos off.
+/// load generator and the test suite: a two-second session budget,
+/// chaos off. Sessions tick every 50 ms, bound each write by one
+/// second and each request frame by
+/// [`DEFAULT_MAX_FRAME_BYTES`](transport::DEFAULT_MAX_FRAME_BYTES).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
@@ -93,13 +97,6 @@ pub struct ServerConfig {
     pub queue_limit: usize,
     /// Wall-clock budget per session, measured from accept.
     pub session_deadline: Duration,
-    /// Socket read timeout — the session loop's tick: deadline and
-    /// drain state are re-checked at least this often.
-    pub read_timeout: Duration,
-    /// Socket write timeout (bounds a peer that stops reading).
-    pub write_timeout: Duration,
-    /// Hard bound on a single request frame.
-    pub max_frame_bytes: usize,
     /// Step budget for one negotiation on the resilient interpreter's
     /// virtual clock (only consulted when `store_chaos` is on).
     pub negotiation_deadline_steps: usize,
@@ -131,9 +128,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_limit: 64,
             session_deadline: Duration::from_secs(2),
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(1),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             negotiation_deadline_steps: 64,
             store_chaos: None,
             transport_chaos: None,
@@ -388,7 +382,6 @@ impl<S: WireSemiring> ServerHandle<S> {
     pub fn shutdown(self, drain: Duration) -> DrainReport {
         let begun = Instant::now();
         let pool = &self.pool;
-        let config = &pool.ctx.config;
         let control = &pool.ctx.control;
         control.begin_drain(begun + drain);
         // Close the queue: the leader sheds every arrival and idle
@@ -400,10 +393,8 @@ impl<S: WireSemiring> ServerHandle<S> {
         // tick to notice and one bounded write to reply. Then the
         // leader's wake connect, plus scheduling slack. Anything beyond
         // that is a genuine drain overrun.
-        let grace = config.read_timeout
-            + config.write_timeout
-            + ACCEPTOR_WAKE_TIMEOUT
-            + Duration::from_millis(200);
+        let grace =
+            SESSION_TICK + WRITE_TIMEOUT + ACCEPTOR_WAKE_TIMEOUT + Duration::from_millis(200);
         pool.queue.await_leader_only(begun + drain + grace);
         control.stop();
 
@@ -469,7 +460,7 @@ mod tests {
     use crate::qos::OfferShape;
     use crate::server::protocol::{ErrorCode, NegotiateRequest, Request};
     use crate::server::session::PANIC_CAPABILITY;
-    use crate::server::transport::{FrameError, FrameReader};
+    use crate::server::transport::{FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
     use softsoa_semiring::Fuzzy;
 
     /// One request on a fresh connection: `Ok(None)` if the server

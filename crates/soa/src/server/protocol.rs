@@ -11,138 +11,15 @@
 //! `timed-out` (a deadline fired; the partial store's checkpointed
 //! consistency level rides along) and `error` (typed rejection).
 //!
-//! [`WireSemiring`] bridges the protocol's plain-float levels to the
-//! semirings the broker negotiates over, so one server implementation
+//! Levels travel as plain numbers; [`WireSemiring`] (the QoS level
+//! bridge of the `qos` module, re-exported here) reads and renders them for the
+//! semiring the daemon negotiates over, so one server implementation
 //! serves fuzzy, weighted and probabilistic deployments.
-
-use softsoa_core::Constraint;
-use softsoa_semiring::{Fuzzy, Probabilistic, Residuated, Unit, Weight, Weighted};
 
 use crate::qos::{OfferShape, QosOffer};
 use crate::server::codec::{self, fields, ObjWriter};
 
-/// A semiring the server can speak on the wire: levels parse from and
-/// render to plain JSON numbers, and QoS offers translate to provider
-/// constraints.
-pub trait WireSemiring: Residuated {
-    /// The protocol name of the semiring (`fuzzy`, `weighted`, …).
-    const NAME: &'static str;
-
-    /// Parses a wire-level number into a semiring value.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason when the number is out of range.
-    fn parse_level(x: f64) -> Result<Self::Value, String>;
-
-    /// Renders a semiring value as a wire-level number.
-    fn render_level(v: &Self::Value) -> f64;
-
-    /// Translates a registry offer into a provider constraint (the
-    /// broker's `translate` hook).
-    fn translate(offer: &QosOffer) -> Constraint<Self>;
-
-    /// Builds the client's policy constraint from an [`OfferShape`]
-    /// over the negotiation variable.
-    fn shape_constraint(variable: &str, shape: OfferShape) -> Constraint<Self>;
-
-    /// Normalises an agreed level into a *softness* in `[0, 1]`,
-    /// higher-is-better, so fairness objectives can compare clients
-    /// across semirings. Level-valued semirings pass through; cost
-    /// semirings flip orientation (`1 / (1 + cost)`, `∞ → 0`).
-    fn softness(v: &Self::Value) -> f64;
-}
-
-impl WireSemiring for Fuzzy {
-    const NAME: &'static str = "fuzzy";
-
-    fn parse_level(x: f64) -> Result<Unit, String> {
-        Unit::new(x).map_err(|e| e.to_string())
-    }
-
-    fn render_level(v: &Unit) -> f64 {
-        v.get()
-    }
-
-    fn translate(offer: &QosOffer) -> Constraint<Fuzzy> {
-        offer.to_fuzzy()
-    }
-
-    fn shape_constraint(variable: &str, shape: OfferShape) -> Constraint<Fuzzy> {
-        Constraint::unary(Fuzzy, variable, move |v| {
-            Unit::clamped(shape.level_at(v.as_int().unwrap_or(0)))
-        })
-        .with_label("client")
-    }
-
-    fn softness(v: &Unit) -> f64 {
-        v.get()
-    }
-}
-
-impl WireSemiring for Weighted {
-    const NAME: &'static str = "weighted";
-
-    fn parse_level(x: f64) -> Result<Weight, String> {
-        Weight::new(x).map_err(|e| e.to_string())
-    }
-
-    fn render_level(v: &Weight) -> f64 {
-        // `∞` is not representable in JSON; the largest finite float
-        // is unambiguous on the wire (no agreed level ever reaches it).
-        if v.is_infinite() {
-            f64::MAX
-        } else {
-            v.get()
-        }
-    }
-
-    fn translate(offer: &QosOffer) -> Constraint<Weighted> {
-        offer.to_weighted()
-    }
-
-    fn shape_constraint(variable: &str, shape: OfferShape) -> Constraint<Weighted> {
-        Constraint::unary(Weighted, variable, move |v| {
-            Weight::saturating(shape.level_at(v.as_int().unwrap_or(0)))
-        })
-        .with_label("client")
-    }
-
-    fn softness(v: &Weight) -> f64 {
-        if v.is_infinite() {
-            0.0
-        } else {
-            1.0 / (1.0 + v.get())
-        }
-    }
-}
-
-impl WireSemiring for Probabilistic {
-    const NAME: &'static str = "probabilistic";
-
-    fn parse_level(x: f64) -> Result<Unit, String> {
-        Unit::new(x).map_err(|e| e.to_string())
-    }
-
-    fn render_level(v: &Unit) -> f64 {
-        v.get()
-    }
-
-    fn translate(offer: &QosOffer) -> Constraint<Probabilistic> {
-        offer.to_probabilistic()
-    }
-
-    fn shape_constraint(variable: &str, shape: OfferShape) -> Constraint<Probabilistic> {
-        Constraint::unary(Probabilistic, variable, move |v| {
-            Unit::clamped(shape.level_at(v.as_int().unwrap_or(0)))
-        })
-        .with_label("client")
-    }
-
-    fn softness(v: &Unit) -> f64 {
-        v.get()
-    }
-}
+pub use crate::qos::WireSemiring;
 
 // ---- requests --------------------------------------------------------
 

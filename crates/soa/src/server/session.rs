@@ -13,7 +13,7 @@
 use std::io::Write;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use softsoa_core::Domain;
 use softsoa_nmsccp::{Interval, Outcome};
@@ -29,9 +29,18 @@ use crate::server::protocol::{
     ErrorCode, NegotiateRequest, Phase, PublishRequest, Reply, Request, WireSemiring,
 };
 use crate::server::shutdown::Control;
-use crate::server::transport::{ChaosStream, FrameError, FrameReader, FrameWriter, TransportChaos};
+use crate::server::transport::{
+    ChaosStream, FrameError, FrameReader, FrameWriter, TransportChaos, DEFAULT_MAX_FRAME_BYTES,
+};
 use crate::server::ServerConfig;
 use crate::ServiceId;
+
+/// The socket read timeout: the session loop's tick, so the deadline
+/// and the drain state are re-checked at least this often.
+pub(crate) const SESSION_TICK: Duration = Duration::from_millis(50);
+
+/// The socket write timeout, which bounds a peer that stops reading.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Context shared by every session of one server.
 #[derive(Debug)]
@@ -91,13 +100,10 @@ pub(crate) fn run_session<S: WireSemiring>(
     // Bounded socket operations: the read timeout is the loop's tick
     // (deadline and drain checks happen at least this often), the
     // write timeout bounds a peer that stops reading.
-    if pending
-        .stream
-        .set_read_timeout(Some(config.read_timeout))
-        .is_err()
+    if pending.stream.set_read_timeout(Some(SESSION_TICK)).is_err()
         || pending
             .stream
-            .set_write_timeout(Some(config.write_timeout))
+            .set_write_timeout(Some(WRITE_TIMEOUT))
             .is_err()
     {
         stats.end = SessionEnd::TransportError;
@@ -112,7 +118,7 @@ pub(crate) fn run_session<S: WireSemiring>(
     let chaos = config.transport_chaos.as_ref().unwrap_or(&calm);
     let mut reader = FrameReader::new(
         ChaosStream::new(&pending.stream, chaos, conn_id),
-        config.max_frame_bytes,
+        DEFAULT_MAX_FRAME_BYTES,
     );
     let mut writer = FrameWriter::new(ChaosStream::new(&pending.stream, chaos, conn_id));
 

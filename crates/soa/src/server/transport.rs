@@ -229,7 +229,8 @@ impl<W: Write> FrameWriter<W> {
 // ---- transport chaos -------------------------------------------------
 
 /// The wire-level counterpart of [`crate::ChaosConfig`]: a seeded
-/// schedule of transport faults, drawn per connection.
+/// schedule of transport faults, drawn per connection from all four
+/// [`TransportFault`] kinds.
 #[derive(Debug, Clone)]
 pub struct TransportChaos {
     /// Base seed; combined with the connection id for per-connection
@@ -237,14 +238,6 @@ pub struct TransportChaos {
     pub seed: u64,
     /// Probability that a connection is assigned a fault at all.
     pub fault_rate: f64,
-    /// Whether `DropConnection` may be drawn.
-    pub drop_connections: bool,
-    /// Whether `StallRead` may be drawn.
-    pub stall_reads: bool,
-    /// Whether `TruncateWrite` may be drawn.
-    pub truncate_frames: bool,
-    /// Whether `SlowLoris` may be drawn.
-    pub slow_loris_writes: bool,
     /// How long a stalled read sleeps and a slow-loris write pauses
     /// between bytes.
     pub stall: Duration,
@@ -255,10 +248,6 @@ impl Default for TransportChaos {
         TransportChaos {
             seed: 0,
             fault_rate: 0.0,
-            drop_connections: true,
-            stall_reads: true,
-            truncate_frames: true,
-            slow_loris_writes: true,
             stall: Duration::from_millis(20),
         }
     }
@@ -296,26 +285,13 @@ impl TransportChaos {
         if rng.random::<f64>() >= self.fault_rate {
             return TransportFault::None;
         }
-        let mut kinds = Vec::new();
-        if self.drop_connections {
-            kinds.push(TransportFault::DropConnection {
-                after_ops: rng.random_range(0..4),
-            });
+        let after_ops = rng.random_range(0..4);
+        match rng.random_range(0..4usize) {
+            0 => TransportFault::DropConnection { after_ops },
+            1 => TransportFault::StallRead,
+            2 => TransportFault::TruncateWrite,
+            _ => TransportFault::SlowLoris,
         }
-        if self.stall_reads {
-            kinds.push(TransportFault::StallRead);
-        }
-        if self.truncate_frames {
-            kinds.push(TransportFault::TruncateWrite);
-        }
-        if self.slow_loris_writes {
-            kinds.push(TransportFault::SlowLoris);
-        }
-        if kinds.is_empty() {
-            return TransportFault::None;
-        }
-        let pick = rng.random_range(0..kinds.len());
-        kinds[pick]
     }
 }
 
@@ -539,19 +515,66 @@ mod tests {
     }
 
     #[test]
+    fn faults_at_seed_7_are_pinned() {
+        use TransportFault::{DropConnection, SlowLoris, StallRead, TruncateWrite};
+        let drop = |after_ops| DropConnection { after_ops };
+        let chaos = TransportChaos {
+            seed: 7,
+            fault_rate: 1.0,
+            ..TransportChaos::default()
+        };
+        let drawn: Vec<TransportFault> = (0..32u64).map(|c| chaos.fault_for(c)).collect();
+        assert_eq!(
+            drawn,
+            [
+                SlowLoris,
+                StallRead,
+                drop(0),
+                SlowLoris,
+                SlowLoris,
+                TruncateWrite,
+                StallRead,
+                SlowLoris,
+                drop(1),
+                TruncateWrite,
+                StallRead,
+                drop(3),
+                drop(3),
+                SlowLoris,
+                drop(1),
+                SlowLoris,
+                TruncateWrite,
+                SlowLoris,
+                SlowLoris,
+                StallRead,
+                StallRead,
+                SlowLoris,
+                SlowLoris,
+                drop(1),
+                drop(3),
+                TruncateWrite,
+                TruncateWrite,
+                TruncateWrite,
+                drop(0),
+                drop(1),
+                TruncateWrite,
+                StallRead,
+            ]
+        );
+    }
+
+    #[test]
     fn truncate_write_delivers_half_then_silence() {
         let chaos = TransportChaos {
             fault_rate: 1.0,
-            drop_connections: false,
-            stall_reads: false,
-            slow_loris_writes: false,
             ..TransportChaos::default()
         };
-        // Find a connection id assigned TruncateWrite (all faults are
-        // TruncateWrite here since it is the only kind enabled).
+        let conn = (0..)
+            .find(|&c| chaos.fault_for(c) == TransportFault::TruncateWrite)
+            .expect("some connection draws TruncateWrite");
         let mut sink = Vec::new();
         {
-            let mut stream = ChaosStream::new(&mut sink, &chaos, 3);
+            let mut stream = ChaosStream::new(&mut sink, &chaos, conn);
             assert_eq!(stream.fault(), TransportFault::TruncateWrite);
             stream.write_all(&encode_frame("0123456789")).unwrap();
             stream.write_all(&encode_frame("second")).unwrap();

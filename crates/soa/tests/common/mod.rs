@@ -7,9 +7,10 @@ use proptest::prelude::*;
 use softsoa_core::{Constraint, Domain, Var};
 use softsoa_dependability::Attribute;
 use softsoa_nmsccp::Interval;
-use softsoa_semiring::{Fuzzy, Residuated, Unit, Weight, Weighted};
+use softsoa_semiring::{Fuzzy, Residuated, Weighted};
 use softsoa_soa::{
     NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry, ServiceDescription,
+    WireSemiring,
 };
 
 /// The negotiation domain is `0..=MAX_X`.
@@ -30,8 +31,8 @@ pub fn fuzzy() -> Kind<Fuzzy> {
     Kind {
         semiring: Fuzzy,
         palette: &[0.0, 0.25, 0.5, 0.75, 1.0],
-        level: Unit::clamped,
-        translate: QosOffer::to_fuzzy,
+        level: Fuzzy::level,
+        translate: Fuzzy::translate,
     }
 }
 
@@ -41,8 +42,8 @@ pub fn weighted() -> Kind<Weighted> {
         // Costs: 0 is the best level; 64 stands in for a cost too high
         // to accept.
         palette: &[0.0, 1.0, 2.0, 4.0, 64.0],
-        level: Weight::saturating,
-        translate: QosOffer::to_weighted,
+        level: Weighted::level,
+        translate: Weighted::translate,
     }
 }
 

@@ -27,7 +27,9 @@ use std::time::Duration;
 use softsoa_dependability::Attribute;
 use softsoa_semiring::Fuzzy;
 use softsoa_soa::server::loadgen::{self, LoadConfig};
-use softsoa_soa::server::protocol::{NegotiateRequest, PublishRequest, Reply, Request, ShedReason};
+use softsoa_soa::server::protocol::{
+    ErrorCode, NegotiateRequest, PublishRequest, Reply, Request, ShedReason,
+};
 use softsoa_soa::server::transport::TransportChaos;
 use softsoa_soa::{
     NegotiationServer, OfferShape, QosOffer, ServerConfig, ServerHandle, StoreChaos,
@@ -101,6 +103,30 @@ fn negotiation_binds_end_to_end() {
             assert!(binding.is_some(), "a binding witness rides along");
         }
         other => panic!("expected bound, got {other:?}"),
+    }
+    drop(stream);
+    let report = handle.shutdown(Duration::from_secs(2));
+    assert!(report.within_deadline, "clean drain: {report:?}");
+}
+
+#[test]
+fn an_out_of_range_acceptance_is_rejected_with_the_number_it_names() {
+    let handle = start(ServerConfig::default());
+    let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    let Request::Negotiate(mut request) = negotiate() else {
+        unreachable!("negotiate() builds a negotiate request")
+    };
+    request.accept = [0.2, 1.5];
+    match roundtrip(&stream, &Request::Negotiate(request)) {
+        Reply::Error { code, detail } => {
+            assert_eq!(code, ErrorCode::InvalidAcceptance);
+            assert_eq!(detail, "1.5 is not in [0, 1]");
+        }
+        other => panic!("expected invalid-acceptance, got {other:?}"),
     }
     drop(stream);
     let report = handle.shutdown(Duration::from_secs(2));
@@ -553,7 +579,6 @@ fn chaos_load_terminates_every_session_with_a_typed_outcome() {
             seed: 17,
             fault_rate: 0.05,
             stall: Duration::from_millis(2),
-            ..TransportChaos::default()
         }),
         ..ServerConfig::default()
     };

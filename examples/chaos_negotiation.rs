@@ -16,7 +16,7 @@ use softsoa::nmsccp::Interval;
 use softsoa::semiring::{Weight, Weighted};
 use softsoa::soa::{
     Broker, ChaosConfig, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry,
-    ServiceDescription, ServiceQuery,
+    ServiceDescription, ServiceQuery, WireSemiring,
 };
 use softsoa_core::solve::SolverConfig;
 use softsoa_dependability::Attribute;
@@ -82,8 +82,7 @@ fn negotiation_under_chaos() -> Result<(), Box<dyn std::error::Error>> {
         ..ChaosConfig::default()
     };
 
-    let report =
-        broker.negotiate_resilient(&request, &relaxations, &chaos, QosOffer::to_weighted)?;
+    let report = broker.negotiate_resilient(&request, &relaxations, &chaos, Weighted::translate)?;
     for (service, session) in &report.sessions {
         println!("-- session with {service} --");
         for entry in &session.report.trace {
@@ -148,7 +147,7 @@ fn query_under_blackouts() -> Result<(), Box<dyn std::error::Error>> {
     let report = broker.query_resilient(
         &query,
         &chaos,
-        QosOffer::to_weighted,
+        Weighted::translate,
         &SolverConfig::default(),
     )?;
     for (attempt, down) in report.blackouts.iter().enumerate() {

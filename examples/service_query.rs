@@ -12,7 +12,7 @@ use softsoa::core::{vars, Constraint, Domain, Var};
 use softsoa::semiring::{Weight, Weighted};
 use softsoa::soa::{
     Broker, OfferShape, QosDocument, QosOffer, QueryStage, Registry, ServiceDescription,
-    ServiceQuery,
+    ServiceQuery, WireSemiring,
 };
 use softsoa_dependability::Attribute;
 
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  stages: storage (tier ≥ 1), filter, delivery");
     println!("  cross: filter-tier + delivery-tier ≥ 2; budget ≤ 30 €/month");
 
-    let plan = broker.query(&query, QosOffer::to_weighted)?;
+    let plan = broker.query(&query, Weighted::translate)?;
     println!("\n== Plan (jointly optimised) ==");
     for (stage, (service, provider)) in ["storage", "filter", "delivery"]
         .iter()

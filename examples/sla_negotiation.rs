@@ -16,6 +16,7 @@ use softsoa::nmsccp::{
 use softsoa::semiring::{Fuzzy, Unit, WeightedInt};
 use softsoa::soa::{
     Broker, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry, ServiceDescription,
+    WireSemiring,
 };
 use softsoa_dependability::Attribute;
 
@@ -56,7 +57,7 @@ fn fig5_fuzzy_agreement() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let broker = Broker::new(Fuzzy, registry);
-    let sla = broker.negotiate(&request, QosOffer::to_fuzzy)?;
+    let sla = broker.negotiate(&request, Fuzzy::translate)?;
     println!("  agreement with {} ({})", sla.service, sla.provider);
     println!("  agreed level (σ⇓∅): {}", sla.agreed_level);
     if let Some((eta, level)) = &sla.binding {

@@ -88,7 +88,7 @@ fn batch(instance: &Instance) -> Vec<ContendedRequest<Fuzzy>> {
 /// denied) in batch order.
 fn allocate(instance: &Instance, fairness: Fairness) -> Vec<f64> {
     let broker = Broker::new(Fuzzy, registry(instance));
-    let allocation = broker.negotiate_contended(&batch(instance), fairness, QosOffer::to_fuzzy);
+    let allocation = broker.negotiate_contended(&batch(instance), fairness, Fuzzy::translate);
     allocation
         .outcomes
         .iter()
@@ -189,7 +189,7 @@ proptest! {
         ] {
             let broker = Broker::new(Fuzzy, registry(&instance));
             let allocation =
-                broker.negotiate_contended(&batch(&instance), fairness, QosOffer::to_fuzzy);
+                broker.negotiate_contended(&batch(&instance), fairness, Fuzzy::translate);
             let mut grants = std::collections::BTreeMap::new();
             for (client, outcome) in &allocation.outcomes {
                 if let ContentionOutcome::Granted(sla) = outcome {

@@ -6,7 +6,7 @@ use softsoa::nmsccp::Interval;
 use softsoa::semiring::{Fuzzy, Probabilistic, Unit, Weight, Weighted};
 use softsoa::soa::{
     Broker, NegotiationError, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry,
-    ServiceDescription, ServiceId, SimConfig, SimService, SlaMonitor,
+    ServiceDescription, ServiceId, SimConfig, SimService, SlaMonitor, WireSemiring,
 };
 use softsoa_dependability::Attribute;
 
@@ -52,11 +52,11 @@ fn broker_selects_among_many_providers() {
     }
     let broker = Broker::new(Fuzzy, registry);
     let slas = broker
-        .negotiate_all(&fuzzy_request(0.0), QosOffer::to_fuzzy)
+        .negotiate_all(&fuzzy_request(0.0), Fuzzy::translate)
         .unwrap();
     assert_eq!(slas.len(), 3);
     let best = broker
-        .negotiate(&fuzzy_request(0.0), QosOffer::to_fuzzy)
+        .negotiate(&fuzzy_request(0.0), Fuzzy::translate)
         .unwrap();
     assert_eq!(best.service, ServiceId::new("p2"));
     assert_eq!(best.agreed_level, Unit::clamped(0.9));
@@ -80,13 +80,13 @@ fn acceptance_floor_filters_agreements() {
     let broker = Broker::new(Fuzzy, registry);
     // Floor 0.5: only "strong" passes.
     let slas = broker
-        .negotiate_all(&fuzzy_request(0.5), QosOffer::to_fuzzy)
+        .negotiate_all(&fuzzy_request(0.5), Fuzzy::translate)
         .unwrap();
     assert_eq!(slas.len(), 1);
     assert_eq!(slas[0].service, ServiceId::new("strong"));
     // Floor 0.8: nobody passes.
     let err = broker
-        .negotiate(&fuzzy_request(0.8), QosOffer::to_fuzzy)
+        .negotiate(&fuzzy_request(0.8), Fuzzy::translate)
         .unwrap_err();
     assert!(matches!(err, NegotiationError::NoAgreement(_)));
 }
@@ -102,12 +102,12 @@ fn failure_injection_deregistering_the_only_provider() {
     ));
     let mut broker = Broker::new(Fuzzy, registry);
     assert!(broker
-        .negotiate(&fuzzy_request(0.0), QosOffer::to_fuzzy)
+        .negotiate(&fuzzy_request(0.0), Fuzzy::translate)
         .is_ok());
     // The provider goes away (simulated crash): rediscovery fails.
     broker.registry_mut().deregister(&ServiceId::new("only"));
     let err = broker
-        .negotiate(&fuzzy_request(0.0), QosOffer::to_fuzzy)
+        .negotiate(&fuzzy_request(0.0), Fuzzy::translate)
         .unwrap_err();
     assert!(matches!(err, NegotiationError::NoProvider(_)));
 }
@@ -136,7 +136,7 @@ fn weighted_negotiation_with_linear_policies() {
         acceptance: Interval::levels(Weight::new(10.0).unwrap(), Weight::ZERO),
     };
     let sla = Broker::new(Weighted, registry)
-        .negotiate(&request, QosOffer::to_weighted)
+        .negotiate(&request, Weighted::translate)
         .unwrap();
     // σ = 3x + 3, best at x = 0 → 3 hours.
     assert_eq!(sla.agreed_level, Weight::new(3.0).unwrap());
@@ -178,7 +178,7 @@ fn composition_aggregates_reliability_across_stages() {
                 stage("bw-filter", "b"),
                 stage("compression", "c"),
             ],
-            QosOffer::to_probabilistic,
+            Probabilistic::translate,
         )
         .unwrap();
     let expected = 0.9 * 0.96 * 0.99;
@@ -210,7 +210,7 @@ fn monitoring_detects_sla_violations_of_a_negotiated_binding() {
         acceptance: Interval::any(&Probabilistic),
     };
     let sla = broker
-        .negotiate(&request, QosOffer::to_probabilistic)
+        .negotiate(&request, Probabilistic::translate)
         .unwrap();
     assert_eq!(sla.agreed_level, Unit::clamped(0.95));
 
@@ -262,7 +262,7 @@ fn negotiate_compose_orchestrate_end_to_end() {
     let composition = broker
         .compose(
             &[stage("red-filter", "r"), stage("bw-filter", "b")],
-            QosOffer::to_probabilistic,
+            Probabilistic::translate,
         )
         .unwrap();
 
@@ -336,21 +336,21 @@ fn relaxation_retract_never_worsens_the_agreement() {
     let mut strict = fuzzy_request(0.5);
     strict.constraint = strict.constraint.combine(&cap);
 
-    let err = broker.negotiate(&strict, QosOffer::to_fuzzy).unwrap_err();
+    let err = broker.negotiate(&strict, Fuzzy::translate).unwrap_err();
     assert!(matches!(err, NegotiationError::NoAgreement(_)));
 
     // The level the strict policy actually achieves (floor dropped).
     let mut strict_any = strict.clone();
     strict_any.acceptance = Interval::levels(Unit::MIN, Unit::MAX);
     let strict_level = broker
-        .negotiate(&strict_any, QosOffer::to_fuzzy)
+        .negotiate(&strict_any, Fuzzy::translate)
         .unwrap()
         .agreed_level;
 
     // One concession — retracting the cap — turns the rejection into
     // an agreement inside the interval, and cannot worsen the level.
     let (sla, concessions) = broker
-        .negotiate_with_relaxation(&strict, &[cap], QosOffer::to_fuzzy)
+        .negotiate_with_relaxation(&strict, &[cap], Fuzzy::translate)
         .unwrap();
     assert_eq!(concessions, 1);
     assert!(sla.agreed_level >= Unit::clamped(0.5), "interval check");
@@ -378,7 +378,7 @@ fn qos_republication_updates_bindings_across_epochs() {
     let mut broker = Broker::new(Fuzzy, registry);
 
     let before = broker
-        .negotiate(&fuzzy_request(0.5), QosOffer::to_fuzzy)
+        .negotiate(&fuzzy_request(0.5), Fuzzy::translate)
         .unwrap();
     assert_eq!(before.agreed_level, Unit::clamped(0.6));
 
@@ -396,7 +396,7 @@ fn qos_republication_updates_bindings_across_epochs() {
     );
 
     let after = broker
-        .negotiate(&fuzzy_request(0.5), QosOffer::to_fuzzy)
+        .negotiate(&fuzzy_request(0.5), Fuzzy::translate)
         .unwrap();
     assert_eq!(after.agreed_level, Unit::clamped(0.9));
     assert!(after.agreed_level >= before.agreed_level);
@@ -409,7 +409,7 @@ fn qos_republication_updates_bindings_across_epochs() {
         OfferShape::Constant { level: 0.2 },
     ));
     let err = broker
-        .negotiate(&fuzzy_request(0.5), QosOffer::to_fuzzy)
+        .negotiate(&fuzzy_request(0.5), Fuzzy::translate)
         .unwrap_err();
     assert!(matches!(err, NegotiationError::NoAgreement(_)));
 }

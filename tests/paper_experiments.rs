@@ -13,6 +13,7 @@ use softsoa::nmsccp::{
 use softsoa::semiring::{Fuzzy, Unit, WeightedInt};
 use softsoa::soa::{
     Broker, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry, ServiceDescription,
+    WireSemiring,
 };
 use softsoa_dependability::Attribute;
 
@@ -88,7 +89,7 @@ fn e2_fig5_fuzzy_agreement() {
         acceptance: Interval::any(&Fuzzy),
     };
     let sla = Broker::new(Fuzzy, registry)
-        .negotiate(&request, QosOffer::to_fuzzy)
+        .negotiate(&request, Fuzzy::translate)
         .unwrap();
     assert_eq!(sla.agreed_level, Unit::new(0.5).unwrap());
     let (eta, _) = sla.binding.unwrap();

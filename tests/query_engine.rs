@@ -7,7 +7,7 @@ use softsoa::core::{vars, Constraint, Domain, Var};
 use softsoa::semiring::{Weight, Weighted};
 use softsoa::soa::{
     Broker, OfferShape, QosDocument, QosOffer, QueryError, QueryStage, Registry,
-    ServiceDescription, ServiceId, ServiceQuery,
+    ServiceDescription, ServiceId, ServiceQuery, WireSemiring,
 };
 use softsoa_dependability::Attribute;
 
@@ -81,7 +81,7 @@ fn three_stage_query() -> ServiceQuery<Weighted> {
 fn three_stage_joint_plan_is_cost_optimal() {
     let broker = Broker::new(Weighted, three_stage_registry());
     let plan = broker
-        .query(&three_stage_query(), QosOffer::to_weighted)
+        .query(&three_stage_query(), Weighted::translate)
         .unwrap();
     // Hand-computed optimum: storage tier 1 via s-a (6); quality floor
     // met by filter tier 2 via f-b (8) and delivery tier 0 via d-b (0):
@@ -97,7 +97,7 @@ fn three_stage_joint_plan_is_cost_optimal() {
 fn compiled_problem_is_solvable_by_any_solver() {
     let broker = Broker::new(Weighted, three_stage_registry());
     let problem = broker
-        .compile_query(&three_stage_query(), QosOffer::to_weighted)
+        .compile_query(&three_stage_query(), Weighted::translate)
         .unwrap();
     // 3 choice variables + 3 QoS variables.
     assert_eq!(problem.con().len(), 6);
@@ -114,26 +114,26 @@ fn budget_infeasibility_is_no_plan() {
     let mut query = three_stage_query();
     query.min_level = Some(Weight::new(10.0).unwrap()); // below the optimum cost of 14
     assert!(matches!(
-        broker.query(&query, QosOffer::to_weighted),
+        broker.query(&query, Weighted::translate),
         Err(QueryError::NoPlan)
     ));
     // A generous budget passes.
     query.min_level = Some(Weight::new(20.0).unwrap());
-    assert!(broker.query(&query, QosOffer::to_weighted).is_ok());
+    assert!(broker.query(&query, Weighted::translate).is_ok());
 }
 
 #[test]
 fn deregistration_reroutes_the_plan() {
     let mut broker = Broker::new(Weighted, three_stage_registry());
     let before = broker
-        .query(&three_stage_query(), QosOffer::to_weighted)
+        .query(&three_stage_query(), Weighted::translate)
         .unwrap();
     // Remove the filter provider the plan chose; the query must fall
     // back to the other one (and get more expensive, never cheaper).
     let chosen_filter = before.selections[1].0.clone();
     broker.registry_mut().deregister(&chosen_filter);
     let after = broker
-        .query(&three_stage_query(), QosOffer::to_weighted)
+        .query(&three_stage_query(), Weighted::translate)
         .unwrap();
     assert_ne!(after.selections[1].0, chosen_filter);
     // Losing a provider can only make the plan worse-or-equal in the
@@ -142,7 +142,7 @@ fn deregistration_reroutes_the_plan() {
     // Removing every filter provider kills the stage outright.
     broker.registry_mut().deregister(&ServiceId::new("f-a"));
     broker.registry_mut().deregister(&ServiceId::new("f-b"));
-    match broker.query(&three_stage_query(), QosOffer::to_weighted) {
+    match broker.query(&three_stage_query(), Weighted::translate) {
         Err(QueryError::NoProvider { stage, .. }) => assert_eq!(stage, 1),
         other => panic!("expected NoProvider, got {other:?}"),
     }
