@@ -21,7 +21,9 @@ use softsoa_core::Domain;
 use softsoa_dependability::Attribute;
 use softsoa_nmsccp::Interval;
 use softsoa_semiring::{Fuzzy, Unit};
-use softsoa_soa::server::protocol::{NegotiateRequest, Reply, Request, WireSemiring};
+use softsoa_soa::server::protocol::{
+    NegotiateRequest, PublishRequest, Reply, Request, WireSemiring,
+};
 use softsoa_soa::{
     Broker, ChaosConfig, NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry,
     ServerConfig, ServiceDescription, ServiceId,
@@ -41,6 +43,9 @@ const REGISTRY_WRITE: u64 = 25;
 const REGISTRY_STRUCTURE_BYTES: i64 = 152_352;
 /// `Request::parse` of a negotiate frame (@REQ@ through a `Value` tree).
 const REQUEST_PARSE: u64 = 2;
+/// `Request::parse` of a `churn_chaos` publish frame: the request's
+/// three strings and the offer's variable.
+const PUBLISH_PARSE: u64 = 4;
 /// `Reply::to_json` (and `Reply::to_frame`) of a `degraded` reply
 /// (@REN@ through a `Value` tree).
 const REPLY_RENDER: u64 = 1;
@@ -262,6 +267,23 @@ fn request_parse_budget() {
     let count = allocations(|| drop(Request::parse(&frame).expect("a well-formed request")));
     println!("negotiate request parse: {count} allocations");
     assert_eq!(count, REQUEST_PARSE);
+}
+
+/// Parsing a publish frame shaped like a `churn_chaos` churn publish
+/// allocates only the strings the request keeps.
+#[test]
+fn publish_parse_budget() {
+    let frame = Request::Publish(PublishRequest {
+        service: "churn-042".into(),
+        provider: "perfbench".into(),
+        capability: "cap-0042".into(),
+        offer: offer(0.0437, 0.512),
+        capacity: None,
+    })
+    .to_json();
+    let count = allocations(|| drop(Request::parse(&frame).expect("a well-formed request")));
+    println!("publish request parse: {count} allocations");
+    assert_eq!(count, PUBLISH_PARSE);
 }
 
 /// Rendering a `degraded` reply writes into one pre-sized buffer.
