@@ -1488,6 +1488,31 @@ mod tests {
         }
     }
 
+    /// A linear policy's out-of-range level reads as the same shape
+    /// sent as an offer does: weighted `⟨-2⟩` saturates to 0 (not ∞)
+    /// and fuzzy 1.25 clamps to 1 (not 0).
+    #[test]
+    fn linear_policies_read_out_of_range_levels_through_the_bridge() {
+        let problem = |semiring: &str, slope: f64, intercept: f64| {
+            format!(
+                r#"{{"semiring": "{semiring}", "domains": {{"x": {{"ints": [0, 2]}}}},
+                "constraints": [{{"linear": {{"var": "x", "slope": {slope:?}, "intercept": {intercept:?}}}}}],
+                "con": ["x"]}}"#
+            )
+        };
+        let table = |level: &str| {
+            let best: String = (0..3)
+                .map(|x| format!("best: [x:={x}] at {level}\n"))
+                .collect();
+            let rows: String = (0..3).map(|x| format!("  ⟨{x}⟩ → {level}\n")).collect();
+            format!("blevel: {level}\n{best}solution table over [Var(\"x\")]:\n{rows}")
+        };
+        let weighted = solve(&problem("weighted", 1.0, -2.0), SolverChoice::Enumeration);
+        assert_eq!(weighted.unwrap(), table("0"));
+        let fuzzy = solve(&problem("fuzzy", 0.0, 1.25), SolverChoice::Enumeration);
+        assert_eq!(fuzzy.unwrap(), table("1"));
+    }
+
     #[test]
     fn engine_choices_agree_on_fig1() {
         // `--engine auto` and `--engine treedec` must never differ

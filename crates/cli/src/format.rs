@@ -185,8 +185,10 @@ pub enum ConstraintSpec {
 
 impl ConstraintSpec {
     /// Builds the constraint over a concrete semiring, reading table
-    /// levels strictly through [`WireSemiring::parse_level`]; a linear
-    /// policy's levels outside the carrier read as the semiring zero.
+    /// levels strictly through [`WireSemiring::parse_level`] and a
+    /// linear policy's levels leniently through [`WireSemiring::level`]
+    /// (clamped or saturated into the carrier, as the same shape sent
+    /// as an offer reads); a symbolic value reads as the semiring zero.
     ///
     /// # Errors
     ///
@@ -234,11 +236,9 @@ impl ConstraintSpec {
             } => {
                 let (slope, intercept) = (*slope, *intercept);
                 let zero = semiring.zero();
-                let c = Constraint::unary(semiring, Var::new(var), move |v| {
-                    let Some(x) = v.as_int() else {
-                        return zero.clone();
-                    };
-                    S::parse_level(slope * x as f64 + intercept).unwrap_or_else(|_| zero.clone())
+                let c = Constraint::unary(semiring, Var::new(var), move |v| match v.as_int() {
+                    Some(x) => S::level(slope * x as f64 + intercept),
+                    None => zero.clone(),
                 });
                 Ok(match label {
                     Some(label) => c.with_label(label),

@@ -16,6 +16,9 @@
 //! semiring the daemon negotiates over, so one server implementation
 //! serves fuzzy, weighted and probabilistic deployments.
 
+use serde::de::typed;
+use serde::Deserialize;
+
 use crate::qos::{OfferShape, QosOffer};
 use crate::server::codec::{self, fields, ObjWriter};
 
@@ -81,8 +84,9 @@ impl Request {
     /// A human-readable reason (surfaced to the client as a
     /// `bad-request` reply).
     pub fn parse(frame: &str) -> Result<Request, String> {
-        // The request fields read as plain values; `domain`, `policy`
-        // and `offer` have their own readers.
+        // The request fields read as plain values; `domain` is read as
+        // its own table, and `policy` and `offer` by their derived
+        // `Deserialize`, keeping a type error until the frame is read.
         let mut fields = fields!(
             "op",
             "capability",
@@ -106,11 +110,11 @@ impl Request {
                     Ok(())
                 }
                 "policy" if policy.is_none() => {
-                    policy = Some(codec::read_shape(r)?);
+                    policy = Some(typed(OfferShape::deserialize(r))?);
                     Ok(())
                 }
                 "offer" if offer.is_none() => {
-                    offer = Some(codec::read_offer(r)?);
+                    offer = Some(typed(QosOffer::deserialize(r))?);
                     Ok(())
                 }
                 _ => fields.read(r, key),
@@ -128,7 +132,7 @@ impl Request {
                     capability: fields.string("capability")?,
                     variable: fields.string("variable")?,
                     domain: [domain.i64("min")?, domain.i64("max")?],
-                    policy: policy?,
+                    policy: policy.map_err(|e| e.to_string())?,
                     accept: [fields.f64("accept_lo")?, fields.f64("accept_hi")?],
                     client: fields.opt_string("client")?,
                 }))
@@ -139,7 +143,7 @@ impl Request {
                     service: fields.string("service")?,
                     provider: fields.string("provider")?,
                     capability: fields.string("capability")?,
-                    offer: offer?,
+                    offer: offer.map_err(|e| e.to_string())?,
                     capacity: fields.opt_u32("capacity")?,
                 }))
             }

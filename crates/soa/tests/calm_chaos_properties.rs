@@ -21,8 +21,7 @@ use std::fmt::Debug;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use softsoa_semiring::Residuated;
-use softsoa_soa::{Broker, ChaosConfig, NegotiationError};
+use softsoa_soa::{Broker, ChaosConfig, NegotiationError, WireSemiring};
 
 use common::{fuzzy, picks, weighted, Kind};
 
@@ -39,7 +38,7 @@ fn case() -> impl Strategy<Value = Case> {
     )
 }
 
-fn check_calm<S: Residuated>(kind: &Kind<S>, (client, providers, bounds, deadline): Case)
+fn check_calm<S: WireSemiring>(kind: &Kind<S>, (client, providers, bounds, deadline): Case)
 where
     S::Value: Debug,
 {
@@ -52,9 +51,9 @@ where
         ..ChaosConfig::default()
     };
 
-    let plain = broker.negotiate(&request, kind.translate);
+    let plain = broker.negotiate(&request, S::translate);
     let report = broker
-        .negotiate_resilient(&request, &[], &calm, kind.translate)
+        .negotiate_resilient(&request, &[], &calm, S::translate)
         .expect("a calm chaos run negotiates wherever a plain one does");
     assert_eq!(report.faults_injected, 0);
     match (plain, report.sla) {

@@ -1,9 +1,12 @@
 //! Differential suite of the daemon's wire codec.
 //!
 //! `Request` and `Reply` are written straight into one buffer and read
-//! in one pass over the frame. The [`oracle`] below is the codec they
-//! replace, kept here verbatim: it renders a `serde::Value` tree and
-//! reads frames back through one. The properties:
+//! in one pass over the frame, their offer payloads by the serde shim's
+//! derived impls. The [`oracle`] below is the codec they replace: it
+//! renders a `serde::Value` tree and reads frames back through one,
+//! with its own tree readers and writers of the offer types, written
+//! out from the tree-based derive they were once read with. The
+//! properties:
 //!
 //! - **Bytes** — every request and reply variant, over generated text
 //!   (quotes, backslashes, control characters, non-ASCII) and numbers
@@ -31,7 +34,8 @@ use softsoa_soa::{OfferShape, QosOffer};
 /// The tree codec, as it rendered and read frames before the one-pass
 /// codec.
 mod oracle {
-    use serde::{Deserialize, Serialize, Value};
+    use serde::Value;
+    use softsoa_dependability::Attribute;
     use softsoa_soa::server::protocol::{
         ErrorCode, NegotiateRequest, Phase, PublishRequest, Reply, Request, ShedReason,
     };
@@ -49,7 +53,7 @@ mod oracle {
                     capability: str_field(&value, "capability")?.to_string(),
                     variable: str_field(&value, "variable")?.to_string(),
                     domain: [i64_field(domain, "min")?, i64_field(domain, "max")?],
-                    policy: OfferShape::from_value(policy).map_err(|e| e.to_string())?,
+                    policy: shape_from(policy)?,
                     accept: [
                         f64_field(&value, "accept_lo")?,
                         f64_field(&value, "accept_hi")?,
@@ -63,7 +67,7 @@ mod oracle {
                     service: str_field(&value, "service")?.to_string(),
                     provider: str_field(&value, "provider")?.to_string(),
                     capability: str_field(&value, "capability")?.to_string(),
-                    offer: QosOffer::from_value(offer).map_err(|e| e.to_string())?,
+                    offer: offer_from(offer)?,
                     capacity: opt_u32_field(&value, "capacity")?,
                 }))
             }
@@ -88,7 +92,7 @@ mod oracle {
                         ("max", Value::Int(n.domain[1])),
                     ]),
                 ),
-                ("policy", n.policy.to_value()),
+                ("policy", shape_tree(&n.policy)),
                 ("accept_lo", Value::Float(n.accept[0])),
                 ("accept_hi", Value::Float(n.accept[1])),
                 (
@@ -103,7 +107,7 @@ mod oracle {
                 ("service", Value::Str(p.service.clone())),
                 ("provider", Value::Str(p.provider.clone())),
                 ("capability", Value::Str(p.capability.clone())),
-                ("offer", p.offer.to_value()),
+                ("offer", offer_tree(&p.offer)),
                 (
                     "capacity",
                     p.capacity
@@ -403,6 +407,168 @@ mod oracle {
             Some(Value::Bool(b)) => Ok(*b),
             _ => Err(format!("field `{key}`: expected boolean")),
         }
+    }
+
+    // The offer types as the serde shim's derive rendered and read them
+    // through a `Value` tree: externally tagged variants, fields in
+    // declaration order, and the derive's error texts.
+
+    fn shape_tree(shape: &OfferShape) -> Value {
+        let (tag, fields) = match shape {
+            OfferShape::Linear { slope, intercept } => (
+                "Linear",
+                vec![
+                    ("slope", Value::Float(*slope)),
+                    ("intercept", Value::Float(*intercept)),
+                ],
+            ),
+            OfferShape::Piecewise { points } => {
+                let points = points
+                    .iter()
+                    .map(|&(x, level)| Value::Arr(vec![Value::Int(x), Value::Float(level)]))
+                    .collect();
+                ("Piecewise", vec![("points", Value::Arr(points))])
+            }
+            OfferShape::Constant { level } => ("Constant", vec![("level", Value::Float(*level))]),
+            OfferShape::Range { min, max } => (
+                "Range",
+                vec![("min", Value::Int(*min)), ("max", Value::Int(*max))],
+            ),
+        };
+        obj(vec![(tag, obj(fields))])
+    }
+
+    fn offer_tree(offer: &QosOffer) -> Value {
+        obj(vec![
+            ("attribute", Value::Str(format!("{:?}", offer.attribute))),
+            ("variable", Value::Str(offer.variable.clone())),
+            ("shape", shape_tree(&offer.shape)),
+        ])
+    }
+
+    fn expected(what: &str, found: &Value) -> String {
+        format!("expected {what}, found {}", found.kind())
+    }
+
+    /// A derived field of `container`: its value's error names it, and
+    /// an absent one (none of these fields is optional) is missing.
+    fn derived<T>(
+        value: &Value,
+        key: &str,
+        container: &str,
+        read: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<T, String> {
+        match value.get(key) {
+            Some(v) => read(v).map_err(|e| format!("{key}: {e}")),
+            None => Err(format!("missing field `{key}` in {container}")),
+        }
+    }
+
+    fn derived_f64(value: &Value) -> Result<f64, String> {
+        number(value).ok_or_else(|| expected("number", value))
+    }
+
+    fn derived_i64(value: &Value) -> Result<i64, String> {
+        match value {
+            Value::Int(n) => Ok(*n),
+            Value::UInt(n) => i64::try_from(*n).map_err(|_| "integer out of range".to_string()),
+            Value::Float(f) if f.fract() == 0.0 => Ok(*f as i64),
+            other => Err(expected("integer", other)),
+        }
+    }
+
+    fn derived_points(value: &Value) -> Result<Vec<(i64, f64)>, String> {
+        let Value::Arr(items) = value else {
+            return Err(expected("array", value));
+        };
+        items
+            .iter()
+            .map(|item| match item {
+                Value::Arr(pair) if pair.len() == 2 => {
+                    Ok((derived_i64(&pair[0])?, derived_f64(&pair[1])?))
+                }
+                other => Err(expected("array of 2 elements", other)),
+            })
+            .collect()
+    }
+
+    /// An externally tagged value: a bare tag, or an object with one
+    /// key whose payload `variant` reads.
+    fn tagged<T>(
+        value: &Value,
+        container: &str,
+        unit: impl FnOnce(&str) -> Option<T>,
+        variant: impl FnOnce(&str, &Value) -> Option<Result<T, String>>,
+    ) -> Result<T, String> {
+        let unknown = |tag: &str| format!("unknown variant `{tag}` of {container}");
+        match value {
+            Value::Str(tag) => unit(tag).ok_or_else(|| unknown(tag)),
+            Value::Obj(pairs) if pairs.len() == 1 => {
+                let (tag, inner) = &pairs[0];
+                variant(tag, inner).unwrap_or_else(|| Err(unknown(tag)))
+            }
+            other => Err(expected("variant name or single-key object", other)),
+        }
+    }
+
+    fn shape_from(value: &Value) -> Result<OfferShape, String> {
+        tagged(
+            value,
+            "OfferShape",
+            |_| None,
+            |tag, inner| {
+                if !["Linear", "Piecewise", "Constant", "Range"].contains(&tag) {
+                    return None;
+                }
+                if !matches!(inner, Value::Obj(_)) {
+                    let what = format!("object payload for variant `{tag}`");
+                    return Some(Err(expected(&what, inner)));
+                }
+                Some((|| {
+                    let f64_field = |key| derived(inner, key, "OfferShape", derived_f64);
+                    let i64_field = |key| derived(inner, key, "OfferShape", derived_i64);
+                    Ok(match tag {
+                        "Linear" => OfferShape::Linear {
+                            slope: f64_field("slope")?,
+                            intercept: f64_field("intercept")?,
+                        },
+                        "Piecewise" => OfferShape::Piecewise {
+                            points: derived(inner, "points", "OfferShape", derived_points)?,
+                        },
+                        "Constant" => OfferShape::Constant {
+                            level: f64_field("level")?,
+                        },
+                        _ => OfferShape::Range {
+                            min: i64_field("min")?,
+                            max: i64_field("max")?,
+                        },
+                    })
+                })())
+            },
+        )
+    }
+
+    fn attribute_from(value: &Value) -> Result<Attribute, String> {
+        tagged(
+            value,
+            "Attribute",
+            |tag| Attribute::ALL.into_iter().find(|a| format!("{a:?}") == tag),
+            |_, _| None,
+        )
+    }
+
+    fn offer_from(value: &Value) -> Result<QosOffer, String> {
+        if !matches!(value, Value::Obj(_)) {
+            return Err(expected("object", value));
+        }
+        Ok(QosOffer {
+            attribute: derived(value, "attribute", "QosOffer", attribute_from)?,
+            variable: derived(value, "variable", "QosOffer", |v| match v {
+                Value::Str(s) => Ok(s.clone()),
+                other => Err(expected("string", other)),
+            })?,
+            shape: derived(value, "shape", "QosOffer", shape_from)?,
+        })
     }
 }
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use softsoa_core::{Constraint, Domain, Var};
 use softsoa_dependability::Attribute;
 use softsoa_nmsccp::Interval;
-use softsoa_semiring::{Fuzzy, Residuated, Weighted};
+use softsoa_semiring::{Fuzzy, Weighted};
 use softsoa_soa::{
     NegotiationRequest, OfferShape, QosDocument, QosOffer, Registry, ServiceDescription,
     WireSemiring,
@@ -17,22 +17,19 @@ use softsoa_soa::{
 pub const MAX_X: i64 = 5;
 pub const CELLS: usize = MAX_X as usize + 1;
 
-/// One semiring's view of the raw levels that offers carry.
-pub struct Kind<S: Residuated> {
+/// One semiring's view of the raw levels that offers carry; a raw
+/// level reads as `S::level` reads it, and an offer translates through
+/// `S::translate`.
+pub struct Kind<S: WireSemiring> {
     pub semiring: S,
     /// Raw levels the tables draw from (`0` of the semiring included).
     pub palette: &'static [f64],
-    /// The semiring level of a raw level.
-    pub level: fn(f64) -> S::Value,
-    pub translate: fn(&QosOffer) -> Constraint<S>,
 }
 
 pub fn fuzzy() -> Kind<Fuzzy> {
     Kind {
         semiring: Fuzzy,
         palette: &[0.0, 0.25, 0.5, 0.75, 1.0],
-        level: Fuzzy::level,
-        translate: Fuzzy::translate,
     }
 }
 
@@ -42,8 +39,6 @@ pub fn weighted() -> Kind<Weighted> {
         // Costs: 0 is the best level; 64 stands in for a cost too high
         // to accept.
         palette: &[0.0, 1.0, 2.0, 4.0, 64.0],
-        level: Weighted::level,
-        translate: Weighted::translate,
     }
 }
 
@@ -52,7 +47,7 @@ pub fn picks() -> impl Strategy<Value = Vec<usize>> {
     vec(0usize..64, CELLS)
 }
 
-impl<S: Residuated> Kind<S> {
+impl<S: WireSemiring> Kind<S> {
     pub fn raw(&self, pick: usize) -> f64 {
         self.palette[pick % self.palette.len()]
     }
@@ -85,13 +80,12 @@ impl<S: Residuated> Kind<S> {
     /// The request of a client whose policy is the table `client`.
     pub fn request(&self, client: &[f64], acceptance: Interval<S>) -> NegotiationRequest<S> {
         let client = client.to_vec();
-        let level = self.level;
         NegotiationRequest {
             capability: "compute".into(),
             variable: Var::new("x"),
             domain: Domain::ints(0..=MAX_X),
             constraint: Constraint::unary(self.semiring.clone(), "x", move |v| {
-                level(client[v.as_int().unwrap() as usize])
+                S::level(client[v.as_int().unwrap() as usize])
             }),
             acceptance,
         }
@@ -100,7 +94,7 @@ impl<S: Residuated> Kind<S> {
     /// The levels of two palette picks as `(lower, upper)`
     /// thresholds: the worse one first.
     pub fn bounds(&self, a: usize, b: usize) -> (S::Value, S::Value) {
-        let (a, b) = ((self.level)(self.raw(a)), (self.level)(self.raw(b)));
+        let (a, b) = (S::level(self.raw(a)), S::level(self.raw(b)));
         if self.semiring.lt(&b, &a) {
             (b, a)
         } else {

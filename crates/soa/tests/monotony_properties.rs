@@ -26,18 +26,18 @@ use std::fmt::Debug;
 
 use proptest::prelude::*;
 use softsoa_nmsccp::Interval;
-use softsoa_semiring::{Residuated, Unit};
-use softsoa_soa::{Broker, NegotiationError};
+use softsoa_semiring::Unit;
+use softsoa_soa::{Broker, NegotiationError, WireSemiring};
 
 use common::{fuzzy, picks, weighted, Kind, CELLS};
 
-impl<S: Residuated> Kind<S>
+impl<S: WireSemiring> Kind<S>
 where
     S::Value: Debug,
 {
     /// The raw level of `a` and `b` that is better in the semiring.
     fn better(&self, a: f64, b: f64) -> f64 {
-        if self.semiring.lt(&(self.level)(a), &(self.level)(b)) {
+        if self.semiring.lt(&S::level(a), &S::level(b)) {
             b
         } else {
             a
@@ -54,7 +54,7 @@ where
     ) -> Option<S::Value> {
         let request = self.request(client, acceptance);
         match Broker::new(self.semiring.clone(), self.registry(providers))
-            .negotiate(&request, self.translate)
+            .negotiate(&request, S::translate)
         {
             Ok(sla) => Some(sla.agreed_level),
             Err(NegotiationError::NoAgreement(_)) => None,
@@ -85,8 +85,11 @@ fn case() -> impl Strategy<Value = Case> {
     )
 }
 
-fn check_raise<S: Residuated>(kind: &Kind<S>, (client, providers, raise, which): Case, floor: usize)
-where
+fn check_raise<S: WireSemiring>(
+    kind: &Kind<S>,
+    (client, providers, raise, which): Case,
+    floor: usize,
+) where
     S::Value: Debug,
 {
     let client = kind.table(&client);
@@ -100,7 +103,7 @@ where
     let top = kind
         .palette
         .iter()
-        .position(|&raw| (kind.level)(raw) == kind.semiring.one());
+        .position(|&raw| S::level(raw) == kind.semiring.one());
     let acceptance = || kind.interval(floor, top.expect("the palette holds the top level"));
     let (was, is) = (
         kind.agreed(&client, &before, acceptance()),
@@ -112,7 +115,7 @@ where
     );
 }
 
-fn check_add<S: Residuated>(
+fn check_add<S: WireSemiring>(
     kind: &Kind<S>,
     (client, providers, extra, _): Case,
     bounds: (usize, usize),
@@ -134,7 +137,7 @@ fn check_add<S: Residuated>(
     );
 }
 
-fn check_widen<S: Residuated>(
+fn check_widen<S: WireSemiring>(
     kind: &Kind<S>,
     (client, providers, _, _): Case,
     inner: (usize, usize),

@@ -4,7 +4,7 @@
 //! store inside the `C1`–`C4` interval, the refinement `S⇓E ⊑ R⇓E` —
 //! is only auditable when runs are inspectable. This crate provides
 //! the measurement substrate: counters, gauges, observation
-//! aggregates, ordered series, timings, and hierarchical spans, all
+//! aggregates, ordered series and timings under scoped names, all
 //! routed through a pluggable [`Sink`].
 //!
 //! # Overhead contract
@@ -32,19 +32,16 @@
 //! let (tel, sink) = Telemetry::recording();
 //! tel.count("solve.nodes", 42);
 //! tel.gauge("solve.threads", 4);
-//! {
-//!     let span = tel.span("broker.negotiate");
-//!     span.telemetry().incr("broker.sessions");
-//! } // span drop records a timing under "broker.negotiate"
+//! tel.scoped("broker").incr("sessions");
 //! let snap = sink.snapshot();
 //! assert_eq!(snap.counters.get("solve.nodes"), Some(&42));
-//! assert_eq!(snap.counters.get("broker.negotiate/broker.sessions"), Some(&1));
+//! assert_eq!(snap.counters.get("broker/sessions"), Some(&1));
 //! ```
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One telemetry event, borrowed from the recording site.
 ///
@@ -256,57 +253,6 @@ impl Telemetry {
             name: &self.full_name(&format!("{name}{{{label}}}")),
             nanos,
         });
-    }
-
-    /// Opens a hierarchical span named `name`.
-    ///
-    /// The span's [`Span::telemetry`] handle prefixes nested metrics
-    /// with the span path; dropping the span records the elapsed time
-    /// as a [`Event::Timing`] under the path. On a disabled handle the
-    /// span is free: no clock is read.
-    pub fn span(&self, name: &str) -> Span {
-        if self.sink.is_none() {
-            return Span {
-                scope: Telemetry::default(),
-                start: None,
-            };
-        }
-        Span {
-            scope: self.scoped(name),
-            start: Some(Instant::now()),
-        }
-    }
-}
-
-/// A hierarchical timing scope; see [`Telemetry::span`].
-#[derive(Debug)]
-pub struct Span {
-    scope: Telemetry,
-    start: Option<Instant>,
-}
-
-impl Span {
-    /// The handle scoped to this span's path.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.scope
-    }
-
-    /// Opens a child span.
-    pub fn span(&self, name: &str) -> Span {
-        self.scope.span(name)
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            // Record the elapsed time under the span path itself: the
-            // scope already carries the full path as its prefix.
-            let Some(sink) = &self.scope.sink else { return };
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let name = self.scope.prefix.as_deref().unwrap_or("span");
-            sink.record(Event::Timing { name, nanos });
-        }
     }
 }
 
@@ -612,9 +558,6 @@ mod tests {
         tel.observe("c", 3);
         tel.series("d", 0, "x");
         tel.timing("e", Duration::from_millis(1));
-        let span = tel.span("f");
-        assert!(!span.telemetry().enabled());
-        drop(span);
         assert_eq!(format!("{tel:?}"), "Telemetry(disabled)");
     }
 
@@ -662,24 +605,6 @@ mod tests {
                 (1, "7".to_string())
             ]
         );
-    }
-
-    #[test]
-    fn spans_scope_names_and_record_timings() {
-        let (tel, sink) = Telemetry::recording();
-        {
-            let outer = tel.span("outer");
-            outer.telemetry().incr("work");
-            {
-                let inner = outer.span("inner");
-                inner.telemetry().incr("work");
-            }
-        }
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters["outer/work"], 1);
-        assert_eq!(snap.counters["outer/inner/work"], 1);
-        assert_eq!(snap.timings["outer"].count, 1);
-        assert_eq!(snap.timings["outer/inner"].count, 1);
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! `#[derive(Serialize, Deserialize)]` for the workspace's serde shim.
 //!
 //! Hand-rolled over `proc_macro` token trees (`syn`/`quote` are not
-//! available offline). Supports exactly the shapes this workspace
-//! serialises:
+//! available offline). The generated code streams: `Serialize` writes
+//! the value straight into the output `String`, and `Deserialize` reads
+//! it straight from the shim's one-pass `Reader`, with the shim's `de`
+//! helpers. Supports exactly the shapes this workspace serialises:
 //!
 //! - structs with named fields;
 //! - enums with unit, newtype and struct variants (externally tagged);
 //! - container attributes `#[serde(rename_all = "kebab-case")]` and
-//!   `#[serde(untagged)]` (unit/newtype variants only);
+//!   `#[serde(untagged)]` (newtype variants only);
 //! - field attributes `#[serde(default)]` and
 //!   `#[serde(default = "path")]`.
 //!
-//! Anything outside that subset fails the build with an explicit
-//! message rather than generating wrong code.
+//! A struct reads each declared key's first occurrence and skips the
+//! rest; its fields' errors are reported in declaration order, each
+//! behind its `field: ` prefix. Anything outside that subset fails the
+//! build with an explicit message rather than generating wrong code.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -32,6 +36,7 @@ enum Data {
 
 struct Field {
     name: String,
+    ty: String,
     default: Option<FieldDefault>,
 }
 
@@ -47,7 +52,8 @@ struct Variant {
 
 enum VariantKind {
     Unit,
-    Newtype,
+    /// The payload type.
+    Newtype(String),
     Struct(Vec<Field>),
 }
 
@@ -178,6 +184,15 @@ fn parse_container(input: TokenStream) -> Container {
         "enum" => Data::Enum(parse_variants(&body, &name)),
         other => panic!("cannot derive serde traits for `{other} {name}`"),
     };
+    if let Data::Enum(variants) = &data {
+        assert!(
+            !attrs.untagged
+                || variants
+                    .iter()
+                    .all(|v| matches!(v.kind, VariantKind::Newtype(_))),
+            "serde shim derive supports only newtype variants in untagged `{name}`"
+        );
+    }
     Container {
         name,
         kebab: attrs.kebab,
@@ -211,22 +226,26 @@ fn parse_fields(tokens: &[TokenTree], container: &str) -> Vec<Field> {
             "expected `:` after field `{container}.{name}`"
         );
         i += 1;
-        // Skip the type: everything up to a comma at angle-bracket
-        // depth 0 (generic arguments hide their commas behind depth).
+        // The type: everything up to a comma at angle-bracket depth 0
+        // (generic arguments hide their commas behind depth).
+        let start = i;
         let mut angle_depth = 0i32;
         while i < tokens.len() {
             match &tokens[i] {
                 TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
                 TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                    i += 1;
-                    break;
-                }
+                TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => break,
                 _ => {}
             }
             i += 1;
         }
-        fields.push(Field { name, default });
+        let ty = tokens[start..i].iter().cloned().collect::<TokenStream>();
+        i += 1;
+        fields.push(Field {
+            name,
+            ty: ty.to_string(),
+            default,
+        });
     }
     fields
 }
@@ -251,7 +270,7 @@ fn parse_variants(tokens: &[TokenTree], container: &str) -> Vec<Variant> {
         let kind = match &tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 i += 1;
-                VariantKind::Newtype
+                VariantKind::Newtype(g.stream().to_string())
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
@@ -296,19 +315,26 @@ impl Container {
 
 // ---- codegen: Serialize ---------------------------------------------
 
-fn serialize_fields_expr(fields: &[Field], access_prefix: &str) -> String {
-    let mut code = String::from(
-        "{ let mut obj: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-         ::std::vec::Vec::new();\n",
-    );
-    for field in fields {
+/// Statements writing `fields` (each reached as `{access}{name}`) as a
+/// JSON object, between the texts `open` and `close`.
+fn write_fields(fields: &[Field], access: &str, open: &str, close: &str) -> String {
+    let mut code = String::new();
+    let mut text = format!("{open}{{");
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(&format!("\"{}\":", field.name));
         code.push_str(&format!(
-            "obj.push((\"{name}\".to_string(), \
-             ::serde::Serialize::to_value({access_prefix}{name})));\n",
-            name = field.name,
+            "__out.push_str({text:?});\n\
+             ::serde::Serialize::serialize({access}{}, __out);\n",
+            field.name
         ));
+        text.clear();
     }
-    code.push_str("::serde::Value::Obj(obj) }");
+    text.push('}');
+    text.push_str(close);
+    code.push_str(&format!("__out.push_str({text:?});\n"));
     code
 }
 
@@ -317,40 +343,35 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let container = parse_container(input);
     let name = &container.name;
     let body = match &container.data {
-        Data::Struct(fields) => serialize_fields_expr(fields, "&self."),
+        Data::Struct(fields) => write_fields(fields, "&self.", "", ""),
         Data::Enum(variants) => {
             let mut arms = String::new();
             for variant in variants {
                 let vname = &variant.name;
                 let wire = container.wire_name(vname);
-                let arm = match (&variant.kind, container.untagged) {
-                    (VariantKind::Unit, false) => {
-                        format!("{name}::{vname} => ::serde::Value::Str(\"{wire}\".to_string()),\n")
-                    }
-                    (VariantKind::Unit, true) => {
-                        format!("{name}::{vname} => ::serde::Value::Null,\n")
-                    }
-                    (VariantKind::Newtype, false) => format!(
-                        "{name}::{vname}(inner) => ::serde::Value::Obj(vec![(\
-                         \"{wire}\".to_string(), ::serde::Serialize::to_value(inner))]),\n"
+                let arm = match &variant.kind {
+                    VariantKind::Unit => format!(
+                        "{name}::{vname} => __out.push_str({:?}),\n",
+                        format!("\"{wire}\"")
                     ),
-                    (VariantKind::Newtype, true) => {
-                        format!("{name}::{vname}(inner) => ::serde::Serialize::to_value(inner),\n")
-                    }
-                    (VariantKind::Struct(fields), untagged) => {
+                    VariantKind::Newtype(_) if container.untagged => format!(
+                        "{name}::{vname}(__v) => ::serde::Serialize::serialize(__v, __out),\n"
+                    ),
+                    VariantKind::Newtype(_) => format!(
+                        "{name}::{vname}(__v) => {{\n\
+                         __out.push_str({:?});\n\
+                         ::serde::Serialize::serialize(__v, __out);\n\
+                         __out.push('}}');\n\
+                         }}\n",
+                        format!("{{\"{wire}\":")
+                    ),
+                    VariantKind::Struct(fields) => {
                         let bindings: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let fields_expr = serialize_fields_expr(fields, "");
-                        let payload = if untagged {
-                            fields_expr
-                        } else {
-                            format!(
-                                "::serde::Value::Obj(vec![(\"{wire}\".to_string(), \
-                                 {fields_expr})])"
-                            )
-                        };
+                        let open = format!("{{\"{wire}\":");
                         format!(
-                            "{name}::{vname} {{ {} }} => {payload},\n",
-                            bindings.join(", ")
+                            "{name}::{vname} {{ {} }} => {{\n{}}}\n",
+                            bindings.join(", "),
+                            write_fields(fields, "", &open, "}")
                         )
                     }
                 };
@@ -361,7 +382,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn serialize(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n}}\n"
     )
     .parse()
     .expect("serialize impl parses")
@@ -369,33 +390,49 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 
 // ---- codegen: Deserialize -------------------------------------------
 
-/// Expression (re)constructing one field from `pairs`.
-fn field_expr(field: &Field, container: &str) -> String {
-    let name = &field.name;
-    let missing = match &field.default {
-        Some(FieldDefault::DefaultTrait) => "::std::default::Default::default()".to_string(),
-        Some(FieldDefault::Path(path)) => format!("{path}()"),
-        None => format!(
-            "::serde::Deserialize::from_value(&::serde::Value::Null)\
-             .map_err(|_| ::serde::Error::missing_field(\"{name}\", \"{container}\"))?"
-        ),
-    };
-    format!(
-        "{name}: match pairs.iter().find(|(k, _)| k == \"{name}\") {{\n\
-         Some((_, v)) => ::serde::Deserialize::from_value(v)\
-         .map_err(|e| e.in_field(\"{name}\"))?,\n\
-         None => {missing},\n\
-         }},\n"
-    )
-}
-
-fn deserialize_struct_body(constructor: &str, fields: &[Field], container: &str) -> String {
-    let mut code = format!("Ok({constructor} {{\n");
+/// A function body that reads `fields` from an object into `ctor`:
+/// each declared key's first occurrence is read into its slot, and the
+/// slots are then taken in declaration order. `what` names the
+/// expected value when the value is not an object.
+fn read_fields(fields: &[Field], ctor: &str, container: &str, what: &str) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut build = String::new();
     for field in fields {
-        code.push_str(&field_expr(field, container));
+        let (name, ty) = (&field.name, &field.ty);
+        let slot = format!("__f_{name}");
+        slots.push_str(&format!(
+            "let mut {slot}: ::std::option::Option<\
+             ::std::result::Result<{ty}, ::serde::Error>> = None;\n"
+        ));
+        arms.push_str(&format!(
+            "\"{name}\" if {slot}.is_none() => {slot} = Some(::serde::de::typed(\
+             <{ty} as ::serde::Deserialize>::deserialize(__r))?),\n"
+        ));
+        let value = match &field.default {
+            None => format!("::serde::de::field({slot}, \"{name}\", \"{container}\")"),
+            Some(FieldDefault::DefaultTrait) => {
+                format!(
+                    "::serde::de::field_or({slot}, \"{name}\", ::std::default::Default::default)"
+                )
+            }
+            Some(FieldDefault::Path(path)) => {
+                format!("::serde::de::field_or({slot}, \"{name}\", {path})")
+            }
+        };
+        build.push_str(&format!("{name}: {value}?,\n"));
     }
-    code.push_str("})");
-    code
+    format!(
+        "{slots}\
+         let __other = __r.object(|__r, __key| {{\n\
+         match __key {{\n{arms}_ => {{}}\n}}\n\
+         Ok(())\n\
+         }})?;\n\
+         if let Some(__other) = __other {{\n\
+         return Err(::serde::Error::expected({what:?}, &__other));\n\
+         }}\n\
+         Ok({ctor} {{\n{build}}})"
+    )
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
@@ -403,97 +440,64 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let container = parse_container(input);
     let name = &container.name;
     let body = match &container.data {
-        Data::Struct(fields) => format!(
-            "match value {{\n\
-             ::serde::Value::Obj(pairs) => {},\n\
-             other => Err(::serde::Error::expected(\"object\", other)),\n\
-             }}",
-            deserialize_struct_body(name, fields, name)
-        ),
+        Data::Struct(fields) => read_fields(fields, name, name, "object"),
         Data::Enum(variants) if container.untagged => {
             let mut tries = String::new();
             for variant in variants {
-                let vname = &variant.name;
-                match &variant.kind {
-                    VariantKind::Unit => tries.push_str(&format!(
-                        "if matches!(value, ::serde::Value::Null) \
-                         {{ return Ok({name}::{vname}); }}\n"
-                    )),
-                    VariantKind::Newtype => tries.push_str(&format!(
-                        "if let Ok(inner) = ::serde::Deserialize::from_value(value) \
-                         {{ return Ok({name}::{vname}(inner)); }}\n"
-                    )),
-                    VariantKind::Struct(fields) => {
-                        let ctor = format!("{name}::{vname}");
-                        let inner = deserialize_struct_body(&ctor, fields, name);
-                        tries.push_str(&format!(
-                            "if let ::serde::Value::Obj(pairs) = value {{\n\
-                             let attempt = (|| -> ::std::result::Result<{name}, ::serde::Error> \
-                             {{ {inner} }})();\n\
-                             if let Ok(parsed) = attempt {{ return Ok(parsed); }}\n\
-                             }}\n"
-                        ));
-                    }
-                }
+                let VariantKind::Newtype(ty) = &variant.kind else {
+                    unreachable!("`parse_container` admits only newtype variants");
+                };
+                tries.push_str(&format!(
+                    "|__r| <{ty} as ::serde::Deserialize>::deserialize(__r).map({name}::{}),\n",
+                    variant.name
+                ));
             }
-            format!(
-                "{{\n{tries}\
-                 Err(::serde::Error::custom(\
-                 \"no untagged variant of {name} matched the input\"))\n}}"
-            )
+            format!("::serde::de::untagged(__r, \"{name}\", &[\n{tries}])")
         }
         Data::Enum(variants) => {
-            let mut string_arms = String::new();
-            let mut object_arms = String::new();
-            for variant in variants {
+            let mut readers = String::new();
+            let mut unit_arms = String::new();
+            let mut payload_arms = String::new();
+            for (i, variant) in variants.iter().enumerate() {
                 let vname = &variant.name;
                 let wire = container.wire_name(vname);
                 match &variant.kind {
                     VariantKind::Unit => {
-                        string_arms.push_str(&format!("\"{wire}\" => Ok({name}::{vname}),\n"))
+                        unit_arms.push_str(&format!("\"{wire}\" => Some({name}::{vname}),\n"))
                     }
-                    VariantKind::Newtype => object_arms.push_str(&format!(
-                        "\"{wire}\" => Ok({name}::{vname}(\
-                         ::serde::Deserialize::from_value(inner)\
-                         .map_err(|e| e.in_field(\"{wire}\"))?)),\n"
+                    VariantKind::Newtype(ty) => payload_arms.push_str(&format!(
+                        "\"{wire}\" => Some(<{ty} as ::serde::Deserialize>::deserialize(__r)\
+                         .map({name}::{vname}).map_err(|__e| __e.in_field(\"{wire}\"))),\n"
                     )),
                     VariantKind::Struct(fields) => {
+                        let what = format!("object payload for variant `{wire}`");
                         let ctor = format!("{name}::{vname}");
-                        let inner_body = deserialize_struct_body(&ctor, fields, name);
-                        object_arms.push_str(&format!(
-                            "\"{wire}\" => match inner {{\n\
-                             ::serde::Value::Obj(pairs) => {inner_body},\n\
-                             other => Err(::serde::Error::expected(\
-                             \"object payload for variant `{wire}`\", other)),\n\
-                             }},\n"
+                        readers.push_str(&format!(
+                            "fn __variant_{i}(__r: &mut ::serde::Reader<'_>) \
+                             -> ::std::result::Result<{name}, ::serde::Error> {{\n{}\n}}\n",
+                            read_fields(fields, &ctor, name, &what)
                         ));
+                        payload_arms
+                            .push_str(&format!("\"{wire}\" => Some(__variant_{i}(__r)),\n"));
                     }
                 }
             }
-            format!(
-                "match value {{\n\
-                 ::serde::Value::Str(tag) => match tag.as_str() {{\n\
-                 {string_arms}\
-                 other => Err(::serde::Error::custom(format!(\
-                 \"unknown variant `{{other}}` of {name}\"))),\n\
-                 }},\n\
-                 ::serde::Value::Obj(pairs) if pairs.len() == 1 => {{\n\
-                 let (tag, inner) = &pairs[0];\n\
-                 match tag.as_str() {{\n\
-                 {object_arms}\
-                 other => Err(::serde::Error::custom(format!(\
-                 \"unknown variant `{{other}}` of {name}\"))),\n\
-                 }}\n\
-                 }},\n\
-                 other => Err(::serde::Error::expected(\
-                 \"variant name or single-key object\", other)),\n\
-                 }}"
-            )
+            let unit = if unit_arms.is_empty() {
+                "|_| None".to_string()
+            } else {
+                format!("|__tag| match __tag {{\n{unit_arms}_ => None,\n}}")
+            };
+            let payload = if payload_arms.is_empty() {
+                "|_, _| None".to_string()
+            } else {
+                format!("|__r, __tag| match __tag {{\n{payload_arms}_ => None,\n}}")
+            };
+            format!("{readers}::serde::de::tagged(__r, \"{name}\", {unit}, {payload})")
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(value: &::serde::Value) \
+         fn deserialize(__r: &mut ::serde::Reader<'_>) \
          -> ::std::result::Result<{name}, ::serde::Error> {{\n{body}\n}}\n}}\n"
     )
     .parse()
