@@ -155,6 +155,31 @@ fn numbers_coerce_by_the_field_type() {
 }
 
 #[test]
+fn integral_floats_beyond_the_field_type_are_out_of_range() {
+    assert_eq!(
+        problem_error(&problem(r#"{"x": {"ints": [0, 1e300]}}"#, r#"["x"]"#)),
+        "malformed document: domains: x: ints: integer out of range"
+    );
+    assert_eq!(
+        problem_error(&problem(r#"{"x": {"ints": [-1e19, 0]}}"#, r#"["x"]"#)),
+        "malformed document: domains: x: ints: integer out of range"
+    );
+    let scenario = |steps: &str| {
+        format!(
+            r#"{{"semiring": "fuzzy", "domains": {{}}, "constraints": {{}}, "max_steps": {steps}}}"#
+        )
+    };
+    assert_eq!(
+        negotiation_error(&scenario("1e300")),
+        "malformed document: max_steps: integer out of range"
+    );
+    assert_eq!(
+        negotiation_error(&scenario("-2.0")),
+        "malformed document: max_steps: negative integer for unsigned field"
+    );
+}
+
+#[test]
 fn defaults_fill_missing_fields_and_unknown_keys_are_skipped() {
     let scenario = r#"{"semiring": "fuzzy", "domains": {}, "constraints": {}, "extra": [1, {"a": null}], "invariant": null}"#;
     let spec = NegotiationSpec::from_json(scenario).expect("a minimal scenario");

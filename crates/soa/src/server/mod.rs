@@ -33,7 +33,6 @@
 
 pub(crate) mod admission;
 mod batch;
-mod codec;
 pub mod loadgen;
 pub mod protocol;
 mod session;

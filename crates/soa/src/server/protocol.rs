@@ -15,12 +15,23 @@
 //! bridge of the `qos` module, re-exported here) reads and renders them for the
 //! semiring the daemon negotiates over, so one server implementation
 //! serves fuzzy, weighted and probabilistic deployments.
+//!
+//! Frames are written straight into one buffer and read in one pass
+//! over the text, with no `serde::Value` tree between. Every value is
+//! written by its `serde::Serialize` impl, so a frame's bytes are
+//! exactly what the serde shim writes (a non-finite float renders as
+//! `null`). A frame is read by the derived `Deserialize` of a private
+//! frame struct that holds every envelope key, so the envelope and its
+//! payloads (`OfferShape`, `QosOffer`) read by one rule, the one every
+//! CLI document reads by: the first occurrence of a key wins, unknown
+//! keys are skipped, a number reads by its field's type (`1.0` is an
+//! integer, `1.5` is not), a type error names its field, and a syntax
+//! error anywhere in the frame wins over it. The op or outcome then
+//! names the keys it needs.
 
-use serde::de::typed;
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 
 use crate::qos::{OfferShape, QosOffer};
-use crate::server::codec::{self, fields, ObjWriter};
 
 pub use crate::qos::WireSemiring;
 
@@ -84,90 +95,54 @@ impl Request {
     /// A human-readable reason (surfaced to the client as a
     /// `bad-request` reply).
     pub fn parse(frame: &str) -> Result<Request, String> {
-        // The request fields read as plain values; `domain` is read as
-        // its own table, and `policy` and `offer` by their derived
-        // `Deserialize`, keeping a type error until the frame is read.
-        let mut fields = fields!(
-            "op",
-            "capability",
-            "variable",
-            "accept_lo",
-            "accept_hi",
-            "client",
-            "service",
-            "provider",
-            "capacity",
-        );
-        let mut domain = None;
-        let mut policy = None;
-        let mut offer = None;
-        serde_json::read(frame, |r| {
-            r.object(|r, key| match key {
-                "domain" if domain.is_none() => {
-                    let mut bounds = fields!("min", "max");
-                    r.object(|r, key| bounds.read(r, key))?;
-                    domain = Some(bounds);
-                    Ok(())
-                }
-                "policy" if policy.is_none() => {
-                    policy = Some(typed(OfferShape::deserialize(r))?);
-                    Ok(())
-                }
-                "offer" if offer.is_none() => {
-                    offer = Some(typed(QosOffer::deserialize(r))?);
-                    Ok(())
-                }
-                _ => fields.read(r, key),
-            })
-            .map(drop)
-        })
-        .map_err(|e| e.to_string())?;
-        let op = fields.str("op")?;
-        match &*op {
-            "ping" => Ok(Request::Ping),
-            "negotiate" => {
-                let mut domain = domain.ok_or("missing field `domain`")?;
-                let policy = policy.ok_or("missing field `policy`")?;
-                Ok(Request::Negotiate(NegotiateRequest {
-                    capability: fields.string("capability")?,
-                    variable: fields.string("variable")?,
-                    domain: [domain.i64("min")?, domain.i64("max")?],
-                    policy: policy.map_err(|e| e.to_string())?,
-                    accept: [fields.f64("accept_lo")?, fields.f64("accept_hi")?],
-                    client: fields.opt_string("client")?,
-                }))
+        let f: RequestFrame = serde_json::from_str(frame).map_err(|e| e.to_string())?;
+        Ok(match required(f.op, "op")? {
+            Op::Ping => Request::Ping,
+            Op::Negotiate => {
+                let domain = required(f.domain, "domain")?;
+                Request::Negotiate(NegotiateRequest {
+                    capability: required(f.capability, "capability")?,
+                    variable: required(f.variable, "variable")?,
+                    domain: [domain.min, domain.max],
+                    policy: required(f.policy, "policy")?,
+                    accept: [
+                        required(f.accept_lo, "accept_lo")?,
+                        required(f.accept_hi, "accept_hi")?,
+                    ],
+                    client: f.client,
+                })
             }
-            "publish" => {
-                let offer = offer.ok_or("missing field `offer`")?;
-                Ok(Request::Publish(PublishRequest {
-                    service: fields.string("service")?,
-                    provider: fields.string("provider")?,
-                    capability: fields.string("capability")?,
-                    offer: offer.map_err(|e| e.to_string())?,
-                    capacity: fields.opt_u32("capacity")?,
-                }))
-            }
-            "deregister" => Ok(Request::Deregister {
-                service: fields.string("service")?,
+            Op::Publish => Request::Publish(PublishRequest {
+                service: required(f.service, "service")?,
+                provider: required(f.provider, "provider")?,
+                capability: required(f.capability, "capability")?,
+                offer: required(f.offer, "offer")?,
+                capacity: f.capacity,
             }),
-            other => Err(format!("unknown op `{other}`")),
-        }
+            Op::Deregister => Request::Deregister {
+                service: required(f.service, "service")?,
+            },
+        })
     }
 
     /// Renders the request as one JSON frame payload.
     pub fn to_json(&self) -> String {
-        codec::render(|obj| match self {
+        render(|obj| match self {
             Request::Ping => {
                 obj.field("op", "ping");
             }
             Request::Negotiate(n) => {
                 obj.field("op", "negotiate")
                     .field("capability", &n.capability)
-                    .field("variable", &n.variable);
-                let mut domain = ObjWriter::open(obj.key("domain"));
-                domain.field("min", &n.domain[0]).field("max", &n.domain[1]);
-                domain.close();
-                obj.field("policy", &n.policy)
+                    .field("variable", &n.variable)
+                    .field(
+                        "domain",
+                        &Domain {
+                            min: n.domain[0],
+                            max: n.domain[1],
+                        },
+                    )
+                    .field("policy", &n.policy)
                     .field("accept_lo", &n.accept[0])
                     .field("accept_hi", &n.accept[1])
                     .field("client", &n.client);
@@ -187,10 +162,46 @@ impl Request {
     }
 }
 
+/// A request frame as its derived `Deserialize` reads it: every key of
+/// every op, each read by its type's rules, and absent (or `null`) as
+/// `None` until [`Request::parse`] asks the op for its keys.
+#[derive(Deserialize)]
+struct RequestFrame {
+    op: Option<Op>,
+    capability: Option<String>,
+    variable: Option<String>,
+    domain: Option<Domain>,
+    policy: Option<OfferShape>,
+    accept_lo: Option<f64>,
+    accept_hi: Option<f64>,
+    client: Option<String>,
+    service: Option<String>,
+    provider: Option<String>,
+    offer: Option<QosOffer>,
+    capacity: Option<u32>,
+}
+
+#[derive(Deserialize)]
+#[serde(rename_all = "kebab-case")]
+enum Op {
+    Ping,
+    Negotiate,
+    Publish,
+    Deregister,
+}
+
+/// The `domain` object of a negotiate frame.
+#[derive(Serialize, Deserialize)]
+struct Domain {
+    min: i64,
+    max: i64,
+}
+
 // ---- replies ---------------------------------------------------------
 
 /// Why admission control refused a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum ShedReason {
     /// The accept queue (or in-flight budget) is full.
     Overloaded,
@@ -199,6 +210,7 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
+    /// The metric label of the reason.
     pub(crate) fn as_str(self) -> &'static str {
         match self {
             ShedReason::Overloaded => "overloaded",
@@ -208,7 +220,8 @@ impl ShedReason {
 }
 
 /// Which phase a deadline fired in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum Phase {
     /// Waiting for (or mid-way through) a request frame.
     Read,
@@ -221,7 +234,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// The wire/metric label of the phase.
+    /// The metric label of the phase.
     pub fn as_str(self) -> &'static str {
         match self {
             Phase::Read => "read",
@@ -233,7 +246,8 @@ impl Phase {
 }
 
 /// A typed request rejection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum ErrorCode {
     /// The frame was not a well-formed request.
     BadRequest,
@@ -249,33 +263,6 @@ pub enum ErrorCode {
     InvalidAcceptance,
     /// An internal engine failure.
     Internal,
-}
-
-impl ErrorCode {
-    fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::TruncatedFrame => "truncated-frame",
-            ErrorCode::OversizedFrame => "oversized-frame",
-            ErrorCode::NoProvider => "no-provider",
-            ErrorCode::NoAgreement => "no-agreement",
-            ErrorCode::InvalidAcceptance => "invalid-acceptance",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
-    fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad-request" => ErrorCode::BadRequest,
-            "truncated-frame" => ErrorCode::TruncatedFrame,
-            "oversized-frame" => ErrorCode::OversizedFrame,
-            "no-provider" => ErrorCode::NoProvider,
-            "no-agreement" => ErrorCode::NoAgreement,
-            "invalid-acceptance" => ErrorCode::InvalidAcceptance,
-            "internal" => ErrorCode::Internal,
-            _ => return None,
-        })
-    }
 }
 
 /// One reply frame: the typed outcome of a request.
@@ -390,7 +377,7 @@ impl Reply {
 
     /// Renders the reply as one JSON frame payload.
     pub fn to_json(&self) -> String {
-        codec::render(|obj| {
+        render(|obj| {
             obj.field("outcome", self.outcome_label());
             match self {
                 Reply::Bound {
@@ -424,17 +411,17 @@ impl Reply {
                         .field("relaxations", relaxations);
                 }
                 Reply::Shed { reason } => {
-                    obj.field("reason", reason.as_str());
+                    obj.field("reason", reason);
                 }
                 Reply::TimedOut {
                     phase,
                     partial_level,
                 } => {
-                    obj.field("phase", phase.as_str())
+                    obj.field("phase", phase)
                         .field("partial_level", partial_level);
                 }
                 Reply::Error { code, detail } => {
-                    obj.field("code", code.as_str()).field("detail", detail);
+                    obj.field("code", code).field("detail", detail);
                 }
                 Reply::Pong { epoch } | Reply::Published { epoch } => {
                     obj.field("epoch", epoch);
@@ -468,85 +455,136 @@ impl Reply {
     ///
     /// A human-readable reason for malformed frames.
     pub fn parse(frame: &str) -> Result<Reply, String> {
-        let mut f = fields!(
-            "outcome",
-            "service",
-            "provider",
-            "level",
-            "binding",
-            "epoch",
-            "retries",
-            "relaxations",
-            "reason",
-            "phase",
-            "partial_level",
-            "code",
-            "detail",
-            "existed",
-            "objective",
-            "age",
-        );
-        serde_json::read(frame, |r| r.object(|r, key| f.read(r, key)).map(drop))
-            .map_err(|e| e.to_string())?;
-        let outcome = f.str("outcome")?;
-        match &*outcome {
-            "bound" => Ok(Reply::Bound {
-                service: f.string("service")?,
-                provider: f.string("provider")?,
-                level: f.f64("level")?,
-                binding: f.opt_i64("binding")?,
-                epoch: f.u64("epoch")?,
-            }),
-            "degraded" => Ok(Reply::Degraded {
-                service: f.string("service")?,
-                provider: f.string("provider")?,
-                level: f.f64("level")?,
-                binding: f.opt_i64("binding")?,
-                epoch: f.u64("epoch")?,
-                retries: f.u64("retries")?,
-                relaxations: f.u64("relaxations")?,
-            }),
-            "shed" => Ok(Reply::Shed {
-                reason: match &*f.str("reason")? {
-                    "overloaded" => ShedReason::Overloaded,
-                    "draining" => ShedReason::Draining,
-                    other => return Err(format!("unknown shed reason `{other}`")),
-                },
-            }),
-            "timed-out" => Ok(Reply::TimedOut {
-                phase: match &*f.str("phase")? {
-                    "read" => Phase::Read,
-                    "negotiate" => Phase::Negotiate,
-                    "write" => Phase::Write,
-                    "session" => Phase::Session,
-                    other => return Err(format!("unknown phase `{other}`")),
-                },
-                partial_level: f.opt_f64("partial_level")?,
-            }),
-            "error" => Ok(Reply::Error {
-                code: ErrorCode::parse(&f.str("code")?).ok_or("unknown error code")?,
-                detail: f.string("detail")?,
-            }),
-            "pong" => Ok(Reply::Pong {
-                epoch: f.u64("epoch")?,
-            }),
-            "published" => Ok(Reply::Published {
-                epoch: f.u64("epoch")?,
-            }),
-            "deregistered" => Ok(Reply::Deregistered {
-                epoch: f.u64("epoch")?,
-                existed: f.bool("existed")?,
-            }),
-            "preempted" => Ok(Reply::Preempted {
-                epoch: f.u64("epoch")?,
-                objective: f.string("objective")?,
-            }),
-            "waitlisted" => Ok(Reply::Waitlisted {
-                epoch: f.u64("epoch")?,
-                age: f.u64("age")?,
-            }),
-            other => Err(format!("unknown outcome `{other}`")),
+        let f: ReplyFrame = serde_json::from_str(frame).map_err(|e| e.to_string())?;
+        Ok(match required(f.outcome, "outcome")? {
+            Outcome::Bound => Reply::Bound {
+                service: required(f.service, "service")?,
+                provider: required(f.provider, "provider")?,
+                level: required(f.level, "level")?,
+                binding: f.binding,
+                epoch: required(f.epoch, "epoch")?,
+            },
+            Outcome::Degraded => Reply::Degraded {
+                service: required(f.service, "service")?,
+                provider: required(f.provider, "provider")?,
+                level: required(f.level, "level")?,
+                binding: f.binding,
+                epoch: required(f.epoch, "epoch")?,
+                retries: required(f.retries, "retries")?,
+                relaxations: required(f.relaxations, "relaxations")?,
+            },
+            Outcome::Shed => Reply::Shed {
+                reason: required(f.reason, "reason")?,
+            },
+            Outcome::TimedOut => Reply::TimedOut {
+                phase: required(f.phase, "phase")?,
+                partial_level: f.partial_level,
+            },
+            Outcome::Error => Reply::Error {
+                code: required(f.code, "code")?,
+                detail: required(f.detail, "detail")?,
+            },
+            Outcome::Pong => Reply::Pong {
+                epoch: required(f.epoch, "epoch")?,
+            },
+            Outcome::Published => Reply::Published {
+                epoch: required(f.epoch, "epoch")?,
+            },
+            Outcome::Deregistered => Reply::Deregistered {
+                epoch: required(f.epoch, "epoch")?,
+                existed: required(f.existed, "existed")?,
+            },
+            Outcome::Preempted => Reply::Preempted {
+                epoch: required(f.epoch, "epoch")?,
+                objective: required(f.objective, "objective")?,
+            },
+            Outcome::Waitlisted => Reply::Waitlisted {
+                epoch: required(f.epoch, "epoch")?,
+                age: required(f.age, "age")?,
+            },
+        })
+    }
+}
+
+/// A reply frame as its derived `Deserialize` reads it, as
+/// [`RequestFrame`] reads a request.
+#[derive(Deserialize)]
+struct ReplyFrame {
+    outcome: Option<Outcome>,
+    service: Option<String>,
+    provider: Option<String>,
+    level: Option<f64>,
+    binding: Option<i64>,
+    epoch: Option<u64>,
+    retries: Option<u64>,
+    relaxations: Option<u64>,
+    reason: Option<ShedReason>,
+    phase: Option<Phase>,
+    partial_level: Option<f64>,
+    code: Option<ErrorCode>,
+    detail: Option<String>,
+    existed: Option<bool>,
+    objective: Option<String>,
+    age: Option<u64>,
+}
+
+#[derive(Deserialize)]
+#[serde(rename_all = "kebab-case")]
+enum Outcome {
+    Bound,
+    Degraded,
+    Shed,
+    TimedOut,
+    Error,
+    Pong,
+    Published,
+    Deregistered,
+    Preempted,
+    Waitlisted,
+}
+
+// ---- frames ----------------------------------------------------------
+
+/// A key the frame's op or outcome needs.
+fn required<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// Room for a typical frame and its terminator, so that rendering one
+/// allocates once; longer text grows the buffer.
+const FRAME_CAPACITY: usize = 320;
+
+/// Renders one JSON object frame payload: `write` writes its fields,
+/// each through its `Serialize` impl.
+fn render(write: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+    let mut out = String::with_capacity(FRAME_CAPACITY);
+    out.push('{');
+    write(&mut ObjWriter {
+        out: &mut out,
+        empty: true,
+    });
+    out.push('}');
+    out
+}
+
+/// A JSON object written field by field into a buffer.
+struct ObjWriter<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl ObjWriter<'_> {
+    /// Writes the field `key` (a plain identifier: nothing to escape).
+    fn field(&mut self, key: &str, value: &(impl Serialize + ?Sized)) -> &mut Self {
+        if !self.empty {
+            self.out.push(',');
         }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        value.serialize(self.out);
+        self
     }
 }
 

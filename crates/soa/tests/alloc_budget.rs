@@ -41,15 +41,15 @@ const REGISTRY_WRITE: u64 = 25;
 /// The heap bytes a 4,096-service `churn_chaos` registry holds beyond
 /// its descriptions (820,392 on sharded hash and B-tree maps).
 const REGISTRY_STRUCTURE_BYTES: i64 = 152_352;
-/// `Request::parse` of a negotiate frame (@REQ@ through a `Value` tree).
+/// `Request::parse` of a negotiate frame (23 through a `Value` tree).
 const REQUEST_PARSE: u64 = 2;
 /// `Request::parse` of a `churn_chaos` publish frame: the request's
 /// three strings and the offer's variable.
 const PUBLISH_PARSE: u64 = 4;
 /// `Reply::to_json` (and `Reply::to_frame`) of a `degraded` reply
-/// (@REN@ through a `Value` tree).
+/// (21 through a `Value` tree).
 const REPLY_RENDER: u64 = 1;
-/// `Reply::parse` of a `bound` frame (@PAR@ through a `Value` tree).
+/// `Reply::parse` of a `bound` frame (13 through a `Value` tree).
 const REPLY_PARSE: u64 = 2;
 
 struct Counting;

@@ -1,11 +1,13 @@
 //! Differential suite of the daemon's wire codec.
 //!
 //! `Request` and `Reply` are written straight into one buffer and read
-//! in one pass over the frame, their offer payloads by the serde shim's
-//! derived impls. The [`oracle`] below is the codec they replace: it
-//! renders a `serde::Value` tree and reads frames back through one,
-//! with its own tree readers and writers of the offer types, written
-//! out from the tree-based derive they were once read with. The
+//! in one pass over the frame, envelope and offer payloads alike, by
+//! the serde shim's derived impls. The [`oracle`] below is the tree
+//! codec they replace: it renders a `serde::Value` tree and reads
+//! frames back through one, with its own tree readers and writers,
+//! written out from the derive's rules (fields in declaration order,
+//! each type error behind its `field: ` path, an absent or `null`
+//! `Option` field as `None`, an integral float as an integer). The
 //! properties:
 //!
 //! - **Bytes** — every request and reply variant, over generated text
@@ -31,8 +33,8 @@ use softsoa_soa::server::protocol::{
 };
 use softsoa_soa::{OfferShape, QosOffer};
 
-/// The tree codec, as it rendered and read frames before the one-pass
-/// codec.
+/// The tree codec: frames rendered from and read through a
+/// `serde::Value` tree, by the derive's rules.
 mod oracle {
     use serde::Value;
     use softsoa_dependability::Attribute;
@@ -41,41 +43,51 @@ mod oracle {
     };
     use softsoa_soa::{OfferShape, QosOffer};
 
+    /// Reads a request frame as the derived frame struct does: every
+    /// envelope key in its declaration order, then the keys the op
+    /// needs.
     pub fn parse_request(frame: &str) -> Result<Request, String> {
-        let value: Value = serde_json::from_str(frame).map_err(|e| e.to_string())?;
-        let op = str_field(&value, "op")?;
-        match op {
-            "ping" => Ok(Request::Ping),
+        let value = frame_tree(frame)?;
+        let ops = ["ping", "negotiate", "publish", "deregister"];
+        let op = optional(&value, "op", |v| unit(v, "Op", &ops, |op| op))?;
+        let capability = optional(&value, "capability", derived_string)?;
+        let variable = optional(&value, "variable", derived_string)?;
+        let domain = optional(&value, "domain", domain_from)?;
+        let policy = optional(&value, "policy", shape_from)?;
+        let accept_lo = optional(&value, "accept_lo", derived_f64)?;
+        let accept_hi = optional(&value, "accept_hi", derived_f64)?;
+        let client = optional(&value, "client", derived_string)?;
+        let service = optional(&value, "service", derived_string)?;
+        let provider = optional(&value, "provider", derived_string)?;
+        let offer = optional(&value, "offer", offer_from)?;
+        let capacity = optional(&value, "capacity", derived_int)?;
+        Ok(match required(op, "op")? {
+            "ping" => Request::Ping,
             "negotiate" => {
-                let domain = value.get("domain").ok_or("missing field `domain`")?;
-                let policy = value.get("policy").ok_or("missing field `policy`")?;
-                Ok(Request::Negotiate(NegotiateRequest {
-                    capability: str_field(&value, "capability")?.to_string(),
-                    variable: str_field(&value, "variable")?.to_string(),
-                    domain: [i64_field(domain, "min")?, i64_field(domain, "max")?],
-                    policy: shape_from(policy)?,
+                let domain = required(domain, "domain")?;
+                Request::Negotiate(NegotiateRequest {
+                    capability: required(capability, "capability")?,
+                    variable: required(variable, "variable")?,
+                    domain,
+                    policy: required(policy, "policy")?,
                     accept: [
-                        f64_field(&value, "accept_lo")?,
-                        f64_field(&value, "accept_hi")?,
+                        required(accept_lo, "accept_lo")?,
+                        required(accept_hi, "accept_hi")?,
                     ],
-                    client: opt_str_field(&value, "client")?,
-                }))
+                    client,
+                })
             }
-            "publish" => {
-                let offer = value.get("offer").ok_or("missing field `offer`")?;
-                Ok(Request::Publish(PublishRequest {
-                    service: str_field(&value, "service")?.to_string(),
-                    provider: str_field(&value, "provider")?.to_string(),
-                    capability: str_field(&value, "capability")?.to_string(),
-                    offer: offer_from(offer)?,
-                    capacity: opt_u32_field(&value, "capacity")?,
-                }))
-            }
-            "deregister" => Ok(Request::Deregister {
-                service: str_field(&value, "service")?.to_string(),
+            "publish" => Request::Publish(PublishRequest {
+                service: required(service, "service")?,
+                provider: required(provider, "provider")?,
+                capability: required(capability, "capability")?,
+                offer: required(offer, "offer")?,
+                capacity,
             }),
-            other => Err(format!("unknown op `{other}`")),
-        }
+            _ => Request::Deregister {
+                service: required(service, "service")?,
+            },
+        })
     }
 
     pub fn request_tree(request: &Request) -> Value {
@@ -142,19 +154,6 @@ mod oracle {
             ErrorCode::InvalidAcceptance => "invalid-acceptance",
             ErrorCode::Internal => "internal",
         }
-    }
-
-    fn parse_error_code(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad-request" => ErrorCode::BadRequest,
-            "truncated-frame" => ErrorCode::TruncatedFrame,
-            "oversized-frame" => ErrorCode::OversizedFrame,
-            "no-provider" => ErrorCode::NoProvider,
-            "no-agreement" => ErrorCode::NoAgreement,
-            "invalid-acceptance" => ErrorCode::InvalidAcceptance,
-            "internal" => ErrorCode::Internal,
-            _ => return None,
-        })
     }
 
     pub fn reply_tree(reply: &Reply) -> Value {
@@ -233,67 +232,102 @@ mod oracle {
         serde_json::to_string(&reply_tree(reply)).expect("reply values always serialize")
     }
 
+    /// Reads a reply frame as [`parse_request`] reads a request.
     pub fn parse_reply(frame: &str) -> Result<Reply, String> {
-        let value: Value = serde_json::from_str(frame).map_err(|e| e.to_string())?;
-        let outcome = str_field(&value, "outcome")?;
-        match outcome {
-            "bound" => Ok(Reply::Bound {
-                service: str_field(&value, "service")?.to_string(),
-                provider: str_field(&value, "provider")?.to_string(),
-                level: f64_field(&value, "level")?,
-                binding: opt_i64_field(&value, "binding")?,
-                epoch: u64_field(&value, "epoch")?,
-            }),
-            "degraded" => Ok(Reply::Degraded {
-                service: str_field(&value, "service")?.to_string(),
-                provider: str_field(&value, "provider")?.to_string(),
-                level: f64_field(&value, "level")?,
-                binding: opt_i64_field(&value, "binding")?,
-                epoch: u64_field(&value, "epoch")?,
-                retries: u64_field(&value, "retries")?,
-                relaxations: u64_field(&value, "relaxations")?,
-            }),
-            "shed" => Ok(Reply::Shed {
-                reason: match str_field(&value, "reason")? {
-                    "overloaded" => ShedReason::Overloaded,
-                    "draining" => ShedReason::Draining,
-                    other => return Err(format!("unknown shed reason `{other}`")),
-                },
-            }),
-            "timed-out" => Ok(Reply::TimedOut {
-                phase: match str_field(&value, "phase")? {
-                    "read" => Phase::Read,
-                    "negotiate" => Phase::Negotiate,
-                    "write" => Phase::Write,
-                    "session" => Phase::Session,
-                    other => return Err(format!("unknown phase `{other}`")),
-                },
-                partial_level: opt_f64_field(&value, "partial_level")?,
-            }),
-            "error" => Ok(Reply::Error {
-                code: parse_error_code(str_field(&value, "code")?).ok_or("unknown error code")?,
-                detail: str_field(&value, "detail")?.to_string(),
-            }),
-            "pong" => Ok(Reply::Pong {
-                epoch: u64_field(&value, "epoch")?,
-            }),
-            "published" => Ok(Reply::Published {
-                epoch: u64_field(&value, "epoch")?,
-            }),
-            "deregistered" => Ok(Reply::Deregistered {
-                epoch: u64_field(&value, "epoch")?,
-                existed: bool_field(&value, "existed")?,
-            }),
-            "preempted" => Ok(Reply::Preempted {
-                epoch: u64_field(&value, "epoch")?,
-                objective: str_field(&value, "objective")?.to_string(),
-            }),
-            "waitlisted" => Ok(Reply::Waitlisted {
-                epoch: u64_field(&value, "epoch")?,
-                age: u64_field(&value, "age")?,
-            }),
-            other => Err(format!("unknown outcome `{other}`")),
-        }
+        let value = frame_tree(frame)?;
+        let outcomes = [
+            "bound",
+            "degraded",
+            "shed",
+            "timed-out",
+            "error",
+            "pong",
+            "published",
+            "deregistered",
+            "preempted",
+            "waitlisted",
+        ];
+        let reasons = [ShedReason::Overloaded, ShedReason::Draining];
+        let phases = [Phase::Read, Phase::Negotiate, Phase::Write, Phase::Session];
+        let codes = [
+            ErrorCode::BadRequest,
+            ErrorCode::TruncatedFrame,
+            ErrorCode::OversizedFrame,
+            ErrorCode::NoProvider,
+            ErrorCode::NoAgreement,
+            ErrorCode::InvalidAcceptance,
+            ErrorCode::Internal,
+        ];
+        let outcome = optional(&value, "outcome", |v| unit(v, "Outcome", &outcomes, |o| o))?;
+        let service = optional(&value, "service", derived_string)?;
+        let provider = optional(&value, "provider", derived_string)?;
+        let level = optional(&value, "level", derived_f64)?;
+        let binding = optional(&value, "binding", derived_int)?;
+        let epoch = optional(&value, "epoch", derived_int)?;
+        let retries = optional(&value, "retries", derived_int)?;
+        let relaxations = optional(&value, "relaxations", derived_int)?;
+        let reason = optional(&value, "reason", |v| {
+            unit(v, "ShedReason", &reasons, shed_reason)
+        })?;
+        let phase = optional(&value, "phase", |v| {
+            unit(v, "Phase", &phases, Phase::as_str)
+        })?;
+        let partial_level = optional(&value, "partial_level", derived_f64)?;
+        let code = optional(&value, "code", |v| unit(v, "ErrorCode", &codes, error_code))?;
+        let detail = optional(&value, "detail", derived_string)?;
+        let existed = optional(&value, "existed", |v| match v {
+            Value::Bool(b) => Ok(*b),
+            other => Err(expected("boolean", other)),
+        })?;
+        let objective = optional(&value, "objective", derived_string)?;
+        let age = optional(&value, "age", derived_int)?;
+        Ok(match required(outcome, "outcome")? {
+            "bound" => Reply::Bound {
+                service: required(service, "service")?,
+                provider: required(provider, "provider")?,
+                level: required(level, "level")?,
+                binding,
+                epoch: required(epoch, "epoch")?,
+            },
+            "degraded" => Reply::Degraded {
+                service: required(service, "service")?,
+                provider: required(provider, "provider")?,
+                level: required(level, "level")?,
+                binding,
+                epoch: required(epoch, "epoch")?,
+                retries: required(retries, "retries")?,
+                relaxations: required(relaxations, "relaxations")?,
+            },
+            "shed" => Reply::Shed {
+                reason: required(reason, "reason")?,
+            },
+            "timed-out" => Reply::TimedOut {
+                phase: required(phase, "phase")?,
+                partial_level,
+            },
+            "error" => Reply::Error {
+                code: required(code, "code")?,
+                detail: required(detail, "detail")?,
+            },
+            "pong" => Reply::Pong {
+                epoch: required(epoch, "epoch")?,
+            },
+            "published" => Reply::Published {
+                epoch: required(epoch, "epoch")?,
+            },
+            "deregistered" => Reply::Deregistered {
+                epoch: required(epoch, "epoch")?,
+                existed: required(existed, "existed")?,
+            },
+            "preempted" => Reply::Preempted {
+                epoch: required(epoch, "epoch")?,
+                objective: required(objective, "objective")?,
+            },
+            _ => Reply::Waitlisted {
+                epoch: required(epoch, "epoch")?,
+                age: required(age, "age")?,
+            },
+        })
     }
 
     fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -305,108 +339,59 @@ mod oracle {
         )
     }
 
-    fn str_field<'v>(value: &'v Value, key: &str) -> Result<&'v str, String> {
-        match value.get(key) {
-            Some(Value::Str(s)) => Ok(s),
-            Some(other) => Err(format!(
-                "field `{key}`: expected string, got {}",
-                other.kind()
-            )),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
+    // The frames as the derive reads their private frame structs: an
+    // object whose every key is an `Option` field.
 
-    fn opt_str_field(value: &Value, key: &str) -> Result<Option<String>, String> {
-        match value.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(Value::Str(s)) => Ok(Some(s.clone())),
-            Some(other) => Err(format!(
-                "field `{key}`: expected string or null, got {}",
-                other.kind()
-            )),
-        }
-    }
-
-    fn opt_u32_field(value: &Value, key: &str) -> Result<Option<u32>, String> {
-        match value.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(Value::Int(i)) => u32::try_from(*i)
-                .map(Some)
-                .map_err(|_| format!("field `{key}`: out of range")),
-            Some(Value::UInt(u)) => u32::try_from(*u)
-                .map(Some)
-                .map_err(|_| format!("field `{key}`: out of range")),
-            Some(other) => Err(format!(
-                "field `{key}`: expected unsigned integer or null, got {}",
-                other.kind()
-            )),
-        }
-    }
-
-    fn number(value: &Value) -> Option<f64> {
+    /// A frame's tree, which must be an object.
+    fn frame_tree(frame: &str) -> Result<Value, String> {
+        let value: Value = serde_json::from_str(frame).map_err(|e| e.to_string())?;
         match value {
-            Value::Int(i) => Some(*i as f64),
-            Value::UInt(u) => Some(*u as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
+            Value::Obj(_) => Ok(value),
+            other => Err(expected("object", &other)),
         }
     }
 
-    fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(number)
-            .ok_or_else(|| format!("field `{key}`: expected number"))
-    }
-
-    fn opt_f64_field(value: &Value, key: &str) -> Result<Option<f64>, String> {
+    /// An `Option` field of a frame: absent or `null` is `None`, and
+    /// its value's error names it.
+    fn optional<T>(
+        value: &Value,
+        key: &str,
+        read: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
         match value.get(key) {
             None | Some(Value::Null) => Ok(None),
-            Some(v) => number(v)
-                .map(Some)
-                .ok_or_else(|| format!("field `{key}`: expected number or null")),
+            Some(v) => read(v).map(Some).map_err(|e| format!("{key}: {e}")),
         }
     }
 
-    fn i64_field(value: &Value, key: &str) -> Result<i64, String> {
-        match value.get(key) {
-            Some(Value::Int(i)) => Ok(*i),
-            Some(Value::UInt(u)) => {
-                i64::try_from(*u).map_err(|_| format!("field `{key}`: overflow"))
-            }
-            _ => Err(format!("field `{key}`: expected integer")),
-        }
+    /// A key the frame's op or outcome needs.
+    fn required<T>(value: Option<T>, key: &str) -> Result<T, String> {
+        value.ok_or_else(|| format!("missing field `{key}`"))
     }
 
-    fn opt_i64_field(value: &Value, key: &str) -> Result<Option<i64>, String> {
-        match value.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(Value::Int(i)) => Ok(Some(*i)),
-            Some(Value::UInt(u)) => i64::try_from(*u)
-                .map(Some)
-                .map_err(|_| format!("field `{key}`: overflow")),
-            Some(other) => Err(format!(
-                "field `{key}`: expected integer or null, got {}",
-                other.kind()
-            )),
-        }
+    /// A unit variant of `container`, one of `all`, by its wire name.
+    fn unit<T: Copy>(
+        value: &Value,
+        container: &str,
+        all: &[T],
+        name: impl Fn(T) -> &'static str,
+    ) -> Result<T, String> {
+        tagged(
+            value,
+            container,
+            |tag| all.iter().copied().find(|&v| name(v) == tag),
+            |_, _| None,
+        )
     }
 
-    fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-        match value.get(key) {
-            Some(Value::Int(i)) => {
-                u64::try_from(*i).map_err(|_| format!("field `{key}`: negative"))
-            }
-            Some(Value::UInt(u)) => Ok(*u),
-            _ => Err(format!("field `{key}`: expected unsigned integer")),
+    fn domain_from(value: &Value) -> Result<[i64; 2], String> {
+        if !matches!(value, Value::Obj(_)) {
+            return Err(expected("object", value));
         }
-    }
-
-    fn bool_field(value: &Value, key: &str) -> Result<bool, String> {
-        match value.get(key) {
-            Some(Value::Bool(b)) => Ok(*b),
-            _ => Err(format!("field `{key}`: expected boolean")),
-        }
+        Ok([
+            derived(value, "min", "Domain", derived_int)?,
+            derived(value, "max", "Domain", derived_int)?,
+        ])
     }
 
     // The offer types as the serde shim's derive rendered and read them
@@ -465,16 +450,38 @@ mod oracle {
     }
 
     fn derived_f64(value: &Value) -> Result<f64, String> {
-        number(value).ok_or_else(|| expected("number", value))
+        match value {
+            Value::Int(n) => Ok(*n as f64),
+            Value::UInt(n) => Ok(*n as f64),
+            Value::Float(f) => Ok(*f),
+            other => Err(expected("number", other)),
+        }
     }
 
-    fn derived_i64(value: &Value) -> Result<i64, String> {
+    fn derived_string(value: &Value) -> Result<String, String> {
         match value {
-            Value::Int(n) => Ok(*n),
-            Value::UInt(n) => i64::try_from(*n).map_err(|_| "integer out of range".to_string()),
-            Value::Float(f) if f.fract() == 0.0 => Ok(*f as i64),
-            other => Err(expected("integer", other)),
+            Value::Str(s) => Ok(s.clone()),
+            other => Err(expected("string", other)),
         }
+    }
+
+    /// An integer as the derive reads one: an integer token, or a float
+    /// with no fractional part, in the range of `T`.
+    fn derived_int<T: TryFrom<i128>>(value: &Value) -> Result<T, String> {
+        let n = match value {
+            Value::Int(n) => i128::from(*n),
+            Value::UInt(n) => i128::from(*n),
+            Value::Float(f) if f.fract() == 0.0 || f.is_infinite() => *f as i128,
+            other => return Err(expected("integer", other)),
+        };
+        T::try_from(n).map_err(|_| {
+            let unsigned = T::try_from(-1).is_err();
+            if n < 0 && unsigned {
+                "negative integer for unsigned field".to_string()
+            } else {
+                "integer out of range".to_string()
+            }
+        })
     }
 
     fn derived_points(value: &Value) -> Result<Vec<(i64, f64)>, String> {
@@ -485,7 +492,7 @@ mod oracle {
             .iter()
             .map(|item| match item {
                 Value::Arr(pair) if pair.len() == 2 => {
-                    Ok((derived_i64(&pair[0])?, derived_f64(&pair[1])?))
+                    Ok((derived_int(&pair[0])?, derived_f64(&pair[1])?))
                 }
                 other => Err(expected("array of 2 elements", other)),
             })
@@ -526,7 +533,7 @@ mod oracle {
                 }
                 Some((|| {
                     let f64_field = |key| derived(inner, key, "OfferShape", derived_f64);
-                    let i64_field = |key| derived(inner, key, "OfferShape", derived_i64);
+                    let i64_field = |key| derived(inner, key, "OfferShape", derived_int);
                     Ok(match tag {
                         "Linear" => OfferShape::Linear {
                             slope: f64_field("slope")?,
@@ -563,10 +570,7 @@ mod oracle {
         }
         Ok(QosOffer {
             attribute: derived(value, "attribute", "QosOffer", attribute_from)?,
-            variable: derived(value, "variable", "QosOffer", |v| match v {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(expected("string", other)),
-            })?,
+            variable: derived(value, "variable", "QosOffer", derived_string)?,
             shape: derived(value, "shape", "QosOffer", shape_from)?,
         })
     }
@@ -1083,27 +1087,193 @@ fn request_alike(frame: &str) -> Result<Request, String> {
 
 const NEGOTIATE: &str = r#""op":"negotiate","capability":"c","variable":"x","policy":{"Constant":{"level":0.5}},"accept_lo":0.1"#;
 
+/// Both codecs on one reply frame: the same result, returned.
+fn reply_alike(frame: &str) -> Result<Reply, String> {
+    let parsed = Reply::parse(frame);
+    assert_eq!(parsed, oracle::parse_reply(frame), "{frame}");
+    parsed
+}
+
+fn negotiate(domain: &str) -> Result<Request, String> {
+    request_alike(&format!(
+        r#"{{{NEGOTIATE},"accept_hi":1,"domain":{domain}}}"#
+    ))
+}
+
 #[test]
-fn integer_and_float_typing_is_kept() {
-    // A domain bound must be an integer token; `1.0` is a float.
-    let min_float = format!(r#"{{{NEGOTIATE},"accept_hi":1,"domain":{{"min":1.0,"max":4}}}}"#);
+fn envelope_numbers_read_by_the_field_type() {
+    // An integral float reads as an integer, and an integer as a level.
+    let Ok(Request::Negotiate(n)) = negotiate(r#"{"min":1.0,"max":4}"#) else {
+        panic!("a well-formed negotiate frame");
+    };
+    assert_eq!((n.domain, n.accept), ([1, 4], [0.1, 1.0]));
+    // A fraction, or an integral float beyond `i64`, is a typed error.
     assert_eq!(
-        request_alike(&min_float),
-        Err("field `min`: expected integer".to_string())
+        negotiate(r#"{"min":1.5,"max":4}"#),
+        Err("domain: min: expected integer, found number".to_string())
     );
-    // An integer token reads as a float level.
-    let hi_int = format!(r#"{{{NEGOTIATE},"accept_hi":1,"domain":{{"min":1,"max":4}}}}"#);
-    let Ok(Request::Negotiate(n)) = request_alike(&hi_int) else {
+    assert_eq!(
+        negotiate(r#"{"min":0,"max":1e300}"#),
+        Err("domain: max: integer out of range".to_string())
+    );
+    let publish = |capacity: &str| {
+        request_alike(&format!(
+            r#"{{"op":"publish","service":"s","provider":"p","capability":"c","capacity":{capacity},
+            "offer":{{"attribute":"Reliability","variable":"x","shape":{{"Constant":{{"level":0.5}}}}}}}}"#
+        ))
+    };
+    let Ok(Request::Publish(p)) = publish("2.0") else {
+        panic!("a well-formed publish frame");
+    };
+    assert_eq!(p.capacity, Some(2));
+    assert_eq!(
+        publish("-1"),
+        Err("capacity: negative integer for unsigned field".to_string())
+    );
+    assert_eq!(
+        publish("4294967296"),
+        Err("capacity: integer out of range".to_string())
+    );
+    let Ok(Reply::Pong { epoch: 7 }) = reply_alike(r#"{"outcome":"pong","epoch":7.0}"#) else {
+        panic!("a well-formed pong frame");
+    };
+}
+
+#[test]
+fn an_envelope_integer_and_a_range_policy_read_alike() {
+    let frame = r#"{"op":"negotiate","capability":"c","variable":"x","domain":{"min":1.0,"max":3.0},
+        "policy":{"Range":{"min":1.0,"max":3.0}},"accept_lo":0,"accept_hi":1}"#;
+    let Ok(Request::Negotiate(n)) = request_alike(frame) else {
         panic!("a well-formed negotiate frame");
     };
-    assert_eq!(n.accept, [0.1, 1.0]);
-    // A `Range` shape reads integral floats, as its derive did.
-    let range = r#"{"op":"negotiate","capability":"c","variable":"x","domain":{"min":0,"max":4},
-        "policy":{"Range":{"min":1.0,"max":3}},"accept_lo":0,"accept_hi":1}"#;
-    let Ok(Request::Negotiate(n)) = request_alike(range) else {
-        panic!("a well-formed negotiate frame");
-    };
+    assert_eq!(n.domain, [1, 3]);
     assert_eq!(n.policy, OfferShape::Range { min: 1, max: 3 });
+}
+
+#[test]
+fn type_errors_name_their_field_in_the_derive_wording() {
+    assert_eq!(
+        request_alike(r#"{"op":"negotiate","capability":7}"#),
+        Err("capability: expected string, found number".to_string())
+    );
+    // The policy's own error now names its field as well.
+    assert_eq!(
+        request_alike(r#"{"op":"negotiate","policy":"Linear"}"#),
+        Err("policy: unknown variant `Linear` of OfferShape".to_string())
+    );
+    assert_eq!(
+        reply_alike(r#"{"outcome":"shed","reason":"bored"}"#),
+        Err("reason: unknown variant `bored` of ShedReason".to_string())
+    );
+    assert_eq!(
+        reply_alike(r#"{"outcome":"error","code":"teapot","detail":""}"#),
+        Err("code: unknown variant `teapot` of ErrorCode".to_string())
+    );
+    // A frame that is not an object is a type error of its own.
+    assert_eq!(
+        request_alike(r#"["op","ping"]"#),
+        Err("expected object, found array".to_string())
+    );
+}
+
+#[test]
+fn unknown_ops_and_outcomes_name_their_enum() {
+    assert_eq!(
+        request_alike(r#"{"op":"warp"}"#),
+        Err("op: unknown variant `warp` of Op".to_string())
+    );
+    assert_eq!(
+        reply_alike(r#"{"outcome":"lost"}"#),
+        Err("outcome: unknown variant `lost` of Outcome".to_string())
+    );
+    assert_eq!(
+        request_alike(r#"{"service":"a"}"#),
+        Err("missing field `op`".to_string())
+    );
+}
+
+#[test]
+fn every_known_key_is_typed_whatever_the_op() {
+    // `ping` reads no capability, but the frame's `capability` is still
+    // read as a string.
+    assert_eq!(
+        request_alike(r#"{"op":"ping","capability":7}"#),
+        Err("capability: expected string, found number".to_string())
+    );
+    assert_eq!(
+        reply_alike(r#"{"outcome":"pong","epoch":1,"level":"high"}"#),
+        Err("level: expected number, found string".to_string())
+    );
+    // An unknown key is still skipped, whatever its value.
+    assert_eq!(
+        request_alike(r#"{"op":"ping","colour":7}"#),
+        Ok(Request::Ping)
+    );
+}
+
+#[test]
+fn type_errors_are_reported_in_declaration_order() {
+    // Every key holds an array, a type error for each of them, written
+    // in reverse order: the error names the first declared key left.
+    let request = [
+        "op",
+        "capability",
+        "variable",
+        "domain",
+        "policy",
+        "accept_lo",
+        "accept_hi",
+        "client",
+        "service",
+        "provider",
+        "offer",
+        "capacity",
+    ];
+    let reply = [
+        "outcome",
+        "service",
+        "provider",
+        "level",
+        "binding",
+        "epoch",
+        "retries",
+        "relaxations",
+        "reason",
+        "phase",
+        "partial_level",
+        "code",
+        "detail",
+        "existed",
+        "objective",
+        "age",
+    ];
+    let frame = |keys: &[&str]| {
+        let fields: Vec<String> = keys.iter().rev().map(|k| format!(r#""{k}":[]"#)).collect();
+        format!("{{{}}}", fields.join(","))
+    };
+    for first in 0..request.len() {
+        let error = request_alike(&frame(&request[first..])).unwrap_err();
+        assert!(
+            error.starts_with(&format!("{}: ", request[first])),
+            "{error}"
+        );
+    }
+    for first in 0..reply.len() {
+        let error = reply_alike(&frame(&reply[first..])).unwrap_err();
+        assert!(error.starts_with(&format!("{}: ", reply[first])), "{error}");
+    }
+}
+
+#[test]
+fn a_null_key_reads_as_an_absent_one() {
+    assert_eq!(
+        request_alike(r#"{"op":"deregister","service":null}"#),
+        Err("missing field `service`".to_string())
+    );
+    assert_eq!(
+        reply_alike(r#"{"outcome":"bound","service":"s","provider":"p","level":null,"epoch":1}"#),
+        Err("missing field `level`".to_string())
+    );
 }
 
 #[test]
@@ -1118,7 +1288,7 @@ fn the_first_duplicate_wins_and_unknown_fields_are_ignored() {
     let wrong_first = r#"{"op":"deregister","service":7,"service":"b"}"#;
     assert_eq!(
         request_alike(wrong_first),
-        Err("field `service`: expected string, got number".to_string())
+        Err("service: expected string, found number".to_string())
     );
 }
 

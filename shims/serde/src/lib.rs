@@ -159,6 +159,12 @@ pub trait Deserialize: Sized {
     /// The reader's syntax error, or a type error naming what was
     /// expected.
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
+
+    /// The value of a struct field whose key is absent: `None` for an
+    /// `Option`, and no value, a missing field, for every other type.
+    fn absent() -> Option<Self> {
+        None
+    }
 }
 
 /// The helpers the derived impls are written in.
@@ -179,8 +185,8 @@ pub mod de {
     }
 
     /// A struct field as read (its error names the field), or, if the
-    /// key was absent, the value `null` reads as (`None` for an
-    /// `Option`), else a missing field.
+    /// key was absent, its [`Deserialize::absent`] value, else a
+    /// missing field.
     ///
     /// # Errors
     ///
@@ -192,8 +198,7 @@ pub mod de {
     ) -> Result<T, Error> {
         match read {
             Some(read) => read.map_err(|e| e.in_field(name)),
-            None => T::deserialize(&mut Reader::new("null"))
-                .map_err(|_| Error::missing_field(name, container)),
+            None => T::absent().ok_or_else(|| Error::missing_field(name, container)),
         }
     }
 
@@ -298,6 +303,19 @@ impl Deserialize for bool {
     }
 }
 
+/// Reads an integer token, or a float with no fractional part, as an
+/// `i128`, which holds every `i64` and `u64` exactly; a float beyond
+/// `i128` (an infinite one too) saturates, and is still out of range
+/// for every integer type.
+fn integer(r: &mut Reader<'_>) -> Result<i128, Error> {
+    match r.value()? {
+        Scalar::Int(n) => Ok(n.into()),
+        Scalar::UInt(n) => Ok(n.into()),
+        Scalar::Float(f) if f.fract() == 0.0 || f.is_infinite() => Ok(f as i128),
+        other => Err(Error::expected("integer", &other)),
+    }
+}
+
 macro_rules! impl_integer {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -305,48 +323,23 @@ macro_rules! impl_integer {
                 let _ = write!(out, "{self}");
             }
         }
+
+        impl Deserialize for $t {
+            fn deserialize(r: &mut Reader<'_>) -> Result<$t, Error> {
+                let n = integer(r)?;
+                <$t>::try_from(n).map_err(|_| {
+                    Error::custom(if n < 0 && <$t>::MIN == 0 {
+                        "negative integer for unsigned field"
+                    } else {
+                        "integer out of range"
+                    })
+                })
+            }
+        }
     )*};
 }
 
 impl_integer!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn deserialize(r: &mut Reader<'_>) -> Result<$t, Error> {
-                let n: i64 = match r.value()? {
-                    Scalar::Int(n) => n,
-                    Scalar::UInt(n) => i64::try_from(n)
-                        .map_err(|_| Error::custom("integer out of range"))?,
-                    Scalar::Float(f) if f.fract() == 0.0 => f as i64,
-                    other => return Err(Error::expected("integer", &other)),
-                };
-                <$t>::try_from(n).map_err(|_| Error::custom("integer out of range"))
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64, isize);
-
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn deserialize(r: &mut Reader<'_>) -> Result<$t, Error> {
-                let n: u64 = match r.value()? {
-                    Scalar::Int(n) => u64::try_from(n)
-                        .map_err(|_| Error::custom("negative integer for unsigned field"))?,
-                    Scalar::UInt(n) => n,
-                    Scalar::Float(f) if f.fract() == 0.0 && f >= 0.0 => f as u64,
-                    other => return Err(Error::expected("integer", &other)),
-                };
-                <$t>::try_from(n).map_err(|_| Error::custom("integer out of range"))
-            }
-        }
-    )*};
-}
-
-impl_unsigned!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
@@ -426,6 +419,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
             return Ok(None);
         }
         T::deserialize(r).map(Some)
+    }
+
+    fn absent() -> Option<Option<T>> {
+        Some(None)
     }
 }
 
@@ -609,6 +606,37 @@ mod tests {
         );
         assert_eq!(
             parse::<u8>("256").unwrap_err().message(),
+            "integer out of range"
+        );
+    }
+
+    #[test]
+    fn integral_floats_read_exactly_or_out_of_range() {
+        assert_eq!(parse::<i64>("-9.223372036854775808e18").unwrap(), i64::MIN);
+        assert_eq!(parse::<u64>("1e19").unwrap(), 10_000_000_000_000_000_000);
+        assert_eq!(parse::<u32>("2.0").unwrap(), 2);
+        assert_eq!(parse::<u64>("-0.0").unwrap(), 0);
+        for (text, message) in [
+            ("1e300", "integer out of range"),
+            ("1e19", "integer out of range"),
+            ("-1e300", "integer out of range"),
+            ("9.223372036854775808e18", "integer out of range"),
+            ("1e400", "integer out of range"),
+        ] {
+            assert_eq!(parse::<i64>(text).unwrap_err().message(), message, "{text}");
+        }
+        for (text, message) in [
+            ("1e300", "integer out of range"),
+            ("1.8446744073709551616e19", "integer out of range"),
+            ("-1.0", "negative integer for unsigned field"),
+            ("-1e300", "negative integer for unsigned field"),
+            ("-1e400", "negative integer for unsigned field"),
+            ("-1.5", "expected integer, found number"),
+        ] {
+            assert_eq!(parse::<u64>(text).unwrap_err().message(), message, "{text}");
+        }
+        assert_eq!(
+            parse::<u32>("4294967296.0").unwrap_err().message(),
             "integer out of range"
         );
     }
